@@ -154,14 +154,21 @@ class BasisSystem:
         u = np.where(inside, (x - a) / width, 0.0)
         s = math.sqrt(2.0 / width)
         out = np.empty((len(ks), len(x)))
+        # cos row k and sin row k+1 share the angle fl(k*pi)*u: computed once.
+        angle = np.empty_like(u)
+        angle_freq = None
         for row, k in enumerate(ks):
-            if k == 1:
-                vals = np.full_like(u, 1.0 / math.sqrt(width))
-            elif k % 2 == 0:
-                vals = s * np.cos(k * math.pi * u)
-            else:
-                vals = s * np.sin((k - 1) * math.pi * u)
-            out[row] = np.where(inside, vals, 0.0)
+            even = k % 2 == 0
+            freq = k if even else k - 1
+            if freq == 0:
+                out[row] = 1.0 / math.sqrt(width)
+                continue
+            if freq != angle_freq:
+                np.multiply(freq * math.pi, u, out=angle)
+                angle_freq = freq
+            (np.cos if even else np.sin)(angle, out=out[row])
+            out[row] *= s
+        out[:, ~inside] = 0.0
         return out
 
     def _legendre_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -25,12 +25,18 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .basis import BasisSystem, CoefficientVector, Window, synthesize
-from .errors import DimensionError, EmptyDrawsError, ParameterError, WindowError
+from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
+from .processes import MATERIALIZE_LIMIT
 from .util import snap_ceil
 
 # Draw indices are generated in fixed spans so that a parallel sampler can
 # hand blocks to workers and still concatenate a seed-reproducible stream.
 DRAW_BLOCK = 256
+
+# Draw distances are computed over this many grid rows at a time, so a band
+# over many draws needs no full (num_draws, grid) temporary.  Rows are
+# independent, so the chunk size does not change any distance.
+DISTANCE_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -151,7 +157,9 @@ class PosteriorDraws:
     """Monte Carlo draws from the hierarchical posterior with grid evaluations on D.
 
     draws[i] is (K_i, theta_i); grid_values[i] is the synthesized density of
-    draw i on `grid` (a uniform grid over the reporting window D).
+    draw i on `grid` (a uniform grid over the reporting window D).  The
+    sampler returns each theta_i as a length-K_i view of one row of its
+    block's coefficient matrix, so a theta_i keeps that block alive.
     """
 
     basis: BasisSystem
@@ -181,7 +189,12 @@ def sample_posterior(
     an explicit `marginal` overrides both), then theta | K from the conjugate
     Gaussian.  Draws are generated in fixed blocks of DRAW_BLOCK with
     per-block substreams of `seed`, so the stream is reproducible and
-    partition independent.
+    partition independent.  Each block's substream gives the block's uniforms
+    for K first, then the standard normals of its draws in draw order, K_i of
+    them for draw i.  The theta_i in the result are views; see PosteriorDraws.
+
+    Raises ResourceGuardError, before allocating, when the grid evaluations
+    would hold more than MATERIALIZE_LIMIT values.
     """
     if num_draws < 1:
         raise ParameterError(f"num_draws must be >= 1, got {num_draws}")
@@ -212,6 +225,11 @@ def sample_posterior(
 
     if grid_points < 2:
         raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
+    if num_draws * grid_points > MATERIALIZE_LIMIT:
+        raise ResourceGuardError(
+            f"{num_draws} draws on {grid_points} grid points exceed the materialization "
+            f"limit of {MATERIALIZE_LIMIT} values; draw fewer or use a coarser grid"
+        )
     grid = np.linspace(config.D.a, config.D.b, grid_points)
     rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
     if rows.shape[0] < k_max:
@@ -225,10 +243,20 @@ def sample_posterior(
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
         u = rng.random(m)
         ks = np.searchsorted(cum, u, side="right") + 1
-        for i, K in enumerate(ks):
-            theta = means[:K] + sd * rng.standard_normal(K)
-            draws.append((int(K), theta))
-            grid_values[start + i] = theta @ rows[:K]
+        # Row i holds draw i's coefficients in its first K_i entries; one call
+        # for all normals continues the stream exactly as one call per draw.
+        width = int(ks.max())
+        filled = np.arange(width) < ks[:, None]
+        z = np.zeros((m, width))
+        z[filled] = rng.standard_normal(int(ks.sum()))
+        theta = means[:width] + sd * z
+        for K in np.unique(ks):
+            idx = np.flatnonzero(ks == K)
+            # A stack of 1xK products runs one GEMV per draw, the kernel and
+            # summation order of theta_i @ rows[:K]; a GEMM over the group, or
+            # a product over the zero-padded width, can differ in the last ulp.
+            grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
+        draws.extend((int(K), theta[i, :K]) for i, K in enumerate(ks))
     return PosteriorDraws(basis, grid, grid_values, draws, seed)
 
 
@@ -258,12 +286,18 @@ class BandResult:
 
 
 def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> np.ndarray:
-    diffs = draws.grid_values - center
-    if metric == "sup":
-        return np.max(np.abs(diffs), axis=1)
-    if metric == "l2":
-        return np.sqrt(np.trapezoid(diffs**2, draws.grid, axis=1))
-    raise ParameterError(f"metric must be 'sup' or 'l2', got {metric!r}")
+    """Distance of every drawn density to `center` on draws.grid, in the sup or L2(D) metric."""
+    if metric not in ("sup", "l2"):
+        raise ParameterError(f"metric must be 'sup' or 'l2', got {metric!r}")
+    dist = np.empty(len(draws.grid_values))
+    for start in range(0, len(dist), DISTANCE_CHUNK_ROWS):
+        stop = start + DISTANCE_CHUNK_ROWS
+        diffs = draws.grid_values[start:stop] - center
+        if metric == "sup":
+            dist[start:stop] = np.max(np.abs(diffs), axis=1)
+        else:
+            dist[start:stop] = np.sqrt(np.trapezoid(diffs**2, draws.grid, axis=1))
+    return dist
 
 
 def credible_band(draws: PosteriorDraws, level: float, metric: str = "sup") -> BandResult:
@@ -287,8 +321,7 @@ def concentration_probability(draws: PosteriorDraws, psi_star, radius: float) ->
     if not radius >= 0.0:
         raise ParameterError(f"radius must be >= 0, got {radius!r}")
     ref = np.asarray(psi_star(draws.grid), dtype=float)
-    dist = np.sqrt(np.trapezoid((draws.grid_values - ref) ** 2, draws.grid, axis=1))
-    return float(np.mean(dist > radius))
+    return float(np.mean(_draw_distances(draws, ref, "l2") > radius))
 
 
 @dataclass(frozen=True)

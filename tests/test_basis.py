@@ -112,6 +112,32 @@ class TestEval:
             outside = np.array([-1.0, 0.0, 0.0049, 0.0151, 2.0])
             assert np.all(basis.evaluate_all(outside) == 0.0)
 
+    def test_trig_rows_bit_identical_to_closed_form(self):
+        # the per-row formula, evaluated afresh for every row, at K = 320 on
+        # points inside, outside and at both endpoints of the window
+        a, b, width = D_PRIME.a, D_PRIME.b, D_PRIME.length
+        x = np.concatenate([
+            np.linspace(0.0, 0.02, 2001),
+            [a, b, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), -1.0, 2.0],
+        ])
+        inside = (x >= a) & (x <= b)
+        u = np.where(inside, (x - a) / width, 0.0)
+        s = math.sqrt(2.0 / width)
+        expect = np.empty((320, len(x)))
+        for k in range(1, 321):
+            if k == 1:
+                vals = np.full_like(u, 1.0 / math.sqrt(width))
+            elif k % 2 == 0:
+                vals = s * np.cos(k * math.pi * u)
+            else:
+                vals = s * np.sin((k - 1) * math.pi * u)
+            expect[k - 1] = np.where(inside, vals, 0.0)
+        basis = BasisSystem.trigonometric(D_PRIME, 320)
+        rows = basis.evaluate_all(x)
+        assert rows.tobytes() == expect.tobytes()
+        for k in (1, 2, 7, 320):
+            assert basis.eval(k, x).tobytes() == rows[k - 1].tobytes()
+
     def test_index_bounds(self):
         basis = BasisSystem.trigonometric(D_PRIME, 8)
         for k in (0, 9, -1):

@@ -321,6 +321,15 @@ class TestExitCodes:
         assert main(["check", "--j", "1"]) == 4
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_posterior_draw_guard_exits_4(self, tmp_path, capsys):
+        # 1e9 draws x 512 grid points would need 3.7 TiB; the guard refuses first
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0])
+        out = tmp_path / "post"
+        argv = ["posterior", "--coeffs", str(coeffs), "--out-dir", str(out), "--draws", "1000000000"]
+        assert main(argv) == 4
+        assert "materialization limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_thread_env_validated(self, tmp_path, monkeypatch, capsys):
         inc = simulate_file(tmp_path, delta=0.5, n=256, seed=1)
         out = tmp_path / "o.json"

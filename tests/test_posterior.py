@@ -23,6 +23,7 @@ from levygibbs import (
     GibbsConfig,
     ParameterError,
     PosteriorDraws,
+    ResourceGuardError,
     VarianceGammaParams,
     Window,
     conditional_posterior,
@@ -37,6 +38,8 @@ from levygibbs import (
     true_density_vg,
     validate_config,
 )
+from levygibbs.posterior import DISTANCE_CHUNK_ROWS, DRAW_BLOCK, _draw_distances
+from levygibbs.processes import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
@@ -178,6 +181,36 @@ class TestMarginalK:
             MarginalK.point_mass(11, 10)
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal, grid_points=512):
+    """Reference sampler: one normal call and one theta @ rows product per draw.
+
+    This is the loop sample_posterior vectorizes; its K's, thetas and grid
+    values must come out bit for bit the same.
+    """
+    k_max = config.k_max_for(t_n)
+    cond = conditional_posterior(np.asarray(theta_hat, dtype=float)[:k_max], t_n, config)
+    sd = math.sqrt(cond.variance)
+    cum = np.cumsum(marginal.probs)
+    cum[-1] = 1.0
+    rows = basis.evaluate_all(np.linspace(config.D.a, config.D.b, grid_points))
+    draws, grid_values = [], np.empty((num_draws, grid_points))
+    for start in range(0, num_draws, DRAW_BLOCK):
+        m = min(DRAW_BLOCK, num_draws - start)
+        spawn = np.random.SeedSequence(entropy=seed, spawn_key=(start // DRAW_BLOCK,))
+        rng = np.random.Generator(np.random.Philox(spawn))
+        ks = np.searchsorted(cum, rng.random(m), side="right") + 1
+        for i, K in enumerate(ks):
+            theta = cond.means[:K] + sd * rng.standard_normal(K)
+            draws.append((int(K), theta))
+            grid_values[start + i] = theta @ rows[:K]
+    return draws, grid_values
+
+
 class TestSamplePosterior:
     def setup_method(self):
         self.config = GibbsConfig(k_max=20)
@@ -259,6 +292,41 @@ class TestSamplePosterior:
             )
         with pytest.raises(DimensionError):
             sample_posterior(np.zeros(5), self.t_n, self.config, 10, seed=0, basis=self.basis)
+
+    def test_allocation_guard(self):
+        # the guard fires before any (num_draws, grid_points) allocation;
+        # 1e9 x 512 values would need 3.7 TiB
+        assert 10**9 * 512 > MATERIALIZE_LIMIT
+        with pytest.raises(ResourceGuardError):
+            sample_posterior(self.theta_perp, self.t_n, self.config, 10**9, seed=0)
+
+    def check_matches_per_draw(self, theta_hat, t_n, config, num_draws, seed, basis, marginal):
+        got = sample_posterior(theta_hat, t_n, config, num_draws, seed, basis=basis, marginal=marginal)
+        draws, grid_values = per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal)
+        assert [k for k, _ in got.draws] == [k for k, _ in draws]
+        assert all(same_bits(a, b) for (_, a), (_, b) in zip(got.draws, draws))
+        assert same_bits(got.grid_values, grid_values)
+
+    @pytest.mark.parametrize("num_draws", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 1000])
+    def test_bit_identical_to_per_draw_loop(self, num_draws):
+        marg = marginal_k(self.theta_perp, self.t_n, self.config)
+        assert np.count_nonzero(marg.probs > 1e-3) >= 3
+        self.check_matches_per_draw(
+            self.theta_perp.values, self.t_n, self.config, num_draws, 5, self.basis, marg
+        )
+
+    def test_fixed_k_bit_identical_to_per_draw_loop(self):
+        marg = MarginalK.point_mass(7, 20)
+        self.check_matches_per_draw(self.theta_perp.values, self.t_n, self.config, 600, 9, self.basis, marg)
+
+    def test_k_max_320_bit_identical_to_per_draw_loop(self):
+        # a geometric pmf over 1..320, so a block mixes many K up to k_max
+        config = GibbsConfig(k_max=320)
+        basis = BasisSystem.trigonometric(D_PRIME, 320)
+        theta_hat = np.random.default_rng(1).normal(0.0, 30.0, 320)
+        log_w = -0.01 * np.arange(320)
+        marg = MarginalK(log_w, np.exp(log_w) / np.exp(log_w).sum())
+        self.check_matches_per_draw(theta_hat, 320.0, config, 600, 2, basis, marg)
 
 
 class TestPosteriorSummaries:
@@ -346,6 +414,25 @@ class TestPosteriorSummaries:
         radii = np.linspace(0.0, 400.0, 9)
         probs = [concentration_probability(draws, psi, r) for r in radii]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+    def test_chunked_distances_match_full_matrix(self):
+        # more than one chunk of rows plus a remainder
+        draws, psi = self.make_draws(num=DISTANCE_CHUNK_ROWS + 123, seed=4)
+        center = posterior_mean_function(draws)
+        full = {
+            "sup": np.max(np.abs(draws.grid_values - center), axis=1),
+            "l2": np.sqrt(np.trapezoid((draws.grid_values - center) ** 2, draws.grid, axis=1)),
+        }
+        for metric, dist in full.items():
+            assert same_bits(_draw_distances(draws, center, metric), dist)
+            for level in (0.1, 0.5, 0.9, 0.999):
+                band = credible_band(draws, level, metric=metric)
+                assert band.radius == float(np.quantile(dist, level, method="higher"))
+        # radii at exact reference distances: one ulp of drift flips a comparison
+        ref = psi(draws.grid)
+        dist = np.sqrt(np.trapezoid((draws.grid_values - ref) ** 2, draws.grid, axis=1))
+        for r in dist[[0, DISTANCE_CHUNK_ROWS - 1, DISTANCE_CHUNK_ROWS, -1]]:
+            assert concentration_probability(draws, psi, r) == float(np.mean(dist > r))
 
 
 class TestValidateConfig:
