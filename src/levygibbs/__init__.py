@@ -35,7 +35,6 @@ from .estimator import (
     empirical_coefficients,
     empirical_risk,
     l2_error_on_D,
-    population_risk,
 )
 from .experiment import (
     DEFAULT_VG_PARAMS,

@@ -402,10 +402,18 @@ def project_density(
     return CoefficientVector(basis, fine, role="projected", quad_error=err)
 
 
+def _coefficient_values(theta) -> np.ndarray:
+    """The 1-d float values of a CoefficientVector or of an array-like; DimensionError otherwise."""
+    vec = theta.values if isinstance(theta, CoefficientVector) else np.asarray(theta, dtype=float)
+    if vec.ndim != 1:
+        raise DimensionError(f"coefficient vector must be 1-d, got shape {vec.shape}")
+    return vec
+
+
 def synthesize(basis: BasisSystem, theta, x):
     """Evaluate sum_k theta_k f_k at x; theta is a CoefficientVector or length-K array."""
-    vec = theta.values if isinstance(theta, CoefficientVector) else np.asarray(theta, dtype=float)
-    if vec.ndim != 1 or len(vec) != basis.K:
+    vec = _coefficient_values(theta)
+    if len(vec) != basis.K:
         raise DimensionError(f"theta has shape {vec.shape}, basis expects length {basis.K}")
     arr = np.asarray(x, dtype=float)
     out = vec @ basis.evaluate_all(arr.ravel())

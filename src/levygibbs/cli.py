@@ -11,13 +11,13 @@ stdout only.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 
 import numpy as np
 
-from .basis import BasisSystem, CoefficientVector, Window
+from .basis import BasisSystem, Window
 from .errors import (
     InputParseError,
     LevyGibbsError,
@@ -29,10 +29,15 @@ from .experiment import (
     DEFAULT_VG_PARAMS,
     RegimeSpec,
     delta_condition,
+    read_coefficients_json,
     run_regime,
     write_band_csv,
+    write_band_table,
+    write_coefficients_json,
+    write_draws_jsonl,
     write_errors_csv,
     write_k_posterior_csv,
+    write_k_table,
     write_report_json,
 )
 from .posterior import (
@@ -40,7 +45,6 @@ from .posterior import (
     MarginalK,
     credible_band,
     marginal_k,
-    posterior_mean_function,
     sample_posterior,
     validate_config,
 )
@@ -48,6 +52,7 @@ from .processes import (
     CompoundPoissonParams,
     JumpDistribution,
     SamplingScheme,
+    TrueLevyDensity,
     VarianceGammaParams,
     read_increments,
     simulate_compound_poisson,
@@ -55,11 +60,7 @@ from .processes import (
     true_density_vg,
     write_increments,
 )
-from .util import snap_ceil
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+from .util import fmt_float, snap_ceil
 
 
 def _parse_window(text: str) -> Window:
@@ -70,15 +71,25 @@ def _parse_window(text: str) -> Window:
     return Window(lo, hi)
 
 
-def _parse_truth(text: str):
-    kind, _, rest = text.partition(":")
+def _truth_from_args(args: argparse.Namespace) -> TrueLevyDensity | None:
+    """The --truth density 'vg:mu,sigma,nu' under --truth-convention; None without --truth."""
+    if args.truth is None:
+        return None
+    kind, _, rest = args.truth.partition(":")
     if kind != "vg":
-        raise ParameterError(f"unknown truth family {text!r}; expected 'vg:mu,sigma,nu'")
+        raise ParameterError(f"unknown truth family {args.truth!r}; expected 'vg:mu,sigma,nu'")
     try:
         mu, sigma, nu = (float(tok) for tok in rest.split(","))
     except ValueError as exc:
-        raise ParameterError(f"expected 'vg:mu,sigma,nu', got {text!r}") from exc
-    return VarianceGammaParams(mu, sigma, nu)
+        raise ParameterError(f"expected 'vg:mu,sigma,nu', got {args.truth!r}") from exc
+    return true_density_vg(VarianceGammaParams(mu, sigma, nu), decaying=args.truth_convention == "decaying")
+
+
+def _config_from_args(args: argparse.Namespace, **fixed) -> GibbsConfig:
+    """GibbsConfig from the hyperparameter and window flags; a flag left unset keeps its default."""
+    names = ("omega", "sigma0", "beta", "k_max", "D", "D_prime")
+    given = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    return GibbsConfig(**(given | fixed))
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -116,13 +127,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_increments(args.out, series, header=not args.no_header)
     print(
         f"simulate: wrote n={scheme.n} increments "
-        f"(delta={_fmt(scheme.delta)}, t_n={_fmt(scheme.t_n)}, seed={args.seed}) to {args.out}"
+        f"(delta={fmt_float(scheme.delta)}, t_n={fmt_float(scheme.t_n)}, seed={args.seed}) to {args.out}"
     )
     return 0
 
 
 def _basis_from_args(args: argparse.Namespace, t_n: float) -> BasisSystem:
-    window = args.window if args.window is not None else Window(0.005, 0.015)
+    window = args.window if args.window is not None else GibbsConfig.D_prime
     if args.family == "trig":
         K = args.K if args.K is not None else snap_ceil(t_n)
         return BasisSystem.trigonometric(window, K)
@@ -134,121 +145,63 @@ def _basis_from_args(args: argparse.Namespace, t_n: float) -> BasisSystem:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     _require(args, "increments", "out")
+    truth = _truth_from_args(args)
     series = read_increments(args.increments, delta=args.delta)
     basis = _basis_from_args(args, series.scheme.t_n)
     theta_hat = empirical_coefficients(series, basis)
-    with open(args.out, "w", encoding="ascii") as fh:
-        json.dump(theta_hat.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_coefficients_json(args.out, theta_hat)
     print(
-        f"estimate: K={basis.K} t_n={_fmt(series.scheme.t_n)} "
+        f"estimate: K={basis.K} t_n={fmt_float(series.scheme.t_n)} "
         f"in-window estimator written to {args.out}"
     )
-    if args.truth is not None:
-        psi = true_density_vg(_parse_truth(args.truth), decaying=args.truth_convention == "decaying")
-        err = l2_error_on_D(theta_hat, psi, args.D, grid_points=args.grid_points)
-        print(f"estimate: l2_error_on_D={_fmt(err)} (truth {args.truth}, {args.truth_convention})")
+    if truth is not None:
+        # D is checked against the basis window only, so its default is read
+        # off GibbsConfig rather than validated inside a config.
+        D = args.D if args.D is not None else GibbsConfig.D
+        err = l2_error_on_D(theta_hat, truth, D, grid_points=args.grid_points)
+        print(f"estimate: l2_error_on_D={fmt_float(err)} (truth {args.truth}, {args.truth_convention})")
     return 0
-
-
-def _load_coefficients(path) -> CoefficientVector:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputParseError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return CoefficientVector.from_dict(payload)
 
 
 def cmd_posterior(args: argparse.Namespace) -> int:
     _require(args, "coeffs", "out_dir")
-    theta_hat = _load_coefficients(args.coeffs)
+    theta_hat = read_coefficients_json(args.coeffs)
     t_n = args.t_n if args.t_n is not None else theta_hat.t_n
     if t_n is None:
         raise ParameterError("coefficient file carries no t_n; pass --t-n")
-    D = args.D if args.D is not None else Window(0.006, 0.014)
-    config = GibbsConfig(
-        omega=args.omega,
-        sigma0=args.sigma0,
-        beta=args.beta,
-        k_max=args.k_max if args.k_max is not None else min(theta_hat.basis.K, snap_ceil(t_n)),
-        D=D,
-        D_prime=theta_hat.basis.window,
-    )
-    draws = sample_posterior(
-        theta_hat,
-        t_n,
-        config,
-        args.draws,
-        args.seed,
-        fixed_k=args.fixed_K,
-        grid_points=args.grid_points,
-    )
-    band = credible_band(draws, args.level, metric=args.metric)
-    mean_vals = posterior_mean_function(draws)
-
-    out = _OutDir(args.out_dir)
-    with open(out.path("draws.jsonl"), "w", encoding="ascii") as fh:
-        for i, (K, theta) in enumerate(draws.draws):
-            fh.write(json.dumps({"draw_index": i, "K": K, "theta": [float(v) for v in theta]}))
-            fh.write("\n")
-    _write_k_csv(out.path("k_posterior.csv"), args.label_j, theta_hat, t_n, config, args.fixed_K)
-    psi_true = np.full_like(draws.grid, np.nan)
-    if args.truth is not None:
-        psi = true_density_vg(_parse_truth(args.truth), decaying=args.truth_convention == "decaying")
-        psi_true = np.asarray(psi(draws.grid), dtype=float)
-    lo = band.lo if band.lo is not None else np.full_like(draws.grid, np.nan)
-    hi = band.hi if band.hi is not None else np.full_like(draws.grid, np.nan)
-    _write_band(out.path("band.csv"), draws.grid, psi_true, mean_vals, lo, hi)
-    print(
-        f"posterior: {len(draws)} draws (k_max={config.k_max}, seed={args.seed}) -> {args.out_dir}; "
-        f"band radius ({args.metric}, level={_fmt(args.level)}) = {_fmt(band.radius)}"
-    )
-    return 0
-
-
-def _write_k_csv(path, j, theta_hat, t_n, config, fixed_k) -> None:
-    marg = (
-        MarginalK.point_mass(fixed_k, config.k_max_for(t_n))
-        if fixed_k is not None
+    truth = _truth_from_args(args)
+    k_max = args.k_max if args.k_max is not None else min(theta_hat.basis.K, snap_ceil(t_n))
+    config = _config_from_args(args, k_max=k_max, D_prime=theta_hat.basis.window)
+    marginal = (
+        MarginalK.point_mass(args.fixed_K, k_max)
+        if args.fixed_K is not None
         else marginal_k(theta_hat, t_n, config)
     )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("j,K,prob\n")
-        for k, p in enumerate(marg.probs, start=1):
-            fh.write(f"{j},{k},{_fmt(p)}\n")
+    draws = sample_posterior(
+        theta_hat, t_n, config, args.draws, args.seed, marginal=marginal, grid_points=args.grid_points
+    )
+    band = credible_band(draws, args.level, metric=args.metric)
 
-
-def _write_band(path, grid, psi_true, psi_mean, lo, hi) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,psi_true,psi_mean,lo,hi\n")
-        for row in zip(grid, psi_true, psi_mean, lo, hi):
-            fh.write(",".join(_fmt(v) for v in row))
-            fh.write("\n")
-
-
-class _OutDir:
-    def __init__(self, root) -> None:
-        os.makedirs(root, exist_ok=True)
-        self.root = root
-
-    def path(self, name: str) -> str:
-        return os.path.join(self.root, name)
+    out = functools.partial(os.path.join, args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_draws_jsonl(out("draws.jsonl"), draws)
+    write_k_table(out("k_posterior.csv"), [(args.label_j, marginal.probs)])
+    psi_true = truth(draws.grid) if truth is not None else None
+    write_band_table(out("band.csv"), draws.grid, psi_true, band.center, band.lo, band.hi)
+    print(
+        f"posterior: {len(draws)} draws (k_max={k_max}, seed={args.seed}) -> {args.out_dir}; "
+        f"band radius ({args.metric}, level={fmt_float(args.level)}) = {fmt_float(band.radius)}"
+    )
+    return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     _require(args, "out_dir")
     if not args.j_list:
         raise ParameterError("pass at least one regime index via --j")
-    config = GibbsConfig(
-        omega=args.omega,
-        sigma0=args.sigma0,
-        beta=args.beta,
-        k_max=args.k_max,
-        D=args.D if args.D is not None else Window(0.006, 0.014),
-        D_prime=args.D_prime if args.D_prime is not None else Window(0.005, 0.015),
-    )
-    out = _OutDir(args.out_dir)
+    config = _config_from_args(args)
+    out = functools.partial(os.path.join, args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     reports = []
     for j in args.j_list:
         spec = RegimeSpec.from_j(j)
@@ -263,18 +216,19 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
         reports.append(report)
         print(
-            f"experiment: j={j} t_n={_fmt(report.t_n)} k_mode={report.k_mode} "
-            f"err_projection={_fmt(report.err_projection)} err_postmean={_fmt(report.err_postmean)} "
-            f"band_radius={_fmt(report.band_radius)} runtime_s={report.runtime_s:.2f}"
+            f"experiment: j={j} t_n={fmt_float(report.t_n)} k_mode={report.k_mode} "
+            f"err_projection={fmt_float(report.err_projection)} "
+            f"err_postmean={fmt_float(report.err_postmean)} "
+            f"band_radius={fmt_float(report.band_radius)} runtime_s={report.runtime_s:.2f}"
         )
-    write_report_json(reports, out.path("report.json"))
-    write_errors_csv(reports, out.path("errors.csv"), alpha_assumed=args.alpha)
-    write_k_posterior_csv(reports, out.path("k_posterior.csv"))
+    write_report_json(reports, out("report.json"))
+    write_errors_csv(reports, out("errors.csv"), alpha_assumed=args.alpha)
+    write_k_posterior_csv(reports, out("k_posterior.csv"))
     if len(reports) == 1:
-        write_band_csv(reports[0], out.path("band.csv"))
+        write_band_csv(reports[0], out("band.csv"))
     else:
         for report in reports:
-            write_band_csv(report, out.path(f"band_j{report.j}.csv"))
+            write_band_csv(report, out(f"band_j{report.j}.csv"))
     print(f"experiment: wrote report.json, errors.csv, k_posterior.csv, band csv -> {args.out_dir}")
     return 0
 
@@ -283,28 +237,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     scheme = _scheme_from_args(args)
     basis = _basis_from_args(args, scheme.t_n)
     diag = delta_condition(basis.features(), scheme, case=args.case, bound=args.bound)
-    config = GibbsConfig(
-        omega=args.omega,
-        sigma0=args.sigma0,
-        beta=args.beta,
-        D=args.D if args.D is not None else Window(0.006, 0.014),
-        D_prime=args.D_prime if args.D_prime is not None else Window(0.005, 0.015),
-    )
+    config = _config_from_args(args)
     psi = true_density_vg(VarianceGammaParams(args.mu, args.sigma, args.nu), decaying=True)
     grid = np.linspace(config.D.a, config.D.b, args.grid_points)
     beta_diag = validate_config(config, float(np.max(psi(grid))), tau=args.tau)
 
-    print(f"check: spacing case={diag.case} bound={_fmt(diag.bound)} (K={basis.K}, {basis.family})")
+    print(f"check: spacing case={diag.case} bound={fmt_float(diag.bound)} (K={basis.K}, {basis.family})")
     for name, value in diag.values.items():
         flag = "pass" if diag.passed[name] else "FAIL"
-        print(f"check:   {name} = {_fmt(value)} [{flag}]")
+        print(f"check:   {name} = {fmt_float(value)} [{flag}]")
     print(
-        f"check: beta={_fmt(beta_diag.beta)} vs omega*C^2={_fmt(beta_diag.basic_threshold)} "
+        f"check: beta={fmt_float(beta_diag.beta)} vs omega*C^2={fmt_float(beta_diag.basic_threshold)} "
         f"[{'pass' if beta_diag.basic_ok else 'FAIL'}]"
     )
     print(
-        f"check: beta vs tau/(tau-1)*omega*C^2={_fmt(beta_diag.tau_threshold)} "
-        f"(tau={_fmt(beta_diag.tau)}) [{'pass' if beta_diag.tau_ok else 'FAIL'}]"
+        f"check: beta vs tau/(tau-1)*omega*C^2={fmt_float(beta_diag.tau_threshold)} "
+        f"(tau={fmt_float(beta_diag.tau)}) [{'pass' if beta_diag.tau_ok else 'FAIL'}]"
     )
     return 0
 
@@ -327,9 +275,9 @@ def _add_vg_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=float, default=1e-5, help="learning rate")
-    p.add_argument("--sigma0", type=float, default=1e3, help="prior coefficient sd")
-    p.add_argument("--beta", type=float, default=0.5, help="K-prior penalty strength")
+    p.add_argument("--omega", type=float, default=None, help=f"learning rate (default {GibbsConfig.omega})")
+    p.add_argument("--sigma0", type=float, default=None, help=f"prior coefficient sd (default {GibbsConfig.sigma0})")
+    p.add_argument("--beta", type=float, default=None, help=f"K-prior penalty strength (default {GibbsConfig.beta})")
     p.add_argument("--k-max", dest="k_max", type=int, default=None, help="prior truncation (default ceil(t_n))")
 
 
@@ -338,7 +286,11 @@ def _add_basis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", type=int, default=None, help="basis size (trig; default ceil(t_n))")
     p.add_argument("--J", type=int, default=None, help="degrees per piece (legendre)")
     p.add_argument("--L", type=int, default=None, help="number of pieces (legendre)")
-    p.add_argument("--window", type=_parse_window, default=None, help="basis window 'a,b' (default 0.005,0.015)")
+    _add_window_flag(p, "--window", "basis window", GibbsConfig.D_prime)
+
+
+def _add_window_flag(p: argparse.ArgumentParser, flag: str, what: str, default: Window) -> None:
+    p.add_argument(flag, type=_parse_window, default=None, help=f"{what} 'a,b' (default {default.a},{default.b})")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -368,7 +320,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", default=None)
     p.add_argument("--truth", default=None, help="true density 'vg:mu,sigma,nu' for an error summary")
     p.add_argument("--truth-convention", choices=["decaying", "printed"], default="decaying")
-    p.add_argument("--D", dest="D", type=_parse_window, default=Window(0.006, 0.014))
+    _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
     p.set_defaults(func=cmd_estimate)
 
@@ -383,7 +335,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=0.9)
     p.add_argument("--metric", choices=["sup", "l2"], default="sup")
-    p.add_argument("--D", dest="D", type=_parse_window, default=None)
+    _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
     p.add_argument("--truth", default=None, help="true density 'vg:mu,sigma,nu' for band.csv")
     p.add_argument("--truth-convention", choices=["decaying", "printed"], default="decaying")
@@ -401,8 +353,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=0.9)
     p.add_argument("--alpha", type=float, default=2.0, help="assumed smoothness for eps_n")
-    p.add_argument("--D", dest="D", type=_parse_window, default=None)
-    p.add_argument("--D-prime", dest="D_prime", type=_parse_window, default=None)
+    _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
+    _add_window_flag(p, "--D-prime", "window of the basis", GibbsConfig.D_prime)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.set_defaults(func=cmd_experiment)
@@ -417,8 +369,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_vg_flags(p)
     _add_hyper_flags(p)
     p.add_argument("--tau", type=float, default=3.0)
-    p.add_argument("--D", dest="D", type=_parse_window, default=None)
-    p.add_argument("--D-prime", dest="D_prime", type=_parse_window, default=None)
+    _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
+    _add_window_flag(p, "--D-prime", "window of the basis", GibbsConfig.D_prime)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
     p.set_defaults(func=cmd_check)
 

@@ -1,4 +1,4 @@
-"""Projection estimator of the Levy density and its empirical/population risks.
+"""Projection estimator of the Levy density and its empirical risk.
 
 The coefficient estimator is theta_hat_k = t_n^{-1} sum_i f_k(Y_i): increments
 outside the basis window contribute exactly 0, so the sums run over in-window
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, CoefficientVector, Window, synthesize
+from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values, synthesize
 from .errors import DimensionError, ParameterError, WindowError
 from .processes import IncrementSeries
 
@@ -54,27 +54,19 @@ def empirical_coefficients(
     return CoefficientVector(basis, total / t_n, role="empirical", t_n=t_n)
 
 
-def _as_values(theta, K: int | None = None) -> np.ndarray:
-    vec = theta.values if isinstance(theta, CoefficientVector) else np.asarray(theta, dtype=float)
-    if vec.ndim != 1:
-        raise DimensionError(f"coefficient vector must be 1-d, got shape {vec.shape}")
-    if K is not None and len(vec) != K:
-        raise DimensionError(f"coefficient length {len(vec)} does not match {K}")
-    return vec
-
-
 def empirical_risk(theta, theta_hat) -> RiskValue:
-    """R_{n,K}(theta) = -2 <theta, theta_hat> + ||theta||^2, minimized at theta_hat."""
-    t = _as_values(theta)
-    that = _as_values(theta_hat, len(t))
+    """R_{n,K}(theta) = -2 <theta, theta_hat> + ||theta||^2, minimized at theta_hat.
+
+    With the projected truth theta_perp in place of theta_hat this is the
+    population risk.
+    """
+    t = _coefficient_values(theta)
+    that = _coefficient_values(theta_hat)
+    if len(that) != len(t):
+        raise DimensionError(f"coefficient length {len(that)} does not match {len(t)}")
     value = -2.0 * float(t @ that) + float(t @ t)
     t_n = theta_hat.t_n if isinstance(theta_hat, CoefficientVector) else None
     return RiskValue(value, len(t), t_n)
-
-
-def population_risk(theta, theta_perp) -> RiskValue:
-    """Population counterpart -2 <theta, theta_perp> + ||theta||^2 with projected truth theta_perp."""
-    return empirical_risk(theta, theta_perp)
 
 
 def l2_error_on_D(theta, reference, D: Window, grid_points: int = 512) -> float:

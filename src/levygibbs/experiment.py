@@ -11,11 +11,13 @@ D' = [0.005, 0.015], trig basis of size k_max = ceil(t_n).
 All randomness flows from one master seed through named child seeds, so a
 regime run is a pure function of (j, seed, hyperparameters).  Large regimes
 are streamed block-by-block and never materialize the increment array.
+
+This module also owns the package's report formats: the CSV and JSON
+writers below serve both the study and the `levy-gibbs` command line.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisFeatures, BasisSystem, CoefficientVector
-from .errors import ParameterError
+from .errors import InputParseError, ParameterError
 from .estimator import empirical_coefficients, l2_error_on_D
 from .posterior import (
     GibbsConfig,
@@ -35,7 +37,7 @@ from .posterior import (
     sample_posterior,
 )
 from .processes import SamplingScheme, VarianceGammaParams, simulate_vg, true_density_vg
-from .util import derive_seed, snap_ceil
+from .util import derive_seed, fmt_float, snap_ceil
 
 # Default study process parameters.
 DEFAULT_VG_PARAMS = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
@@ -324,54 +326,81 @@ def rate_table(reports: list[ExperimentReport], alpha_assumed: float = 2.0) -> l
 
 
 # ---------------------------------------------------------------------------
-# Deterministic report files.  Floats are written with shortest round-trip
-# repr and runtimes are kept out, so identical (flags, seed) runs produce
-# byte-identical files.
+# Deterministic report files.  Every CSV goes through _write_csv and every
+# JSON document through _write_json: floats are written with shortest
+# round-trip repr, lines end in "\n", and runtimes are kept out, so identical
+# (flags, seed) runs produce byte-identical files.
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _write_csv(path, header: str, rows) -> None:
+    """Write the header line, then one line per row; ints print as ints, other cells as floats."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (int, np.integer)) else fmt_float(v) for v in row))
+            fh.write("\n")
+
+
+def _write_json(path, payload) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_band_table(path, grid, psi_true, psi_mean, lo, hi) -> None:
+    """Grid rows x, psi_true, psi_mean, lo, hi; a column passed as None is written as nan."""
+    nan = np.full(len(grid), np.nan)
+    columns = [nan if c is None else c for c in (grid, psi_true, psi_mean, lo, hi)]
+    _write_csv(path, "x,psi_true,psi_mean,lo,hi", zip(*columns))
+
+
+def write_k_table(path, tables) -> None:
+    """Rows j, K, prob for each (j, probs) in tables, K running over 1..len(probs)."""
+    _write_csv(path, "j,K,prob", ((j, k, p) for j, probs in tables for k, p in enumerate(probs, start=1)))
 
 
 def write_errors_csv(reports: list[ExperimentReport], path, alpha_assumed: float = 2.0) -> None:
     """One row per regime: j, t_n, err_projection, err_postmean, eps_n, ratio."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "t_n", "err_projection", "err_postmean", "eps_n", "ratio"])
-        for rep in reports:
-            eps = contraction_rate(rep.t_n, alpha_assumed)
-            writer.writerow(
-                [
-                    rep.j,
-                    _fmt(rep.t_n),
-                    _fmt(rep.err_projection),
-                    _fmt(rep.err_postmean),
-                    _fmt(eps),
-                    _fmt(rep.err_postmean / eps),
-                ]
-            )
+    rows = []
+    for rep in reports:
+        eps = contraction_rate(rep.t_n, alpha_assumed)
+        rows.append((rep.j, rep.t_n, rep.err_projection, rep.err_postmean, eps, rep.err_postmean / eps))
+    _write_csv(path, "j,t_n,err_projection,err_postmean,eps_n,ratio", rows)
 
 
 def write_k_posterior_csv(reports: list[ExperimentReport], path) -> None:
     """One row per (regime, K): j, K, prob."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "K", "prob"])
-        for rep in reports:
-            for k, p in enumerate(rep.k_probs, start=1):
-                writer.writerow([rep.j, k, _fmt(p)])
+    write_k_table(path, [(rep.j, rep.k_probs) for rep in reports])
 
 
 def write_band_csv(report: ExperimentReport, path) -> None:
     """Grid rows for one regime: x, psi_true, psi_mean, lo, hi."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "psi_true", "psi_mean", "lo", "hi"])
-        for x, pt, pm, lo, hi in zip(
-            report.grid, report.psi_true, report.psi_mean, report.band_lo, report.band_hi
-        ):
-            writer.writerow([_fmt(x), _fmt(pt), _fmt(pm), _fmt(lo), _fmt(hi)])
+    write_band_table(path, report.grid, report.psi_true, report.psi_mean, report.band_lo, report.band_hi)
+
+
+def write_coefficients_json(path, theta_hat: CoefficientVector) -> None:
+    """Coefficient file: basis descriptor, role, values and (when known) t_n."""
+    _write_json(path, theta_hat.to_dict())
+
+
+def read_coefficients_json(path) -> CoefficientVector:
+    """Read a file written by write_coefficients_json; malformed JSON raises InputParseError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputParseError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    return CoefficientVector.from_dict(payload)
+
+
+def write_draws_jsonl(path, draws: PosteriorDraws) -> None:
+    """One {"draw_index", "K", "theta"} record per posterior draw, one per line."""
+    with open(path, "w", encoding="ascii") as fh:
+        for i, (K, theta) in enumerate(draws.draws):
+            fh.write(json.dumps({"draw_index": i, "K": K, "theta": [float(v) for v in theta]}))
+            fh.write("\n")
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
@@ -397,7 +426,4 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def write_report_json(reports: list[ExperimentReport], path) -> None:
-    payload = {"schema": "levygibbs-report-v1", "regimes": [report_to_dict(r) for r in reports]}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"schema": "levygibbs-report-v1", "regimes": [report_to_dict(r) for r in reports]})

@@ -19,14 +19,14 @@ hundreds neither overflows nor loses normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .basis import BasisSystem, CoefficientVector, Window, synthesize
+from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
-from .processes import MATERIALIZE_LIMIT
+from .processes import MATERIALIZE_LIMIT, _block_rng
 from .util import snap_ceil
 
 # Draw indices are generated in fixed spans so that a parallel sampler can
@@ -45,15 +45,16 @@ class GibbsConfig:
 
     D is the reporting window (errors, bands); D_prime strictly contains it
     and carries the basis.  k_max=None defers the prior truncation to
-    ceil(t_n) at the point of use.
+    ceil(t_n) at the point of use.  The class attributes (GibbsConfig.D, ...)
+    are the package's defaults, readable without building a config.
     """
 
     omega: float = 1e-5
     sigma0: float = 1e3
     beta: float = 0.5
     k_max: int | None = None
-    D: Window = field(default_factory=lambda: Window(0.006, 0.014))
-    D_prime: Window = field(default_factory=lambda: Window(0.005, 0.015))
+    D: Window = Window(0.006, 0.014)
+    D_prime: Window = Window(0.005, 0.015)
 
     def __post_init__(self) -> None:
         for name in ("omega", "sigma0"):
@@ -121,8 +122,8 @@ def _shrink_and_variance(t_n: float, config: GibbsConfig) -> tuple[float, float]
 
 def conditional_posterior(theta_hat, t_n: float, config: GibbsConfig) -> ConditionalPosterior:
     """Closed-form coefficient posterior at fixed dimension K = len(theta_hat)."""
-    vec = theta_hat.values if isinstance(theta_hat, CoefficientVector) else np.asarray(theta_hat, dtype=float)
-    if vec.ndim != 1 or len(vec) == 0:
+    vec = _coefficient_values(theta_hat)
+    if len(vec) == 0:
         raise DimensionError(f"theta_hat must be a nonempty 1-d vector, got shape {vec.shape}")
     shrink, variance = _shrink_and_variance(t_n, config)
     return ConditionalPosterior(len(vec), shrink * vec, variance)
@@ -130,13 +131,9 @@ def conditional_posterior(theta_hat, t_n: float, config: GibbsConfig) -> Conditi
 
 def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
     """Marginal posterior pmf of K from the first k_max empirical coefficients."""
-    vec = (
-        theta_hat_full.values
-        if isinstance(theta_hat_full, CoefficientVector)
-        else np.asarray(theta_hat_full, dtype=float)
-    )
+    vec = _coefficient_values(theta_hat_full)
     k_max = config.k_max_for(t_n)
-    if vec.ndim != 1 or len(vec) < k_max:
+    if len(vec) < k_max:
         raise DimensionError(
             f"need at least k_max={k_max} coefficients, got shape {vec.shape}"
         )
@@ -198,11 +195,7 @@ def sample_posterior(
     """
     if num_draws < 1:
         raise ParameterError(f"num_draws must be >= 1, got {num_draws}")
-    vec = (
-        theta_hat_full.values
-        if isinstance(theta_hat_full, CoefficientVector)
-        else np.asarray(theta_hat_full, dtype=float)
-    )
+    vec = _coefficient_values(theta_hat_full)
     if basis is None and isinstance(theta_hat_full, CoefficientVector):
         basis = theta_hat_full.basis
     if basis is None:
@@ -239,8 +232,7 @@ def sample_posterior(
     grid_values = np.empty((num_draws, grid_points))
     for start in range(0, num_draws, DRAW_BLOCK):
         m = min(DRAW_BLOCK, num_draws - start)
-        block = start // DRAW_BLOCK
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+        rng = _block_rng(seed, start // DRAW_BLOCK)
         u = rng.random(m)
         ks = np.searchsorted(cum, u, side="right") + 1
         # Row i holds draw i's coefficients in its first K_i entries; one call

@@ -199,9 +199,10 @@ class IncrementSeries:
     """Increment data Y_1..Y_n together with the sampling scheme that produced them.
 
     The series is either materialized (one ndarray of length n) or streamed
-    (blocks generated on demand from a block function).  Both forms yield the
-    same BLOCK-sized chunks in the same order, so any chunk-folding consumer
-    produces bit-identical results on either representation.
+    (blocks generated on demand from a block function).  A materialized
+    series serves its BLOCK-sized chunks through a block function too, so
+    both forms yield the same chunks in the same order and any chunk-folding
+    consumer produces bit-identical results on either representation.
     """
 
     def __init__(
@@ -221,8 +222,14 @@ class IncrementSeries:
                 )
         self.scheme = scheme
         self.seed = seed
-        self._values = values
+        self._values = None
         self._block_fn = block_fn
+        if values is not None:
+            self._set_values(values)
+
+    def _set_values(self, values: np.ndarray) -> None:
+        self._values = values
+        self._block_fn = lambda b: values[b * BLOCK : (b + 1) * BLOCK]
 
     @property
     def materialized(self) -> bool:
@@ -238,7 +245,7 @@ class IncrementSeries:
                     f"refusing to materialize {n} increments "
                     f"(limit {MATERIALIZE_LIMIT}); iterate chunks instead"
                 )
-            self._values = np.concatenate(list(self.iter_chunks()))
+            self._set_values(np.concatenate(list(self.iter_chunks())))
         return self._values
 
     def __len__(self) -> int:
@@ -246,12 +253,8 @@ class IncrementSeries:
 
     def iter_chunks(self) -> Iterator[np.ndarray]:
         """Yield the series as BLOCK-sized chunks (last one shorter) in index order."""
-        if self._values is not None:
-            for start in range(0, self.scheme.n, BLOCK):
-                yield self._values[start : start + BLOCK]
-        else:
-            for b in range(self.scheme.num_blocks):
-                yield self._block_fn(b)
+        for b in range(self.scheme.num_blocks):
+            yield self._block_fn(b)
 
     def map_blocks(
         self, fn: Callable[[np.ndarray], object], max_workers: int | None = None
@@ -264,9 +267,6 @@ class IncrementSeries:
         workers = worker_count() if max_workers is None else max_workers
         if workers <= 1:
             return [fn(chunk) for chunk in self.iter_chunks()]
-        if self._values is not None:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, self.iter_chunks()))
 
         def job(b: int):
             return fn(self._block_fn(b))

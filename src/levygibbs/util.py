@@ -1,10 +1,15 @@
-"""Small shared numeric/seed helpers."""
+"""Small shared numeric/seed/format helpers."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+
+def fmt_float(v: float) -> str:
+    """The package's one float format: shortest round-trip repr, so reruns print identical bytes."""
+    return repr(float(v))
 
 
 def snap_ceil(x: float, rel: float = 1e-9) -> int:

@@ -7,6 +7,7 @@ Covers the file formats, byte-level determinism, config precedence
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,14 +19,25 @@ from levygibbs import (
     GibbsConfig,
     ResourceGuardError,
     SamplingScheme,
+    VarianceGammaParams,
     Window,
     conditional_posterior,
+    credible_band,
     empirical_coefficients,
+    marginal_k,
     read_increments,
+    sample_posterior,
     simulate_vg,
+    true_density_vg,
 )
 from levygibbs.cli import main
-from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
+from levygibbs.experiment import (
+    DEFAULT_VG_PARAMS,
+    RegimeSpec,
+    read_coefficients_json,
+    write_band_table,
+    write_k_table,
+)
 from levygibbs.util import derive_seed
 
 from conftest import MASTER_SEED
@@ -112,6 +124,14 @@ class TestEstimate:
         assert main(argv) == 0
         loaded = CoefficientVector.from_dict(json.loads(out.read_text()))
         assert loaded.basis.K == 8 and loaded.basis.family == "piecewise-legendre"
+
+    def test_D_outside_default_D_prime_is_accepted(self, tmp_path, capsys):
+        """D is checked against the basis window only, not against GibbsConfig's default D'."""
+        inc = simulate_file(tmp_path, delta=0.5, n=1024, seed=3)
+        argv = ["estimate", "--increments", str(inc), "--window", "0.001,0.02", "--K", "10",
+                "--D", "0.002,0.019", "--truth", "vg:0,0.117,0.002", "--out", str(tmp_path / "c.json")]
+        assert main(argv) == 0
+        assert "l2_error_on_D=" in capsys.readouterr().out
 
     def test_pipeline_matches_run_regime(self, tmp_path, regime_reports):
         """simulate --j 1 then estimate reproduces the harness estimator bitwise."""
@@ -233,6 +253,71 @@ class TestExperiment:
     def test_requires_regime_and_out_dir(self, tmp_path):
         assert main(["experiment", "--out-dir", str(tmp_path / "x")]) == 2
         assert main(["experiment", "--j", "1"]) == 2
+
+
+def window_flag(w: Window) -> str:
+    return f"{w.a!r},{w.b!r}"
+
+
+class TestOneOwner:
+    """Report files come from the library's writers and defaults from GibbsConfig."""
+
+    TRUTH = "vg:0,0.117,0.002"
+
+    def test_posterior_csvs_are_the_library_writers_bytes(self, tmp_path):
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5])
+        out = tmp_path / "post"
+        argv = ["posterior", "--coeffs", str(coeffs), "--out-dir", str(out),
+                "--draws", "300", "--seed", "4", "--truth", self.TRUTH, "--label-j", "2"]
+        assert main(argv) == 0
+
+        theta_hat = read_coefficients_json(coeffs)
+        config = GibbsConfig(k_max=4)
+        marginal = marginal_k(theta_hat, 20.0, config)
+        draws = sample_posterior(theta_hat, 20.0, config, 300, 4, marginal=marginal)
+        band = credible_band(draws, 0.9)
+        psi_true = true_density_vg(VarianceGammaParams(0.0, 0.117, 0.002), decaying=True)(draws.grid)
+        write_band_table(tmp_path / "band.csv", draws.grid, psi_true, band.center, band.lo, band.hi)
+        write_k_table(tmp_path / "k_posterior.csv", [(2, marginal.probs)])
+        for name in ("band.csv", "k_posterior.csv"):
+            data = (out / name).read_bytes()
+            assert b"\r" not in data
+            assert data == (tmp_path / name).read_bytes()
+
+    def test_experiment_csvs_end_lines_with_newline_only(self, tmp_path):
+        out = tmp_path / "exp"
+        assert main(["experiment", "--j", "1", "--draws", "50", "--out-dir", str(out)]) == 0
+        for name in ("errors.csv", "k_posterior.csv", "band.csv"):
+            data = (out / name).read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n")
+
+    def test_unset_hyperparameter_flags_take_gibbs_config_defaults(self, tmp_path, capsys):
+        c = GibbsConfig()
+        hyper = ["--omega", repr(c.omega), "--sigma0", repr(c.sigma0), "--beta", repr(c.beta),
+                 "--D", window_flag(c.D)]
+        inc = simulate_file(tmp_path, delta=0.5, n=1024, seed=3)
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5])
+        capsys.readouterr()
+        runs = [
+            (lambda d: ["estimate", "--increments", str(inc), "--K", "6", "--truth", self.TRUTH,
+                        "--out", str(d / "c.json")],
+             ["--window", window_flag(c.D_prime), "--D", window_flag(c.D)]),
+            (lambda d: ["posterior", "--coeffs", str(coeffs), "--draws", "100", "--truth", self.TRUTH,
+                        "--out-dir", str(d)],
+             hyper),
+            (lambda d: ["experiment", "--j", "1", "--draws", "50", "--out-dir", str(d)],
+             hyper + ["--D-prime", window_flag(c.D_prime)]),
+        ]
+        for i, (argv, explicit) in enumerate(runs):
+            results = []
+            for tag, extra in (("omitted", []), ("explicit", explicit)):
+                d = tmp_path / f"run{i}-{tag}"
+                d.mkdir()
+                assert main(argv(d) + extra) == 0
+                stdout = capsys.readouterr().out.replace(str(d), "<out>")
+                stdout = re.sub(r" runtime_s=\S+", "", stdout)
+                results.append((stdout, {f.name: f.read_bytes() for f in sorted(d.iterdir())}))
+            assert results[0] == results[1], argv(tmp_path)[0]
 
 
 class TestCheck:

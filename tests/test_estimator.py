@@ -21,7 +21,6 @@ from levygibbs import (
     empirical_coefficients,
     empirical_risk,
     l2_error_on_D,
-    population_risk,
     project_density,
     quadrature_rule,
     simulate_vg,
@@ -177,6 +176,8 @@ class TestRisk:
 
 
 class TestPopulationRisk:
+    """The population risk is empirical_risk against the projected truth theta_perp."""
+
     def setup_method(self):
         self.basis = BasisSystem.trigonometric(D_PRIME, 8)
         self.psi = true_density_vg(STUDY_VG, decaying=True)
@@ -184,10 +185,10 @@ class TestPopulationRisk:
 
     def test_minimum_at_projection(self):
         v = self.perp.values
-        assert population_risk(self.perp, self.perp).value == pytest.approx(-float(v @ v), rel=1e-14)
+        assert empirical_risk(self.perp, self.perp).value == pytest.approx(-float(v @ v), rel=1e-14)
 
     def test_zero_theta(self):
-        assert population_risk(np.zeros(8), self.perp).value == 0.0
+        assert empirical_risk(np.zeros(8), self.perp).value == 0.0
 
     def test_matches_quadrature_form(self):
         rng = np.random.default_rng(8)
@@ -197,7 +198,7 @@ class TestPopulationRisk:
             theta = rng.standard_normal(8) * 50.0
             fn = synthesize(self.basis, theta, x)
             quad = float(np.sum(w * (-2.0 * fn * perp_fn + fn**2)))
-            assert abs(population_risk(theta, self.perp).value - quad) < 1e-6
+            assert abs(empirical_risk(theta, self.perp).value - quad) < 1e-6
 
 
 class TestL2Error:

@@ -108,19 +108,23 @@ class TestVarianceGamma:
     def test_streamed_equals_materialized(self):
         # Cross a block boundary so more than one substream is exercised.
         scheme = SamplingScheme(1e-3, BLOCK + 12_345)
-        mat = simulate_vg(STUDY_VG, scheme, seed=5).values
+        materialized = simulate_vg(STUDY_VG, scheme, seed=5)
+        mat = materialized.values
         streamed = simulate_vg(STUDY_VG, scheme, seed=5, materialize=False)
         assert not streamed.materialized
         chunks = list(streamed.iter_chunks())
         assert len(chunks) == 2
         assert np.array_equal(np.concatenate(chunks), mat)
+        assert [c.tobytes() for c in materialized.iter_chunks()] == [c.tobytes() for c in chunks]
 
     def test_map_blocks_parallel_matches_serial(self):
         scheme = SamplingScheme(1e-3, 2 * BLOCK + 777)
-        series = simulate_vg(STUDY_VG, scheme, seed=5, materialize=False)
-        serial = list(series.map_blocks(np.sum, max_workers=1))
-        parallel = list(series.map_blocks(np.sum, max_workers=4))
-        assert serial == parallel
+        streamed = simulate_vg(STUDY_VG, scheme, seed=5, materialize=False)
+        materialized = simulate_vg(STUDY_VG, scheme, seed=5)
+        serial = list(streamed.map_blocks(np.sum, max_workers=1))
+        assert list(streamed.map_blocks(np.sum, max_workers=4)) == serial
+        assert list(materialized.map_blocks(np.sum, max_workers=1)) == serial
+        assert list(materialized.map_blocks(np.sum, max_workers=4)) == serial
 
     def test_symmetry_ks(self):
         # mu = 0 makes the increment law symmetric: Y and -Y agree, two-sample
