@@ -24,8 +24,10 @@ from .errors import (
     ParameterError,
     ResourceGuardError,
 )
-from .estimator import empirical_coefficients, l2_error_on_D
+from .estimator import DEFAULT_GRID_POINTS, empirical_coefficients, l2_error_on_D
 from .experiment import (
+    DEFAULT_BAND_LEVEL,
+    DEFAULT_NUM_DRAWS,
     DEFAULT_VG_PARAMS,
     RegimeSpec,
     delta_condition,
@@ -60,7 +62,7 @@ from .processes import (
     true_density_vg,
     write_increments,
 )
-from .util import fmt_float, snap_ceil
+from .util import fmt_float, open_ascii, snap_ceil
 
 
 def _parse_window(text: str) -> Window:
@@ -88,8 +90,13 @@ def _truth_from_args(args: argparse.Namespace) -> TrueLevyDensity | None:
 def _config_from_args(args: argparse.Namespace, **fixed) -> GibbsConfig:
     """GibbsConfig from the hyperparameter and window flags; a flag left unset keeps its default."""
     names = ("omega", "sigma0", "beta", "k_max", "D", "D_prime")
-    given = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
-    return GibbsConfig(**(given | fixed))
+    return GibbsConfig(**(_given(args, **dict(zip(names, names))) | fixed))
+
+
+def _given(args: argparse.Namespace, **flags: str) -> dict:
+    """Library keyword -> flag value for the flags that were given; the others keep library defaults."""
+    values = {kw: getattr(args, dest, None) for kw, dest in flags.items()}
+    return {kw: value for kw, value in values.items() if value is not None}
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -158,7 +165,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         # D is checked against the basis window only, so its default is read
         # off GibbsConfig rather than validated inside a config.
         D = args.D if args.D is not None else GibbsConfig.D
-        err = l2_error_on_D(theta_hat, truth, D, grid_points=args.grid_points)
+        err = l2_error_on_D(theta_hat, truth, D, **_given(args, grid_points="grid_points"))
         print(f"estimate: l2_error_on_D={fmt_float(err)} (truth {args.truth}, {args.truth_convention})")
     return 0
 
@@ -177,10 +184,12 @@ def cmd_posterior(args: argparse.Namespace) -> int:
         if args.fixed_K is not None
         else marginal_k(theta_hat, t_n, config)
     )
+    num_draws = args.draws if args.draws is not None else DEFAULT_NUM_DRAWS
+    level = args.level if args.level is not None else DEFAULT_BAND_LEVEL
     draws = sample_posterior(
-        theta_hat, t_n, config, args.draws, args.seed, marginal=marginal, grid_points=args.grid_points
+        theta_hat, t_n, config, num_draws, args.seed, marginal=marginal, **_given(args, grid_points="grid_points")
     )
-    band = credible_band(draws, args.level, metric=args.metric)
+    band = credible_band(draws, level, metric=args.metric)
 
     out = functools.partial(os.path.join, args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -190,7 +199,7 @@ def cmd_posterior(args: argparse.Namespace) -> int:
     write_band_table(out("band.csv"), draws.grid, psi_true, band.center, band.lo, band.hi)
     print(
         f"posterior: {len(draws)} draws (k_max={k_max}, seed={args.seed}) -> {args.out_dir}; "
-        f"band radius ({args.metric}, level={fmt_float(args.level)}) = {fmt_float(band.radius)}"
+        f"band radius ({args.metric}, level={fmt_float(level)}) = {fmt_float(band.radius)}"
     )
     return 0
 
@@ -209,10 +218,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             spec,
             vg_params=VarianceGammaParams(args.mu, args.sigma, args.nu),
             config=config,
-            num_draws=args.draws,
             seed=args.seed,
-            band_level=args.level,
-            grid_points=args.grid_points,
+            **_given(args, num_draws="draws", band_level="level", grid_points="grid_points"),
         )
         reports.append(report)
         print(
@@ -239,7 +246,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     diag = delta_condition(basis.features(), scheme, case=args.case, bound=args.bound)
     config = _config_from_args(args)
     psi = true_density_vg(VarianceGammaParams(args.mu, args.sigma, args.nu), decaying=True)
-    grid = np.linspace(config.D.a, config.D.b, args.grid_points)
+    grid = np.linspace(config.D.a, config.D.b, args.grid_points if args.grid_points is not None else DEFAULT_GRID_POINTS)
     beta_diag = validate_config(config, float(np.max(psi(grid))), tau=args.tau)
 
     print(f"check: spacing case={diag.case} bound={fmt_float(diag.bound)} (K={basis.K}, {basis.family})")
@@ -289,6 +296,11 @@ def _add_basis_flags(p: argparse.ArgumentParser) -> None:
     _add_window_flag(p, "--window", "basis window", GibbsConfig.D_prime)
 
 
+def _add_grid_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grid-points", dest="grid_points", type=int, default=None,
+                   help=f"points of the grid on D (default {DEFAULT_GRID_POINTS})")
+
+
 def _add_window_flag(p: argparse.ArgumentParser, flag: str, what: str, default: Window) -> None:
     p.add_argument(flag, type=_parse_window, default=None, help=f"{what} 'a,b' (default {default.a},{default.b})")
 
@@ -321,7 +333,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--truth", default=None, help="true density 'vg:mu,sigma,nu' for an error summary")
     p.add_argument("--truth-convention", choices=["decaying", "printed"], default="decaying")
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
+    _add_grid_flag(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("posterior", help="sample the Gibbs posterior from saved coefficients")
@@ -331,12 +343,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--t-n", dest="t_n", type=float, default=None)
     _add_hyper_flags(p)
     p.add_argument("--fixed-K", dest="fixed_K", type=int, default=None, help="bypass the K prior")
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--draws", type=int, default=None, help=f"posterior draws (default {DEFAULT_NUM_DRAWS})")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.9)
+    p.add_argument("--level", type=float, default=None, help=f"credible level of the band (default {DEFAULT_BAND_LEVEL})")
     p.add_argument("--metric", choices=["sup", "l2"], default="sup")
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
+    _add_grid_flag(p)
     p.add_argument("--truth", default=None, help="true density 'vg:mu,sigma,nu' for band.csv")
     p.add_argument("--truth-convention", choices=["decaying", "printed"], default="decaying")
     p.add_argument("--label-j", dest="label_j", type=int, default=0, help="j column for k_posterior.csv")
@@ -349,13 +361,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--j", dest="j_list", type=int, action="append", default=None, help="regime index (repeatable)")
     _add_vg_flags(p)
     _add_hyper_flags(p)
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--draws", type=int, default=None, help=f"posterior draws (default {DEFAULT_NUM_DRAWS})")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.9)
+    p.add_argument("--level", type=float, default=None, help=f"credible level of the band (default {DEFAULT_BAND_LEVEL})")
     p.add_argument("--alpha", type=float, default=2.0, help="assumed smoothness for eps_n")
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     _add_window_flag(p, "--D-prime", "window of the basis", GibbsConfig.D_prime)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
+    _add_grid_flag(p)
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.set_defaults(func=cmd_experiment)
 
@@ -371,7 +383,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--tau", type=float, default=3.0)
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     _add_window_flag(p, "--D-prime", "window of the basis", GibbsConfig.D_prime)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=512)
+    _add_grid_flag(p)
     p.set_defaults(func=cmd_check)
 
     return parser, registry
@@ -379,7 +391,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _load_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

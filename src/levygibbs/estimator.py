@@ -17,6 +17,9 @@ from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values, 
 from .errors import DimensionError, ParameterError, WindowError
 from .processes import IncrementSeries
 
+# Points of the uniform grid on D on which densities are compared and drawn.
+DEFAULT_GRID_POINTS = 512
+
 
 @dataclass(frozen=True)
 class RiskValue:
@@ -69,7 +72,7 @@ def empirical_risk(theta, theta_hat) -> RiskValue:
     return RiskValue(value, len(t), t_n)
 
 
-def l2_error_on_D(theta, reference, D: Window, grid_points: int = 512) -> float:
+def l2_error_on_D(theta, reference, D: Window, grid_points: int = DEFAULT_GRID_POINTS) -> float:
     """L2(D) distance between the synthesized estimate and a reference density.
 
     `theta` is a CoefficientVector; `reference` is either a callable (true

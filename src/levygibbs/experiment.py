@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisFeatures, BasisSystem, CoefficientVector
 from .errors import InputParseError, ParameterError
-from .estimator import empirical_coefficients, l2_error_on_D
+from .estimator import DEFAULT_GRID_POINTS, empirical_coefficients, l2_error_on_D
 from .posterior import (
     GibbsConfig,
     PosteriorDraws,
@@ -37,10 +37,14 @@ from .posterior import (
     sample_posterior,
 )
 from .processes import SamplingScheme, VarianceGammaParams, simulate_vg, true_density_vg
-from .util import derive_seed, fmt_float, snap_ceil
+from .util import derive_seed, fmt_float, open_ascii, snap_ceil
 
 # Default study process parameters.
 DEFAULT_VG_PARAMS = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
+
+# Default posterior draws per regime and credible level of the band.
+DEFAULT_NUM_DRAWS = 1000
+DEFAULT_BAND_LEVEL = 0.9
 
 BASE_DELTA = 1e-3
 DELTA_EXPONENT = 5.0 / 3.0
@@ -171,10 +175,10 @@ def run_regime(
     spec: RegimeSpec,
     vg_params: VarianceGammaParams = DEFAULT_VG_PARAMS,
     config: GibbsConfig | None = None,
-    num_draws: int = 1000,
+    num_draws: int = DEFAULT_NUM_DRAWS,
     seed: int = 0,
-    band_level: float = 0.9,
-    grid_points: int = 512,
+    band_level: float = DEFAULT_BAND_LEVEL,
+    grid_points: int = DEFAULT_GRID_POINTS,
     max_workers: int | None = None,
 ) -> ExperimentReport:
     """Run one seeded regime end to end; increments are streamed, never stored.
@@ -388,7 +392,7 @@ def write_coefficients_json(path, theta_hat: CoefficientVector) -> None:
 def read_coefficients_json(path) -> CoefficientVector:
     """Read a file written by write_coefficients_json; malformed JSON raises InputParseError."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open_ascii(path) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc

@@ -26,6 +26,7 @@ from scipy.special import logsumexp
 
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
+from .estimator import DEFAULT_GRID_POINTS
 from .processes import MATERIALIZE_LIMIT, _block_rng
 from .util import snap_ceil
 
@@ -178,7 +179,7 @@ def sample_posterior(
     basis: BasisSystem | None = None,
     fixed_k: int | None = None,
     marginal: MarginalK | None = None,
-    grid_points: int = 512,
+    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> PosteriorDraws:
     """Draw (K, theta) from the hierarchical Gibbs posterior.
 

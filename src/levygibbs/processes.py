@@ -19,8 +19,11 @@ blocks are materialized at once, and safe to generate in parallel.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
+import warnings
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +37,7 @@ from .errors import (
     RangeError,
     ResourceGuardError,
 )
+from .util import open_ascii
 
 # Fixed RNG block span.  Block b covers increment indices [b*BLOCK, (b+1)*BLOCK).
 BLOCK = 1 << 20
@@ -419,7 +423,16 @@ def true_density_vg(params: VarianceGammaParams, decaying: bool = False) -> True
 # ---------------------------------------------------------------------------
 # Increment file format: optional header "# delta=<r> n=<d> seed=<d>", then one
 # increment per line printed with 17 significant digits (lossless round trip).
+# The body is parsed by C-level np.loadtxt calls (one when the header's n is
+# right); a file they refuse is read again line by line, so each file is
+# accepted or rejected, with the same values and the same error, as by that
+# line loop alone.  A file declaring, or
+# holding, more than MATERIALIZE_LIMIT increments raises ResourceGuardError,
+# and a non-ASCII byte raises InputParseError.
 # ---------------------------------------------------------------------------
+
+# Characters per readlines() batch handed to the C parser.
+READ_BATCH = 1 << 20
 
 
 def write_increments(path, series: IncrementSeries, header: bool = True) -> None:
@@ -429,32 +442,40 @@ def write_increments(path, series: IncrementSeries, header: bool = True) -> None
             seed = series.seed if series.seed is not None else ""
             fh.write(f"# delta={series.scheme.delta:.17g} n={series.scheme.n} seed={seed}\n")
         for chunk in series.iter_chunks():
-            fh.write("\n".join(f"{v:.17g}" for v in chunk))
-            fh.write("\n")
+            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk.tolist()))
 
 
 def read_increments(path, delta: float | None = None) -> IncrementSeries:
     """Read increments written by :func:`write_increments` (or any one-float-per-line file).
 
     The header, when present, supplies delta/n/seed; otherwise delta must be
-    passed and n is the line count.  Malformed content raises
-    :class:`InputParseError` naming the offending line.
+    passed and n is the count of increment lines.  Malformed content raises
+    :class:`InputParseError` naming the offending line; more than
+    MATERIALIZE_LIMIT increments, declared or found, raise ResourceGuardError.
     """
     header_delta = header_n = header_seed = None
-    values: list[float] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if lineno == 1:
-                    header_delta, header_n, header_seed = _parse_header(text, lineno)
-                continue
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise InputParseError(f"{path}: line {lineno}: not a number: {text!r}") from exc
+    with open_ascii(path) as fh:
+        text = fh.readline().strip()
+        if text.startswith("#"):
+            header_delta, header_n, header_seed = _parse_header(text, 1)
+            if header_n > MATERIALIZE_LIMIT:
+                raise ResourceGuardError(
+                    f"{path}: header declares n={header_n} increments, "
+                    f"above the materialization limit of {MATERIALIZE_LIMIT}"
+                )
+            first_lineno = 2
+        else:
+            fh.seek(0)
+            first_lineno = 1
+        body = fh.tell()
+        values = _parse_column(fh, max(header_n, 0) + 1 if header_n is not None else BLOCK)
+        if values is None:
+            fh.seek(body)
+            values = _parse_lines(path, fh, first_lineno)
+    if len(values) > MATERIALIZE_LIMIT:
+        raise ResourceGuardError(
+            f"{path}: more than {MATERIALIZE_LIMIT} increments, above the materialization limit"
+        )
     if header_delta is not None:
         delta = header_delta
     if delta is None:
@@ -463,10 +484,61 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
         raise InputParseError(
             f"{path}: header declares n={header_n} but file has {len(values)} increments"
         )
-    if not values:
+    if len(values) == 0:
         raise InputParseError(f"{path}: no increments found")
     scheme = SamplingScheme(delta, len(values))
-    return IncrementSeries(scheme, header_seed, values=np.asarray(values))
+    return IncrementSeries(scheme, header_seed, values=values)
+
+
+def _parse_column(fh, rows: int) -> np.ndarray | None:
+    """Up to MATERIALIZE_LIMIT + 1 values, one per non-blank line, or None if the C parser refuses.
+
+    np.loadtxt reserves memory for max_rows rows up front, so the first call
+    reads at most `rows` rows and each later one at most BLOCK rows.  Only a single column of one or more rows is taken:
+    two tokens on a line (say around a vertical tab, which splits fields here
+    but not in float()) and files the parser finds empty go to the line loop.
+    """
+    lines = itertools.chain.from_iterable(iter(functools.partial(fh.readlines, READ_BATCH), []))
+    chunks, total = [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        while total <= MATERIALIZE_LIMIT:
+            want = min(rows, MATERIALIZE_LIMIT + 1 - total)
+            try:
+                arr = np.loadtxt(lines, comments=None, ndmin=2, max_rows=want)
+            except ValueError:
+                return None
+            if arr.shape[0] == 0:
+                break
+            if arr.shape[1] != 1:
+                return None
+            chunks.append(arr.reshape(-1))
+            total += arr.shape[0]
+            if arr.shape[0] < want:
+                break
+            rows = BLOCK
+    if not chunks:
+        return None
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _parse_lines(path, lines, first_lineno: int) -> np.ndarray:
+    """float() of each stripped line, skipping blank and '#' lines; stops past MATERIALIZE_LIMIT values.
+
+    This loop defines which files are valid; the C-level parse only speeds it up.
+    """
+    values: list[float] = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise InputParseError(f"{path}: line {lineno}: not a number: {text!r}") from exc
+        if len(values) > MATERIALIZE_LIMIT:
+            break
+    return np.asarray(values, dtype=float)
 
 
 def _parse_header(text: str, lineno: int) -> tuple[float, int, int | None]:

@@ -2,14 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
+
+from .errors import InputParseError
 
 
 def fmt_float(v: float) -> str:
     """The package's one float format: shortest round-trip repr, so reruns print identical bytes."""
     return repr(float(v))
+
+
+@contextlib.contextmanager
+def open_ascii(path):
+    """Open a text input file as ASCII; a non-ASCII byte raises InputParseError naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise InputParseError(f"{path}: not ASCII text (byte 0x{byte:02x})") from exc
 
 
 def snap_ceil(x: float, rel: float = 1e-9) -> int:

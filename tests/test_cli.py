@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import levygibbs.cli as cli
+import levygibbs.processes as processes
 from levygibbs import (
     BasisSystem,
     CoefficientVector,
@@ -31,7 +32,10 @@ from levygibbs import (
     true_density_vg,
 )
 from levygibbs.cli import main
+from levygibbs.estimator import DEFAULT_GRID_POINTS
 from levygibbs.experiment import (
+    DEFAULT_BAND_LEVEL,
+    DEFAULT_NUM_DRAWS,
     DEFAULT_VG_PARAMS,
     RegimeSpec,
     read_coefficients_json,
@@ -40,7 +44,7 @@ from levygibbs.experiment import (
 )
 from levygibbs.util import derive_seed
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, slow_enabled
 
 
 def simulate_file(tmp_path, name="inc.txt", delta=0.5, n=4096, seed=3, extra=()):
@@ -142,6 +146,18 @@ class TestEstimate:
         assert main(["estimate", "--increments", str(inc), "--out", str(out)]) == 0
         loaded = CoefficientVector.from_dict(json.loads(out.read_text()))
         assert np.array_equal(loaded.values, regime_reports[1].theta_hat.values)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not slow_enabled(), reason="writes and parses 5.12M lines; set LEVY_GIBBS_RUN_SLOW=1")
+    def test_pipeline_matches_run_regime_j2(self, tmp_path, regime_reports):
+        """simulate --j 2 then estimate reproduces the harness estimator bitwise."""
+        sim_seed = int(derive_seed(MASTER_SEED, "simulate"))
+        inc = tmp_path / "j2.txt"
+        assert main(["simulate", "--j", "2", "--seed", str(sim_seed), "--out", str(inc)]) == 0
+        out = tmp_path / "coeffs.json"
+        assert main(["estimate", "--increments", str(inc), "--out", str(out)]) == 0
+        loaded = CoefficientVector.from_dict(json.loads(out.read_text()))
+        assert loaded.values.tobytes() == regime_reports[2].theta_hat.values.tobytes()
 
 
 def write_coeffs(tmp_path, values, t_n=20.0, name="coeffs.json"):
@@ -319,6 +335,39 @@ class TestOneOwner:
                 results.append((stdout, {f.name: f.read_bytes() for f in sorted(d.iterdir())}))
             assert results[0] == results[1], argv(tmp_path)[0]
 
+    def test_unset_draw_level_grid_flags_take_library_defaults(self, tmp_path, capsys):
+        grid = ["--grid-points", str(DEFAULT_GRID_POINTS)]
+        sampling = ["--draws", str(DEFAULT_NUM_DRAWS), "--level", repr(DEFAULT_BAND_LEVEL)] + grid
+        inc = simulate_file(tmp_path, delta=0.5, n=1024, seed=3)
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5])
+        capsys.readouterr()
+        runs = [
+            (lambda d: ["estimate", "--increments", str(inc), "--K", "6", "--truth", self.TRUTH,
+                        "--out", str(d / "c.json")], grid),
+            (lambda d: ["posterior", "--coeffs", str(coeffs), "--truth", self.TRUTH, "--out-dir", str(d)],
+             sampling),
+            (lambda d: ["experiment", "--j", "1", "--out-dir", str(d)], sampling),
+            (lambda d: ["check", "--j", "1"], grid),
+        ]
+        for i, (argv, explicit) in enumerate(runs):
+            results = []
+            for tag, extra in (("omitted", []), ("explicit", explicit)):
+                d = tmp_path / f"run{i}-{tag}"
+                d.mkdir()
+                assert main(argv(d) + extra) == 0
+                stdout = capsys.readouterr().out.replace(str(d), "<out>")
+                stdout = re.sub(r" runtime_s=\S+", "", stdout)
+                results.append((stdout, {f.name: f.read_bytes() for f in sorted(d.iterdir())}))
+            assert results[0] == results[1], argv(tmp_path)[0]
+
+    def test_help_prints_library_defaults(self, capsys):
+        for command in ("posterior", "experiment"):
+            assert main([command, "--help"]) == 0
+            text = " ".join(capsys.readouterr().out.split())
+            assert f"(default {DEFAULT_NUM_DRAWS})" in text
+            assert f"(default {DEFAULT_BAND_LEVEL})" in text
+            assert f"(default {DEFAULT_GRID_POINTS})" in text
+
 
 class TestCheck:
     def test_j3_defaults_all_pass(self, capsys):
@@ -414,6 +463,37 @@ class TestExitCodes:
         assert main(argv) == 4
         assert "materialization limit" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_ascii_increments_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "inc.txt"
+        bad.write_bytes(b"0.1\n0.\xe92\n")
+        assert main(["estimate", "--increments", str(bad), "--delta", "0.5",
+                     "--K", "2", "--out", str(tmp_path / "o.json")]) == 3
+        assert f"{bad}: not ASCII text" in capsys.readouterr().err
+
+    def test_non_ascii_config_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# caf\xe9\nseed = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert f"{cfg}: not ASCII text" in capsys.readouterr().err
+
+    def test_non_ascii_coeffs_exit_3(self, tmp_path, capsys):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_bytes(b'{"role": "x\xe9"}\n')
+        assert main(["posterior", "--coeffs", str(coeffs), "--out-dir", str(tmp_path / "post")]) == 3
+        assert f"{coeffs}: not ASCII text" in capsys.readouterr().err
+
+    def test_increments_guard_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
+        declared = tmp_path / "declared.txt"
+        declared.write_text("# delta=0.5 n=5 seed=1\n")
+        body = tmp_path / "body.txt"
+        body.write_text("1\n2\n3\n4\n5\n")
+        for path, extra in ((declared, []), (body, ["--delta", "0.5"])):
+            out = tmp_path / "o.json"
+            assert main(["estimate", "--increments", str(path), "--K", "2", "--out", str(out)] + extra) == 4
+            assert "materialization limit" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_thread_env_validated(self, tmp_path, monkeypatch, capsys):
         inc = simulate_file(tmp_path, delta=0.5, n=256, seed=1)

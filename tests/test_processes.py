@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+import levygibbs.processes as processes
 from levygibbs import (
     BLOCK,
     CompoundPoissonParams,
@@ -28,6 +29,7 @@ from levygibbs import (
     InputParseError,
     JumpDistribution,
     ParameterError,
+    ResourceGuardError,
     SamplingScheme,
     VarianceGammaParams,
     read_increments,
@@ -38,6 +40,59 @@ from levygibbs import (
 )
 
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
+
+
+def reference_write_increments(path, series, header=True):
+    """The per-value f-string writer the block-formatting writer replaced, kept as an oracle."""
+    with open(path, "w", encoding="ascii") as fh:
+        if header:
+            seed = series.seed if series.seed is not None else ""
+            fh.write(f"# delta={series.scheme.delta:.17g} n={series.scheme.n} seed={seed}\n")
+        for chunk in series.iter_chunks():
+            fh.write("\n".join(f"{v:.17g}" for v in chunk))
+            fh.write("\n")
+
+
+def reference_read_increments(path, delta=None):
+    """The per-line float() reader the C-level parse replaced, kept as an oracle."""
+    header_delta = header_n = header_seed = None
+    values = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            if text.startswith("#"):
+                if lineno == 1:
+                    header_delta, header_n, header_seed = processes._parse_header(text, lineno)
+                continue
+            try:
+                values.append(float(text))
+            except ValueError as exc:
+                raise InputParseError(f"{path}: line {lineno}: not a number: {text!r}") from exc
+    if header_delta is not None:
+        delta = header_delta
+    if delta is None:
+        raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
+    if header_n is not None and header_n != len(values):
+        raise InputParseError(
+            f"{path}: header declares n={header_n} but file has {len(values)} increments"
+        )
+    if not values:
+        raise InputParseError(f"{path}: no increments found")
+    return np.asarray(values), len(values), delta, header_seed
+
+
+def read_outcome(reader, path, delta):
+    """(values bytes, n, delta, seed) of a read, or (exception type, message) of a refusal."""
+    try:
+        out = reader(path, delta)
+    except InputParseError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, IncrementSeries):
+        out = (out.values, out.scheme.n, out.scheme.delta, out.seed)
+    values, n, d, seed = out
+    return values.tobytes(), n, d, seed
 
 
 def vg_moments(params, scheme):
@@ -294,6 +349,154 @@ class TestIncrementFiles:
         path.write_text("0.5\nnot-a-number\n1.5\n")
         with pytest.raises(InputParseError, match="line 2"):
             read_increments(path, delta=1.0)
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    9.999999999999999e16, 1e16, 1e17, 1e-4, 1e-5, 0.1, -0.1,
+]
+
+# Files the reader must accept or refuse exactly as the per-line float() loop does.
+READER_CASES = {
+    "crlf": b"# delta=0.5 n=3 seed=1\r\n0.1\r\n-2\r\n3e-5\r\n",
+    "lone_cr": b"0.1\r0.2\r",
+    "blank_and_padding": b"\n  0.5  \n\n\t-1.25\t\n   \n7\n",
+    "no_final_newline": b"# delta=0.5 n=2 seed=\n0.1\n0.2",
+    "mid_file_comment": b"# delta=0.5 n=2 seed=4\n0.1\n# note\n0.2\n",
+    "inline_comment": b"0.1 # c\n0.2\n",
+    "two_tokens": b"0.1 0.2\n",
+    "two_tokens_every_line": b"0.1 0.2\n0.3 0.4\n",
+    "specials": b"nan\ninf\n-Infinity\n+1e5\n-0\n-nan\nINF\n",
+    "underscore": b"1_0\n2\n",
+    "hex": b"0x1p3\n",
+    "overflow": b"1e400\n-1e400\n",
+    "decimal_comma": b"1,5\n",
+    "header_only": b"# delta=0.5 n=3 seed=1\n",
+    "header_only_n0": b"# delta=0.5 n=0 seed=1\n",
+    "header_count_mismatch": b"# delta=0.5 n=3 seed=1\n0.1\n0.2\n",
+    "header_count_exceeded": b"# delta=0.5 n=1 seed=1\n0.1\n0.2\n0.3\n",
+    "header_negative_n": b"# delta=0.5 n=-2 seed=1\n0.1\n",
+    "empty": b"",
+    "blank_only": b"\n \n\t\n",
+    "non_header_first_line": b"# hello\n0.1\n",
+    "blank_before_header": b"\n# delta=0.5 n=1 seed=1\n0.1\n",
+    "quoted": b'"0.1"\n',
+    "nul": b"0.1\n\x00\n",
+    "nul_in_value": b"0.1\x00\n",
+    "form_feed": b"0.1\x0c\n\x0c\n0.2\n",
+    "vertical_tab": b"0.1\x0b0.2\n",
+    "vertical_tab_padding": b"\x0b0.1\x0b\n",
+    "late_bad_line": b"".join(b"%d\n" % i for i in range(300)) + b"x\n",
+}
+
+
+class TestIncrementFileEquivalence:
+    """The block writer and the C-level reader against the per-value code they replaced."""
+
+    def _series(self, values, seed=None):
+        values = np.asarray(values, dtype=float)
+        return IncrementSeries(SamplingScheme(1e-3, len(values)), seed, values=values)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_writer_bytes(self, tmp_path, monkeypatch, header):
+        vg = simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 5000), seed=7)
+        special = self._series(SPECIAL_VALUES, seed=3)
+        monkeypatch.setattr(processes, "BLOCK", 5)  # 12 values: blocks of 5, 5 and 2
+        assert [len(c) for c in special.iter_chunks()] == [5, 5, 2]
+        for series in (vg, special):
+            new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+            write_increments(new, series, header=header)
+            reference_write_increments(old, series, header=header)
+            assert new.read_bytes() == old.read_bytes()
+
+    def test_writer_round_trips_special_values(self, tmp_path):
+        path = tmp_path / "inc.txt"
+        write_increments(path, self._series(SPECIAL_VALUES))
+        assert read_increments(path).values.tobytes() == np.array(SPECIAL_VALUES).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    @pytest.mark.parametrize("delta", [None, 0.25])
+    def test_reader_matches_line_loop(self, tmp_path, name, delta):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(READER_CASES[name])
+        assert read_outcome(read_increments, path, delta) == read_outcome(reference_read_increments, path, delta)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, header):
+        # 64-character readlines() batches and, without a header, 7-row parse
+        # calls cut a 3003-line file (429 * 7) into many pieces.
+        path = tmp_path / "inc.txt"
+        write_increments(path, simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
+        monkeypatch.setattr(processes, "READ_BATCH", 64)
+        monkeypatch.setattr(processes, "BLOCK", 7)
+        for tail in (b"", b"\n\n0.5\n", b"1_0\n"):  # "1_0": only the line loop accepts it
+            path.write_bytes(path.read_bytes() + tail)
+            expected = read_outcome(reference_read_increments, path, 1.0)
+            assert read_outcome(read_increments, path, 1.0) == expected
+
+    def test_parse_reserves_declared_rows_or_one_block(self, tmp_path, monkeypatch):
+        # np.loadtxt reserves max_rows rows up front, so no call may ask for more.
+        asked = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            asked.append(kwargs["max_rows"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        path = tmp_path / "inc.txt"
+        series = simulate_vg(STUDY_VG, SamplingScheme(1e-3, 10), seed=1)
+        write_increments(path, series)
+        assert len(read_increments(path)) == 10 and asked == [11]
+        asked.clear()
+        write_increments(path, series, header=False)
+        assert len(read_increments(path, delta=1e-3)) == 10 and asked == [BLOCK]
+        asked.clear()
+        path.write_text("# delta=0.5 n=1 seed=1\n" + "0.5\n" * 10)  # the header undercounts
+        with pytest.raises(InputParseError, match="file has 10 increments"):
+            read_increments(path)
+        assert asked == [2, BLOCK]
+
+    @given(
+        lines=st.lists(
+            st.text(alphabet="0123456789.eE+-_xpnaifINF #,\t\x0b\x0c\x1c\x00\r", max_size=8),
+            max_size=6,
+        ),
+        header=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_line_loop_fuzzed(self, tmp_path_factory, lines, header):
+        path = tmp_path_factory.mktemp("fuzz") / "inc.txt"
+        text = ("# delta=0.5 n=%d seed=1\n" % len(lines) if header else "") + "\n".join(lines)
+        path.write_bytes(text.encode("ascii"))
+        assert read_outcome(read_increments, path, 1.0) == read_outcome(reference_read_increments, path, 1.0)
+
+
+class TestReaderGuards:
+    def test_header_above_limit_refused_before_parsing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
+        path = tmp_path / "inc.txt"
+        path.write_bytes(b"# delta=0.5 n=5 seed=1\nnot-a-number\n")
+        with pytest.raises(ResourceGuardError, match="n=5"):
+            read_increments(path)
+
+    @pytest.mark.parametrize("first", [b"1", b"1_0"])  # C-level parse, then the line loop
+    @pytest.mark.parametrize("block", [BLOCK, 3])
+    def test_headerless_body_above_limit_refused(self, tmp_path, monkeypatch, first, block):
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
+        monkeypatch.setattr(processes, "BLOCK", block)
+        path = tmp_path / "inc.txt"
+        path.write_bytes(first + b"\n\n2\n\n3\n\n4\n\n")  # blank lines do not count
+        assert len(read_increments(path, delta=0.5)) == 4
+        path.write_bytes(path.read_bytes() + b"5\nnot-a-number\n")
+        with pytest.raises(ResourceGuardError, match="more than 4"):
+            read_increments(path, delta=0.5)
+
+    def test_non_ascii_is_parse_error_naming_file(self, tmp_path):
+        path = tmp_path / "inc.txt"
+        path.write_bytes(b"0.1\n0.\xe92\n")
+        with pytest.raises(InputParseError, match=r"inc\.txt: not ASCII text \(byte 0xe9\)"):
+            read_increments(path, delta=0.5)
 
 
 class TestIncrementSeries:
