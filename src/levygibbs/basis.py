@@ -65,6 +65,12 @@ class Window:
     def excludes_origin(self) -> bool:
         return self.a > 0.0 or self.b < 0.0
 
+    def grid(self, grid_points: int) -> np.ndarray:
+        """Uniform grid of `grid_points` points from a to b; ParameterError below two points."""
+        if grid_points < 2:
+            raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
+        return np.linspace(self.a, self.b, grid_points)
+
 
 class BasisSystem:
     """Orthonormal basis of size K on a window; see module docstring for families."""

@@ -246,7 +246,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     diag = delta_condition(basis.features(), scheme, case=args.case, bound=args.bound)
     config = _config_from_args(args)
     psi = true_density_vg(VarianceGammaParams(args.mu, args.sigma, args.nu), decaying=True)
-    grid = np.linspace(config.D.a, config.D.b, args.grid_points if args.grid_points is not None else DEFAULT_GRID_POINTS)
+    grid = config.D.grid(args.grid_points if args.grid_points is not None else DEFAULT_GRID_POINTS)
     beta_diag = validate_config(config, float(np.max(psi(grid))), tau=args.tau)
 
     print(f"check: spacing case={diag.case} bound={fmt_float(diag.bound)} (K={basis.K}, {basis.family})")

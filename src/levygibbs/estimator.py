@@ -86,9 +86,7 @@ def l2_error_on_D(theta, reference, D: Window, grid_points: int = DEFAULT_GRID_P
             f"D=[{D.a}, {D.b}] is not contained in the basis window "
             f"[{theta.basis.window.a}, {theta.basis.window.b}]"
         )
-    if grid_points < 2:
-        raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
-    grid = np.linspace(D.a, D.b, grid_points)
+    grid = D.grid(grid_points)
     est = synthesize(theta.basis, theta, grid)
     if isinstance(reference, CoefficientVector):
         ref = synthesize(reference.basis, reference, grid)

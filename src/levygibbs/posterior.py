@@ -130,8 +130,19 @@ def conditional_posterior(theta_hat, t_n: float, config: GibbsConfig) -> Conditi
     return ConditionalPosterior(len(vec), shrink * vec, variance)
 
 
+def _require_nested(basis: BasisSystem) -> None:
+    """Model K keeps the first K basis functions, a sieve only when the basis is nested."""
+    if not basis.nested:
+        raise DimensionError(f"the K posterior needs a nested basis, got the {basis.family} basis")
+
+
 def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
-    """Marginal posterior pmf of K from the first k_max empirical coefficients."""
+    """Marginal posterior pmf of K from the first k_max empirical coefficients.
+
+    A CoefficientVector on a basis that is not nested raises DimensionError.
+    """
+    if isinstance(theta_hat_full, CoefficientVector):
+        _require_nested(theta_hat_full.basis)
     vec = _coefficient_values(theta_hat_full)
     k_max = config.k_max_for(t_n)
     if len(vec) < k_max:
@@ -191,8 +202,9 @@ def sample_posterior(
     for K first, then the standard normals of its draws in draw order, K_i of
     them for draw i.  The theta_i in the result are views; see PosteriorDraws.
 
-    Raises ResourceGuardError, before allocating, when the grid evaluations
-    would hold more than MATERIALIZE_LIMIT values.
+    Raises DimensionError for a basis that is not nested, and
+    ResourceGuardError, before allocating, when the grid evaluations would
+    hold more than MATERIALIZE_LIMIT values.
     """
     if num_draws < 1:
         raise ParameterError(f"num_draws must be >= 1, got {num_draws}")
@@ -201,6 +213,7 @@ def sample_posterior(
         basis = theta_hat_full.basis
     if basis is None:
         raise ParameterError("a basis is required (pass one or use a CoefficientVector)")
+    _require_nested(basis)
     k_max = config.k_max_for(t_n)
     if len(vec) < k_max:
         raise DimensionError(f"need at least k_max={k_max} coefficients, got {len(vec)}")
@@ -217,14 +230,12 @@ def sample_posterior(
     cum = np.cumsum(marginal.probs)
     cum[-1] = 1.0
 
-    if grid_points < 2:
-        raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
+    grid = config.D.grid(grid_points)
     if num_draws * grid_points > MATERIALIZE_LIMIT:
         raise ResourceGuardError(
             f"{num_draws} draws on {grid_points} grid points exceed the materialization "
             f"limit of {MATERIALIZE_LIMIT} values; draw fewer or use a coarser grid"
         )
-    grid = np.linspace(config.D.a, config.D.b, grid_points)
     rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
     if rows.shape[0] < k_max:
         raise DimensionError(f"basis has K={basis.K} < k_max={k_max}")

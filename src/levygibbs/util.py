@@ -15,6 +15,10 @@ def fmt_float(v: float) -> str:
     return repr(float(v))
 
 
+def _not_ascii(path, exc: UnicodeDecodeError) -> InputParseError:
+    return InputParseError(f"{path}: not ASCII text (byte 0x{exc.object[exc.start]:02x})")
+
+
 @contextlib.contextmanager
 def open_ascii(path):
     """Open a text input file as ASCII; a non-ASCII byte raises InputParseError naming the file."""
@@ -22,8 +26,15 @@ def open_ascii(path):
         with open(path, "r", encoding="ascii") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise InputParseError(f"{path}: not ASCII text (byte 0x{byte:02x})") from exc
+        raise _not_ascii(path, exc) from exc
+
+
+def decode_ascii(path, data: bytes) -> str:
+    """Bytes read from path as ASCII text; a non-ASCII byte raises InputParseError naming the file."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise _not_ascii(path, exc) from exc
 
 
 def snap_ceil(x: float, rel: float = 1e-9) -> int:

@@ -4,10 +4,14 @@ The j=3 regime streams 1.6e8 increments (~20 s); it is opt-in via
 LEVY_GIBBS_RUN_SLOW=1 so the default suite stays fast.
 """
 
+import concurrent.futures
 import os
+from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
+import levygibbs.processes as processes
 from levygibbs.experiment import RegimeSpec, run_regime
 
 MASTER_SEED = 0
@@ -28,3 +32,38 @@ def regime_report_j3():
     if not slow_enabled():
         pytest.skip("j=3 streams 1.6e8 increments; set LEVY_GIBBS_RUN_SLOW=1 to include it")
     return run_regime(RegimeSpec.from_j(3), seed=MASTER_SEED)
+
+
+@pytest.fixture
+def pooled_io(monkeypatch):
+    """Increment files converted by 2 forked workers in tiny pieces (forked workers see the patches).
+
+    Returns a record of the pools started, the pieces submitted, and the most
+    pieces submitted whose result the parent had not yet taken.
+    """
+    record = SimpleNamespace(pools=0, submitted=0, in_flight=0, peak=0)
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            record.pools += 1
+
+        def submit(self, fn, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            record.submitted += 1
+            record.in_flight += 1
+            record.peak = max(record.peak, record.in_flight)
+            result = future.result
+
+            def taken(*a, **k):
+                record.in_flight -= 1
+                return result(*a, **k)
+
+            future.result = taken
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(processes, "_io_workers", lambda: 2)
+    monkeypatch.setattr(processes, "WRITE_PIECE", 3)
+    monkeypatch.setattr(processes, "READ_PIECE", 16)
+    return record

@@ -7,6 +7,7 @@ Covers the file formats, byte-level determinism, config precedence
 
 import json
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -235,6 +236,17 @@ class TestPosterior:
         rows = (out / "k_posterior.csv").read_text().splitlines()[1:]
         assert all(row.startswith("2,") for row in rows)
 
+    def test_non_nested_basis_exits_2(self, tmp_path, capsys):
+        inc = simulate_file(tmp_path, delta=0.5, n=1024, seed=3)
+        coeffs = tmp_path / "coeffs.json"
+        argv = ["estimate", "--increments", str(inc), "--family", "legendre",
+                "--J", "4", "--L", "8", "--out", str(coeffs)]
+        assert main(argv) == 0
+        out = tmp_path / "post"
+        assert main(["posterior", "--coeffs", str(coeffs), "--out-dir", str(out)]) == 2
+        assert "needs a nested basis" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_horizon_is_usage_error(self, tmp_path, capsys):
         basis = BasisSystem.trigonometric(Window(0.005, 0.015), 2)
         vec = CoefficientVector(basis, np.array([1.0, 2.0]))
@@ -386,6 +398,11 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "n*delta^3" in out and "n*delta^(5/3)" not in out
 
+    @pytest.mark.parametrize("points", ["0", "-3", "1"])
+    def test_grid_points_below_two_exit_2(self, capsys, points):
+        assert main(["check", "--j", "1", "--grid-points", points]) == 2
+        assert f"grid_points must be >= 2, got {points}" in capsys.readouterr().err
+
 
 class TestConfigPrecedence:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):
@@ -419,6 +436,30 @@ class TestConfigPrecedence:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just a line\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+
+class TestPooledFiles:
+    """simulate and estimate through forked workers in tiny pieces (the pooled_io fixture)."""
+
+    def test_no_worker_outlives_a_command(self, tmp_path, monkeypatch, pooled_io, capsys):
+        inc = simulate_file(tmp_path, delta=0.5, n=64, seed=3)
+        assert pooled_io.pools == 1 and multiprocessing.active_children() == []
+        with monkeypatch.context() as m:
+            m.setattr(processes, "_io_workers", lambda: 1)
+            one = simulate_file(tmp_path, name="one.txt", delta=0.5, n=64, seed=3)
+        assert inc.read_bytes() == one.read_bytes()
+        out = tmp_path / "coeffs.json"
+        assert main(["estimate", "--increments", str(inc), "--K", "8", "--out", str(out)]) == 0
+        assert pooled_io.pools == 2 and multiprocessing.active_children() == []
+        basis = BasisSystem.trigonometric(Window(0.005, 0.015), 8)
+        loaded = read_coefficients_json(out)
+        direct = empirical_coefficients(simulate_vg(DEFAULT_VG_PARAMS, SamplingScheme(0.5, 64), 3), basis)
+        assert np.array_equal(loaded.values, direct.values)
+        lines = inc.read_bytes().splitlines(keepends=True)
+        inc.write_bytes(b"".join(lines[:50] + [b"oops\n"] + lines[50:]))
+        assert main(["estimate", "--increments", str(inc), "--K", "8", "--out", str(out)]) == 3
+        assert "line 51: not a number: 'oops'" in capsys.readouterr().err
+        assert pooled_io.pools == 3 and multiprocessing.active_children() == []
 
 
 class TestExitCodes:

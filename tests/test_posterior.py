@@ -293,6 +293,17 @@ class TestSamplePosterior:
         with pytest.raises(DimensionError):
             sample_posterior(np.zeros(5), self.t_n, self.config, 10, seed=0, basis=self.basis)
 
+    def test_basis_must_be_nested(self):
+        # Piece-major legendre prefixes are not models: K = 20 of J=4, L=8 covers 5 of the 8 pieces.
+        legendre = BasisSystem.piecewise_legendre(D_PRIME, J=4, L=8)
+        theta = CoefficientVector(legendre, np.ones(legendre.K), role="empirical", t_n=self.t_n)
+        with pytest.raises(DimensionError, match="nested"):
+            marginal_k(theta, self.t_n, self.config)
+        with pytest.raises(DimensionError, match="nested"):
+            sample_posterior(theta, self.t_n, self.config, 10, seed=0, fixed_k=2)
+        with pytest.raises(DimensionError, match="nested"):
+            sample_posterior(np.ones(legendre.K), self.t_n, self.config, 10, seed=0, basis=legendre)
+
     def test_allocation_guard(self):
         # the guard fires before any (num_draws, grid_points) allocation;
         # 1e9 x 512 values would need 3.7 TiB

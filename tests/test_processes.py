@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -93,6 +93,11 @@ def read_outcome(reader, path, delta):
         out = (out.values, out.scheme.n, out.scheme.delta, out.seed)
     values, n, d, seed = out
     return values.tobytes(), n, d, seed
+
+
+def values_series(values, seed=None):
+    values = np.asarray(values, dtype=float)
+    return IncrementSeries(SamplingScheme(1e-3, len(values)), seed, values=values)
 
 
 def vg_moments(params, scheme):
@@ -393,14 +398,10 @@ READER_CASES = {
 class TestIncrementFileEquivalence:
     """The block writer and the C-level reader against the per-value code they replaced."""
 
-    def _series(self, values, seed=None):
-        values = np.asarray(values, dtype=float)
-        return IncrementSeries(SamplingScheme(1e-3, len(values)), seed, values=values)
-
     @pytest.mark.parametrize("header", [True, False])
     def test_writer_bytes(self, tmp_path, monkeypatch, header):
         vg = simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 5000), seed=7)
-        special = self._series(SPECIAL_VALUES, seed=3)
+        special = values_series(SPECIAL_VALUES, seed=3)
         monkeypatch.setattr(processes, "BLOCK", 5)  # 12 values: blocks of 5, 5 and 2
         assert [len(c) for c in special.iter_chunks()] == [5, 5, 2]
         for series in (vg, special):
@@ -411,7 +412,7 @@ class TestIncrementFileEquivalence:
 
     def test_writer_round_trips_special_values(self, tmp_path):
         path = tmp_path / "inc.txt"
-        write_increments(path, self._series(SPECIAL_VALUES))
+        write_increments(path, values_series(SPECIAL_VALUES))
         assert read_increments(path).values.tobytes() == np.array(SPECIAL_VALUES).tobytes()
 
     @pytest.mark.parametrize("name", sorted(READER_CASES))
@@ -496,6 +497,151 @@ class TestReaderGuards:
         path = tmp_path / "inc.txt"
         path.write_bytes(b"0.1\n0.\xe92\n")
         with pytest.raises(InputParseError, match=r"inc\.txt: not ASCII text \(byte 0xe9\)"):
+            read_increments(path, delta=0.5)
+
+
+class TestPooledIncrementFiles:
+    """Files of several pieces converted by forked workers (the pooled_io fixture) give the same results."""
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_writer_bytes(self, tmp_path, monkeypatch, pooled_io, header):
+        vg = simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 200), seed=7)
+        special = values_series(SPECIAL_VALUES, seed=3)
+        # Blocks of 5 in pieces of 3: pieces of 3, 2, 3, 2 and 2 values for the 12 specials.
+        monkeypatch.setattr(processes, "BLOCK", 5)
+        for series in (vg, special):
+            pooled, one, old = tmp_path / "pooled.txt", tmp_path / "one.txt", tmp_path / "old.txt"
+            pools = pooled_io.pools
+            write_increments(pooled, series, header=header)
+            assert pooled_io.pools == pools + 1
+            with monkeypatch.context() as m:
+                m.setattr(processes, "_io_workers", lambda: 1)
+                write_increments(one, series, header=header)
+            assert pooled_io.pools == pools + 1
+            reference_write_increments(old, series, header=header)
+            assert pooled.read_bytes() == one.read_bytes() == old.read_bytes()
+
+    def test_one_piece_runs_in_process(self, tmp_path, pooled_io):
+        path = tmp_path / "inc.txt"
+        write_increments(path, values_series([0.5, -0.25, 1.0]), header=False)  # WRITE_PIECE = 3
+        assert path.read_bytes() == b"0.5\n-0.25\n1\n"  # within READ_PIECE = 16
+        assert read_outcome(read_increments, path, 1.0) == read_outcome(reference_read_increments, path, 1.0)
+        assert pooled_io.pools == 0
+
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_reader_matches_line_loop(self, tmp_path, monkeypatch, pooled_io, name):
+        monkeypatch.setattr(processes, "READ_PIECE", 4)
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(READER_CASES[name])
+        for delta in (None, 0.25):
+            assert read_outcome(read_increments, path, delta) == read_outcome(reference_read_increments, path, delta)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, pooled_io, header):
+        path = tmp_path / "inc.txt"
+        write_increments(path, simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
+        monkeypatch.setattr(processes, "READ_PIECE", 4096)
+        monkeypatch.setattr(processes, "READ_BATCH", 64)
+        monkeypatch.setattr(processes, "BLOCK", 7)
+        for tail in (b"", b"\n\n0.5\n", b"1_0\n"):
+            path.write_bytes(path.read_bytes() + tail)
+            pools = pooled_io.pools
+            expected = read_outcome(reference_read_increments, path, 1.0)
+            assert read_outcome(read_increments, path, 1.0) == expected
+            assert pooled_io.pools == pools + 1
+
+    @given(
+        lines=st.lists(
+            st.text(alphabet="0123456789.eE+-_xpnaifINF #,\t\x0b\x0c\x1c\x00\r", max_size=8),
+            max_size=6,
+        ),
+        header=st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reader_matches_line_loop_fuzzed(self, tmp_path_factory, pooled_io, lines, header):
+        # The pooled_io patches hold for every example, which is what this test wants; READ_PIECE = 16.
+        path = tmp_path_factory.mktemp("fuzz") / "inc.txt"
+        text = ("# delta=0.5 n=%d seed=1\n" % len(lines) if header else "") + "\n".join(lines)
+        path.write_bytes(text.encode("ascii"))
+        assert read_outcome(read_increments, path, 1.0) == read_outcome(reference_read_increments, path, 1.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_line_loop_runs_on_refused_pieces_only(self, tmp_path, monkeypatch, pooled_io, workers):
+        monkeypatch.setattr(processes, "_io_workers", lambda: workers)
+        seen = []
+        parse_lines = processes._parse_lines
+
+        def spy(path, lines, first_lineno, limit):
+            lines = list(lines)
+            seen.append(len(lines))
+            return parse_lines(path, lines, first_lineno, limit)
+
+        monkeypatch.setattr(processes, "_parse_lines", spy)
+        body = [b"%d.5\n" % i for i in range(60)]  # 4 or 5 bytes a line: 3 or 4 lines a piece
+        path = tmp_path / "inc.txt"
+        path.write_bytes(b"# delta=0.5 n=60 seed=1\n" + b"".join(body[:10] + [b"# note\n"] + body[10:]))
+        expected = read_outcome(reference_read_increments, path, None)
+        assert read_outcome(read_increments, path, None) == expected
+        assert len(seen) == 1 and seen[0] < 8
+        path.write_bytes(path.read_bytes() + b"".join(body[:30]) + b"x\n" + b"".join(body[:10]))
+        seen.clear()
+        expected = read_outcome(reference_read_increments, path, None)
+        assert expected[0] is InputParseError and "line 93:" in expected[1]
+        assert read_outcome(read_increments, path, None) == expected
+        assert len(seen) == 2 and max(seen) < 8
+
+    @pytest.mark.parametrize("ends", [(b"\r\n",), (b"\r", b"\n"), (b"\n", b"\r\n", b"\r")])
+    def test_line_numbers_across_cr_line_ends(self, tmp_path, pooled_io, ends):
+        lines = [b"%d.5" % i for i in range(40)] + [b"bad"]
+        path = tmp_path / "inc.txt"
+        path.write_bytes(b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines)))
+        expected = read_outcome(reference_read_increments, path, 0.5)
+        assert expected == (InputParseError, f"{path}: line 41: not a number: 'bad'")
+        assert read_outcome(read_increments, path, 0.5) == expected
+        assert pooled_io.pools == 1
+
+    def test_in_flight_bound(self, tmp_path, pooled_io):
+        path = tmp_path / "inc.txt"
+        write_increments(path, simulate_vg(STUDY_VG, SamplingScheme(1e-3, 300), seed=4))
+        assert pooled_io.submitted == 100 and pooled_io.peak == 4  # 2 pieces per worker
+        pooled_io.peak = 0
+        assert len(read_increments(path)) == 300
+        assert pooled_io.submitted > 300 and pooled_io.peak == 4
+
+    def test_non_ascii_in_later_range(self, tmp_path, pooled_io):
+        path = tmp_path / "inc.txt"
+        body = b"".join(b"%d.25\n" % i for i in range(100))
+        path.write_bytes(body + b"0.\xe92\n" + body)
+        with pytest.raises(InputParseError, match=r"inc\.txt: not ASCII text \(byte 0xe9\)"):
+            read_increments(path, delta=0.5)
+        assert pooled_io.pools == 1
+        path.write_bytes(body + b"bad\n" + body + b"0.\xe92\n")  # the first error in file order wins
+        with pytest.raises(InputParseError, match="line 101: not a number: 'bad'"):
+            read_increments(path, delta=0.5)
+
+    def test_header_above_limit_refused_before_any_range(self, tmp_path, monkeypatch, pooled_io):
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
+        path = tmp_path / "inc.txt"
+        path.write_bytes(b"# delta=0.5 n=5 seed=1\n" + b"1.0\n" * 100)
+        with pytest.raises(ResourceGuardError, match="n=5"):
+            read_increments(path)
+        assert pooled_io.pools == 0 and pooled_io.submitted == 0
+
+    @pytest.mark.parametrize("first", [b"1.0", b"1_0"])  # C-level parse, then the line loop
+    def test_headerless_body_stops_after_limit(self, tmp_path, monkeypatch, pooled_io, first):
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 20)
+        path = tmp_path / "inc.txt"
+        path.write_bytes(first + b"\n" + b"2.0\n" * 19)
+        assert len(read_increments(path, delta=0.5)) == 20
+        submitted = pooled_io.submitted
+        path.write_bytes(path.read_bytes() + b"3.0\n" * 1000 + b"not-a-number\n")
+        with pytest.raises(ResourceGuardError, match="more than 20"):
+            read_increments(path, delta=0.5)
+        # 16-byte ranges of 4 lines: 6 reach value 21, and at most 4 more were in flight.
+        assert pooled_io.submitted - submitted <= 10
+        # Value 21 opens a range the C parser refuses; the line loop stops there, before the bad line.
+        path.write_bytes(b"2.0\n" * 20 + b"1_0\nx\n")
+        with pytest.raises(ResourceGuardError, match="more than 20"):
             read_increments(path, delta=0.5)
 
 
