@@ -81,7 +81,6 @@ from .processes import (
     simulate_compound_poisson,
     simulate_vg,
     true_density_vg,
-    worker_count,
     write_increments,
 )
 from .util import derive_seed, snap_ceil

@@ -4,7 +4,7 @@ The coefficient estimator is theta_hat_k = t_n^{-1} sum_i f_k(Y_i): increments
 outside the basis window contribute exactly 0, so the sums run over in-window
 increments only.  Block partial sums are combined with compensated (Kahan)
 addition in fixed block order, which makes the result bit-identical whether
-the series is materialized, streamed, or folded by parallel workers.
+the series is materialized, streamed, or folded by forked workers.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from .processes import IncrementSeries
 
 # Points of the uniform grid on D on which densities are compared and drawn.
 DEFAULT_GRID_POINTS = 512
+
+# Basis rows evaluated at once in the fold, so no (K, in-window) matrix is
+# held.  Each row is summed pairwise on its own, so the sums do not depend on it.
+_FOLD_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -35,17 +39,23 @@ def empirical_coefficients(
     basis: BasisSystem,
     max_workers: int | None = None,
 ) -> CoefficientVector:
-    """Estimate basis coefficients of the Levy density from increment data."""
+    """Estimate basis coefficients of the Levy density from increment data.
+
+    Blocks are folded by IncrementSeries.map_blocks, in at most max_workers
+    forked workers (default one per CPU); the result does not depend on it.
+    """
     t_n = series.scheme.t_n
     if t_n <= 0.0:
         raise ParameterError(f"horizon must be positive, got t_n={t_n!r}")
     a, b = basis.window.a, basis.window.b
+    ks = np.arange(1, basis.K + 1)
 
     def partial(chunk: np.ndarray) -> np.ndarray:
         y = chunk[(chunk >= a) & (chunk <= b)]
-        if y.size == 0:
-            return np.zeros(basis.K)
-        return basis.evaluate_all(y).sum(axis=1)
+        out = np.zeros(basis.K)
+        for lo in range(0, basis.K, _FOLD_ROWS):
+            out[lo : lo + _FOLD_ROWS] = basis._eval_rows(ks[lo : lo + _FOLD_ROWS], y).sum(axis=1)
+        return out
 
     total = np.zeros(basis.K)
     carry = np.zeros(basis.K)

@@ -15,6 +15,10 @@ Generation is counter based: increment block b (a fixed span of 2**20
 indices) is produced by a Philox generator keyed on (seed, b).  The stream
 is therefore reproducible increment-by-increment, independent of how many
 blocks are materialized at once, and safe to generate in parallel.
+
+One pool of forked worker processes (_pool_map) serves all parallel work:
+IncrementSeries.map_blocks, where each worker generates (or slices) its own
+blocks, and the pieces of an increments file.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 import os
 import warnings
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,18 +50,6 @@ BLOCK = 1 << 20
 
 # Refuse to materialize series larger than this; stream instead.
 MATERIALIZE_LIMIT = 1 << 27
-
-
-def worker_count() -> int:
-    """Worker cap for block-parallel generation, from LEVY_GIBBS_THREADS (default 1)."""
-    raw = os.environ.get("LEVY_GIBBS_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"LEVY_GIBBS_THREADS must be an integer, got {raw!r}") from exc
-    if w < 1:
-        raise ParameterError(f"LEVY_GIBBS_THREADS must be >= 1, got {w}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -266,20 +257,86 @@ class IncrementSeries:
     def map_blocks(
         self, fn: Callable[[np.ndarray], object], max_workers: int | None = None
     ) -> list:
-        """Apply fn to every chunk, in index order, optionally in parallel.
+        """[fn(chunk) for chunk in self.iter_chunks()], here or in at most max_workers forked workers.
 
-        Results are returned in block order regardless of worker scheduling,
-        so reductions over the list are deterministic.
+        A series of several blocks is mapped by _pool_map's workers (by
+        default one per CPU this process may run on): each worker generates
+        or slices the blocks it is given and sends back only fn's results, so
+        those must pickle; fn itself reaches the workers by fork and may be a
+        closure.  Results are in block order either way, so reductions over
+        the list are deterministic.
         """
-        workers = worker_count() if max_workers is None else max_workers
-        if workers <= 1:
-            return [fn(chunk) for chunk in self.iter_chunks()]
+        blocks = self.scheme.num_blocks
+        cap = blocks if max_workers is None else min(blocks, max_workers)
+        with _pool_map(cap, job=(fn, self._block_fn)) as pmap:
+            if pmap is map:
+                return [fn(chunk) for chunk in self.iter_chunks()]
+            return list(pmap(_block_job, range(blocks)))
 
-        def job(b: int):
-            return fn(self._block_fn(b))
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, range(self.scheme.num_blocks)))
+def _io_workers() -> int:
+    """The CPUs this process may run on, which is the worker count of one pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _pool_map(cap: int, job: tuple | None = None):
+    """A map(fn, items), results in order: in at most `cap` forked workers, one per CPU, or here.
+
+    The text conversions of file pieces hold the GIL, so threads cannot
+    share them; the block fold uses the same pool.  Workers are forked: a pool of two starts in about 0.02 s on
+    a 2-vCPU Xeon, against 0.7-1.0 s for spawn or forkserver, which also
+    re-import __main__.  Fork also hands each worker `job` (map_blocks's fn
+    and block function, see _block_job) without pickling it.  With one
+    worker, no "fork" start method, or in a daemonic process (a
+    multiprocessing.Pool worker, which may not have children) the builtin
+    map runs here.  At most two items per worker are in flight, so what
+    is held at once is bounded whatever the item count.  The pool is shut
+    down and its workers joined on every exit, errors included.
+    """
+    workers = min(_io_workers(), cap)
+    if workers > 1:
+        # Imported here, so that importing the package does not pay about 8 ms for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            context = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_set_job, initargs=(job,))
+            try:
+                yield functools.partial(_bounded_map, pool, 2 * workers)
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+            return
+    yield map
+
+
+def _bounded_map(pool, bound: int, fn, items) -> Iterator:
+    """fn over items in pool, results in item order, with at most `bound` submitted and not yet yielded."""
+    pending = collections.deque()
+    for item in items:
+        if len(pending) == bound:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
+# The (fn, block_fn) of the map_blocks call a forked worker serves; set only in workers.
+_JOB = None
+
+
+def _set_job(job: tuple | None) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _block_job(block: int):
+    fn, block_fn = _JOB
+    return fn(block_fn(block))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -333,8 +390,7 @@ def _simulate(
             "pass materialize=False and consume the series in chunks"
         )
     streamed = IncrementSeries(scheme, seed, block_fn=block_fn)
-    chunks = streamed.map_blocks(lambda c: c)
-    return IncrementSeries(scheme, seed, values=np.concatenate(chunks))
+    return IncrementSeries(scheme, seed, values=np.concatenate(list(streamed.iter_chunks())))
 
 
 def simulate_vg(
@@ -429,11 +485,9 @@ def true_density_vg(params: VarianceGammaParams, decaying: bool = False) -> True
 # A file is converted in pieces.  The writer formats WRITE_PIECE values per
 # call; the reader cuts the body into byte ranges of at least READ_PIECE bytes,
 # each ending just after an LF so that no line (nor a CRLF) is split.  A
-# file of several pieces is converted in worker processes, one per CPU this
-# process may run on; with one such CPU, one piece or no "fork" start method
-# the same piece functions run in this process.  Either way the bytes written
-# and the values read are the same.  Each range is parsed by C-level
-# np.loadtxt calls; a range they refuse is read again here, line by line, in
+# file of several pieces is converted by _pool_map, in worker processes or in
+# this one; either way the bytes written and the values read are the same.
+# Each range is parsed by C-level np.loadtxt calls; a range they refuse is read again here, line by line, in
 # file order and with line numbers carried on from the ranges before it, so
 # each file is accepted or rejected, with the same values and the same error,
 # as by that line loop alone.  A file declaring, or holding, more than
@@ -449,53 +503,6 @@ READ_PIECE = 1 << 22
 READ_BATCH = 1 << 20
 
 
-def _io_workers() -> int:
-    """The CPUs this process may run on, which is the worker count of one file conversion."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _piece_map(pieces: int):
-    """A map(fn, items) over at most `pieces` file pieces, results in order: here or in forked workers.
-
-    The conversions hold the GIL, so threads cannot share them.  Workers are
-    forked: a pool of two starts in about 0.02 s on a 2-vCPU Xeon, against
-    0.7-1.0 s for spawn or forkserver, which also re-import __main__.  They
-    run only the top-level piece functions below, on what they are sent.  At
-    most two pieces per worker are in flight, so the text held at once is
-    bounded whatever the file size.  The pool is shut down and its workers
-    joined on every exit, errors included.
-    """
-    workers = min(_io_workers(), pieces)
-    if workers > 1:
-        # Imported here, so that importing the package does not pay about 8 ms for them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                yield functools.partial(_bounded_map, pool, 2 * workers)
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-            return
-    yield map
-
-
-def _bounded_map(pool, bound: int, fn, items) -> Iterator:
-    """fn over items in pool, results in item order, with at most `bound` submitted and not yet yielded."""
-    pending = collections.deque()
-    for item in items:
-        if len(pending) == bound:
-            yield pending.popleft().result()
-        pending.append(pool.submit(fn, item))
-    while pending:
-        yield pending.popleft().result()
-
-
 def _format_piece(piece: np.ndarray) -> str:
     return ("%.17g\n" * len(piece)) % tuple(piece.tolist())
 
@@ -509,7 +516,7 @@ def write_increments(path, series: IncrementSeries, header: bool = True) -> None
     )
     # At most the number of pieces, and 1 only when the series is one piece.
     count = -(-series.scheme.n // min(BLOCK, WRITE_PIECE))
-    with _piece_map(count) as pmap, open(path, "w", encoding="ascii") as fh:
+    with _pool_map(count) as pmap, open(path, "w", encoding="ascii") as fh:
         if header:
             seed = series.seed if series.seed is not None else ""
             fh.write(f"# delta={series.scheme.delta:.17g} n={series.scheme.n} seed={seed}\n")
@@ -521,11 +528,12 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
     """Read increments written by :func:`write_increments` (or any one-float-per-line file).
 
     The header, when present, supplies delta/n/seed; otherwise delta must be
-    passed and n is the count of increment lines.  Malformed content raises
-    :class:`InputParseError` naming the offending line; more than
-    MATERIALIZE_LIMIT increments, declared or found, raise ResourceGuardError.
+    passed (the file is refused before its body is read) and n is the count
+    of increment lines.  Malformed content raises :class:`InputParseError`
+    naming the offending line; more than MATERIALIZE_LIMIT increments,
+    declared or found, raise ResourceGuardError.
     """
-    header_delta = header_n = header_seed = None
+    header_n = header_seed = None
     with open(path, "rb") as fh:
         line = fh.readline()
         cr = line.find(b"\r")
@@ -533,21 +541,19 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
             line = line[: cr + 1]  # a lone CR ends a line too
         text = decode_ascii(path, line).strip()
         if text.startswith("#"):
-            header_delta, header_n, header_seed = _parse_header(text, 1)
+            delta, header_n, header_seed = _parse_header(text, 1)
             if header_n > MATERIALIZE_LIMIT:
                 raise ResourceGuardError(
                     f"{path}: header declares n={header_n} increments, "
                     f"above the materialization limit of {MATERIALIZE_LIMIT}"
                 )
             body, first_lineno = len(line), 2
+        elif delta is None:
+            raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
         else:
             body, first_lineno = 0, 1
         spans = _body_ranges(fh, body, os.fstat(fh.fileno()).st_size)
     values, count = _read_body(path, spans, first_lineno, header_n)
-    if header_delta is not None:
-        delta = header_delta
-    if delta is None:
-        raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
     if header_n is not None and header_n != count:
         raise InputParseError(
             f"{path}: header declares n={header_n} but file has {count} increments"
@@ -589,7 +595,7 @@ def _read_body(path, spans, first_lineno: int, n: int | None) -> tuple[np.ndarra
     rows = BLOCK if n is None else min(max(n, 0) + 1, BLOCK)
     out = None if n is None else np.empty(max(n, 0))
     parts, count, lineno = [], 0, first_lineno
-    with _piece_map(len(spans)) as pmap:
+    with _pool_map(len(spans)) as pmap:
         for span, (values, newlines) in zip(spans, pmap(functools.partial(_parse_range, path, rows), spans)):
             if values is None:
                 values = _parse_lines(path, _text(_range_bytes(path, span)), lineno, MATERIALIZE_LIMIT + 1 - count)

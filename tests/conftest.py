@@ -38,15 +38,17 @@ def regime_report_j3():
 def pooled_io(monkeypatch):
     """Increment files converted by 2 forked workers in tiny pieces (forked workers see the patches).
 
-    Returns a record of the pools started, the pieces submitted, and the most
-    pieces submitted whose result the parent had not yet taken.
+    Returns a record of the pools started and the worker count of each, the
+    pieces submitted, and the most pieces submitted whose result the parent
+    had not yet taken.
     """
-    record = SimpleNamespace(pools=0, submitted=0, in_flight=0, peak=0)
+    record = SimpleNamespace(pools=0, workers=[], submitted=0, in_flight=0, peak=0)
 
     class SpyPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self, max_workers, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
             record.pools += 1
+            record.workers.append(max_workers)
 
         def submit(self, fn, *args, **kwargs):
             future = super().submit(fn, *args, **kwargs)

@@ -535,12 +535,3 @@ class TestExitCodes:
             assert main(["estimate", "--increments", str(path), "--K", "2", "--out", str(out)] + extra) == 4
             assert "materialization limit" in capsys.readouterr().err
             assert not out.exists()
-
-    def test_thread_env_validated(self, tmp_path, monkeypatch, capsys):
-        inc = simulate_file(tmp_path, delta=0.5, n=256, seed=1)
-        out = tmp_path / "o.json"
-        monkeypatch.setenv("LEVY_GIBBS_THREADS", "abc")
-        assert main(["estimate", "--increments", str(inc), "--K", "2", "--out", str(out)]) == 2
-        assert "LEVY_GIBBS_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("LEVY_GIBBS_THREADS", "2")
-        assert main(["estimate", "--increments", str(inc), "--K", "2", "--out", str(out)]) == 0

@@ -97,6 +97,18 @@ class TestEmpiricalCoefficients:
             total = t
         np.testing.assert_allclose(theta, total / scheme.t_n, rtol=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 7, 8, 129, 8193])
+    @pytest.mark.parametrize("family", ["trigonometric", "piecewise-legendre"])
+    def test_row_chunks_sum_like_the_whole_matrix(self, family, m):
+        # K = 321 and 75 rows: the fold's row chunks end off the cos/sin pairs and off the pieces.
+        if family == "trigonometric":
+            basis = BasisSystem.trigonometric(D_PRIME, 321)
+        else:
+            basis = BasisSystem.piecewise_legendre(D_PRIME, 3, 25)
+        y = np.random.default_rng(m).uniform(D_PRIME.a, D_PRIME.b, m)
+        theta = empirical_coefficients(series_from(y), basis).values  # t_n = m
+        assert np.array_equal(theta, basis.evaluate_all(y).sum(axis=1) / m)
+
     def test_offwindow_prefilter_is_identity(self):
         basis = BasisSystem.trigonometric(D_PRIME, 8)
         rng = np.random.default_rng(9)

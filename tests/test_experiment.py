@@ -224,6 +224,15 @@ class TestRunRegime:
             assert rep.err_projection == pytest.approx(FROZEN[j]["err_projection"], rel=1e-12)
             assert rep.err_postmean == pytest.approx(FROZEN[j]["err_postmean"], rel=1e-12)
 
+    def test_frozen_values_with_forked_fold(self, regime_reports, pooled_io):
+        # pooled_io: 2 CPUs, so the 5 blocks of j=2 are folded by 2 forked workers.
+        for j in (1, 2):
+            rep = run_regime(RegimeSpec.from_j(j), seed=MASTER_SEED)
+            assert rep.k_mode == FROZEN[j]["k_mode"]
+            assert rep.err_postmean == pytest.approx(FROZEN[j]["err_postmean"], rel=1e-12)
+            assert np.array_equal(rep.theta_hat.values, regime_reports[j].theta_hat.values)
+        assert pooled_io.workers == [2]
+
     def test_deterministic_rerun(self, regime_reports):
         again = run_regime(RegimeSpec.from_j(1), seed=MASTER_SEED)
         assert again.err_postmean == regime_reports[1].err_postmean

@@ -13,6 +13,8 @@ Monte Carlo checks use 4-standard-error tolerances with fixed seeds.
 """
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from scipy.stats import ks_2samp
 import levygibbs.processes as processes
 from levygibbs import (
     BLOCK,
+    BasisSystem,
     CompoundPoissonParams,
     DomainError,
     IncrementSeries,
@@ -32,6 +35,8 @@ from levygibbs import (
     ResourceGuardError,
     SamplingScheme,
     VarianceGammaParams,
+    Window,
+    empirical_coefficients,
     read_increments,
     simulate_compound_poisson,
     simulate_vg,
@@ -55,25 +60,23 @@ def reference_write_increments(path, series, header=True):
 
 def reference_read_increments(path, delta=None):
     """The per-line float() reader the C-level parse replaced, kept as an oracle."""
-    header_delta = header_n = header_seed = None
+    header_n = header_seed = None
     values = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if lineno == 1:
-                    header_delta, header_n, header_seed = processes._parse_header(text, lineno)
-                continue
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise InputParseError(f"{path}: line {lineno}: not a number: {text!r}") from exc
-    if header_delta is not None:
-        delta = header_delta
-    if delta is None:
+        lines = fh.readlines()
+    first = lines[0].strip() if lines else ""
+    if first.startswith("#"):
+        delta, header_n, header_seed = processes._parse_header(first, 1)
+    elif delta is None:
         raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise InputParseError(f"{path}: line {lineno}: not a number: {text!r}") from exc
     if header_n is not None and header_n != len(values):
         raise InputParseError(
             f"{path}: header declares n={header_n} but file has {len(values)} increments"
@@ -98,6 +101,13 @@ def read_outcome(reader, path, delta):
 def values_series(values, seed=None):
     values = np.asarray(values, dtype=float)
     return IncrementSeries(SamplingScheme(1e-3, len(values)), seed, values=values)
+
+
+def _write_and_fold(path):
+    """write_increments and a fold of a 2,500-increment series; run by a multiprocessing.Pool worker too."""
+    series = simulate_vg(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
+    write_increments(path, series)
+    return empirical_coefficients(series, BasisSystem.trigonometric(Window(-0.01, 0.01), 8)).values
 
 
 def vg_moments(params, scheme):
@@ -177,14 +187,60 @@ class TestVarianceGamma:
         assert np.array_equal(np.concatenate(chunks), mat)
         assert [c.tobytes() for c in materialized.iter_chunks()] == [c.tobytes() for c in chunks]
 
-    def test_map_blocks_parallel_matches_serial(self):
+    def test_map_blocks_parallel_matches_serial(self, pooled_io):
         scheme = SamplingScheme(1e-3, 2 * BLOCK + 777)
         streamed = simulate_vg(STUDY_VG, scheme, seed=5, materialize=False)
         materialized = simulate_vg(STUDY_VG, scheme, seed=5)
         serial = list(streamed.map_blocks(np.sum, max_workers=1))
+        assert pooled_io.workers == []  # neither materializing nor one worker starts a pool
         assert list(streamed.map_blocks(np.sum, max_workers=4)) == serial
         assert list(materialized.map_blocks(np.sum, max_workers=1)) == serial
         assert list(materialized.map_blocks(np.sum, max_workers=4)) == serial
+        assert os.getpid() not in streamed.map_blocks(lambda chunk: os.getpid())
+        assert pooled_io.workers == [2, 2, 2]  # pooled_io: 2 CPUs
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_fold_starts_one_pool_of_at_most_one_worker_per_block(self, monkeypatch, pooled_io, cpus):
+        monkeypatch.setattr(processes, "_io_workers", lambda: cpus)
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        basis = BasisSystem.trigonometric(Window(-0.01, 0.01), 40)
+        cp = CompoundPoissonParams(50.0, JumpDistribution.normal(0.0, 0.01))
+        cases = [
+            (simulate_vg(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False), 3),
+            (simulate_compound_poisson(cp, SamplingScheme(1e-2, 2000), seed=5), 2),
+            (simulate_vg(STUDY_VG, SamplingScheme(1e-3, 1000), seed=5, materialize=False), 1),
+        ]
+        for series, blocks in cases:
+            pooled_io.workers.clear()
+            theta = empirical_coefficients(series, basis).values
+            assert pooled_io.workers == ([min(cpus, blocks)] if blocks > 1 else [])
+            assert np.count_nonzero(theta) == basis.K
+            for workers in (1, 2):
+                assert np.array_equal(empirical_coefficients(series, basis, max_workers=workers).values, theta)
+
+    def test_worker_error_reaches_caller(self, monkeypatch, pooled_io):
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        series = simulate_vg(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
+
+        def refuse_short_block(chunk):
+            if len(chunk) < 1000:
+                raise ResourceGuardError(f"block of {len(chunk)} refused")
+            return len(chunk)
+
+        with pytest.raises(ResourceGuardError) as excinfo:
+            series.map_blocks(refuse_short_block)
+        assert excinfo.type is ResourceGuardError and str(excinfo.value) == "block of 500 refused"
+        assert pooled_io.workers == [2] and multiprocessing.active_children() == []
+
+    def test_daemonic_process_maps_in_process(self, tmp_path, monkeypatch, pooled_io):
+        # A multiprocessing.Pool worker may not start processes; pooled_io would otherwise fork.
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            daemonic = pool.apply_async(_write_and_fold, (tmp_path / "daemonic.txt",)).get(timeout=60)
+        here = _write_and_fold(tmp_path / "here.txt")
+        assert pooled_io.workers == [2, 2]  # the file pieces and the 3-block fold
+        assert (tmp_path / "daemonic.txt").read_bytes() == (tmp_path / "here.txt").read_bytes()
+        assert np.array_equal(daemonic, here)
 
     def test_symmetry_ks(self):
         # mu = 0 makes the increment law symmetric: Y and -Y agree, two-sample
@@ -498,6 +554,16 @@ class TestReaderGuards:
         path.write_bytes(b"0.1\n0.\xe92\n")
         with pytest.raises(InputParseError, match=r"inc\.txt: not ASCII text \(byte 0xe9\)"):
             read_increments(path, delta=0.5)
+
+    def test_missing_delta_refused_before_body(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(processes, "_read_body", lambda *args: calls.append(args))
+        path = tmp_path / "inc.txt"
+        for body in (b"0.1\nbad\n", b"bad\n", b""):
+            path.write_bytes(body)
+            with pytest.raises(InputParseError, match="no header and no delta supplied"):
+                read_increments(path)
+        assert calls == []
 
 
 class TestPooledIncrementFiles:
