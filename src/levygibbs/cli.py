@@ -26,6 +26,7 @@ from .errors import (
 )
 from .estimator import DEFAULT_GRID_POINTS, empirical_coefficients, l2_error_on_D
 from .experiment import (
+    DEFAULT_ALPHA_ASSUMED,
     DEFAULT_BAND_LEVEL,
     DEFAULT_NUM_DRAWS,
     DEFAULT_VG_PARAMS,
@@ -189,7 +190,7 @@ def cmd_posterior(args: argparse.Namespace) -> int:
     draws = sample_posterior(
         theta_hat, t_n, config, num_draws, args.seed, marginal=marginal, **_given(args, grid_points="grid_points")
     )
-    band = credible_band(draws, level, metric=args.metric)
+    band = credible_band(draws, level, **_given(args, metric="metric"))
 
     out = functools.partial(os.path.join, args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -199,7 +200,7 @@ def cmd_posterior(args: argparse.Namespace) -> int:
     write_band_table(out("band.csv"), draws.grid, psi_true, band.center, band.lo, band.hi)
     print(
         f"posterior: {len(draws)} draws (k_max={k_max}, seed={args.seed}) -> {args.out_dir}; "
-        f"band radius ({args.metric}, level={fmt_float(level)}) = {fmt_float(band.radius)}"
+        f"band radius ({band.metric}, level={fmt_float(level)}) = {fmt_float(band.radius)}"
     )
     return 0
 
@@ -229,7 +230,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             f"band_radius={fmt_float(report.band_radius)} runtime_s={report.runtime_s:.2f}"
         )
     write_report_json(reports, out("report.json"))
-    write_errors_csv(reports, out("errors.csv"), alpha_assumed=args.alpha)
+    write_errors_csv(reports, out("errors.csv"), **_given(args, alpha_assumed="alpha"))
     write_k_posterior_csv(reports, out("k_posterior.csv"))
     if len(reports) == 1:
         write_band_csv(reports[0], out("band.csv"))
@@ -243,11 +244,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     scheme = _scheme_from_args(args)
     basis = _basis_from_args(args, scheme.t_n)
-    diag = delta_condition(basis.features(), scheme, case=args.case, bound=args.bound)
+    diag = delta_condition(basis.features(), scheme, **_given(args, case="case", bound="bound"))
     config = _config_from_args(args)
     psi = true_density_vg(VarianceGammaParams(args.mu, args.sigma, args.nu), decaying=True)
     grid = config.D.grid(args.grid_points if args.grid_points is not None else DEFAULT_GRID_POINTS)
-    beta_diag = validate_config(config, float(np.max(psi(grid))), tau=args.tau)
+    beta_diag = validate_config(config, float(np.max(psi(grid))), **_given(args, tau="tau"))
 
     print(f"check: spacing case={diag.case} bound={fmt_float(diag.bound)} (K={basis.K}, {basis.family})")
     for name, value in diag.values.items():
@@ -267,6 +268,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly and config-file precedence
 # ---------------------------------------------------------------------------
+
+
+class _AppendOverConfig(argparse._AppendAction):
+    """A repeatable flag whose first use on the command line replaces a config-file list instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, None) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
@@ -305,13 +315,11 @@ def _add_window_flag(p: argparse.ArgumentParser, flag: str, what: str, default: 
     p.add_argument(flag, type=_parse_window, default=None, help=f"{what} 'a,b' (default {default.a},{default.b})")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="levy-gibbs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("simulate", help="simulate increments and write them to a file")
-    registry["simulate"] = p
     p.add_argument("--config", default=None)
     p.add_argument("--process", choices=["vg", "cpois"], default="vg")
     _add_vg_flags(p)
@@ -324,7 +332,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate basis coefficients from an increments file")
-    registry["estimate"] = p
     p.add_argument("--config", default=None)
     p.add_argument("--increments", default=None)
     p.add_argument("--delta", type=float, default=None, help="spacing when the file has no header")
@@ -337,7 +344,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("posterior", help="sample the Gibbs posterior from saved coefficients")
-    registry["posterior"] = p
     p.add_argument("--config", default=None)
     p.add_argument("--coeffs", default=None)
     p.add_argument("--t-n", dest="t_n", type=float, default=None)
@@ -346,7 +352,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--draws", type=int, default=None, help=f"posterior draws (default {DEFAULT_NUM_DRAWS})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=None, help=f"credible level of the band (default {DEFAULT_BAND_LEVEL})")
-    p.add_argument("--metric", choices=["sup", "l2"], default="sup")
+    p.add_argument("--metric", choices=["sup", "l2"], default=None)
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     _add_grid_flag(p)
     p.add_argument("--truth", default=None, help="true density 'vg:mu,sigma,nu' for band.csv")
@@ -356,15 +362,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_posterior)
 
     p = sub.add_parser("experiment", help="run seeded regimes end to end and write report files")
-    registry["experiment"] = p
     p.add_argument("--config", default=None)
-    p.add_argument("--j", dest="j_list", type=int, action="append", default=None, help="regime index (repeatable)")
+    p.add_argument("--j", dest="j_list", type=int, action=_AppendOverConfig, default=None, help="regime index (repeatable)")
     _add_vg_flags(p)
     _add_hyper_flags(p)
     p.add_argument("--draws", type=int, default=None, help=f"posterior draws (default {DEFAULT_NUM_DRAWS})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=None, help=f"credible level of the band (default {DEFAULT_BAND_LEVEL})")
-    p.add_argument("--alpha", type=float, default=2.0, help="assumed smoothness for eps_n")
+    p.add_argument("--alpha", type=float, default=None, help=f"assumed smoothness for eps_n (default {DEFAULT_ALPHA_ASSUMED})")
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     _add_window_flag(p, "--D-prime", "window of the basis", GibbsConfig.D_prime)
     _add_grid_flag(p)
@@ -372,21 +377,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("check", help="sampling-spacing and learning-rate diagnostics (read-only)")
-    registry["check"] = p
     p.add_argument("--config", default=None)
     _add_scheme_flags(p)
     _add_basis_flags(p)
-    p.add_argument("--case", choices=["fixed-K", "prior-on-K"], default="prior-on-K")
-    p.add_argument("--bound", type=float, default=1.0)
+    p.add_argument("--case", choices=["fixed-K", "prior-on-K"], default=None)
+    p.add_argument("--bound", type=float, default=None)
     _add_vg_flags(p)
     _add_hyper_flags(p)
-    p.add_argument("--tau", type=float, default=3.0)
+    p.add_argument("--tau", type=float, default=None)
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     _add_window_flag(p, "--D-prime", "window of the basis", GibbsConfig.D_prime)
     _add_grid_flag(p)
     p.set_defaults(func=cmd_check)
 
-    return parser, registry
+    return parser, sub.choices
 
 
 def _load_config_file(path) -> dict:
@@ -410,39 +414,44 @@ _FALSE = {"0", "false", "no", "off"}
 def _apply_config_defaults(subparser: argparse.ArgumentParser, raw: dict, path) -> None:
     dests = {}
     for action in subparser._actions:
-        if action.dest in raw:
-            value = raw[action.dest]
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                low = value.lower()
-                if low not in _TRUE | _FALSE:
-                    raise InputParseError(f"{path}: key {action.dest}: expected a boolean, got {value!r}")
-                dests[action.dest] = low in _TRUE
-            elif action.type is not None:
-                try:
+        # A flag's key is its long name without the leading dashes, other dashes as underscores.
+        key = next((o[2:].replace("-", "_") for o in action.option_strings if o.startswith("--")), None)
+        if key not in raw:
+            continue
+        value = raw.pop(key)
+        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+            low = value.lower()
+            if low not in _TRUE | _FALSE:
+                raise InputParseError(f"{path}: key {key}: expected a boolean, got {value!r}")
+            dests[action.dest] = low in _TRUE
+        elif action.type is not None:
+            try:
+                if isinstance(action, _AppendOverConfig):
+                    dests[action.dest] = [action.type(tok) for tok in value.split(",")]
+                else:
                     dests[action.dest] = action.type(value)
-                except (TypeError, ValueError) as exc:
-                    raise InputParseError(f"{path}: key {action.dest}: bad value {value!r}") from exc
-            else:
-                dests[action.dest] = value
-    unknown = set(raw) - {a.dest for a in subparser._actions}
-    if unknown:
-        raise InputParseError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
+            except (TypeError, ValueError) as exc:
+                raise InputParseError(f"{path}: key {key}: bad value {value!r}") from exc
+        else:
+            dests[action.dest] = value
+    if raw:
+        raise InputParseError(f"{path}: unknown config key(s): {', '.join(sorted(raw))}")
     subparser.set_defaults(**dests)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, subparsers = build_parser()
     try:
         # Config precedence: inject file values as subparser defaults before the
         # real parse, so explicit flags naturally win.
-        if argv and not argv[0].startswith("-") and argv[0] in registry:
+        if argv and not argv[0].startswith("-") and argv[0] in subparsers:
             for i, tok in enumerate(argv):
                 if tok == "--config" and i + 1 < len(argv):
-                    _apply_config_defaults(registry[argv[0]], _load_config_file(argv[i + 1]), argv[i + 1])
+                    _apply_config_defaults(subparsers[argv[0]], _load_config_file(argv[i + 1]), argv[i + 1])
                 elif tok.startswith("--config="):
                     path = tok.split("=", 1)[1]
-                    _apply_config_defaults(registry[argv[0]], _load_config_file(path), path)
+                    _apply_config_defaults(subparsers[argv[0]], _load_config_file(path), path)
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

@@ -46,6 +46,11 @@ DEFAULT_VG_PARAMS = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
 DEFAULT_NUM_DRAWS = 1000
 DEFAULT_BAND_LEVEL = 0.9
 
+# Default sieve smoothness alpha of the rate and no-overfit diagnostics.  It does
+# not describe the default study: the trig sieve on D' sees any psi with
+# psi(a') != psi(b') with alpha = 1/2.
+DEFAULT_ALPHA_ASSUMED = 2.0
+
 BASE_DELTA = 1e-3
 DELTA_EXPONENT = 5.0 / 3.0
 SAMPLE_FACTOR = 0.05
@@ -179,7 +184,6 @@ def run_regime(
     seed: int = 0,
     band_level: float = DEFAULT_BAND_LEVEL,
     grid_points: int = DEFAULT_GRID_POINTS,
-    max_workers: int | None = None,
 ) -> ExperimentReport:
     """Run one seeded regime end to end; increments are streamed, never stored.
 
@@ -194,7 +198,7 @@ def run_regime(
     basis = BasisSystem.trigonometric(config.D_prime, k_max)
 
     series = simulate_vg(vg_params, scheme, derive_seed(seed, "simulate"), materialize=False)
-    theta_hat = empirical_coefficients(series, basis, max_workers=max_workers)
+    theta_hat = empirical_coefficients(series, basis)
 
     marginal = marginal_k(theta_hat, scheme.t_n, config)
     draws = sample_posterior(
@@ -282,15 +286,14 @@ class NoOverfitRow:
 def no_overfit_diagnostic(
     reports: list[ExperimentReport],
     tau: float = 2.0,
-    alpha_assumed: float = 2.0,
+    alpha_assumed: float = DEFAULT_ALPHA_ASSUMED,
 ) -> list[NoOverfitRow]:
     """Posterior mass on {K > tau * K_n} per regime; should shrink as j grows.
 
     K_n = oracle_dimension(t_n, alpha_assumed), with alpha the sieve
-    smoothness (sum_{k>K} theta_k^2 ~ K^{-2 alpha}).  The default 2.0 does
-    not describe the default study: the trig sieve on D' sees its truth,
-    which differs at a' and b', with alpha = 1/2, and at alpha = 2 the mass
-    above tau * K_n stays near 1 at every horizon.
+    smoothness (sum_{k>K} theta_k^2 ~ K^{-2 alpha}).  At the default
+    alpha = 2 the mass above tau * K_n of the default study stays near 1 at
+    every horizon (see DEFAULT_ALPHA_ASSUMED).
     """
     if not tau > 1.0:
         raise ParameterError(f"tau must exceed 1, got {tau!r}")
@@ -313,12 +316,10 @@ class RateRow:
     ratio: float
 
 
-def rate_table(reports: list[ExperimentReport], alpha_assumed: float = 2.0) -> list[RateRow]:
+def rate_table(reports: list[ExperimentReport], alpha_assumed: float = DEFAULT_ALPHA_ASSUMED) -> list[RateRow]:
     """Posterior-mean error against the theoretical contraction rate eps_n.
 
     alpha_assumed is the sieve smoothness (sum_{k>K} theta_k^2 ~ K^{-2 alpha}).
-    The default 2.0 does not describe the default study: the trig sieve on
-    D' sees any psi with psi(a') != psi(b') with alpha = 1/2.
     """
     if len(reports) < 2:
         raise ParameterError("rate_table needs at least two regimes to compare")
@@ -365,7 +366,7 @@ def write_k_table(path, tables) -> None:
     _write_csv(path, "j,K,prob", ((j, k, p) for j, probs in tables for k, p in enumerate(probs, start=1)))
 
 
-def write_errors_csv(reports: list[ExperimentReport], path, alpha_assumed: float = 2.0) -> None:
+def write_errors_csv(reports: list[ExperimentReport], path, alpha_assumed: float = DEFAULT_ALPHA_ASSUMED) -> None:
     """One row per regime: j, t_n, err_projection, err_postmean, eps_n, ratio."""
     rows = []
     for rep in reports:

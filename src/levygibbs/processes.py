@@ -382,15 +382,10 @@ def _simulate(
     block_fn: Callable[[int], np.ndarray],
     materialize: bool,
 ) -> IncrementSeries:
-    if not materialize:
-        return IncrementSeries(scheme, seed, block_fn=block_fn)
-    if scheme.n > MATERIALIZE_LIMIT:
-        raise ResourceGuardError(
-            f"n={scheme.n} exceeds the materialization limit {MATERIALIZE_LIMIT}; "
-            "pass materialize=False and consume the series in chunks"
-        )
-    streamed = IncrementSeries(scheme, seed, block_fn=block_fn)
-    return IncrementSeries(scheme, seed, values=np.concatenate(list(streamed.iter_chunks())))
+    series = IncrementSeries(scheme, seed, block_fn=block_fn)
+    if materialize:
+        series.values  # generates and caches the blocks, or raises ResourceGuardError
+    return series
 
 
 def simulate_vg(
@@ -487,12 +482,12 @@ def true_density_vg(params: VarianceGammaParams, decaying: bool = False) -> True
 # each ending just after an LF so that no line (nor a CRLF) is split.  A
 # file of several pieces is converted by _pool_map, in worker processes or in
 # this one; either way the bytes written and the values read are the same.
-# Each range is parsed by C-level np.loadtxt calls; a range they refuse is read again here, line by line, in
-# file order and with line numbers carried on from the ranges before it, so
-# each file is accepted or rejected, with the same values and the same error,
-# as by that line loop alone.  A file declaring, or holding, more than
-# MATERIALIZE_LIMIT increments raises ResourceGuardError, and a non-ASCII
-# byte raises InputParseError.
+# Each range is parsed by one C-level np.loadtxt call; a range it refuses is
+# read again here, line by line, in file order and with line numbers carried
+# on from the ranges before it, so each file is accepted or rejected, with the
+# same values and the same error, as by that line loop alone.  A file
+# declaring, or holding, more than MATERIALIZE_LIMIT increments raises
+# ResourceGuardError, and a non-ASCII byte raises InputParseError.
 # ---------------------------------------------------------------------------
 
 # Values per format call of the writer (about 3 MB of text).
@@ -592,11 +587,10 @@ def _read_body(path, spans, first_lineno: int, n: int | None) -> tuple[np.ndarra
     in file order is the one raised.  With a header, values go straight into
     one array of the declared size.
     """
-    rows = BLOCK if n is None else min(max(n, 0) + 1, BLOCK)
     out = None if n is None else np.empty(max(n, 0))
     parts, count, lineno = [], 0, first_lineno
     with _pool_map(len(spans)) as pmap:
-        for span, (values, newlines) in zip(spans, pmap(functools.partial(_parse_range, path, rows), spans)):
+        for span, (values, newlines) in zip(spans, pmap(functools.partial(_parse_range, path), spans)):
             if values is None:
                 values = _parse_lines(path, _text(_range_bytes(path, span)), lineno, MATERIALIZE_LIMIT + 1 - count)
             lineno += newlines
@@ -630,45 +624,33 @@ def _text(data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
 
 
-def _parse_range(path, rows: int, span: tuple[int, int]) -> tuple[np.ndarray | None, int]:
-    """One body range: (its values, or None if the C parser refuses it; its number of line ends)."""
+def _parse_range(path, span: tuple[int, int]) -> tuple[np.ndarray | None, int]:
+    """One body range: (its values, or None if the C parser refuses it; its number of line ends).
+
+    The range is parsed by one np.loadtxt call, which takes a single column
+    of one or more rows only: two tokens on a line (say around a vertical
+    tab, which splits fields here but not in float()) and text the parser
+    finds empty go to the line loop.  So does a range of MATERIALIZE_LIMIT
+    line ends or more (only a body without LF can have that many): the line
+    loop stops after MATERIALIZE_LIMIT + 1 values, where one call would hold
+    them all.
+    """
     data = _range_bytes(path, span)
     newlines = data.count(b"\n")
     if b"\r" in data:
         newlines += data.count(b"\r") - data.count(b"\r\n")
-    return _parse_column(_text(data), rows), newlines
-
-
-def _parse_column(fh, rows: int) -> np.ndarray | None:
-    """Up to MATERIALIZE_LIMIT + 1 values, one per non-blank line, or None if the C parser refuses.
-
-    np.loadtxt reserves memory for max_rows rows up front, so the first call
-    reads at most `rows` rows and each later one at most BLOCK rows.  Only a single column of one or more rows is taken:
-    two tokens on a line (say around a vertical tab, which splits fields here
-    but not in float()) and text the parser finds empty go to the line loop.
-    """
-    lines = itertools.chain.from_iterable(iter(functools.partial(fh.readlines, READ_BATCH), []))
-    chunks, total = [], 0
+    if newlines >= MATERIALIZE_LIMIT:
+        return None, newlines
+    lines = itertools.chain.from_iterable(iter(functools.partial(_text(data).readlines, READ_BATCH), []))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        while total <= MATERIALIZE_LIMIT:
-            want = min(rows, MATERIALIZE_LIMIT + 1 - total)
-            try:
-                arr = np.loadtxt(lines, comments=None, ndmin=2, max_rows=want)
-            except ValueError:
-                return None
-            if arr.shape[0] == 0:
-                break
-            if arr.shape[1] != 1:
-                return None
-            chunks.append(arr.reshape(-1))
-            total += arr.shape[0]
-            if arr.shape[0] < want:
-                break
-            rows = BLOCK
-    if not chunks:
-        return None
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        try:
+            arr = np.loadtxt(lines, comments=None, ndmin=2)
+        except ValueError:
+            return None, newlines
+    if arr.shape[0] == 0 or arr.shape[1] != 1:
+        return None, newlines
+    return arr.reshape(-1), newlines
 
 
 def _parse_lines(path, lines, first_lineno: int, limit: int) -> np.ndarray:

@@ -5,6 +5,7 @@ Covers the file formats, byte-level determinism, config precedence
 0 success, 2 usage/validation, 3 input parse, 4 resource guard.
 """
 
+import inspect
 import json
 import math
 import multiprocessing
@@ -31,14 +32,17 @@ from levygibbs import (
     sample_posterior,
     simulate_vg,
     true_density_vg,
+    validate_config,
 )
 from levygibbs.cli import main
 from levygibbs.estimator import DEFAULT_GRID_POINTS
 from levygibbs.experiment import (
+    DEFAULT_ALPHA_ASSUMED,
     DEFAULT_BAND_LEVEL,
     DEFAULT_NUM_DRAWS,
     DEFAULT_VG_PARAMS,
     RegimeSpec,
+    delta_condition,
     read_coefficients_json,
     write_band_table,
     write_k_table,
@@ -323,6 +327,9 @@ class TestOneOwner:
         c = GibbsConfig()
         hyper = ["--omega", repr(c.omega), "--sigma0", repr(c.sigma0), "--beta", repr(c.beta),
                  "--D", window_flag(c.D)]
+        metric = inspect.signature(credible_band).parameters["metric"].default
+        tau = inspect.signature(validate_config).parameters["tau"].default
+        spacing = inspect.signature(delta_condition).parameters
         inc = simulate_file(tmp_path, delta=0.5, n=1024, seed=3)
         coeffs = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5])
         capsys.readouterr()
@@ -332,9 +339,12 @@ class TestOneOwner:
              ["--window", window_flag(c.D_prime), "--D", window_flag(c.D)]),
             (lambda d: ["posterior", "--coeffs", str(coeffs), "--draws", "100", "--truth", self.TRUTH,
                         "--out-dir", str(d)],
-             hyper),
+             hyper + ["--metric", metric]),
             (lambda d: ["experiment", "--j", "1", "--draws", "50", "--out-dir", str(d)],
-             hyper + ["--D-prime", window_flag(c.D_prime)]),
+             hyper + ["--D-prime", window_flag(c.D_prime), "--alpha", repr(DEFAULT_ALPHA_ASSUMED)]),
+            (lambda d: ["check", "--j", "1"],
+             hyper + ["--D-prime", window_flag(c.D_prime), "--tau", repr(tau),
+                      "--case", spacing["case"].default, "--bound", repr(spacing["bound"].default)]),
         ]
         for i, (argv, explicit) in enumerate(runs):
             results = []
@@ -431,6 +441,43 @@ class TestConfigPrecedence:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = lots\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+    def test_keys_are_flag_names(self, tmp_path):
+        flags = {"process": "cpois", "lambda": "2", "jump": "normal:0.01,0.003", "seed": "4", "n": "300",
+                 "delta": "0.25"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in flags.items()))
+        by_config, by_flags = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert main(["simulate", "--config", str(cfg), "--out", str(by_config)]) == 0
+        argv = [tok for key, value in flags.items() for tok in (f"--{key}", value)]
+        assert main(["simulate", *argv, "--out", str(by_flags)]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
+    def test_regime_key_is_a_list_that_flags_replace(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("j = 1\ndraws = 50\n")
+        outputs = []
+        for argv in (["--config", str(cfg)], ["--j", "1", "--draws", "50"]):
+            d = tmp_path / f"run{len(outputs)}"
+            assert main(["experiment", *argv, "--out-dir", str(d)]) == 0
+            stdout = re.sub(r" runtime_s=\S+", "", capsys.readouterr().out.replace(str(d), "<out>"))
+            outputs.append((stdout, {f.name: f.read_bytes() for f in sorted(d.iterdir())}))
+        assert outputs[0] == outputs[1]
+        d = tmp_path / "replaced"
+        assert main(["experiment", "--config", str(cfg), "--j", "2", "--out-dir", str(d)]) == 0
+        report = json.loads((d / "report.json").read_text())
+        assert [regime["j"] for regime in report["regimes"]] == [2]
+        parser, subparsers = cli.build_parser()
+        cli._apply_config_defaults(subparsers["experiment"], {"j": "1,2"}, cfg)
+        assert parser.parse_args(["experiment"]).j_list == [1, 2]
+        assert parser.parse_args(["experiment", "--j", "3", "--j", "4"]).j_list == [3, 4]
+
+    @pytest.mark.parametrize("command, key", [("simulate", "lam"), ("experiment", "j_list")])
+    def test_dest_names_are_not_keys(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert main([command, "--config", str(cfg)]) == 3
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
 
     def test_missing_equals_is_parse_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -191,6 +191,7 @@ class TestVarianceGamma:
         scheme = SamplingScheme(1e-3, 2 * BLOCK + 777)
         streamed = simulate_vg(STUDY_VG, scheme, seed=5, materialize=False)
         materialized = simulate_vg(STUDY_VG, scheme, seed=5)
+        assert materialized.values.tobytes() == simulate_vg(STUDY_VG, scheme, seed=5, materialize=False).values.tobytes()
         serial = list(streamed.map_blocks(np.sum, max_workers=1))
         assert pooled_io.workers == []  # neither materializing nor one worker starts a pool
         assert list(streamed.map_blocks(np.sum, max_workers=4)) == serial
@@ -480,39 +481,67 @@ class TestIncrementFileEquivalence:
 
     @pytest.mark.parametrize("header", [True, False])
     def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, header):
-        # 64-character readlines() batches and, without a header, 7-row parse
-        # calls cut a 3003-line file (429 * 7) into many pieces.
+        # 64-character readlines() batches feed a 3003-line file to the one parse call in many pieces.
         path = tmp_path / "inc.txt"
         write_increments(path, simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
         monkeypatch.setattr(processes, "READ_BATCH", 64)
-        monkeypatch.setattr(processes, "BLOCK", 7)
         for tail in (b"", b"\n\n0.5\n", b"1_0\n"):  # "1_0": only the line loop accepts it
             path.write_bytes(path.read_bytes() + tail)
             expected = read_outcome(reference_read_increments, path, 1.0)
             assert read_outcome(read_increments, path, 1.0) == expected
 
-    def test_parse_reserves_declared_rows_or_one_block(self, tmp_path, monkeypatch):
-        # np.loadtxt reserves max_rows rows up front, so no call may ask for more.
-        asked = []
+    def test_one_parse_call_per_range_without_max_rows(self, tmp_path, monkeypatch):
+        # np.loadtxt reserves max_rows rows up front; called without it, it reserves nothing ahead.
+        calls = []
         loadtxt = np.loadtxt
 
         def spy(*args, **kwargs):
-            asked.append(kwargs["max_rows"])
+            calls.append(kwargs)
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", spy)
         path = tmp_path / "inc.txt"
         series = simulate_vg(STUDY_VG, SamplingScheme(1e-3, 10), seed=1)
         write_increments(path, series)
-        assert len(read_increments(path)) == 10 and asked == [11]
-        asked.clear()
+        assert len(read_increments(path)) == 10
         write_increments(path, series, header=False)
-        assert len(read_increments(path, delta=1e-3)) == 10 and asked == [BLOCK]
-        asked.clear()
+        assert len(read_increments(path, delta=1e-3)) == 10
         path.write_text("# delta=0.5 n=1 seed=1\n" + "0.5\n" * 10)  # the header undercounts
         with pytest.raises(InputParseError, match="file has 10 increments"):
             read_increments(path)
-        assert asked == [2, BLOCK]
+        assert len(calls) == 3 and not any("max_rows" in kwargs for kwargs in calls)
+
+    @pytest.mark.parametrize(
+        "body, over",
+        [
+            (b"1\r2\r3\r4\r5\r6\r", True),
+            (b"1\r2\r3\r4\r5\rx\r", True),  # the line loop stops at value 5, before the bad line
+            (b"1\r\r2\r3\r4\r\r", False),
+            (b"# delta=0.5 n=4 seed=1\r1\r2\r3\r4\r", False),
+        ],
+    )
+    def test_range_of_limit_line_ends_goes_to_line_loop(self, tmp_path, monkeypatch, body, over):
+        # A body without LF is one range; with MATERIALIZE_LIMIT line ends or more, only the line loop reads it.
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
+        loadtxt_calls, seen = [], []
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loadtxt_calls.append(kwargs))
+        parse_lines = processes._parse_lines
+
+        def spy(*args):
+            seen.append(args)
+            return parse_lines(*args)
+
+        monkeypatch.setattr(processes, "_parse_lines", spy)
+        path = tmp_path / "inc.txt"
+        path.write_bytes(body)
+        if over:
+            with pytest.raises(ResourceGuardError, match="more than 4"):
+                read_increments(path, delta=0.5)
+        else:
+            expected = read_outcome(reference_read_increments, path, 0.5)
+            assert expected[1] == 4
+            assert read_outcome(read_increments, path, 0.5) == expected
+        assert len(seen) == 1 and loadtxt_calls == []
 
     @given(
         lines=st.lists(
@@ -608,7 +637,6 @@ class TestPooledIncrementFiles:
         write_increments(path, simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
         monkeypatch.setattr(processes, "READ_PIECE", 4096)
         monkeypatch.setattr(processes, "READ_BATCH", 64)
-        monkeypatch.setattr(processes, "BLOCK", 7)
         for tail in (b"", b"\n\n0.5\n", b"1_0\n"):
             path.write_bytes(path.read_bytes() + tail)
             pools = pooled_io.pools
