@@ -424,16 +424,20 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, raw: dict, path) 
             if low not in _TRUE | _FALSE:
                 raise InputParseError(f"{path}: key {key}: expected a boolean, got {value!r}")
             dests[action.dest] = low in _TRUE
-        elif action.type is not None:
+        else:
+            convert = action.type or str
             try:
                 if isinstance(action, _AppendOverConfig):
-                    dests[action.dest] = [action.type(tok) for tok in value.split(",")]
+                    items = [convert(tok) for tok in value.split(",")]
                 else:
-                    dests[action.dest] = action.type(value)
+                    items = [convert(value)]
             except (TypeError, ValueError) as exc:
                 raise InputParseError(f"{path}: key {key}: bad value {value!r}") from exc
-        else:
-            dests[action.dest] = value
+            # The command line refuses a value outside a flag's choices; so does the file.
+            if action.choices is not None and any(item not in action.choices for item in items):
+                allowed = ", ".join(map(str, action.choices))
+                raise InputParseError(f"{path}: key {key}: {value!r} is not one of {allowed}")
+            dests[action.dest] = items if isinstance(action, _AppendOverConfig) else items[0]
     if raw:
         raise InputParseError(f"{path}: unknown config key(s): {', '.join(sorted(raw))}")
     subparser.set_defaults(**dests)

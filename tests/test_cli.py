@@ -479,6 +479,23 @@ class TestConfigPrecedence:
         assert main([command, "--config", str(cfg)]) == 3
         assert f"unknown config key(s): {key}" in capsys.readouterr().err
 
+    def test_value_outside_choices_is_parse_error(self, tmp_path, capsys):
+        inc = simulate_file(tmp_path, delta=0.5, n=1024, seed=3)
+        argv = ["estimate", "--increments", str(inc), "--K", "4", "--truth", "vg:0,0.117,0.002"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("truth_convention = Decaying\n")
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 3
+        assert "key truth_convention: 'Decaying' is not one of decaying, printed" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+        for convention in ("decaying", "printed"):
+            cfg.write_text(f"truth_convention = {convention}\n")
+            by_config, by_flag = tmp_path / "a.json", tmp_path / "b.json"
+            assert main([*argv, "--config", str(cfg), "--out", str(by_config)]) == 0
+            from_config = capsys.readouterr().out.replace(str(by_config), "<out>")
+            assert main([*argv, "--truth-convention", convention, "--out", str(by_flag)]) == 0
+            assert capsys.readouterr().out.replace(str(by_flag), "<out>") == from_config
+            assert f", {convention})" in from_config and by_config.read_bytes() == by_flag.read_bytes()
+
     def test_missing_equals_is_parse_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just a line\n")

@@ -15,6 +15,7 @@ Monte Carlo checks use 4-standard-error tolerances with fixed seeds.
 import math
 import multiprocessing
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ from levygibbs import (
     true_density_vg,
     write_increments,
 )
+from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
+
+from conftest import MASTER_SEED, slow_enabled
 
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
 
@@ -56,6 +60,11 @@ def reference_write_increments(path, series, header=True):
         for chunk in series.iter_chunks():
             fh.write("\n".join(f"{v:.17g}" for v in chunk))
             fh.write("\n")
+
+
+def reference_lines(values):
+    """The oracle's per-value f-string over an array: the bytes _format_piece must return."""
+    return "".join(f"{v:.17g}\n" for v in np.asarray(values, dtype=float).tolist()).encode("ascii")
 
 
 def reference_read_increments(path, delta=None):
@@ -418,6 +427,17 @@ SPECIAL_VALUES = [
     9.999999999999999e16, 1e16, 1e17, 1e-4, 1e-5, 0.1, -0.1,
 ]
 
+# Cases of the format kernel, each also negated: exact 17-digit ties (half to even), a
+# carry to the next power of ten (1e-14 is below 10**-14), the 'g' layout thresholds
+# and their neighbours, zeros, subnormals, the largest double, and the values '%' formats.
+KERNEL_EDGES = [
+    1234567890123456.25, 1234567890123456.75, 0.5, 1e-14, 1e98,
+    1e-4, 9.9999999999999991e-05, 1e-5, 9.9999999999999991e-06, 1e16, 9.9999999999999984e15,
+    1e17, 9.9999999999999984e16, 12000.0, 0.00012, 0.0, 5e-324, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan,
+]
+KERNEL_EDGES += [-v for v in KERNEL_EDGES]
+
 # Files the reader must accept or refuse exactly as the per-line float() loop does.
 READER_CASES = {
     "crlf": b"# delta=0.5 n=3 seed=1\r\n0.1\r\n-2\r\n3e-5\r\n",
@@ -459,9 +479,11 @@ class TestIncrementFileEquivalence:
     def test_writer_bytes(self, tmp_path, monkeypatch, header):
         vg = simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 5000), seed=7)
         special = values_series(SPECIAL_VALUES, seed=3)
+        edges = values_series(KERNEL_EDGES, seed=None)
         monkeypatch.setattr(processes, "BLOCK", 5)  # 12 values: blocks of 5, 5 and 2
+        monkeypatch.setattr(processes, "FORMAT_SLICE", 2)  # kernel passes of 2 values within a piece
         assert [len(c) for c in special.iter_chunks()] == [5, 5, 2]
-        for series in (vg, special):
+        for series in (vg, special, edges):
             new, old = tmp_path / "new.txt", tmp_path / "old.txt"
             write_increments(new, series, header=header)
             reference_write_increments(old, series, header=header)
@@ -558,6 +580,65 @@ class TestIncrementFileEquivalence:
         assert read_outcome(read_increments, path, 1.0) == read_outcome(reference_read_increments, path, 1.0)
 
 
+class TestFormatKernel:
+    """_format_piece, a numpy kernel with '%' for the values it cannot decide, against the f-string oracle."""
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bit_patterns(self, bits):
+        # Any 64-bit pattern: subnormals, nan payloads and infinities included.
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert processes._format_piece(values) == reference_lines(values)
+
+    def test_random_bit_patterns_across_passes(self):
+        values = np.random.default_rng(11).integers(0, 2**64, 5 * processes.FORMAT_SLICE // 2, dtype=np.uint64)
+        values = values.view(np.float64)
+        assert processes._format_piece(values) == reference_lines(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values])
+        assert processes._format_piece(values) == reference_lines(values)
+
+    def test_rounding_carries_to_a_power_of_ten(self):
+        # Doubles below 10**k whose 17-digit rounding is 10**k: the kernel's integer reaches 10**17.
+        carried = []
+        for k in range(-323, 309):
+            d = float(f"1e{k}")
+            if Fraction(d) < Fraction(10) ** k == Fraction(f"{d:.17g}"):
+                carried.append(d)
+        assert len(carried) >= 10 and 1e-14 in carried and 1e98 in carried
+        values = np.array(carried + [-d for d in carried])
+        text = processes._format_piece(values)
+        assert text == reference_lines(values)
+        assert b"\n1e-14\n" in text and b"\n1e+98\n" in text
+
+    def test_ties_zeros_and_extremes(self):
+        values = np.array(KERNEL_EDGES)
+        text = processes._format_piece(values)
+        assert text == reference_lines(values)
+        assert text.startswith(b"1234567890123456.2\n1234567890123456.8\n0.5\n")
+        lines, zero = text.split(b"\n"), KERNEL_EDGES.index(0.0)
+        assert (lines[zero], lines[len(KERNEL_EDGES) // 2 + zero]) == (b"0", b"-0")
+
+    def test_decimal_exponent_tables_are_exact(self):
+        bumps, ks = processes._decimal_scales()[:2]
+        for i, e in enumerate(range(processes._E_MIN, processes._E_MAX + 1)):
+            k0 = int(ks[2 * i])
+            assert Fraction(10) ** k0 <= Fraction(2) ** (e - 1) < Fraction(10) ** (k0 + 1)
+            threshold = math.ldexp(bumps[i], e)  # the least double >= 10**(k0 + 1)
+            assert Fraction(math.nextafter(threshold, 0)) < Fraction(10) ** (k0 + 1) <= Fraction(threshold)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not slow_enabled(), reason="formats 5.12M values twice; set LEVY_GIBBS_RUN_SLOW=1")
+    def test_study_stream_j2(self):
+        spec = RegimeSpec.from_j(2)
+        scheme = SamplingScheme(spec.delta, spec.n)
+        for chunk in simulate_vg(DEFAULT_VG_PARAMS, scheme, seed=MASTER_SEED, materialize=False).iter_chunks():
+            assert processes._format_piece(chunk) == reference_lines(chunk)
+
+
 class TestReaderGuards:
     def test_header_above_limit_refused_before_parsing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
@@ -567,10 +648,8 @@ class TestReaderGuards:
             read_increments(path)
 
     @pytest.mark.parametrize("first", [b"1", b"1_0"])  # C-level parse, then the line loop
-    @pytest.mark.parametrize("block", [BLOCK, 3])
-    def test_headerless_body_above_limit_refused(self, tmp_path, monkeypatch, first, block):
+    def test_headerless_body_above_limit_refused(self, tmp_path, monkeypatch, first):
         monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
-        monkeypatch.setattr(processes, "BLOCK", block)
         path = tmp_path / "inc.txt"
         path.write_bytes(first + b"\n\n2\n\n3\n\n4\n\n")  # blank lines do not count
         assert len(read_increments(path, delta=0.5)) == 4
@@ -602,9 +681,10 @@ class TestPooledIncrementFiles:
     def test_writer_bytes(self, tmp_path, monkeypatch, pooled_io, header):
         vg = simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 200), seed=7)
         special = values_series(SPECIAL_VALUES, seed=3)
+        edges = values_series(KERNEL_EDGES, seed=None)
         # Blocks of 5 in pieces of 3: pieces of 3, 2, 3, 2 and 2 values for the 12 specials.
         monkeypatch.setattr(processes, "BLOCK", 5)
-        for series in (vg, special):
+        for series in (vg, special, edges):
             pooled, one, old = tmp_path / "pooled.txt", tmp_path / "one.txt", tmp_path / "old.txt"
             pools = pooled_io.pools
             write_increments(pooled, series, header=header)
