@@ -78,9 +78,7 @@ from .processes import (
     TrueLevyDensity,
     VarianceGammaParams,
     read_increments,
-    simulate_compound_poisson,
-    simulate_vg,
-    true_density_vg,
+    simulate,
     write_increments,
 )
 from .util import derive_seed, snap_ceil

@@ -54,13 +54,12 @@ from .posterior import (
 from .processes import (
     CompoundPoissonParams,
     JumpDistribution,
+    ProcessModel,
     SamplingScheme,
     TrueLevyDensity,
     VarianceGammaParams,
     read_increments,
-    simulate_compound_poisson,
-    simulate_vg,
-    true_density_vg,
+    simulate,
     write_increments,
 )
 from .util import fmt_float, open_ascii, snap_ceil
@@ -85,7 +84,15 @@ def _truth_from_args(args: argparse.Namespace) -> TrueLevyDensity | None:
         mu, sigma, nu = (float(tok) for tok in rest.split(","))
     except ValueError as exc:
         raise ParameterError(f"expected 'vg:mu,sigma,nu', got {args.truth!r}") from exc
-    return true_density_vg(VarianceGammaParams(mu, sigma, nu), decaying=args.truth_convention == "decaying")
+    return VarianceGammaParams(mu, sigma, nu).levy_density(decaying=args.truth_convention == "decaying")
+
+
+def _model_from_args(args: argparse.Namespace) -> ProcessModel:
+    """The process of the model flags: --lambda/--jump under --process cpois, else --mu/--sigma/--nu."""
+    if getattr(args, "process", "vg") == "cpois":
+        _require(args, "lam", "jump")
+        return CompoundPoissonParams(args.lam, JumpDistribution.parse(args.jump))
+    return VarianceGammaParams(args.mu, args.sigma, args.nu)
 
 
 def _config_from_args(args: argparse.Namespace, **fixed) -> GibbsConfig:
@@ -123,15 +130,7 @@ def _scheme_from_args(args: argparse.Namespace) -> SamplingScheme:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "out")
     scheme = _scheme_from_args(args)
-    if args.process == "vg":
-        params = VarianceGammaParams(args.mu, args.sigma, args.nu)
-        series = simulate_vg(params, scheme, args.seed, materialize=False)
-    elif args.process == "cpois":
-        _require(args, "lam", "jump")
-        params = CompoundPoissonParams(args.lam, JumpDistribution.parse(args.jump))
-        series = simulate_compound_poisson(params, scheme, args.seed, materialize=False)
-    else:
-        raise ParameterError(f"unknown process {args.process!r}; expected vg or cpois")
+    series = simulate(_model_from_args(args), scheme, args.seed, materialize=False)
     write_increments(args.out, series, header=not args.no_header)
     print(
         f"simulate: wrote n={scheme.n} increments "
@@ -145,10 +144,8 @@ def _basis_from_args(args: argparse.Namespace, t_n: float) -> BasisSystem:
     if args.family == "trig":
         K = args.K if args.K is not None else snap_ceil(t_n)
         return BasisSystem.trigonometric(window, K)
-    if args.family == "legendre":
-        _require(args, "J", "L")
-        return BasisSystem.piecewise_legendre(window, args.J, args.L)
-    raise ParameterError(f"unknown family {args.family!r}; expected trig or legendre")
+    _require(args, "J", "L")
+    return BasisSystem.piecewise_legendre(window, args.J, args.L)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -212,12 +209,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = functools.partial(os.path.join, args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
+    model = _model_from_args(args)
     reports = []
     for j in args.j_list:
         spec = RegimeSpec.from_j(j)
         report = run_regime(
             spec,
-            vg_params=VarianceGammaParams(args.mu, args.sigma, args.nu),
+            model=model,
             config=config,
             seed=args.seed,
             **_given(args, num_draws="draws", band_level="level", grid_points="grid_points"),
@@ -246,7 +244,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     basis = _basis_from_args(args, scheme.t_n)
     diag = delta_condition(basis.features(), scheme, **_given(args, case="case", bound="bound"))
     config = _config_from_args(args)
-    psi = true_density_vg(VarianceGammaParams(args.mu, args.sigma, args.nu), decaying=True)
+    psi = _model_from_args(args).levy_density()
     grid = config.D.grid(args.grid_points if args.grid_points is not None else DEFAULT_GRID_POINTS)
     beta_diag = validate_config(config, float(np.max(psi(grid))), **_given(args, tau="tau"))
 

@@ -3,10 +3,12 @@
 A regime is indexed by j: spacing delta = 1e-3 * 2^{-3j} and sample size
 n = ceil(0.05 * delta^{-5/3}), so the horizon t_n = n * delta grows as j
 does while the spacing shrinks fast enough for the small-time increment
-approximation to hold.  The default process/hyperparameters reproduce the
-variance gamma study: (mu, sigma, nu) = (0, 3.7e-1.5, 2e-3),
-(omega, sigma0, beta) = (1e-5, 1e3, 0.5), windows D = [0.006, 0.014] inside
-D' = [0.005, 0.015], trig basis of size k_max = ceil(t_n).
+approximation to hold.  A regime runs on any process model of `processes`
+(its increments from simulate, its truth from levy_density).  The default
+process/hyperparameters reproduce the variance gamma study:
+(mu, sigma, nu) = (0, 3.7e-1.5, 2e-3), (omega, sigma0, beta) = (1e-5, 1e3, 0.5),
+windows D = [0.006, 0.014] inside D' = [0.005, 0.015], trig basis of size
+k_max = ceil(t_n).
 
 All randomness flows from one master seed through named child seeds, so a
 regime run is a pure function of (j, seed, hyperparameters).  Large regimes
@@ -36,7 +38,7 @@ from .posterior import (
     posterior_mean_function,
     sample_posterior,
 )
-from .processes import SamplingScheme, VarianceGammaParams, simulate_vg, true_density_vg
+from .processes import ProcessModel, SamplingScheme, VarianceGammaParams, simulate
 from .util import derive_seed, fmt_float, open_ascii, snap_ceil
 
 # Default study process parameters.
@@ -130,7 +132,8 @@ def delta_condition(
 class ExperimentReport:
     """Everything a single seeded regime run produced.
 
-    Errors are L2(D) distances to the decaying-tail true density: the
+    Errors are L2(D) distances to the model's true Levy density
+    (model.levy_density(), the decaying-tail form for variance gamma): the
     projection estimator truncated at the posterior mode of K, and the
     posterior mean function.  Grid arrays back the band CSV.
     """
@@ -178,14 +181,16 @@ def _config_echo(config: GibbsConfig, k_max: int, num_draws: int) -> dict:
 
 def run_regime(
     spec: RegimeSpec,
-    vg_params: VarianceGammaParams = DEFAULT_VG_PARAMS,
+    model: ProcessModel = DEFAULT_VG_PARAMS,
     config: GibbsConfig | None = None,
     num_draws: int = DEFAULT_NUM_DRAWS,
     seed: int = 0,
     band_level: float = DEFAULT_BAND_LEVEL,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> ExperimentReport:
-    """Run one seeded regime end to end; increments are streamed, never stored.
+    """Run one seeded regime of a process model end to end; increments are streamed, never stored.
+
+    The truth the errors and psi_true are measured against is model.levy_density().
 
     Child seeds are derive_seed(seed, "simulate") and derive_seed(seed,
     "draws"), so each stage can be reproduced standalone from the master seed.
@@ -197,7 +202,7 @@ def run_regime(
     k_max = config.k_max_for(scheme.t_n)
     basis = BasisSystem.trigonometric(config.D_prime, k_max)
 
-    series = simulate_vg(vg_params, scheme, derive_seed(seed, "simulate"), materialize=False)
+    series = simulate(model, scheme, derive_seed(seed, "simulate"), materialize=False)
     theta_hat = empirical_coefficients(series, basis)
 
     marginal = marginal_k(theta_hat, scheme.t_n, config)
@@ -211,7 +216,7 @@ def run_regime(
         grid_points=grid_points,
     )
 
-    psi_star = true_density_vg(vg_params, decaying=True)
+    psi_star = model.levy_density()
     psi_true = np.asarray(psi_star(draws.grid), dtype=float)
     psi_mean = posterior_mean_function(draws)
     err_postmean = float(np.sqrt(np.trapezoid((psi_mean - psi_true) ** 2, draws.grid)))

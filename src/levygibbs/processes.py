@@ -11,6 +11,12 @@ Y_i = X_{i*delta} - X_{(i-1)*delta}.  Two process families are provided:
 * compound Poisson: Poisson(rate*delta) jump counts per increment with iid
   jump sizes from a configurable distribution.
 
+Each family is one model class (VarianceGammaParams, CompoundPoissonParams)
+with one interface: model.block(scheme, seed, b) draws increment block b,
+simulate(model, scheme, seed) serves those blocks as a series, and
+model.levy_density() is the true Levy density.  Callers hold a model and
+need not know its family.
+
 Generation is counter based: increment block b (a fixed span of 2**20
 indices) is produced by a Philox generator keyed on (seed, b).  The stream
 is therefore reproducible increment-by-increment, independent of how many
@@ -85,6 +91,33 @@ class SamplingScheme:
 
 
 @dataclass(frozen=True)
+class TrueLevyDensity:
+    """Evaluatable true Levy density psi(x), defined for x != 0.
+
+    Instances are callable and vectorized.  `family` tags the construction
+    ("variance-gamma", "compound-poisson", "custom"); `params` echoes the
+    generating parameters.
+    """
+
+    family: str
+    params: dict
+    _eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+
+    def __call__(self, x) -> np.ndarray | float:
+        arr = np.asarray(x, dtype=float)
+        if np.any(arr == 0.0):
+            raise DomainError("Levy density is not defined at x = 0")
+        out = self._eval(arr)
+        if arr.ndim == 0:
+            return float(out)
+        return out
+
+    @classmethod
+    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], params: dict | None = None) -> "TrueLevyDensity":
+        return cls("custom", dict(params or {}), fn)
+
+
+@dataclass(frozen=True)
 class VarianceGammaParams:
     """Variance gamma parameters: drift mu, volatility sigma >= 0, gamma variance rate nu > 0."""
 
@@ -100,6 +133,40 @@ class VarianceGammaParams:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma!r}")
         if self.nu <= 0.0:
             raise ParameterError(f"nu must be > 0, got {self.nu!r}")
+
+    def block(self, scheme: SamplingScheme, seed: int, b: int) -> np.ndarray:
+        """Increment block b of the series, drawn from the subordinated representation."""
+        rng, m = _block_rng(seed, b), _block_size(scheme, b)
+        # Exact subordinated draw; numpy's gamma sampler is valid for shape < 1,
+        # which is the relevant regime (shape = delta/nu is tiny at high frequency).
+        u = rng.gamma(scheme.delta / self.nu, self.nu, size=m)
+        z = rng.standard_normal(m)
+        return self.mu * u + self.sigma * np.sqrt(u) * z
+
+    def levy_density(self, decaying: bool = True) -> TrueLevyDensity:
+        """Levy density with exponent scales eta+/- from (mu, sigma, nu).
+
+        The two-sided form is nu^{-1} |x|^{-1} exp(-x/eta+) for x > 0 and
+        nu^{-1} |x|^{-1} exp(x/eta-) for x < 0, with
+        eta+- = sqrt(mu^2 nu^2 / 4 + sigma^2 nu / 2) +- mu nu / 2, so both tails
+        decay away from the origin (the density of the simulated process).
+        decaying=False evaluates the form as printed, whose positive branch
+        carries exp(+x/eta+) and grows in x.
+        """
+        root = math.sqrt(self.mu**2 * self.nu**2 / 4.0 + self.sigma**2 * self.nu / 2.0)
+        eta_pos = root + self.mu * self.nu / 2.0
+        eta_neg = root - self.mu * self.nu / 2.0
+        if eta_pos <= 0.0 or eta_neg <= 0.0:
+            raise ParameterError(f"exponent scales must be positive, got eta+={eta_pos!r}, eta-={eta_neg!r}")
+        inv_nu = 1.0 / self.nu
+        pos_sign = -1.0 if decaying else 1.0
+
+        def evaluate(x: np.ndarray) -> np.ndarray:
+            expo = np.where(x > 0.0, pos_sign * x / eta_pos, x / eta_neg)
+            return inv_nu / np.abs(x) * np.exp(expo)
+
+        meta = dict(mu=self.mu, sigma=self.sigma, nu=self.nu, eta_pos=eta_pos, eta_neg=eta_neg, decaying=decaying)
+        return TrueLevyDensity("variance-gamma", meta, evaluate)
 
 
 @dataclass(frozen=True)
@@ -191,6 +258,42 @@ class CompoundPoissonParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ParameterError(f"rate must be positive and finite, got {self.rate!r}")
+
+    def block(self, scheme: SamplingScheme, seed: int, b: int) -> np.ndarray:
+        """Increment block b of the series: Poisson jump counts, then the sum of each increment's jumps."""
+        rng, m = _block_rng(seed, b), _block_size(scheme, b)
+        counts = rng.poisson(self.rate * scheme.delta, size=m)
+        if self.jumps.kind == "point":
+            # Summing k copies of c is exactly k*c here; keeps increments exact multiples.
+            return counts * self.jumps.params[0]
+        total = int(counts.sum())
+        if total == 0:
+            return np.zeros(m)
+        sizes = self.jumps.sample(rng, total)
+        owners = np.repeat(np.arange(m), counts)
+        return np.bincount(owners, weights=sizes, minlength=m)
+
+    def levy_density(self) -> TrueLevyDensity:
+        """rate * f, with f the density of the jump size; point jumps and a normal with sd 0 have none."""
+        kind, p = self.jumps.kind, self.jumps.params
+        if kind == "point" or (kind == "normal" and p[1] == 0.0):
+            raise ParameterError(f"jumps {self.jumps.spec()} have no density, so the process has no Levy density")
+        rate = self.rate
+        if kind == "normal":
+            def evaluate(x: np.ndarray) -> np.ndarray:
+                z = (x - p[0]) / p[1]
+                return rate * np.exp(-0.5 * z * z) / (p[1] * math.sqrt(2.0 * math.pi))
+        elif kind == "uniform":
+            def evaluate(x: np.ndarray) -> np.ndarray:
+                return np.where((p[0] <= x) & (x <= p[1]), rate / (p[1] - p[0]), 0.0)
+        else:
+            def evaluate(x: np.ndarray) -> np.ndarray:
+                return np.where(x > 0.0, rate * np.exp(-x / p[0]) / p[0], 0.0)
+        return TrueLevyDensity("compound-poisson", {"rate": rate, "jumps": self.jumps.spec()}, evaluate)
+
+
+# A process model: what simulate draws from and what a regime study runs on.
+ProcessModel = VarianceGammaParams | CompoundPoissonParams
 
 
 class IncrementSeries:
@@ -315,12 +418,12 @@ def _pool_map(cap: int, job: tuple | None = None):
 
 
 def _bounded_map(pool, bound: int, fn, items) -> Iterator:
-    """fn over items in pool, results in item order, with at most `bound` submitted and not yet yielded."""
+    """fn over items in pool, results in item order; an item is submitted once taken, and at most `bound` are not yet yielded."""
     pending = collections.deque()
     for item in items:
+        pending.append(pool.submit(fn, item))
         if len(pending) == bound:
             yield pending.popleft().result()
-        pending.append(pool.submit(fn, item))
     while pending:
         yield pending.popleft().result()
 
@@ -345,133 +448,25 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _block_bounds(scheme: SamplingScheme, block: int) -> tuple[int, int]:
-    lo = block * BLOCK
-    return lo, min(scheme.n, lo + BLOCK)
+def _block_size(scheme: SamplingScheme, block: int) -> int:
+    """The number of increments in block b: BLOCK, or fewer in the last block."""
+    return min(scheme.n - block * BLOCK, BLOCK)
 
 
-def _vg_block(params: VarianceGammaParams, scheme: SamplingScheme, seed: int, block: int) -> np.ndarray:
-    lo, hi = _block_bounds(scheme, block)
-    rng = _block_rng(seed, block)
-    # Exact subordinated draw; numpy's gamma sampler is valid for shape < 1,
-    # which is the relevant regime (shape = delta/nu is tiny at high frequency).
-    u = rng.gamma(scheme.delta / params.nu, params.nu, size=hi - lo)
-    z = rng.standard_normal(hi - lo)
-    return params.mu * u + params.sigma * np.sqrt(u) * z
+def simulate(model: ProcessModel, scheme: SamplingScheme, seed: int, materialize: bool = True) -> IncrementSeries:
+    """Simulate the increments of a process model under the given scheme.
 
-
-def _cp_block(params: CompoundPoissonParams, scheme: SamplingScheme, seed: int, block: int) -> np.ndarray:
-    lo, hi = _block_bounds(scheme, block)
-    m = hi - lo
-    rng = _block_rng(seed, block)
-    counts = rng.poisson(params.rate * scheme.delta, size=m)
-    if params.jumps.kind == "point":
-        # Summing k copies of c is exactly k*c here; keeps increments exact multiples.
-        return counts * params.jumps.params[0]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(m)
-    sizes = params.jumps.sample(rng, total)
-    owners = np.repeat(np.arange(m), counts)
-    return np.bincount(owners, weights=sizes, minlength=m)
-
-
-def _simulate(
-    scheme: SamplingScheme,
-    seed: int,
-    block_fn: Callable[[int], np.ndarray],
-    materialize: bool,
-) -> IncrementSeries:
-    series = IncrementSeries(scheme, seed, block_fn=block_fn)
+    With materialize=False the returned series generates blocks lazily and
+    can be iterated repeatedly; the values are identical either way.
+    """
+    series = IncrementSeries(scheme, seed, block_fn=functools.partial(model.block, scheme, seed))
     if materialize:
         series.values  # generates and caches the blocks, or raises ResourceGuardError
     return series
 
 
-def simulate_vg(
-    params: VarianceGammaParams,
-    scheme: SamplingScheme,
-    seed: int,
-    materialize: bool = True,
-) -> IncrementSeries:
-    """Simulate variance gamma increments under the given scheme.
-
-    With materialize=False the returned series generates blocks lazily and
-    can be iterated repeatedly; the values are identical either way.
-    """
-    return _simulate(scheme, seed, lambda b: _vg_block(params, scheme, seed, b), materialize)
-
-
-def simulate_compound_poisson(
-    params: CompoundPoissonParams,
-    scheme: SamplingScheme,
-    seed: int,
-    materialize: bool = True,
-) -> IncrementSeries:
-    """Simulate compound Poisson increments under the given scheme."""
-    return _simulate(scheme, seed, lambda b: _cp_block(params, scheme, seed, b), materialize)
-
-
-@dataclass(frozen=True)
-class TrueLevyDensity:
-    """Evaluatable true Levy density psi(x), defined for x != 0.
-
-    Instances are callable and vectorized.  `family` tags the construction
-    ("variance-gamma", "custom"); `params` echoes the generating parameters.
-    """
-
-    family: str
-    params: dict
-    _eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-
-    def __call__(self, x) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr == 0.0):
-            raise DomainError("Levy density is not defined at x = 0")
-        out = self._eval(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
-
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], params: dict | None = None) -> "TrueLevyDensity":
-        return cls("custom", dict(params or {}), fn)
-
-
-def true_density_vg(params: VarianceGammaParams, decaying: bool = False) -> TrueLevyDensity:
-    """Variance gamma Levy density with exponent scales eta+/- from (mu, sigma, nu).
-
-    The two-sided form is nu^{-1} |x|^{-1} exp(x/eta+) for x > 0 and
-    nu^{-1} |x|^{-1} exp(x/eta-) for x < 0, with
-    eta+- = sqrt(mu^2 nu^2 / 4 + sigma^2 nu / 2) +- mu nu / 2.  As written the
-    positive branch grows in x; decaying=True flips that branch's exponent so
-    both tails decay away from the origin (the convention under which the
-    density of the simulated process is integrable on windows to the right
-    of 0).  The default evaluates the form exactly as written.
-    """
-    root = math.sqrt(params.mu**2 * params.nu**2 / 4.0 + params.sigma**2 * params.nu / 2.0)
-    eta_pos = root + params.mu * params.nu / 2.0
-    eta_neg = root - params.mu * params.nu / 2.0
-    if eta_pos <= 0.0 or eta_neg <= 0.0:
-        raise ParameterError(
-            f"exponent scales must be positive, got eta+={eta_pos!r}, eta-={eta_neg!r}"
-        )
-    inv_nu = 1.0 / params.nu
-    pos_sign = -1.0 if decaying else 1.0
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        expo = np.where(x > 0.0, pos_sign * x / eta_pos, x / eta_neg)
-        return inv_nu / np.abs(x) * np.exp(expo)
-
-    meta = {
-        "mu": params.mu,
-        "sigma": params.sigma,
-        "nu": params.nu,
-        "eta_pos": eta_pos,
-        "eta_neg": eta_neg,
-        "decaying": decaying,
-    }
-    return TrueLevyDensity("variance-gamma", meta, evaluate)
+# Plain aliases: the benchmark workloads in perfbench/ call simulate by these names.
+simulate_vg = simulate_compound_poisson = simulate
 
 
 # ---------------------------------------------------------------------------

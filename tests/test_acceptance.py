@@ -24,8 +24,7 @@ from levygibbs import (
     project_density,
     rate_table,
     sample_posterior,
-    simulate_vg,
-    true_density_vg,
+    simulate,
 )
 from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
 from levygibbs.processes import VarianceGammaParams
@@ -103,7 +102,7 @@ def test_criterion_05_vg_increment_moments(capsys):
     start = time.monotonic()
     params = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
     scheme = SamplingScheme(1e-3, 1_000_000)
-    y = simulate_vg(params, scheme, MASTER_SEED).values
+    y = simulate(params, scheme, MASTER_SEED).values
     var_true = params.sigma**2 * scheme.delta
     # mu = 0: fourth moment is 3 sigma^4 E[U^2] with U ~ Gamma(delta/nu, nu)
     mu4 = 3.0 * params.sigma**4 * (scheme.delta * params.nu + scheme.delta**2)
@@ -157,7 +156,7 @@ def test_criterion_07_no_overfit_mass(capsys, regime_reports):
     # k * |theta_k| -> sqrt(2L)/pi * |psi(a') - psi(b')|; then
     # sum_{k>K} theta_k^2 ~ K^{-1}, i.e. alpha = 1/2.
     window = GibbsConfig().D_prime
-    psi = true_density_vg(DEFAULT_VG_PARAMS, decaying=True)
+    psi = DEFAULT_VG_PARAMS.levy_density()
     theta = project_density(BasisSystem.trigonometric(window, 80), psi).values
     psi_a, psi_b = psi(np.array([window.a, window.b]))
     edge = math.sqrt(2.0 * window.length) / math.pi * abs(psi_a - psi_b)
@@ -184,7 +183,7 @@ def test_criterion_07_no_overfit_mass(capsys, regime_reports):
 def test_criterion_08_marginal_normalization_no_warnings(capsys):
     config = GibbsConfig()
     basis = BasisSystem.trigonometric(config.D_prime, 320)
-    psi = true_density_vg(DEFAULT_VG_PARAMS, decaying=True)
+    psi = DEFAULT_VG_PARAMS.levy_density()
     theta_hat = project_density(basis, psi)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -206,7 +205,7 @@ def test_criterion_09_draw_frequencies_match_pmf(capsys):
     start = time.monotonic()
     config = GibbsConfig()
     basis = BasisSystem.trigonometric(config.D_prime, 320)
-    psi = true_density_vg(DEFAULT_VG_PARAMS, decaying=True)
+    psi = DEFAULT_VG_PARAMS.levy_density()
     theta_hat = project_density(basis, psi)
     marg = marginal_k(theta_hat, 320.0, config)
     num = 100_000

@@ -25,7 +25,6 @@ from levygibbs import (
     project_density,
     quadrature_rule,
     synthesize,
-    true_density_vg,
 )
 from levygibbs.basis import MAX_LEGENDRE_J, MAX_LEGENDRE_L, MAX_TRIG_K
 
@@ -252,7 +251,7 @@ class TestProjection:
 
     def test_vg_coefficients_match_simpson(self):
         basis = BasisSystem.trigonometric(D_PRIME, 8)
-        psi = true_density_vg(STUDY_VG, decaying=True)
+        psi = STUDY_VG.levy_density()
         theta = project_density(basis, psi)
         x = np.linspace(D_PRIME.a, D_PRIME.b, 100_001)
         fx = basis.evaluate_all(x) * psi(x)
@@ -260,7 +259,7 @@ class TestProjection:
         np.testing.assert_allclose(theta.values, oracle, atol=1e-8)
 
     def test_nested_prefix_exact(self):
-        psi = true_density_vg(STUDY_VG, decaying=True)
+        psi = STUDY_VG.levy_density()
         theta8 = project_density(BasisSystem.trigonometric(D_PRIME, 8), psi)
         theta16 = project_density(BasisSystem.trigonometric(D_PRIME, 16), psi)
         assert np.array_equal(theta16.values[:8], theta8.values)

@@ -30,8 +30,7 @@ from levygibbs import (
     marginal_k,
     read_increments,
     sample_posterior,
-    simulate_vg,
-    true_density_vg,
+    simulate,
     validate_config,
 )
 from levygibbs.cli import main
@@ -63,7 +62,7 @@ class TestSimulate:
     def test_vg_file_round_trips_bitwise(self, tmp_path):
         path = simulate_file(tmp_path, delta=0.001, n=4096, seed=3)
         series = read_increments(path)
-        direct = simulate_vg(DEFAULT_VG_PARAMS, SamplingScheme(0.001, 4096), 3)
+        direct = simulate(DEFAULT_VG_PARAMS, SamplingScheme(0.001, 4096), 3)
         assert series.scheme.delta == 0.001 and series.scheme.n == 4096
         assert np.array_equal(series.values, direct.values)
 
@@ -308,7 +307,7 @@ class TestOneOwner:
         marginal = marginal_k(theta_hat, 20.0, config)
         draws = sample_posterior(theta_hat, 20.0, config, 300, 4, marginal=marginal)
         band = credible_band(draws, 0.9)
-        psi_true = true_density_vg(VarianceGammaParams(0.0, 0.117, 0.002), decaying=True)(draws.grid)
+        psi_true = VarianceGammaParams(0.0, 0.117, 0.002).levy_density()(draws.grid)
         write_band_table(tmp_path / "band.csv", draws.grid, psi_true, band.center, band.lo, band.hi)
         write_k_table(tmp_path / "k_posterior.csv", [(2, marginal.probs)])
         for name in ("band.csv", "k_posterior.csv"):
@@ -495,6 +494,16 @@ class TestConfigPrecedence:
             assert main([*argv, "--truth-convention", convention, "--out", str(by_flag)]) == 0
             assert capsys.readouterr().out.replace(str(by_flag), "<out>") == from_config
             assert f", {convention})" in from_config and by_config.read_bytes() == by_flag.read_bytes()
+        # The family and the process have no fallback past these refusals: exit 2 for a flag, 3 for a key.
+        estimate_argv = ["estimate", "--increments", str(inc), "--out", str(tmp_path / "y")]
+        simulate_argv = ["simulate", "--delta", "0.5", "--n", "8", "--out", str(tmp_path / "y")]
+        for argv, key in ((estimate_argv, "family"), (simulate_argv, "process")):
+            assert main([*argv, f"--{key}", "fancy"]) == 2
+            assert "invalid choice: 'fancy'" in capsys.readouterr().err
+            cfg.write_text(f"{key} = fancy\n")
+            assert main([*argv, "--config", str(cfg)]) == 3
+            assert f"key {key}: 'fancy' is not one of" in capsys.readouterr().err
+            assert not (tmp_path / "y").exists()
 
     def test_missing_equals_is_parse_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -517,7 +526,7 @@ class TestPooledFiles:
         assert pooled_io.pools == 2 and multiprocessing.active_children() == []
         basis = BasisSystem.trigonometric(Window(0.005, 0.015), 8)
         loaded = read_coefficients_json(out)
-        direct = empirical_coefficients(simulate_vg(DEFAULT_VG_PARAMS, SamplingScheme(0.5, 64), 3), basis)
+        direct = empirical_coefficients(simulate(DEFAULT_VG_PARAMS, SamplingScheme(0.5, 64), 3), basis)
         assert np.array_equal(loaded.values, direct.values)
         lines = inc.read_bytes().splitlines(keepends=True)
         inc.write_bytes(b"".join(lines[:50] + [b"oops\n"] + lines[50:]))

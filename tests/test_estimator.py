@@ -23,9 +23,8 @@ from levygibbs import (
     l2_error_on_D,
     project_density,
     quadrature_rule,
-    simulate_vg,
+    simulate,
     synthesize,
-    true_density_vg,
 )
 
 D = Window(0.006, 0.014)
@@ -69,8 +68,8 @@ class TestEmpiricalCoefficients:
     def test_streamed_equals_materialized_bitwise(self):
         basis = BasisSystem.trigonometric(D_PRIME, 12)
         scheme = SamplingScheme(1e-3, 300_000)
-        streamed = simulate_vg(STUDY_VG, scheme, seed=6, materialize=False)
-        materialized = simulate_vg(STUDY_VG, scheme, seed=6)
+        streamed = simulate(STUDY_VG, scheme, seed=6, materialize=False)
+        materialized = simulate(STUDY_VG, scheme, seed=6)
         a = empirical_coefficients(streamed, basis).values
         b = empirical_coefficients(materialized, basis).values
         assert np.array_equal(a, b)
@@ -78,7 +77,7 @@ class TestEmpiricalCoefficients:
     def test_any_partition_agrees_to_1e12(self):
         basis = BasisSystem.trigonometric(D_PRIME, 12)
         scheme = SamplingScheme(1e-3, 200_000)
-        series = simulate_vg(STUDY_VG, scheme, seed=6)
+        series = simulate(STUDY_VG, scheme, seed=6)
         theta = empirical_coefficients(series, basis).values
 
         # fold the same data over an unrelated partition with the same
@@ -192,7 +191,7 @@ class TestPopulationRisk:
 
     def setup_method(self):
         self.basis = BasisSystem.trigonometric(D_PRIME, 8)
-        self.psi = true_density_vg(STUDY_VG, decaying=True)
+        self.psi = STUDY_VG.levy_density()
         self.perp = project_density(self.basis, self.psi)
 
     def test_minimum_at_projection(self):
@@ -221,7 +220,7 @@ class TestL2Error:
 
     def test_zero_estimate_gives_reference_norm(self):
         basis = BasisSystem.trigonometric(D_PRIME, 6)
-        psi = true_density_vg(STUDY_VG, decaying=True)
+        psi = STUDY_VG.levy_density()
         zero = CoefficientVector(basis, np.zeros(6))
         got = l2_error_on_D(zero, psi, D, grid_points=40_001)
         # Gauss-Legendre oracle for ||psi||_L2(D)

@@ -12,10 +12,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from levygibbs import (
     BasisSystem,
+    CompoundPoissonParams,
     GibbsConfig,
+    JumpDistribution,
     ParameterError,
     SamplingScheme,
     concentration_probability,
@@ -28,7 +31,6 @@ from levygibbs import (
     rate_table,
     run_regime,
     sample_posterior,
-    true_density_vg,
     write_band_csv,
     write_errors_csv,
     write_k_posterior_csv,
@@ -187,7 +189,7 @@ class TestNoOverfitOnProjection:
 
     def test_tail_mass_by_assumed_smoothness(self):
         config = GibbsConfig()
-        psi = true_density_vg(DEFAULT_VG_PARAMS, decaying=True)
+        psi = DEFAULT_VG_PARAMS.levy_density()
         theta = project_density(BasisSystem.trigonometric(config.D_prime, 320), psi)
         reps = [
             SimpleNamespace(j=j, t_n=t_n, k_probs=marginal_k(theta, t_n, config).probs)
@@ -247,6 +249,14 @@ class TestRunRegime:
     def test_mode_nondecreasing(self, regime_reports):
         assert regime_reports[2].k_mode >= regime_reports[1].k_mode
 
+    def test_compound_poisson_model(self):
+        model = CompoundPoissonParams(320.0, JumpDistribution.normal(0.01, 0.003))
+        rep = run_regime(RegimeSpec.from_j(1), model=model, num_draws=200, seed=MASTER_SEED)
+        assert math.isfinite(rep.err_projection) and math.isfinite(rep.err_postmean)
+        np.testing.assert_allclose(rep.psi_true, 320.0 * norm.pdf(rep.grid, 0.01, 0.003), rtol=1e-13)
+        # Most jumps land in D', so the posterior mean is within 10% of the truth in L2(D) (about 4% at this seed).
+        assert rep.err_postmean < 0.1 * float(np.sqrt(np.trapezoid(rep.psi_true**2, rep.grid)))
+
     def test_validation_on_report_fields(self, regime_reports):
         with pytest.raises(ParameterError):
             dataclasses.replace(regime_reports[1], err_postmean=-1.0)
@@ -259,7 +269,7 @@ class TestConcentrationStudy:
         )
 
     def test_concentration_direction(self, regime_reports):
-        psi = true_density_vg(DEFAULT_VG_PARAMS, decaying=True)
+        psi = DEFAULT_VG_PARAMS.levy_density()
         grid = regime_reports[1].grid
         norm = float(np.sqrt(np.trapezoid(psi(grid) ** 2, grid)))
         # At half the reference norm every draw is already inside the ball
@@ -279,6 +289,7 @@ class TestConcentrationStudy:
         assert bool(np.all((rep.band_lo <= rep.psi_true) & (rep.psi_true <= rep.band_hi)))
 
 
+@pytest.mark.slow
 class TestSlowRegime:
     """j=3 end-to-end checks; opt-in via LEVY_GIBBS_RUN_SLOW=1."""
 

@@ -35,7 +35,6 @@ from levygibbs import (
     project_density,
     sample_posterior,
     synthesize,
-    true_density_vg,
     validate_config,
 )
 from levygibbs.posterior import DISTANCE_CHUNK_ROWS, DRAW_BLOCK, _draw_distances
@@ -216,7 +215,7 @@ class TestSamplePosterior:
         self.config = GibbsConfig(k_max=20)
         self.t_n = 20.0
         self.basis = BasisSystem.trigonometric(D_PRIME, 20)
-        psi = true_density_vg(STUDY_VG, decaying=True)
+        psi = STUDY_VG.levy_density()
         self.theta_perp = project_density(self.basis, psi)
 
     def test_reproducible(self):
@@ -344,7 +343,7 @@ class TestPosteriorSummaries:
     def make_draws(self, num=400, seed=0):
         config = GibbsConfig(k_max=20)
         basis = BasisSystem.trigonometric(D_PRIME, 20)
-        psi = true_density_vg(STUDY_VG, decaying=True)
+        psi = STUDY_VG.levy_density()
         theta = project_density(basis, psi)
         return sample_posterior(theta, 20.0, config, num, seed=seed), psi
 
@@ -360,7 +359,7 @@ class TestPosteriorSummaries:
     def test_fixed_k_mean_function_matches_closed_form(self):
         config = GibbsConfig(k_max=20)
         basis = BasisSystem.trigonometric(D_PRIME, 20)
-        psi = true_density_vg(STUDY_VG, decaying=True)
+        psi = STUDY_VG.levy_density()
         theta = project_density(basis, psi)
         n = 2000
         draws = sample_posterior(theta, 20.0, config, n, seed=1, fixed_k=6)
@@ -449,7 +448,7 @@ class TestPosteriorSummaries:
 class TestValidateConfig:
     def test_paper_constants_pass(self):
         config = GibbsConfig()
-        psi = true_density_vg(STUDY_VG, decaying=True)
+        psi = STUDY_VG.levy_density()
         grid = np.linspace(config.D.a, config.D.b, 512)
         sup = float(np.max(psi(grid)))
         diag = validate_config(config, sup)

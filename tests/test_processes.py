@@ -12,16 +12,18 @@ m4U = 3*delta^2*nu^2 + 6*delta*nu^3 and E[U^2] = delta*nu + delta^2.
 Monte Carlo checks use 4-standard-error tolerances with fixed seeds.
 """
 
+import hashlib
 import math
 import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import expon, ks_2samp, norm, uniform
 
 import levygibbs.processes as processes
 from levygibbs import (
@@ -39,9 +41,7 @@ from levygibbs import (
     Window,
     empirical_coefficients,
     read_increments,
-    simulate_compound_poisson,
-    simulate_vg,
-    true_density_vg,
+    simulate,
     write_increments,
 )
 from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
@@ -49,6 +49,8 @@ from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
 from conftest import MASTER_SEED, slow_enabled
 
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
+DENSE_CP = CompoundPoissonParams(50.0, JumpDistribution.normal(0.01, 0.003))
+BOTH_FAMILIES = pytest.mark.parametrize("model", [STUDY_VG, DENSE_CP], ids=["vg", "cpois"])
 
 
 def reference_write_increments(path, series, header=True):
@@ -114,7 +116,7 @@ def values_series(values, seed=None):
 
 def _write_and_fold(path):
     """write_increments and a fold of a 2,500-increment series; run by a multiprocessing.Pool worker too."""
-    series = simulate_vg(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
+    series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
     write_increments(path, series)
     return empirical_coefficients(series, BasisSystem.trigonometric(Window(-0.01, 0.01), 8)).values
 
@@ -157,7 +159,7 @@ class TestVarianceGamma:
         # analytic formulas, 4 SE each.
         params = VarianceGammaParams(0.5, 0.1, 1e-2)
         scheme = SamplingScheme(1e-3, 10**6)
-        y = simulate_vg(params, scheme, seed=0).values
+        y = simulate(params, scheme, seed=0).values
         mean, var, m4 = vg_moments(params, scheme)
         se_mean = math.sqrt(var / scheme.n)
         se_var = math.sqrt((m4 - var**2) / scheme.n)
@@ -167,40 +169,42 @@ class TestVarianceGamma:
     def test_moments_paper_params(self):
         params = STUDY_VG
         scheme = SamplingScheme(1e-3, 10**6)
-        y = simulate_vg(params, scheme, seed=0).values
+        y = simulate(params, scheme, seed=0).values
         mean, var, m4 = vg_moments(params, scheme)
         assert abs(y.mean() - mean) < 4 * math.sqrt(var / scheme.n)
         assert abs(y.var(ddof=1) - var) < 4 * math.sqrt((m4 - var**2) / scheme.n)
 
     def test_zero_vol_zero_drift_gives_zeros(self):
-        y = simulate_vg(VarianceGammaParams(0.0, 0.0, 2e-3), SamplingScheme(0.1, 1000), seed=3)
+        y = simulate(VarianceGammaParams(0.0, 0.0, 2e-3), SamplingScheme(0.1, 1000), seed=3)
         assert np.all(y.values == 0.0)
 
     def test_reproducible(self):
         scheme = SamplingScheme(1e-3, 50_000)
-        a = simulate_vg(STUDY_VG, scheme, seed=11).values
-        b = simulate_vg(STUDY_VG, scheme, seed=11).values
+        a = simulate(STUDY_VG, scheme, seed=11).values
+        b = simulate(STUDY_VG, scheme, seed=11).values
         assert np.array_equal(a, b)
-        c = simulate_vg(STUDY_VG, scheme, seed=12).values
+        c = simulate(STUDY_VG, scheme, seed=12).values
         assert not np.array_equal(a, c)
 
-    def test_streamed_equals_materialized(self):
+    @BOTH_FAMILIES
+    def test_streamed_equals_materialized(self, model):
         # Cross a block boundary so more than one substream is exercised.
         scheme = SamplingScheme(1e-3, BLOCK + 12_345)
-        materialized = simulate_vg(STUDY_VG, scheme, seed=5)
+        materialized = simulate(model, scheme, seed=5)
         mat = materialized.values
-        streamed = simulate_vg(STUDY_VG, scheme, seed=5, materialize=False)
+        streamed = simulate(model, scheme, seed=5, materialize=False)
         assert not streamed.materialized
         chunks = list(streamed.iter_chunks())
-        assert len(chunks) == 2
+        assert len(chunks) == 2 and np.count_nonzero(chunks[1])
         assert np.array_equal(np.concatenate(chunks), mat)
         assert [c.tobytes() for c in materialized.iter_chunks()] == [c.tobytes() for c in chunks]
 
-    def test_map_blocks_parallel_matches_serial(self, pooled_io):
+    @BOTH_FAMILIES
+    def test_map_blocks_parallel_matches_serial(self, pooled_io, model):
         scheme = SamplingScheme(1e-3, 2 * BLOCK + 777)
-        streamed = simulate_vg(STUDY_VG, scheme, seed=5, materialize=False)
-        materialized = simulate_vg(STUDY_VG, scheme, seed=5)
-        assert materialized.values.tobytes() == simulate_vg(STUDY_VG, scheme, seed=5, materialize=False).values.tobytes()
+        streamed = simulate(model, scheme, seed=5, materialize=False)
+        materialized = simulate(model, scheme, seed=5)
+        assert materialized.values.tobytes() == simulate(model, scheme, seed=5, materialize=False).values.tobytes()
         serial = list(streamed.map_blocks(np.sum, max_workers=1))
         assert pooled_io.workers == []  # neither materializing nor one worker starts a pool
         assert list(streamed.map_blocks(np.sum, max_workers=4)) == serial
@@ -216,9 +220,9 @@ class TestVarianceGamma:
         basis = BasisSystem.trigonometric(Window(-0.01, 0.01), 40)
         cp = CompoundPoissonParams(50.0, JumpDistribution.normal(0.0, 0.01))
         cases = [
-            (simulate_vg(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False), 3),
-            (simulate_compound_poisson(cp, SamplingScheme(1e-2, 2000), seed=5), 2),
-            (simulate_vg(STUDY_VG, SamplingScheme(1e-3, 1000), seed=5, materialize=False), 1),
+            (simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False), 3),
+            (simulate(cp, SamplingScheme(1e-2, 2000), seed=5), 2),
+            (simulate(STUDY_VG, SamplingScheme(1e-3, 1000), seed=5, materialize=False), 1),
         ]
         for series, blocks in cases:
             pooled_io.workers.clear()
@@ -230,7 +234,7 @@ class TestVarianceGamma:
 
     def test_worker_error_reaches_caller(self, monkeypatch, pooled_io):
         monkeypatch.setattr(processes, "BLOCK", 1000)
-        series = simulate_vg(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
+        series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
 
         def refuse_short_block(chunk):
             if len(chunk) < 1000:
@@ -256,7 +260,7 @@ class TestVarianceGamma:
         # mu = 0 makes the increment law symmetric: Y and -Y agree, two-sample
         # KS below the 1% critical value c(0.01)*sqrt(2/n).
         n = 10**5
-        y = simulate_vg(STUDY_VG, SamplingScheme(1e-3, n), seed=0).values
+        y = simulate(STUDY_VG, SamplingScheme(1e-3, n), seed=0).values
         stat = ks_2samp(y, -y).statistic
         assert stat < 1.628 * math.sqrt(2.0 / n)
 
@@ -271,20 +275,20 @@ class TestCompoundPoisson:
     def test_tiny_rate_all_zero(self):
         # Poisson(1e-9) counts over 1e3 increments: zero with prob ~ 1-1e-6.
         params = CompoundPoissonParams(1e-6, JumpDistribution.point(1.0))
-        y = simulate_compound_poisson(params, SamplingScheme(1e-3, 1000), seed=0)
+        y = simulate(params, SamplingScheme(1e-3, 1000), seed=0)
         assert np.all(y.values == 0.0)
 
     def test_point_mass_mean(self):
         params = CompoundPoissonParams(2.0, JumpDistribution.point(1.0))
         scheme = SamplingScheme(0.5, 10**5)
-        y = simulate_compound_poisson(params, scheme, seed=0).values
+        y = simulate(params, scheme, seed=0).values
         # mean = lambda*delta*c = 1, Var = lambda*delta*c^2 = 1
         assert abs(y.mean() - 1.0) < 4 * math.sqrt(1.0 / scheme.n)
 
     def test_normal_jump_variance(self):
         params = CompoundPoissonParams(1.0, JumpDistribution.normal(0.0, 1.0))
         scheme = SamplingScheme(1.0, 10**5)
-        y = simulate_compound_poisson(params, scheme, seed=0).values
+        y = simulate(params, scheme, seed=0).values
         # Var = lambda*delta*E[x^2] = 1; mu4 = lambda*delta*E[x^4] + 3*Var^2 = 6.
         se_var = math.sqrt((6.0 - 1.0) / scheme.n)
         assert abs(y.var(ddof=1) - 1.0) < 4 * se_var
@@ -292,7 +296,7 @@ class TestCompoundPoisson:
     def test_point_mass_multiples(self):
         c = 0.7
         params = CompoundPoissonParams(3.0, JumpDistribution.point(c))
-        y = simulate_compound_poisson(params, SamplingScheme(0.25, 20_000), seed=2).values
+        y = simulate(params, SamplingScheme(0.25, 20_000), seed=2).values
         counts = np.round(y / c)
         assert np.array_equal(y, counts * c)
         assert counts.max() > 1  # the multiple-jump case actually occurred
@@ -300,6 +304,34 @@ class TestCompoundPoisson:
     def test_rate_must_be_positive(self):
         with pytest.raises(ParameterError):
             CompoundPoissonParams(0.0, JumpDistribution.point(1.0))
+
+    # sha256 of block 0 and of the 1,000-increment last block at seed 20211, rate 50, delta 0.01.
+    FROZEN_BLOCKS = {
+        "point:0.7": (
+            "7132defb374b97796d82bcbe2545c3b885496e05f377ddbcb9b63ec12420ec1f",
+            "a9d7444692a5b9cc720fc0ba1af9f5be8faaeda5dbc3d077dc60889ddaca138c",
+        ),
+        "normal:0.01,0.003": (
+            "e12e3228411021b34e6021d35f95f3561d5f89614f7bfd4ee3c85140da1a34f1",
+            "a1ae36da97e218bfeb33e23a3d04aec04eb4693c4053d575a47a58c06a1f9d6f",
+        ),
+        "uniform:-0.02,0.03": (
+            "9537364eafc3ff0de44fb2dbb566cdd20d631f2e3da6dbdd27a217bbce71bba6",
+            "43172c43fb8199ed87094603ad0c7895831c386e05472dba054f458ac41d4d72",
+        ),
+        "exponential:0.01": (
+            "53950ab3ed1f68e0bb4fa1fb6fa26164f2b13e7512e65f85842faf91f33bbda6",
+            "c4524eea13ce0dbeae20d628592765f6b0e222d04271ffbe17f2d059806acf04",
+        ),
+    }
+
+    @pytest.mark.parametrize("jumps", sorted(FROZEN_BLOCKS))
+    def test_frozen_block_digests(self, jumps):
+        # Pins the Philox stream of every jump kind bit for bit.
+        params = CompoundPoissonParams(50.0, JumpDistribution.parse(jumps))
+        scheme = SamplingScheme(1e-2, BLOCK + 1000)
+        digests = tuple(hashlib.sha256(params.block(scheme, 20211, b).tobytes()).hexdigest() for b in (0, 1))
+        assert digests == self.FROZEN_BLOCKS[jumps]
 
 
 class TestJumpDistribution:
@@ -338,14 +370,14 @@ class TestJumpDistribution:
 class TestTrueDensity:
     def test_symmetric_when_mu_zero(self):
         # Decaying convention: both tails fall off and psi(x) = psi(-x).
-        psi = true_density_vg(STUDY_VG, decaying=True)
+        psi = STUDY_VG.levy_density()
         x = np.array([0.002, 0.01, 0.04])
         np.testing.assert_allclose(psi(x), psi(-x), rtol=1e-15)
 
     def test_printed_branch_value(self):
         # eta = sigma*sqrt(nu/2) = 0.0037; as printed the x>0 branch carries
         # exp(+x/eta): psi(0.01) = 500*100*exp(0.01/0.0037).
-        psi = true_density_vg(STUDY_VG)
+        psi = STUDY_VG.levy_density(decaying=False)
         eta = STUDY_VG.sigma * math.sqrt(STUDY_VG.nu / 2.0)
         assert abs(eta - 0.0037) < 1e-15
         expect = (1.0 / STUDY_VG.nu) * (1.0 / 0.01) * math.exp(0.01 / eta)
@@ -355,14 +387,14 @@ class TestTrueDensity:
         assert abs(psi(-0.01) - expect_neg) < 1e-9 * expect_neg
 
     def test_decaying_flag_flips_positive_branch(self):
-        printed = true_density_vg(STUDY_VG)
-        decaying = true_density_vg(STUDY_VG, decaying=True)
+        printed = STUDY_VG.levy_density(decaying=False)
+        decaying = STUDY_VG.levy_density()
         assert decaying(0.01) < printed(0.01)
         assert decaying(-0.01) == printed(-0.01)
 
     def test_eta_branches_with_drift(self):
         params = VarianceGammaParams(0.3, 0.1, 1e-2)
-        psi = true_density_vg(params)
+        psi = params.levy_density(decaying=False)
         root = math.sqrt(params.mu**2 * params.nu**2 / 4.0 + params.sigma**2 * params.nu / 2.0)
         eta_pos = root + params.mu * params.nu / 2.0
         eta_neg = root - params.mu * params.nu / 2.0
@@ -371,7 +403,7 @@ class TestTrueDensity:
         assert abs(psi(-x) - math.exp(-x / eta_neg) / (params.nu * x)) < 1e-9 * psi(-x)
 
     def test_origin_is_domain_error(self):
-        psi = true_density_vg(STUDY_VG)
+        psi = STUDY_VG.levy_density(decaying=False)
         with pytest.raises(DomainError):
             psi(0.0)
         with pytest.raises(DomainError):
@@ -379,18 +411,39 @@ class TestTrueDensity:
 
     def test_prefactor_vanishes_with_large_nu(self):
         x = 0.01
-        small = true_density_vg(VarianceGammaParams(0.0, 0.1, 1e6), decaying=True)(x)
+        small = VarianceGammaParams(0.0, 0.1, 1e6).levy_density()(x)
         assert small < 1e-4
 
     def test_degenerate_density_rejected(self):
         with pytest.raises(ParameterError):
-            true_density_vg(VarianceGammaParams(0.0, 0.0, 1e-3))
+            VarianceGammaParams(0.0, 0.0, 1e-3).levy_density(decaying=False)
+
+    def test_compound_poisson_is_rate_times_jump_pdf(self):
+        x = np.linspace(-0.05, 0.05, 1000)
+        assert not np.any(x == 0.0)
+        normal = CompoundPoissonParams(320.0, JumpDistribution.normal(0.01, 0.003))
+        # The closed form the dense-window benchmark writes out by hand, bit for bit.
+        z = (x - 0.01) / 0.003
+        assert np.array_equal(normal.levy_density()(x), 320.0 * np.exp(-0.5 * z * z) / (0.003 * math.sqrt(2.0 * math.pi)))
+        np.testing.assert_allclose(normal.levy_density()(x), 320.0 * norm.pdf(x, 0.01, 0.003), rtol=1e-13)
+        flat = CompoundPoissonParams(7.0, JumpDistribution.uniform(-0.02, 0.03))
+        np.testing.assert_allclose(flat.levy_density()(x), 7.0 * uniform.pdf(x, -0.02, 0.05), rtol=1e-13)
+        assert np.count_nonzero(flat.levy_density()(x)) == np.count_nonzero((x >= -0.02) & (x <= 0.03))
+        exponential = CompoundPoissonParams(2.5, JumpDistribution.exponential(0.01))
+        np.testing.assert_allclose(exponential.levy_density()(x), 2.5 * expon.pdf(x, scale=0.01), rtol=1e-13)
+        assert exponential.levy_density()(0.02) == pytest.approx(2.5 * 100.0 * math.exp(-2.0), rel=1e-15)
+        assert normal.levy_density().family == "compound-poisson"
+
+    @pytest.mark.parametrize("jumps", [JumpDistribution.point(0.01), JumpDistribution.normal(0.01, 0.0)])
+    def test_compound_poisson_without_jump_density_refused(self, jumps):
+        with pytest.raises(ParameterError, match="no Levy density"):
+            CompoundPoissonParams(50.0, jumps).levy_density()
 
 
 class TestIncrementFiles:
     def test_round_trip_exact(self, tmp_path):
         scheme = SamplingScheme(1e-3, 4096)
-        series = simulate_vg(STUDY_VG, scheme, seed=9)
+        series = simulate(STUDY_VG, scheme, seed=9)
         path = tmp_path / "inc.txt"
         write_increments(path, series)
         back = read_increments(path)
@@ -399,7 +452,7 @@ class TestIncrementFiles:
         assert np.array_equal(back.values, series.values)
 
     def test_header_carries_metadata(self, tmp_path):
-        series = simulate_vg(STUDY_VG, SamplingScheme(0.25, 8), seed=1)
+        series = simulate(STUDY_VG, SamplingScheme(0.25, 8), seed=1)
         path = tmp_path / "inc.txt"
         write_increments(path, series)
         first = path.read_text().splitlines()[0]
@@ -407,7 +460,7 @@ class TestIncrementFiles:
         assert "n=8" in first and "seed=1" in first
 
     def test_headerless_needs_delta(self, tmp_path):
-        series = simulate_vg(STUDY_VG, SamplingScheme(0.25, 8), seed=1)
+        series = simulate(STUDY_VG, SamplingScheme(0.25, 8), seed=1)
         path = tmp_path / "inc.txt"
         write_increments(path, series, header=False)
         with pytest.raises(InputParseError):
@@ -477,7 +530,7 @@ class TestIncrementFileEquivalence:
 
     @pytest.mark.parametrize("header", [True, False])
     def test_writer_bytes(self, tmp_path, monkeypatch, header):
-        vg = simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 5000), seed=7)
+        vg = simulate(STUDY_VG, SamplingScheme(1.5625e-05, 5000), seed=7)
         special = values_series(SPECIAL_VALUES, seed=3)
         edges = values_series(KERNEL_EDGES, seed=None)
         monkeypatch.setattr(processes, "BLOCK", 5)  # 12 values: blocks of 5, 5 and 2
@@ -505,7 +558,7 @@ class TestIncrementFileEquivalence:
     def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, header):
         # 64-character readlines() batches feed a 3003-line file to the one parse call in many pieces.
         path = tmp_path / "inc.txt"
-        write_increments(path, simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
+        write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
         monkeypatch.setattr(processes, "READ_BATCH", 64)
         for tail in (b"", b"\n\n0.5\n", b"1_0\n"):  # "1_0": only the line loop accepts it
             path.write_bytes(path.read_bytes() + tail)
@@ -523,7 +576,7 @@ class TestIncrementFileEquivalence:
 
         monkeypatch.setattr(np, "loadtxt", spy)
         path = tmp_path / "inc.txt"
-        series = simulate_vg(STUDY_VG, SamplingScheme(1e-3, 10), seed=1)
+        series = simulate(STUDY_VG, SamplingScheme(1e-3, 10), seed=1)
         write_increments(path, series)
         assert len(read_increments(path)) == 10
         write_increments(path, series, header=False)
@@ -635,7 +688,7 @@ class TestFormatKernel:
     def test_study_stream_j2(self):
         spec = RegimeSpec.from_j(2)
         scheme = SamplingScheme(spec.delta, spec.n)
-        for chunk in simulate_vg(DEFAULT_VG_PARAMS, scheme, seed=MASTER_SEED, materialize=False).iter_chunks():
+        for chunk in simulate(DEFAULT_VG_PARAMS, scheme, seed=MASTER_SEED, materialize=False).iter_chunks():
             assert processes._format_piece(chunk) == reference_lines(chunk)
 
 
@@ -679,7 +732,7 @@ class TestPooledIncrementFiles:
 
     @pytest.mark.parametrize("header", [True, False])
     def test_writer_bytes(self, tmp_path, monkeypatch, pooled_io, header):
-        vg = simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 200), seed=7)
+        vg = simulate(STUDY_VG, SamplingScheme(1.5625e-05, 200), seed=7)
         special = values_series(SPECIAL_VALUES, seed=3)
         edges = values_series(KERNEL_EDGES, seed=None)
         # Blocks of 5 in pieces of 3: pieces of 3, 2, 3, 2 and 2 values for the 12 specials.
@@ -714,7 +767,7 @@ class TestPooledIncrementFiles:
     @pytest.mark.parametrize("header", [True, False])
     def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, pooled_io, header):
         path = tmp_path / "inc.txt"
-        write_increments(path, simulate_vg(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
+        write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
         monkeypatch.setattr(processes, "READ_PIECE", 4096)
         monkeypatch.setattr(processes, "READ_BATCH", 64)
         for tail in (b"", b"\n\n0.5\n", b"1_0\n"):
@@ -774,9 +827,27 @@ class TestPooledIncrementFiles:
         assert read_outcome(read_increments, path, 0.5) == expected
         assert pooled_io.pools == 1
 
+    def test_read_ahead_bound(self):
+        # While the caller holds a result, taken after `done` others, at most `bound` more items were pulled:
+        # an item is submitted as soon as it is pulled, so the parent never holds a pulled item back.
+        pulled = 0
+
+        def items():
+            nonlocal pulled
+            for i in range(20):
+                pulled += 1
+                yield i
+
+        bound = 3
+        with ThreadPoolExecutor(2) as pool:
+            for done, result in enumerate(processes._bounded_map(pool, bound, lambda i: i * i, items())):
+                assert result == done * done
+                assert pulled <= done + bound
+        assert pulled == 20
+
     def test_in_flight_bound(self, tmp_path, pooled_io):
         path = tmp_path / "inc.txt"
-        write_increments(path, simulate_vg(STUDY_VG, SamplingScheme(1e-3, 300), seed=4))
+        write_increments(path, simulate(STUDY_VG, SamplingScheme(1e-3, 300), seed=4))
         assert pooled_io.submitted == 100 and pooled_io.peak == 4  # 2 pieces per worker
         pooled_io.peak = 0
         assert len(read_increments(path)) == 300
@@ -825,7 +896,7 @@ class TestIncrementSeries:
             IncrementSeries(SamplingScheme(1.0, 5), seed=0, values=np.zeros(4))
 
     def test_len(self):
-        series = simulate_vg(STUDY_VG, SamplingScheme(1e-3, 321), seed=0)
+        series = simulate(STUDY_VG, SamplingScheme(1e-3, 321), seed=0)
         assert len(series) == 321
 
     def test_materialization_guard(self):
@@ -838,4 +909,4 @@ class TestIncrementSeries:
         with pytest.raises(ResourceGuardError):
             series.values
         with pytest.raises(ResourceGuardError):
-            simulate_vg(STUDY_VG, big, seed=0, materialize=True)
+            simulate(STUDY_VG, big, seed=0, materialize=True)
