@@ -35,7 +35,6 @@ from .posterior import (
     PosteriorDraws,
     credible_band,
     marginal_k,
-    posterior_mean_function,
     sample_posterior,
 )
 from .processes import ProcessModel, SamplingScheme, VarianceGammaParams, simulate
@@ -218,7 +217,8 @@ def run_regime(
 
     psi_star = model.levy_density()
     psi_true = np.asarray(psi_star(draws.grid), dtype=float)
-    psi_mean = posterior_mean_function(draws)
+    band = credible_band(draws, band_level, metric="sup")
+    psi_mean = band.center
     err_postmean = float(np.sqrt(np.trapezoid((psi_mean - psi_true) ** 2, draws.grid)))
 
     k_mode = marginal.mode()
@@ -228,7 +228,6 @@ def run_regime(
         CoefficientVector(basis, truncated, role="projected"), psi_star, config.D, grid_points
     )
 
-    band = credible_band(draws, band_level, metric="sup")
     runtime = time.perf_counter() - start
     return ExperimentReport(
         j=spec.j,

@@ -19,6 +19,7 @@ hundreds neither overflows nor loses normalization.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,17 +28,23 @@ from scipy.special import logsumexp
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
 from .estimator import DEFAULT_GRID_POINTS
-from .processes import MATERIALIZE_LIMIT, _block_rng
+from .processes import MATERIALIZE_LIMIT, _block_rng, _pool_map
 from .util import snap_ceil
 
-# Draw indices are generated in fixed spans so that a parallel sampler can
-# hand blocks to workers and still concatenate a seed-reproducible stream.
+# Draws are generated in fixed blocks, each from its own substream of the
+# seed, so the stream does not depend on which process draws which block.
 DRAW_BLOCK = 256
 
-# Draw distances are computed over this many grid rows at a time, so a band
-# over many draws needs no full (num_draws, grid) temporary.  Rows are
-# independent, so the chunk size does not change any distance.
+# Blocks per sampler job (4,096 draws).  A call of more than one job runs its
+# jobs in _pool_map's forked workers, and a call of one job runs here.
+DRAW_JOB_BLOCKS = 16
+
+# Draw distances are computed per range of this many grid rows, one range per
+# _pool_map job, and within a range per tile of DISTANCE_TILE_ROWS rows in one
+# reused buffer (0.5 MB at 512 grid points, so it stays in a core's L2 cache).
+# Rows are independent, so neither size changes any distance.
 DISTANCE_CHUNK_ROWS = 4096
+DISTANCE_TILE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -161,20 +168,49 @@ def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
     return MarginalK(log_w, probs)
 
 
+class DrawBlocks:
+    """The sampler's (K_i, theta_i) pairs, kept as its per-block (ks, theta) matrices.
+
+    Block b holds draws b*DRAW_BLOCK onward: draw r of the block has
+    K = ks[r] and theta = theta[r, :ks[r]], a view of the block's matrix, so
+    a theta_i keeps its block alive.  Indexing and iteration give the pairs,
+    K as an int; no per-draw object is stored.
+    """
+
+    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        self.blocks = blocks
+        self._len = sum(len(ks) for ks, _ in blocks)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple[int, np.ndarray]:
+        if not -self._len <= i < self._len:
+            raise IndexError(f"draw index {i} out of range for {self._len} draws")
+        block, r = divmod(i % self._len, DRAW_BLOCK)
+        ks, theta = self.blocks[block]
+        K = int(ks[r])
+        return K, theta[r, :K]
+
+    def __iter__(self):
+        for ks, theta in self.blocks:
+            for K, row in zip(ks.tolist(), theta):
+                yield K, row[:K]
+
+
 @dataclass
 class PosteriorDraws:
     """Monte Carlo draws from the hierarchical posterior with grid evaluations on D.
 
     draws[i] is (K_i, theta_i); grid_values[i] is the synthesized density of
-    draw i on `grid` (a uniform grid over the reporting window D).  The
-    sampler returns each theta_i as a length-K_i view of one row of its
-    block's coefficient matrix, so a theta_i keeps that block alive.
+    draw i on `grid` (a uniform grid over the reporting window D).  `draws`
+    is any sequence of such pairs: the sampler gives a DrawBlocks.
     """
 
     basis: BasisSystem
     grid: np.ndarray
     grid_values: np.ndarray
-    draws: list
+    draws: DrawBlocks | list
     seed: int
 
     def __len__(self) -> int:
@@ -200,7 +236,11 @@ def sample_posterior(
     per-block substreams of `seed`, so the stream is reproducible and
     partition independent.  Each block's substream gives the block's uniforms
     for K first, then the standard normals of its draws in draw order, K_i of
-    them for draw i.  The theta_i in the result are views; see PosteriorDraws.
+    them for draw i.  Jobs of DRAW_JOB_BLOCKS blocks run in _pool_map's forked
+    workers (a call of one job runs here); each writes its rows of
+    grid_values, a shared mapping, and sends back its blocks' K's and theta
+    matrices, so every value is the same wherever it was drawn.  The theta_i
+    of the result are views of those matrices; see DrawBlocks.
 
     Raises DimensionError for a basis that is not nested, and
     ResourceGuardError, before allocating, when the grid evaluations would
@@ -240,28 +280,39 @@ def sample_posterior(
     if rows.shape[0] < k_max:
         raise DimensionError(f"basis has K={basis.K} < k_max={k_max}")
 
-    draws: list[tuple[int, np.ndarray]] = []
-    grid_values = np.empty((num_draws, grid_points))
-    for start in range(0, num_draws, DRAW_BLOCK):
-        m = min(DRAW_BLOCK, num_draws - start)
-        rng = _block_rng(seed, start // DRAW_BLOCK)
-        u = rng.random(m)
-        ks = np.searchsorted(cum, u, side="right") + 1
-        # Row i holds draw i's coefficients in its first K_i entries; one call
-        # for all normals continues the stream exactly as one call per draw.
-        width = int(ks.max())
-        filled = np.arange(width) < ks[:, None]
-        z = np.zeros((m, width))
-        z[filled] = rng.standard_normal(int(ks.sum()))
-        theta = means[:width] + sd * z
-        for K in np.unique(ks):
-            idx = np.flatnonzero(ks == K)
-            # A stack of 1xK products runs one GEMV per draw, the kernel and
-            # summation order of theta_i @ rows[:K]; a GEMM over the group, or
-            # a product over the zero-padded width, can differ in the last ulp.
-            grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
-        draws.extend((int(K), theta[i, :K]) for i, K in enumerate(ks))
-    return PosteriorDraws(basis, grid, grid_values, draws, seed)
+    # Shared with the forked workers, which write their rows into it.
+    shared = mmap.mmap(-1, num_draws * grid_points * 8)
+    grid_values = np.frombuffer(shared, dtype=np.float64).reshape(num_draws, grid_points)
+    num_blocks = -(-num_draws // DRAW_BLOCK)
+
+    def draw_job(job: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        blocks = []
+        for block in range(job * DRAW_JOB_BLOCKS, min((job + 1) * DRAW_JOB_BLOCKS, num_blocks)):
+            start = block * DRAW_BLOCK
+            m = min(DRAW_BLOCK, num_draws - start)
+            rng = _block_rng(seed, block)
+            u = rng.random(m)
+            ks = np.searchsorted(cum, u, side="right") + 1
+            # Row i holds draw i's coefficients in its first K_i entries; one call
+            # for all normals continues the stream exactly as one call per draw.
+            width = int(ks.max())
+            filled = np.arange(width) < ks[:, None]
+            z = np.zeros((m, width))
+            z[filled] = rng.standard_normal(int(ks.sum()))
+            theta = means[:width] + sd * z
+            for K in np.unique(ks):
+                idx = np.flatnonzero(ks == K)
+                # A stack of 1xK products runs one GEMV per draw, the kernel and
+                # summation order of theta_i @ rows[:K]; a GEMM over the group, or
+                # a product over the zero-padded width, can differ in the last ulp.
+                grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
+            blocks.append((ks, theta))
+        return blocks
+
+    jobs = range(-(-num_blocks // DRAW_JOB_BLOCKS))
+    with _pool_map(len(jobs), draw_job) as pmap:
+        blocks = [block for job_blocks in pmap(jobs) for block in job_blocks]
+    return PosteriorDraws(basis, grid, grid_values, DrawBlocks(blocks), seed)
 
 
 def posterior_mean_function(draws: PosteriorDraws) -> np.ndarray:
@@ -290,17 +341,33 @@ class BandResult:
 
 
 def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> np.ndarray:
-    """Distance of every drawn density to `center` on draws.grid, in the sup or L2(D) metric."""
+    """Distance of every drawn density to `center` on draws.grid, in the sup or L2(D) metric.
+
+    Ranges of DISTANCE_CHUNK_ROWS rows are _pool_map jobs; a forked worker
+    reads draws.grid_values as it was at the fork.
+    """
     if metric not in ("sup", "l2"):
         raise ParameterError(f"metric must be 'sup' or 'l2', got {metric!r}")
-    dist = np.empty(len(draws.grid_values))
-    for start in range(0, len(dist), DISTANCE_CHUNK_ROWS):
-        stop = start + DISTANCE_CHUNK_ROWS
-        diffs = draws.grid_values[start:stop] - center
-        if metric == "sup":
-            dist[start:stop] = np.max(np.abs(diffs), axis=1)
-        else:
-            dist[start:stop] = np.sqrt(np.trapezoid(diffs**2, draws.grid, axis=1))
+    grid_values = draws.grid_values
+
+    def range_distances(start: int) -> np.ndarray:
+        chunk = grid_values[start : start + DISTANCE_CHUNK_ROWS]
+        dist = np.empty(len(chunk))
+        buf = np.empty((DISTANCE_TILE_ROWS, chunk.shape[1]))
+        for lo in range(0, len(chunk), DISTANCE_TILE_ROWS):
+            tile = chunk[lo : lo + DISTANCE_TILE_ROWS]
+            diffs = np.subtract(tile, center, out=buf[: len(tile)])
+            if metric == "sup":
+                np.max(np.abs(diffs, out=diffs), axis=1, out=dist[lo : lo + len(tile)])
+            else:
+                dist[lo : lo + len(tile)] = np.sqrt(np.trapezoid(np.square(diffs, out=diffs), draws.grid, axis=1))
+        return dist
+
+    dist = np.empty(len(grid_values))
+    starts = range(0, len(dist), DISTANCE_CHUNK_ROWS)
+    with _pool_map(len(starts), range_distances) as pmap:
+        for start, chunk_dist in zip(starts, pmap(starts)):
+            dist[start : start + len(chunk_dist)] = chunk_dist
     return dist
 
 

@@ -24,7 +24,8 @@ blocks are materialized at once, and safe to generate in parallel.
 
 One pool of forked worker processes (_pool_map) serves all parallel work:
 IncrementSeries.map_blocks, where each worker generates (or slices) its own
-blocks, and the pieces of an increments file.
+blocks, the pieces of an increments file, and the posterior sampler and band
+distances (levygibbs.posterior).
 """
 
 from __future__ import annotations
@@ -371,10 +372,8 @@ class IncrementSeries:
         """
         blocks = self.scheme.num_blocks
         cap = blocks if max_workers is None else min(blocks, max_workers)
-        with _pool_map(cap, job=(fn, self._block_fn)) as pmap:
-            if pmap is map:
-                return [fn(chunk) for chunk in self.iter_chunks()]
-            return list(pmap(_block_job, range(blocks)))
+        with _pool_map(cap, lambda block: fn(self._block_fn(block))) as pmap:
+            return list(pmap(range(blocks)))
 
 
 def _io_workers() -> int:
@@ -386,19 +385,21 @@ def _io_workers() -> int:
 
 
 @contextlib.contextmanager
-def _pool_map(cap: int, job: tuple | None = None):
-    """A map(fn, items), results in order: in at most `cap` forked workers, one per CPU, or here.
+def _pool_map(cap: int, job: Callable):
+    """A map of job over items, results in order: in at most `cap` forked workers, one per CPU, or here.
 
     The text conversions of file pieces hold the GIL, so threads cannot
-    share them; the block fold uses the same pool.  Workers are forked: a pool of two starts in about 0.02 s on
+    share them; the block fold and the posterior sampler and band use the
+    same pool.  Workers are forked: a pool of two starts in about 0.02 s on
     a 2-vCPU Xeon, against 0.7-1.0 s for spawn or forkserver, which also
-    re-import __main__.  Fork also hands each worker `job` (map_blocks's fn
-    and block function, see _block_job) without pickling it.  With one
-    worker, no "fork" start method, or in a daemonic process (a
-    multiprocessing.Pool worker, which may not have children) the builtin
-    map runs here.  At most two items per worker are in flight, so what
-    is held at once is bounded whatever the item count.  The pool is shut
-    down and its workers joined on every exit, errors included.
+    re-import __main__.  Fork also hands each worker `job` without pickling
+    it, so a job may be a closure over this process's arrays; only the items
+    and the results are pickled.  With one worker, no "fork" start method,
+    or in a daemonic process (a multiprocessing.Pool worker, which may not
+    have children) the builtin map runs here.  At most two items per worker
+    are in flight, so what is held at once is bounded whatever the item
+    count.  The pool is shut down and its workers joined on every exit,
+    errors included.
     """
     workers = min(_io_workers(), cap)
     if workers > 1:
@@ -410,11 +411,11 @@ def _pool_map(cap: int, job: tuple | None = None):
             context = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_set_job, initargs=(job,))
             try:
-                yield functools.partial(_bounded_map, pool, 2 * workers)
+                yield functools.partial(_bounded_map, pool, 2 * workers, _run_job)
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
             return
-    yield map
+    yield functools.partial(map, job)
 
 
 def _bounded_map(pool, bound: int, fn, items) -> Iterator:
@@ -428,18 +429,17 @@ def _bounded_map(pool, bound: int, fn, items) -> Iterator:
         yield pending.popleft().result()
 
 
-# The (fn, block_fn) of the map_blocks call a forked worker serves; set only in workers.
+# The job of the _pool_map a forked worker serves; set only in workers.
 _JOB = None
 
 
-def _set_job(job: tuple | None) -> None:
+def _set_job(job: Callable) -> None:
     global _JOB
     _JOB = job
 
 
-def _block_job(block: int):
-    fn, block_fn = _JOB
-    return fn(block_fn(block))
+def _run_job(item):
+    return _JOB(item)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -685,11 +685,11 @@ def write_increments(path, series: IncrementSeries, header: bool = True) -> None
     )
     # At most the number of pieces, and 1 only when the series is one piece.
     count = -(-series.scheme.n // min(BLOCK, WRITE_PIECE))
-    with _pool_map(count) as pmap, open(path, "wb") as fh:
+    with _pool_map(count, _format_piece) as pmap, open(path, "wb") as fh:
         if header:
             seed = series.seed if series.seed is not None else ""
             fh.write(f"# delta={series.scheme.delta:.17g} n={series.scheme.n} seed={seed}\n".encode("ascii"))
-        for text in pmap(_format_piece, pieces):
+        for text in pmap(pieces):
             fh.write(text)
 
 
@@ -763,8 +763,8 @@ def _read_body(path, spans, first_lineno: int, n: int | None) -> tuple[np.ndarra
     """
     out = None if n is None else np.empty(max(n, 0))
     parts, count, lineno = [], 0, first_lineno
-    with _pool_map(len(spans)) as pmap:
-        for span, (values, newlines) in zip(spans, pmap(functools.partial(_parse_range, path), spans)):
+    with _pool_map(len(spans), functools.partial(_parse_range, path)) as pmap:
+        for span, (values, newlines) in zip(spans, pmap(spans)):
             if values is None:
                 values = _parse_lines(path, _text(_range_bytes(path, span)), lineno, MATERIALIZE_LIMIT + 1 - count)
             lineno += newlines

@@ -10,11 +10,13 @@ over K <= 3, so the closed forms are checked without assuming the
 coordinate factorization they rely on.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from levygibbs import posterior, processes
 from levygibbs import (
     BasisSystem,
     CoefficientVector,
@@ -37,7 +39,8 @@ from levygibbs import (
     synthesize,
     validate_config,
 )
-from levygibbs.posterior import DISTANCE_CHUNK_ROWS, DRAW_BLOCK, _draw_distances
+from levygibbs.experiment import write_draws_jsonl
+from levygibbs.posterior import DISTANCE_CHUNK_ROWS, DRAW_BLOCK, DrawBlocks, _draw_distances
 from levygibbs.processes import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
@@ -337,6 +340,104 @@ class TestSamplePosterior:
         log_w = -0.01 * np.arange(320)
         marg = MarginalK(log_w, np.exp(log_w) / np.exp(log_w).sum())
         self.check_matches_per_draw(theta_hat, 320.0, config, 600, 2, basis, marg)
+
+
+class TestPooledPath:
+    """Sampler jobs and distance ranges in 2 forked workers (the pooled_io fixture) give the in-process bits."""
+
+    def setup_method(self):
+        self.config = GibbsConfig(k_max=20)
+        self.basis = BasisSystem.trigonometric(D_PRIME, 20)
+        self.theta = project_density(self.basis, STUDY_VG.levy_density())
+        self.marginal = marginal_k(self.theta, 20.0, self.config)
+
+    def sample(self, num_draws):
+        draws = sample_posterior(self.theta, 20.0, self.config, num_draws, seed=5, marginal=self.marginal)
+        center = posterior_mean_function(draws)
+        return draws, {metric: _draw_distances(draws, center, metric) for metric in ("sup", "l2")}
+
+    @pytest.mark.parametrize(("cpus", "job_blocks"), [(2, 2), (4, 1)])
+    def test_pooled_in_process_and_per_draw_agree(self, monkeypatch, pooled_io, cpus, job_blocks):
+        # 4 workers on fewer CPUs write their rows of the shared grid at once; a lost row shows below.
+        monkeypatch.setattr(processes, "_io_workers", lambda: cpus)
+        monkeypatch.setattr(posterior, "DRAW_JOB_BLOCKS", job_blocks)
+        monkeypatch.setattr(posterior, "DISTANCE_CHUNK_ROWS", 300)
+        monkeypatch.setattr(posterior, "DISTANCE_TILE_ROWS", 64)
+        num_draws = 5 * DRAW_BLOCK + 77  # 6 blocks, the last one partial; 5 row ranges, partial tiles
+        pooled = self.sample(num_draws)
+        jobs = -(-6 // job_blocks)
+        assert pooled_io.workers == [min(cpus, jobs), min(cpus, 5), min(cpus, 5)]  # the sampler, two distance maps
+        with monkeypatch.context() as m:
+            m.setattr(processes, "_io_workers", lambda: 1)
+            here = self.sample(num_draws)
+        assert pooled_io.pools == 3
+
+        ref_draws, ref_values = per_draw_sample(
+            self.theta.values, 20.0, self.config, num_draws, 5, self.basis, self.marginal
+        )
+        center = ref_values.mean(axis=0)
+        grid = self.config.D.grid(512)
+        ref_dist = {
+            "sup": np.max(np.abs(ref_values - center), axis=1),
+            "l2": np.sqrt(np.trapezoid((ref_values - center) ** 2, grid, axis=1)),
+        }
+        for draws, dist in (pooled, here):
+            assert same_bits(draws.grid_values, ref_values)
+            assert len(draws) == num_draws
+            assert all(
+                K == ref_K and same_bits(theta, ref_theta)
+                for (K, theta), (ref_K, ref_theta) in zip(draws.draws, ref_draws, strict=True)
+            )
+            for metric in ("sup", "l2"):
+                assert same_bits(dist[metric], ref_dist[metric])
+
+    def test_thousand_draws_start_no_pool(self, pooled_io):
+        draws, _ = self.sample(1000)
+        for metric in ("sup", "l2"):
+            credible_band(draws, 0.9, metric=metric)
+        concentration_probability(draws, STUDY_VG.levy_density(), 100.0)
+        assert pooled_io.pools == 0
+
+
+class TestDrawBlocks:
+    def setup_method(self):
+        self.config = GibbsConfig(k_max=20)
+        self.basis = BasisSystem.trigonometric(D_PRIME, 20)
+        self.theta = project_density(self.basis, STUDY_VG.levy_density())
+
+    def test_len_iteration_and_indexing(self):
+        num_draws = 2 * DRAW_BLOCK + 5
+        draws = sample_posterior(self.theta, 20.0, self.config, num_draws, seed=2).draws
+        marginal = marginal_k(self.theta, 20.0, self.config)
+        ref, _ = per_draw_sample(self.theta.values, 20.0, self.config, num_draws, 2, self.basis, marginal)
+        pairs = list(draws)
+        assert isinstance(draws, DrawBlocks) and len(draws) == len(pairs) == num_draws
+        for (K, theta), (ref_K, ref_theta) in zip(pairs, ref, strict=True):
+            assert type(K) is int and K == ref_K and same_bits(theta, ref_theta)
+        for i in (0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, 2 * DRAW_BLOCK, num_draws - 1, -1, -DRAW_BLOCK - 1, -num_draws):
+            K, theta = draws[i]
+            assert type(K) is int and K == ref[i][0] and same_bits(theta, ref[i][1])
+        for i in (num_draws, -num_draws - 1):
+            with pytest.raises(IndexError):
+                draws[i]
+
+    def test_empty(self):
+        empty = DrawBlocks([])
+        assert len(empty) == 0 and list(empty) == []
+        for i in (0, -1):
+            with pytest.raises(IndexError):
+                empty[i]
+        draws = PosteriorDraws(self.basis, np.linspace(0.006, 0.014, 8), np.empty((0, 8)), empty, seed=0)
+        assert len(draws) == 0
+        with pytest.raises(EmptyDrawsError):
+            credible_band(draws, 0.9)
+
+    def test_draws_jsonl_digest(self, tmp_path):
+        # sha256 of the file as written before draws were kept per block
+        draws = sample_posterior(self.theta, 20.0, self.config, 5000, seed=11)
+        write_draws_jsonl(tmp_path / "draws.jsonl", draws)
+        digest = hashlib.sha256((tmp_path / "draws.jsonl").read_bytes()).hexdigest()
+        assert digest == "125acd13c1c93ab090365bbbcef02ee33a2554e7a9a18288e8229db48df11b72"
 
 
 class TestPosteriorSummaries:
