@@ -19,7 +19,6 @@ hundreds neither overflows nor loses normalization.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,22 +27,16 @@ from scipy.special import logsumexp
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
 from .estimator import DEFAULT_GRID_POINTS
-from .processes import MATERIALIZE_LIMIT, _block_rng, _pool_map
+from .processes import MATERIALIZE_LIMIT, _block_rng
 from .util import snap_ceil
 
 # Draws are generated in fixed blocks, each from its own substream of the
-# seed, so the stream does not depend on which process draws which block.
+# seed, so one block can be redrawn on its own, bit for bit.
 DRAW_BLOCK = 256
 
-# Blocks per sampler job (4,096 draws).  A call of more than one job runs its
-# jobs in _pool_map's forked workers, and a call of one job runs here.
-DRAW_JOB_BLOCKS = 16
-
-# Draw distances are computed per range of this many grid rows, one range per
-# _pool_map job, and within a range per tile of DISTANCE_TILE_ROWS rows in one
-# reused buffer (0.5 MB at 512 grid points, so it stays in a core's L2 cache).
-# Rows are independent, so neither size changes any distance.
-DISTANCE_CHUNK_ROWS = 4096
+# Draw distances are computed per tile of this many grid rows in one reused
+# buffer (0.5 MB at 512 grid points, so it stays in a core's L2 cache).  Rows
+# are independent, so the tile size changes no distance.
 DISTANCE_TILE_ROWS = 128
 
 
@@ -233,18 +226,16 @@ def sample_posterior(
     K is drawn from the marginal pmf (or a point mass when fixed_k is given;
     an explicit `marginal` overrides both), then theta | K from the conjugate
     Gaussian.  Draws are generated in fixed blocks of DRAW_BLOCK with
-    per-block substreams of `seed`, so the stream is reproducible and
-    partition independent.  Each block's substream gives the block's uniforms
-    for K first, then the standard normals of its draws in draw order, K_i of
-    them for draw i.  Jobs of DRAW_JOB_BLOCKS blocks run in _pool_map's forked
-    workers (a call of one job runs here); each writes its rows of
-    grid_values, a shared mapping, and sends back its blocks' K's and theta
-    matrices, so every value is the same wherever it was drawn.  The theta_i
-    of the result are views of those matrices; see DrawBlocks.
+    per-block substreams of `seed`, so the stream is reproducible and one
+    block can be redrawn alone.  Each block's substream gives the block's
+    uniforms for K first, then the standard normals of its draws in draw
+    order, K_i of them for draw i.  The theta_i of the result are views of
+    the blocks' theta matrices; see DrawBlocks.
 
     Raises DimensionError for a basis that is not nested, and
-    ResourceGuardError, before allocating, when the grid evaluations would
-    hold more than MATERIALIZE_LIMIT values.
+    ResourceGuardError, before allocating, when the grid evaluations or the
+    theta matrices (up to num_draws * k_max values) would hold more than
+    MATERIALIZE_LIMIT values.
     """
     if num_draws < 1:
         raise ParameterError(f"num_draws must be >= 1, got {num_draws}")
@@ -276,42 +267,36 @@ def sample_posterior(
             f"{num_draws} draws on {grid_points} grid points exceed the materialization "
             f"limit of {MATERIALIZE_LIMIT} values; draw fewer or use a coarser grid"
         )
+    if num_draws * k_max > MATERIALIZE_LIMIT:
+        raise ResourceGuardError(
+            f"{num_draws} draws of up to k_max={k_max} coefficients exceed the materialization "
+            f"limit of {MATERIALIZE_LIMIT} values; draw fewer or lower k_max"
+        )
     rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
     if rows.shape[0] < k_max:
         raise DimensionError(f"basis has K={basis.K} < k_max={k_max}")
 
-    # Shared with the forked workers, which write their rows into it.
-    shared = mmap.mmap(-1, num_draws * grid_points * 8)
-    grid_values = np.frombuffer(shared, dtype=np.float64).reshape(num_draws, grid_points)
-    num_blocks = -(-num_draws // DRAW_BLOCK)
-
-    def draw_job(job: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        blocks = []
-        for block in range(job * DRAW_JOB_BLOCKS, min((job + 1) * DRAW_JOB_BLOCKS, num_blocks)):
-            start = block * DRAW_BLOCK
-            m = min(DRAW_BLOCK, num_draws - start)
-            rng = _block_rng(seed, block)
-            u = rng.random(m)
-            ks = np.searchsorted(cum, u, side="right") + 1
-            # Row i holds draw i's coefficients in its first K_i entries; one call
-            # for all normals continues the stream exactly as one call per draw.
-            width = int(ks.max())
-            filled = np.arange(width) < ks[:, None]
-            z = np.zeros((m, width))
-            z[filled] = rng.standard_normal(int(ks.sum()))
-            theta = means[:width] + sd * z
-            for K in np.unique(ks):
-                idx = np.flatnonzero(ks == K)
-                # A stack of 1xK products runs one GEMV per draw, the kernel and
-                # summation order of theta_i @ rows[:K]; a GEMM over the group, or
-                # a product over the zero-padded width, can differ in the last ulp.
-                grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
-            blocks.append((ks, theta))
-        return blocks
-
-    jobs = range(-(-num_blocks // DRAW_JOB_BLOCKS))
-    with _pool_map(len(jobs), draw_job) as pmap:
-        blocks = [block for job_blocks in pmap(jobs) for block in job_blocks]
+    grid_values = np.empty((num_draws, grid_points))
+    blocks = []
+    for start in range(0, num_draws, DRAW_BLOCK):
+        m = min(DRAW_BLOCK, num_draws - start)
+        rng = _block_rng(seed, start // DRAW_BLOCK)
+        u = rng.random(m)
+        ks = np.searchsorted(cum, u, side="right") + 1
+        # Row i holds draw i's coefficients in its first K_i entries; one call
+        # for all normals continues the stream exactly as one call per draw.
+        width = int(ks.max())
+        filled = np.arange(width) < ks[:, None]
+        z = np.zeros((m, width))
+        z[filled] = rng.standard_normal(int(ks.sum()))
+        theta = means[:width] + sd * z
+        for K in np.unique(ks):
+            idx = np.flatnonzero(ks == K)
+            # A stack of 1xK products runs one GEMV per draw, the kernel and
+            # summation order of theta_i @ rows[:K]; a GEMM over the group, or
+            # a product over the zero-padded width, can differ in the last ulp.
+            grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
+        blocks.append((ks, theta))
     return PosteriorDraws(basis, grid, grid_values, DrawBlocks(blocks), seed)
 
 
@@ -343,31 +328,21 @@ class BandResult:
 def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> np.ndarray:
     """Distance of every drawn density to `center` on draws.grid, in the sup or L2(D) metric.
 
-    Ranges of DISTANCE_CHUNK_ROWS rows are _pool_map jobs; a forked worker
-    reads draws.grid_values as it was at the fork.
+    The rows are taken in tiles of DISTANCE_TILE_ROWS, each differenced into
+    one reused buffer, so no temporary of the grid's size is made.
     """
     if metric not in ("sup", "l2"):
         raise ParameterError(f"metric must be 'sup' or 'l2', got {metric!r}")
     grid_values = draws.grid_values
-
-    def range_distances(start: int) -> np.ndarray:
-        chunk = grid_values[start : start + DISTANCE_CHUNK_ROWS]
-        dist = np.empty(len(chunk))
-        buf = np.empty((DISTANCE_TILE_ROWS, chunk.shape[1]))
-        for lo in range(0, len(chunk), DISTANCE_TILE_ROWS):
-            tile = chunk[lo : lo + DISTANCE_TILE_ROWS]
-            diffs = np.subtract(tile, center, out=buf[: len(tile)])
-            if metric == "sup":
-                np.max(np.abs(diffs, out=diffs), axis=1, out=dist[lo : lo + len(tile)])
-            else:
-                dist[lo : lo + len(tile)] = np.sqrt(np.trapezoid(np.square(diffs, out=diffs), draws.grid, axis=1))
-        return dist
-
     dist = np.empty(len(grid_values))
-    starts = range(0, len(dist), DISTANCE_CHUNK_ROWS)
-    with _pool_map(len(starts), range_distances) as pmap:
-        for start, chunk_dist in zip(starts, pmap(starts)):
-            dist[start : start + len(chunk_dist)] = chunk_dist
+    buf = np.empty((DISTANCE_TILE_ROWS, grid_values.shape[1]))
+    for lo in range(0, len(grid_values), DISTANCE_TILE_ROWS):
+        tile = grid_values[lo : lo + DISTANCE_TILE_ROWS]
+        diffs = np.subtract(tile, center, out=buf[: len(tile)])
+        if metric == "sup":
+            np.max(np.abs(diffs, out=diffs), axis=1, out=dist[lo : lo + len(tile)])
+        else:
+            dist[lo : lo + len(tile)] = np.sqrt(np.trapezoid(np.square(diffs, out=diffs), draws.grid, axis=1))
     return dist
 
 

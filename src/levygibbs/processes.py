@@ -24,8 +24,7 @@ blocks are materialized at once, and safe to generate in parallel.
 
 One pool of forked worker processes (_pool_map) serves all parallel work:
 IncrementSeries.map_blocks, where each worker generates (or slices) its own
-blocks, the pieces of an increments file, and the posterior sampler and band
-distances (levygibbs.posterior).
+blocks, and the pieces of an increments file.
 """
 
 from __future__ import annotations
@@ -389,17 +388,16 @@ def _pool_map(cap: int, job: Callable):
     """A map of job over items, results in order: in at most `cap` forked workers, one per CPU, or here.
 
     The text conversions of file pieces hold the GIL, so threads cannot
-    share them; the block fold and the posterior sampler and band use the
-    same pool.  Workers are forked: a pool of two starts in about 0.02 s on
-    a 2-vCPU Xeon, against 0.7-1.0 s for spawn or forkserver, which also
-    re-import __main__.  Fork also hands each worker `job` without pickling
-    it, so a job may be a closure over this process's arrays; only the items
-    and the results are pickled.  With one worker, no "fork" start method,
-    or in a daemonic process (a multiprocessing.Pool worker, which may not
-    have children) the builtin map runs here.  At most two items per worker
-    are in flight, so what is held at once is bounded whatever the item
-    count.  The pool is shut down and its workers joined on every exit,
-    errors included.
+    share them; the block fold uses the same pool.  Workers are forked: a
+    pool of two starts in about 0.02 s on a 2-vCPU Xeon, against 0.7-1.0 s
+    for spawn or forkserver, which also re-import __main__.  Fork also hands
+    each worker `job` without pickling it, so a job may be a closure over
+    this process's arrays; only the items and the results are pickled.  With
+    one worker, no "fork" start method, or in a daemonic process (a
+    multiprocessing.Pool worker, which may not have children) the builtin
+    map runs here.  At most two items per worker are in flight, so what is
+    held at once is bounded whatever the item count.  The pool is shut down
+    and its workers joined on every exit, errors included.
     """
     workers = min(_io_workers(), cap)
     if workers > 1:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import levygibbs.cli as cli
+import levygibbs.posterior as posterior
 import levygibbs.processes as processes
 from levygibbs import (
     BasisSystem,
@@ -576,6 +577,16 @@ class TestExitCodes:
         argv = ["posterior", "--coeffs", str(coeffs), "--out-dir", str(out), "--draws", "1000000000"]
         assert main(argv) == 4
         assert "materialization limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_posterior_theta_guard_exits_4(self, tmp_path, monkeypatch, capsys):
+        # 400 draws on 2 grid points pass the limit, their theta matrices at k_max = 20 do not
+        monkeypatch.setattr(posterior, "MATERIALIZE_LIMIT", 1000)
+        coeffs = write_coeffs(tmp_path, np.ones(20))
+        out = tmp_path / "post"
+        argv = ["posterior", "--coeffs", str(coeffs), "--out-dir", str(out), "--draws", "400", "--grid-points", "2"]
+        assert main(argv) == 4
+        assert "k_max=20" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_ascii_increments_exit_3(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from levygibbs import posterior, processes
+from levygibbs import posterior
 from levygibbs import (
     BasisSystem,
     CoefficientVector,
@@ -40,7 +40,7 @@ from levygibbs import (
     validate_config,
 )
 from levygibbs.experiment import write_draws_jsonl
-from levygibbs.posterior import DISTANCE_CHUNK_ROWS, DRAW_BLOCK, DrawBlocks, _draw_distances
+from levygibbs.posterior import DISTANCE_TILE_ROWS, DRAW_BLOCK, DrawBlocks, _draw_distances
 from levygibbs.processes import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
@@ -313,6 +313,13 @@ class TestSamplePosterior:
         with pytest.raises(ResourceGuardError):
             sample_posterior(self.theta_perp, self.t_n, self.config, 10**9, seed=0)
 
+    def test_theta_storage_guard(self, monkeypatch):
+        # 400 x 2 grid values pass the limit, but the theta matrices may hold 400 x k_max = 8,000 values
+        monkeypatch.setattr(posterior, "MATERIALIZE_LIMIT", 1000)
+        with pytest.raises(ResourceGuardError, match="k_max=20"):
+            sample_posterior(self.theta_perp, self.t_n, self.config, 400, seed=0, grid_points=2)
+        sample_posterior(self.theta_perp, self.t_n, self.config, 50, seed=0, grid_points=2)
+
     def check_matches_per_draw(self, theta_hat, t_n, config, num_draws, seed, basis, marginal):
         got = sample_posterior(theta_hat, t_n, config, num_draws, seed, basis=basis, marginal=marginal)
         draws, grid_values = per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal)
@@ -342,8 +349,10 @@ class TestSamplePosterior:
         self.check_matches_per_draw(theta_hat, 320.0, config, 600, 2, basis, marg)
 
 
-class TestPooledPath:
-    """Sampler jobs and distance ranges in 2 forked workers (the pooled_io fixture) give the in-process bits."""
+class TestInProcessPath:
+    """Several blocks, the last one partial, and partial distance tiles give the per-draw bits, with no pool."""
+
+    NUM_DRAWS = 5 * DRAW_BLOCK + 77  # 6 blocks, the last one partial
 
     def setup_method(self):
         self.config = GibbsConfig(k_max=20)
@@ -351,48 +360,32 @@ class TestPooledPath:
         self.theta = project_density(self.basis, STUDY_VG.levy_density())
         self.marginal = marginal_k(self.theta, 20.0, self.config)
 
-    def sample(self, num_draws):
-        draws = sample_posterior(self.theta, 20.0, self.config, num_draws, seed=5, marginal=self.marginal)
-        center = posterior_mean_function(draws)
-        return draws, {metric: _draw_distances(draws, center, metric) for metric in ("sup", "l2")}
+    def sample(self):
+        return sample_posterior(self.theta, 20.0, self.config, self.NUM_DRAWS, seed=5, marginal=self.marginal)
 
-    @pytest.mark.parametrize(("cpus", "job_blocks"), [(2, 2), (4, 1)])
-    def test_pooled_in_process_and_per_draw_agree(self, monkeypatch, pooled_io, cpus, job_blocks):
-        # 4 workers on fewer CPUs write their rows of the shared grid at once; a lost row shows below.
-        monkeypatch.setattr(processes, "_io_workers", lambda: cpus)
-        monkeypatch.setattr(posterior, "DRAW_JOB_BLOCKS", job_blocks)
-        monkeypatch.setattr(posterior, "DISTANCE_CHUNK_ROWS", 300)
-        monkeypatch.setattr(posterior, "DISTANCE_TILE_ROWS", 64)
-        num_draws = 5 * DRAW_BLOCK + 77  # 6 blocks, the last one partial; 5 row ranges, partial tiles
-        pooled = self.sample(num_draws)
-        jobs = -(-6 // job_blocks)
-        assert pooled_io.workers == [min(cpus, jobs), min(cpus, 5), min(cpus, 5)]  # the sampler, two distance maps
-        with monkeypatch.context() as m:
-            m.setattr(processes, "_io_workers", lambda: 1)
-            here = self.sample(num_draws)
-        assert pooled_io.pools == 3
-
+    def test_blocks_and_tiles_match_per_draw(self, monkeypatch):
+        monkeypatch.setattr(posterior, "DISTANCE_TILE_ROWS", 64)  # NUM_DRAWS is no multiple of 64
+        draws = self.sample()
         ref_draws, ref_values = per_draw_sample(
-            self.theta.values, 20.0, self.config, num_draws, 5, self.basis, self.marginal
+            self.theta.values, 20.0, self.config, self.NUM_DRAWS, 5, self.basis, self.marginal
+        )
+        assert same_bits(draws.grid_values, ref_values)
+        assert len(draws) == self.NUM_DRAWS
+        assert all(
+            K == ref_K and same_bits(theta, ref_theta)
+            for (K, theta), (ref_K, ref_theta) in zip(draws.draws, ref_draws, strict=True)
         )
         center = ref_values.mean(axis=0)
-        grid = self.config.D.grid(512)
+        assert same_bits(posterior_mean_function(draws), center)
         ref_dist = {
             "sup": np.max(np.abs(ref_values - center), axis=1),
-            "l2": np.sqrt(np.trapezoid((ref_values - center) ** 2, grid, axis=1)),
+            "l2": np.sqrt(np.trapezoid((ref_values - center) ** 2, draws.grid, axis=1)),
         }
-        for draws, dist in (pooled, here):
-            assert same_bits(draws.grid_values, ref_values)
-            assert len(draws) == num_draws
-            assert all(
-                K == ref_K and same_bits(theta, ref_theta)
-                for (K, theta), (ref_K, ref_theta) in zip(draws.draws, ref_draws, strict=True)
-            )
-            for metric in ("sup", "l2"):
-                assert same_bits(dist[metric], ref_dist[metric])
+        for metric in ("sup", "l2"):
+            assert same_bits(_draw_distances(draws, center, metric), ref_dist[metric])
 
-    def test_thousand_draws_start_no_pool(self, pooled_io):
-        draws, _ = self.sample(1000)
+    def test_start_no_pool(self, pooled_io):
+        draws = self.sample()
         for metric in ("sup", "l2"):
             credible_band(draws, 0.9, metric=metric)
         concentration_probability(draws, STUDY_VG.levy_density(), 100.0)
@@ -433,11 +426,16 @@ class TestDrawBlocks:
             credible_band(draws, 0.9)
 
     def test_draws_jsonl_digest(self, tmp_path):
-        # sha256 of the file as written before draws were kept per block
+        # The file's sha256 as written before draws were kept per block; the grid's
+        # sha256 and the band radii of these 20 blocks as computed by the forked sampler.
         draws = sample_posterior(self.theta, 20.0, self.config, 5000, seed=11)
         write_draws_jsonl(tmp_path / "draws.jsonl", draws)
         digest = hashlib.sha256((tmp_path / "draws.jsonl").read_bytes()).hexdigest()
         assert digest == "125acd13c1c93ab090365bbbcef02ee33a2554e7a9a18288e8229db48df11b72"
+        grid_digest = hashlib.sha256(draws.grid_values.tobytes()).hexdigest()
+        assert grid_digest == "170da787026e282425c2b2bed84340f335ca9347359c729eeb36d314887efb21"
+        assert credible_band(draws, 0.9, "sup").radius == 3472.2867864141485
+        assert credible_band(draws, 0.9, "l2").radius == 164.19673797112074
 
 
 class TestPosteriorSummaries:
@@ -527,8 +525,8 @@ class TestPosteriorSummaries:
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_chunked_distances_match_full_matrix(self):
-        # more than one chunk of rows plus a remainder
-        draws, psi = self.make_draws(num=DISTANCE_CHUNK_ROWS + 123, seed=4)
+        # several tiles of rows plus a remainder
+        draws, psi = self.make_draws(num=3 * DISTANCE_TILE_ROWS + 23, seed=4)
         center = posterior_mean_function(draws)
         full = {
             "sup": np.max(np.abs(draws.grid_values - center), axis=1),
@@ -542,7 +540,7 @@ class TestPosteriorSummaries:
         # radii at exact reference distances: one ulp of drift flips a comparison
         ref = psi(draws.grid)
         dist = np.sqrt(np.trapezoid((draws.grid_values - ref) ** 2, draws.grid, axis=1))
-        for r in dist[[0, DISTANCE_CHUNK_ROWS - 1, DISTANCE_CHUNK_ROWS, -1]]:
+        for r in dist[[0, DISTANCE_TILE_ROWS - 1, DISTANCE_TILE_ROWS, -1]]:
             assert concentration_probability(draws, psi, r) == float(np.mean(dist > r))
 
 
