@@ -41,6 +41,9 @@ MAX_LEGENDRE_L = 64
 # and a K-independent rule keeps trig projections nested across K.
 DEFAULT_QUAD_NODES = 2048
 
+# Largest absolute quadrature-error estimate project_density accepts per coefficient.
+PROJECTION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Window:
@@ -61,9 +64,6 @@ class Window:
 
     def contains(self, other: "Window") -> bool:
         return self.a <= other.a and other.b <= self.b
-
-    def excludes_origin(self) -> bool:
-        return self.a > 0.0 or self.b < 0.0
 
     def grid(self, grid_points: int) -> np.ndarray:
         """Uniform grid of `grid_points` points from a to b; ParameterError below two points."""
@@ -374,17 +374,12 @@ def gram_matrix(basis: BasisSystem, quad_nodes: int = DEFAULT_QUAD_NODES) -> np.
     return (rows * w) @ rows.T
 
 
-def project_density(
-    basis: BasisSystem,
-    psi,
-    quad_nodes: int = DEFAULT_QUAD_NODES,
-    err_tol: float = 1e-10,
-) -> CoefficientVector:
+def project_density(basis: BasisSystem, psi, quad_nodes: int = DEFAULT_QUAD_NODES) -> CoefficientVector:
     """Coefficients of psi against the basis: theta_k = int f_k(x) psi(x) dx over the window.
 
     psi is any callable accepting an ndarray of window points.  Each
     coefficient carries an absolute quadrature-error estimate (coarse/fine
-    rule comparison); if any estimate exceeds err_tol an IntegrationError
+    rule comparison); if any estimate exceeds PROJECTION_TOL an IntegrationError
     asks for more nodes rather than returning silently degraded values.
     """
     if quad_nodes < 4 * basis.K:
@@ -400,9 +395,9 @@ def project_density(
     fine = integrate(quad_nodes)
     coarse = integrate(max(quad_nodes // 2, 4 * basis.K))
     err = np.abs(fine - coarse)
-    if np.max(err) > err_tol:
+    if np.max(err) > PROJECTION_TOL:
         raise IntegrationError(
-            f"quadrature error estimate {np.max(err):.3e} exceeds {err_tol:.1e}; "
+            f"quadrature error estimate {np.max(err):.3e} exceeds {PROJECTION_TOL:.1e}; "
             f"increase quad_nodes (got {quad_nodes})"
         )
     return CoefficientVector(basis, fine, role="projected", quad_error=err)

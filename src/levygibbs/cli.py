@@ -243,7 +243,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     scheme = _scheme_from_args(args)
     basis = _basis_from_args(args, scheme.t_n)
     diag = delta_condition(basis.features(), scheme, **_given(args, case="case", bound="bound"))
-    config = _config_from_args(args)
+    config = _config_from_args(args, D_prime=basis.window)
     psi = _model_from_args(args).levy_density()
     grid = config.D.grid(args.grid_points if args.grid_points is not None else DEFAULT_GRID_POINTS)
     beta_diag = validate_config(config, float(np.max(psi(grid))), **_given(args, tau="tau"))
@@ -384,7 +384,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_hyper_flags(p)
     p.add_argument("--tau", type=float, default=None)
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
-    _add_window_flag(p, "--D-prime", "window of the basis", GibbsConfig.D_prime)
     _add_grid_flag(p)
     p.set_defaults(func=cmd_check)
 

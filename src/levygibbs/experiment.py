@@ -59,31 +59,36 @@ SAMPLE_FACTOR = 0.05
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Sampling regime j: delta = 1e-3 * 2^{-3j}, n = ceil(0.05 * delta^{-5/3})."""
+    """Sampling regime j: delta = 1e-3 * 2^{-3j}, n = ceil(0.05 * delta^{-5/3}), t_n = n * delta.
+
+    j, a positive integer stored as an int, is the one field; the others derive from it.
+    """
 
     j: int
-    delta: float
-    n: int
-    t_n: float
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.j, (int, np.integer)) and self.j >= 1):
+            raise ParameterError(f"regime index j must be a positive integer, got {self.j!r}")
+        object.__setattr__(self, "j", int(self.j))
 
     @classmethod
     def from_j(cls, j: int) -> "RegimeSpec":
-        if not (isinstance(j, (int, np.integer)) and j >= 1):
-            raise ParameterError(f"regime index j must be a positive integer, got {j!r}")
-        delta = BASE_DELTA * 2.0 ** (-3 * j)
-        n = snap_ceil(SAMPLE_FACTOR * delta**-DELTA_EXPONENT)
-        return cls(int(j), delta, n, n * delta)
+        return cls(j)
 
-    def __post_init__(self) -> None:
-        target = SAMPLE_FACTOR * self.delta**-DELTA_EXPONENT
-        # n is the ceiling of the target: within [target, target + 1), up to float noise.
-        if not (target - 1e-6 * max(1.0, target) <= self.n < target + 1.0):
-            raise ParameterError(f"n={self.n} is not ceil(0.05 * delta^(-5/3)) = ceil({target!r})")
-        if abs(self.t_n - self.n * self.delta) > math.ulp(self.n * self.delta):
-            raise ParameterError(f"t_n={self.t_n!r} disagrees with n*delta")
+    @property
+    def delta(self) -> float:
+        return BASE_DELTA * 2.0 ** (-3 * self.j)
+
+    @property
+    def n(self) -> int:
+        return snap_ceil(SAMPLE_FACTOR * self.delta**-DELTA_EXPONENT)
+
+    @property
+    def t_n(self) -> float:
+        return self.n * self.delta
 
     def scheme(self) -> SamplingScheme:
-        return SamplingScheme(self.delta, self.n, self.t_n)
+        return SamplingScheme(self.delta, self.n)
 
 
 @dataclass(frozen=True)

@@ -211,47 +211,44 @@ class PosteriorDraws:
 
 
 def sample_posterior(
-    theta_hat_full,
+    theta_hat_full: CoefficientVector,
     t_n: float,
     config: GibbsConfig,
     num_draws: int,
     seed: int,
-    basis: BasisSystem | None = None,
-    fixed_k: int | None = None,
     marginal: MarginalK | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> PosteriorDraws:
     """Draw (K, theta) from the hierarchical Gibbs posterior.
 
-    K is drawn from the marginal pmf (or a point mass when fixed_k is given;
-    an explicit `marginal` overrides both), then theta | K from the conjugate
-    Gaussian.  Draws are generated in fixed blocks of DRAW_BLOCK with
-    per-block substreams of `seed`, so the stream is reproducible and one
-    block can be redrawn alone.  Each block's substream gives the block's
-    uniforms for K first, then the standard normals of its draws in draw
-    order, K_i of them for draw i.  The theta_i of the result are views of
-    the blocks' theta matrices; see DrawBlocks.
+    theta_hat_full is a CoefficientVector, whose basis the draws are
+    synthesized on.  K is drawn from `marginal`, by default
+    marginal_k(theta_hat_full, t_n, config); pass
+    MarginalK.point_mass(k, k_max) to fix K = k.  Then theta | K is drawn
+    from the conjugate Gaussian.  Draws are generated in fixed blocks of
+    DRAW_BLOCK with per-block substreams of `seed`, so the stream is
+    reproducible and one block can be redrawn alone.  Each block's substream
+    gives the block's uniforms for K first, then the standard normals of its
+    draws in draw order, K_i of them for draw i.  The theta_i of the result
+    are views of the blocks' theta matrices; see DrawBlocks.
 
-    Raises DimensionError for a basis that is not nested, and
-    ResourceGuardError, before allocating, when the grid evaluations or the
-    theta matrices (up to num_draws * k_max values) would hold more than
-    MATERIALIZE_LIMIT values.
+    Raises ParameterError when theta_hat_full is not a CoefficientVector,
+    DimensionError for a basis that is not nested, and ResourceGuardError,
+    before allocating, when the grid evaluations or the theta matrices (up to
+    num_draws * k_max values) would hold more than MATERIALIZE_LIMIT values.
     """
     if num_draws < 1:
         raise ParameterError(f"num_draws must be >= 1, got {num_draws}")
-    vec = _coefficient_values(theta_hat_full)
-    if basis is None and isinstance(theta_hat_full, CoefficientVector):
-        basis = theta_hat_full.basis
-    if basis is None:
-        raise ParameterError("a basis is required (pass one or use a CoefficientVector)")
+    if not isinstance(theta_hat_full, CoefficientVector):
+        raise ParameterError(f"theta_hat_full must be a CoefficientVector, got {type(theta_hat_full).__name__}")
+    basis = theta_hat_full.basis
     _require_nested(basis)
+    vec = theta_hat_full.values
     k_max = config.k_max_for(t_n)
     if len(vec) < k_max:
         raise DimensionError(f"need at least k_max={k_max} coefficients, got {len(vec)}")
     if marginal is None:
-        marginal = MarginalK.point_mass(fixed_k, k_max) if fixed_k is not None else marginal_k(vec, t_n, config)
-    elif fixed_k is not None:
-        raise ParameterError("pass either fixed_k or an explicit marginal, not both")
+        marginal = marginal_k(theta_hat_full, t_n, config)
     if marginal.k_max != k_max:
         raise DimensionError(f"marginal covers K=1..{marginal.k_max}, expected k_max={k_max}")
 
@@ -273,8 +270,6 @@ def sample_posterior(
             f"limit of {MATERIALIZE_LIMIT} values; draw fewer or lower k_max"
         )
     rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
-    if rows.shape[0] < k_max:
-        raise DimensionError(f"basis has K={basis.K} < k_max={k_max}")
 
     grid_values = np.empty((num_draws, grid_points))
     blocks = []

@@ -62,28 +62,23 @@ MATERIALIZE_LIMIT = 1 << 27
 class SamplingScheme:
     """Regular sampling grid: n increments with spacing delta, horizon t_n = n*delta.
 
-    t_n may be passed explicitly for round-trip fidelity; it must then agree
-    with n*delta to within one floating-point rounding.
+    t_n is derived, never passed; a horizon that overflows raises RangeError.
     """
 
     delta: float
     n: int
-    t_n: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ParameterError(f"delta must be positive and finite, got {self.delta!r}")
-        horizon = self.n * self.delta
-        if not math.isfinite(horizon):
+        if not math.isfinite(self.t_n):
             raise RangeError(f"horizon n*delta overflows: n={self.n}, delta={self.delta}")
-        if self.t_n is None:
-            object.__setattr__(self, "t_n", horizon)
-        elif abs(self.t_n - horizon) > math.ulp(horizon):
-            raise ParameterError(
-                f"t_n={self.t_n!r} disagrees with n*delta={horizon!r} beyond one ulp"
-            )
+
+    @property
+    def t_n(self) -> float:
+        return self.n * self.delta
 
     @property
     def num_blocks(self) -> int:
@@ -696,10 +691,14 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
 
     The header, when present, supplies delta/n/seed; otherwise delta must be
     passed (the file is refused before its body is read) and n is the count
-    of increment lines.  Malformed content raises :class:`InputParseError`
-    naming the offending line; more than MATERIALIZE_LIMIT increments,
-    declared or found, raise ResourceGuardError.
+    of increment lines.  A delta argument or header delta that is not
+    positive and finite raises ParameterError or InputParseError before the
+    body is read.  Malformed content raises :class:`InputParseError` naming
+    the offending line; more than MATERIALIZE_LIMIT increments, declared or
+    found, raise ResourceGuardError.
     """
+    if delta is not None and not (math.isfinite(delta) and delta > 0.0):
+        raise ParameterError(f"delta must be positive and finite, got {delta!r}")
     header_n = header_seed = None
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -708,7 +707,7 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
             line = line[: cr + 1]  # a lone CR ends a line too
         text = decode_ascii(path, line).strip()
         if text.startswith("#"):
-            delta, header_n, header_seed = _parse_header(text, 1)
+            delta, header_n, header_seed = _parse_header(path, text)
             if header_n > MATERIALIZE_LIMIT:
                 raise ResourceGuardError(
                     f"{path}: header declares n={header_n} increments, "
@@ -844,7 +843,7 @@ def _parse_lines(path, lines, first_lineno: int, limit: int) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _parse_header(text: str, lineno: int) -> tuple[float, int, int | None]:
+def _parse_header(path, text: str) -> tuple[float, int, int | None]:
     fields = {}
     for tok in text.lstrip("#").split():
         key, _, val = tok.partition("=")
@@ -854,5 +853,7 @@ def _parse_header(text: str, lineno: int) -> tuple[float, int, int | None]:
         n = int(fields["n"])
         seed = int(fields["seed"]) if fields.get("seed") else None
     except (KeyError, ValueError) as exc:
-        raise InputParseError(f"line {lineno}: malformed header: {text!r}") from exc
+        raise InputParseError(f"{path}: line 1: malformed header: {text!r}") from exc
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InputParseError(f"{path}: line 1: header delta must be positive and finite, got {delta!r}")
     return delta, n, seed

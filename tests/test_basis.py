@@ -64,11 +64,9 @@ class TestWindow:
         with pytest.raises(WindowError):
             Window(2.0, 1.0)
 
-    def test_contains_and_origin(self):
+    def test_contains(self):
         assert D_PRIME.contains(Window(0.006, 0.014))
         assert not Window(0.006, 0.014).contains(D_PRIME)
-        assert D_PRIME.excludes_origin()
-        assert not Window(-1.0, 1.0).excludes_origin()
 
 
 class TestEval:

@@ -343,7 +343,7 @@ class TestOneOwner:
             (lambda d: ["experiment", "--j", "1", "--draws", "50", "--out-dir", str(d)],
              hyper + ["--D-prime", window_flag(c.D_prime), "--alpha", repr(DEFAULT_ALPHA_ASSUMED)]),
             (lambda d: ["check", "--j", "1"],
-             hyper + ["--D-prime", window_flag(c.D_prime), "--tau", repr(tau),
+             hyper + ["--window", window_flag(c.D_prime), "--tau", repr(tau),
                       "--case", spacing["case"].default, "--bound", repr(spacing["bound"].default)]),
         ]
         for i, (argv, explicit) in enumerate(runs):
@@ -407,6 +407,18 @@ class TestCheck:
         assert main(["check", "--j", "1", "--case", "fixed-K"]) == 0
         out = capsys.readouterr().out
         assert "n*delta^3" in out and "n*delta^(5/3)" not in out
+
+    def test_window_is_the_D_prime_checked_against_D(self, capsys):
+        assert main(["check", "--j", "1", "--window", "0.02,0.03"]) == 2
+        assert "must be contained in D_prime" in capsys.readouterr().err
+
+    def test_no_D_prime_flag_or_config_key(self, tmp_path, capsys):
+        assert main(["check", "--help"]) == 0
+        assert "--D-prime" not in capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("D_prime = 0.005,0.015\n")
+        assert main(["check", "--j", "1", "--config", str(cfg)]) == 3
+        assert "unknown config key(s): D_prime" in capsys.readouterr().err
 
     @pytest.mark.parametrize("points", ["0", "-3", "1"])
     def test_grid_points_below_two_exit_2(self, capsys, points):
@@ -556,6 +568,19 @@ class TestExitCodes:
         assert main(["estimate", "--increments", str(bad), "--delta", "0.5",
                      "--K", "2", "--out", str(tmp_path / "o.json")]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_bad_header_delta_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "inc.txt"
+        bad.write_text("# delta=-1 n=3 seed=1\n0.1\n0.2\n0.3\n")
+        assert main(["estimate", "--increments", str(bad), "--K", "2", "--out", str(tmp_path / "o.json")]) == 3
+        assert f"{bad}: line 1: header delta must be positive and finite" in capsys.readouterr().err
+
+    def test_bad_delta_flag_exits_2(self, tmp_path, capsys):
+        inc = tmp_path / "inc.txt"
+        inc.write_text("0.1\n0.2\n")
+        assert main(["estimate", "--increments", str(inc), "--delta", "-1",
+                     "--K", "2", "--out", str(tmp_path / "o.json")]) == 2
+        assert "delta must be positive and finite" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["estimate", "--increments", str(tmp_path / "nope.txt"),

@@ -114,14 +114,10 @@ class TestEmpiricalCoefficients:
         values = np.where(
             rng.random(5000) < 0.2, rng.uniform(0.005, 0.015, 5000), rng.normal(0.0, 1.0, 5000)
         )
-        series = series_from(values, delta=0.5)
-        t_n = series.scheme.t_n
-        kept = values[(values >= basis.window.a) & (values <= basis.window.b)]
-        filtered = IncrementSeries(
-            SamplingScheme(t_n / len(kept), len(kept), t_n=t_n), seed=0, values=kept
-        )
-        a = empirical_coefficients(series, basis).values
-        b = empirical_coefficients(filtered, basis).values
+        # The out-of-window values replaced by 1.0, outside D' too: same n and t_n, same coefficients.
+        inside = (values >= basis.window.a) & (values <= basis.window.b)
+        a = empirical_coefficients(series_from(values, delta=0.5), basis).values
+        b = empirical_coefficients(series_from(np.where(inside, values, 1.0), delta=0.5), basis).values
         assert np.array_equal(a, b)
 
     def test_nonpositive_horizon_rejected(self):

@@ -72,8 +72,20 @@ class TestRegimeArithmetic:
         for j in (0, -1, 1.5):
             with pytest.raises(ParameterError):
                 RegimeSpec.from_j(j)
+            with pytest.raises(ParameterError):
+                RegimeSpec(j)
         # larger regimes are well defined, just expensive
         assert RegimeSpec.from_j(4).delta == 1e-3 * 2.0**-12
+
+    def test_delta_n_t_n_derived_from_j(self):
+        # j is the one field, so no regime can carry a delta, n or t_n of another j.
+        assert [f.name for f in dataclasses.fields(RegimeSpec)] == ["j"]
+        assert RegimeSpec(7).delta == 1e-3 * 2.0**-21
+        with pytest.raises(TypeError):
+            RegimeSpec(7, 1.25e-4, 160000, 20.0)
+        spec = RegimeSpec.from_j(np.int64(2))
+        assert type(spec.j) is int and spec == RegimeSpec(2)
+        assert json.loads(json.dumps({"j": spec.j})) == {"j": 2}
 
     def test_snap_ceil(self):
         assert snap_ceil(160000.00000000012) == 160_000

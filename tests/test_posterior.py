@@ -233,25 +233,16 @@ class TestSamplePosterior:
         draws = sample_posterior(self.theta_perp, self.t_n, self.config, 300, seed=0)
         assert all(len(theta) == k for k, theta in draws.draws)
 
-    def test_fixed_k_equals_point_mass_marginal(self):
-        a = sample_posterior(self.theta_perp, self.t_n, self.config, 250, seed=7, fixed_k=8)
-        b = sample_posterior(
-            self.theta_perp,
-            self.t_n,
-            self.config,
-            250,
-            seed=7,
-            marginal=MarginalK.point_mass(8, 20),
-        )
-        assert np.array_equal(a.grid_values, b.grid_values)
-        assert all(k == 8 for k, _ in a.draws)
+    def test_point_mass_marginal_fixes_k(self):
+        a = sample_posterior(self.theta_perp, self.t_n, self.config, 250, seed=7, marginal=MarginalK.point_mass(8, 20))
+        assert all(k == 8 and len(theta) == 8 for k, theta in a.draws)
 
     def test_fixed_k_gaussian_moments(self):
         # 1e5 draws at fixed K: sample mean/variance against the closed form
         # within 4 SE per coefficient
         n = 100_000
         draws = sample_posterior(
-            self.theta_perp, self.t_n, self.config, n, seed=0, fixed_k=4, grid_points=2
+            self.theta_perp, self.t_n, self.config, n, seed=0, marginal=MarginalK.point_mass(4, 20), grid_points=2
         )
         cond = conditional_posterior(self.theta_perp.values[:4], self.t_n, self.config)
         mat = np.array([theta for _, theta in draws.draws])
@@ -282,18 +273,11 @@ class TestSamplePosterior:
     def test_validation(self):
         with pytest.raises(ParameterError):
             sample_posterior(self.theta_perp, self.t_n, self.config, 0, seed=0)
-        with pytest.raises(ParameterError):
-            sample_posterior(
-                self.theta_perp,
-                self.t_n,
-                self.config,
-                10,
-                seed=0,
-                fixed_k=2,
-                marginal=MarginalK.point_mass(2, 20),
-            )
+        with pytest.raises(ParameterError, match="CoefficientVector"):
+            sample_posterior(self.theta_perp.values, self.t_n, self.config, 10, seed=0)
+        short = CoefficientVector(BasisSystem.trigonometric(D_PRIME, 5), np.zeros(5))
         with pytest.raises(DimensionError):
-            sample_posterior(np.zeros(5), self.t_n, self.config, 10, seed=0, basis=self.basis)
+            sample_posterior(short, self.t_n, self.config, 10, seed=0)
 
     def test_basis_must_be_nested(self):
         # Piece-major legendre prefixes are not models: K = 20 of J=4, L=8 covers 5 of the 8 pieces.
@@ -302,9 +286,9 @@ class TestSamplePosterior:
         with pytest.raises(DimensionError, match="nested"):
             marginal_k(theta, self.t_n, self.config)
         with pytest.raises(DimensionError, match="nested"):
-            sample_posterior(theta, self.t_n, self.config, 10, seed=0, fixed_k=2)
+            sample_posterior(theta, self.t_n, self.config, 10, seed=0, marginal=MarginalK.point_mass(2, 20))
         with pytest.raises(DimensionError, match="nested"):
-            sample_posterior(np.ones(legendre.K), self.t_n, self.config, 10, seed=0, basis=legendre)
+            sample_posterior(theta, self.t_n, self.config, 10, seed=0)
 
     def test_allocation_guard(self):
         # the guard fires before any (num_draws, grid_points) allocation;
@@ -321,7 +305,7 @@ class TestSamplePosterior:
         sample_posterior(self.theta_perp, self.t_n, self.config, 50, seed=0, grid_points=2)
 
     def check_matches_per_draw(self, theta_hat, t_n, config, num_draws, seed, basis, marginal):
-        got = sample_posterior(theta_hat, t_n, config, num_draws, seed, basis=basis, marginal=marginal)
+        got = sample_posterior(CoefficientVector(basis, theta_hat), t_n, config, num_draws, seed, marginal=marginal)
         draws, grid_values = per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal)
         assert [k for k, _ in got.draws] == [k for k, _ in draws]
         assert all(same_bits(a, b) for (_, a), (_, b) in zip(got.draws, draws))
@@ -461,7 +445,7 @@ class TestPosteriorSummaries:
         psi = STUDY_VG.levy_density()
         theta = project_density(basis, psi)
         n = 2000
-        draws = sample_posterior(theta, 20.0, config, n, seed=1, fixed_k=6)
+        draws = sample_posterior(theta, 20.0, config, n, seed=1, marginal=MarginalK.point_mass(6, 20))
         cond = conditional_posterior(theta.values[:6], 20.0, config)
         sub = BasisSystem.trigonometric(D_PRIME, 6)
         expect = synthesize(sub, cond.means, draws.grid)

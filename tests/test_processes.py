@@ -12,6 +12,7 @@ m4U = 3*delta^2*nu^2 + 6*delta*nu^3 and E[U^2] = delta*nu + delta^2.
 Monte Carlo checks use 4-standard-error tolerances with fixed seeds.
 """
 
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -77,7 +78,7 @@ def reference_read_increments(path, delta=None):
         lines = fh.readlines()
     first = lines[0].strip() if lines else ""
     if first.startswith("#"):
-        delta, header_n, header_seed = processes._parse_header(first, 1)
+        delta, header_n, header_seed = processes._parse_header(path, first)
     elif delta is None:
         raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
     for lineno, line in enumerate(lines, start=1):
@@ -141,10 +142,10 @@ class TestSamplingScheme:
         s = SamplingScheme(1e-3, 10**6)
         assert s.t_n == 10**6 * 1e-3
 
-    def test_explicit_t_n_must_match(self):
-        SamplingScheme(0.5, 100, t_n=50.0)
-        with pytest.raises(ParameterError):
-            SamplingScheme(0.5, 100, t_n=49.0)
+    def test_t_n_is_derived(self):
+        assert [f.name for f in dataclasses.fields(SamplingScheme)] == ["delta", "n"]
+        with pytest.raises(TypeError):
+            SamplingScheme(0.5, 100, 50.0)
 
     def test_invalid_scheme(self):
         with pytest.raises(ParameterError):
@@ -724,6 +725,32 @@ class TestReaderGuards:
             path.write_bytes(body)
             with pytest.raises(InputParseError, match="no header and no delta supplied"):
                 read_increments(path)
+        assert calls == []
+
+    @pytest.mark.parametrize("delta", ["-1", "0", "nan", "inf"])
+    def test_bad_header_delta_refused_before_body(self, tmp_path, monkeypatch, delta):
+        calls = []
+        monkeypatch.setattr(processes, "_read_body", lambda *args: calls.append(args))
+        path = tmp_path / "inc.txt"
+        path.write_text(f"# delta={delta} n=3 seed=1\n0.1\n0.2\n0.3\n")
+        with pytest.raises(InputParseError, match=r"inc\.txt: line 1: header delta must be positive and finite"):
+            read_increments(path)
+        assert calls == []
+
+    def test_malformed_header_names_file(self, tmp_path):
+        path = tmp_path / "inc.txt"
+        path.write_text("# delta=0.5 n=three seed=1\n0.1\n")
+        with pytest.raises(InputParseError, match=r"inc\.txt: line 1: malformed header"):
+            read_increments(path)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_delta_argument_refused_before_body(self, tmp_path, monkeypatch, delta):
+        calls = []
+        monkeypatch.setattr(processes, "_read_body", lambda *args: calls.append(args))
+        path = tmp_path / "inc.txt"
+        path.write_text("0.1\n0.2\n")
+        with pytest.raises(ParameterError, match="delta must be positive and finite"):
+            read_increments(path, delta=delta)
         assert calls == []
 
 
