@@ -1,15 +1,18 @@
 """Orthonormal function systems on an estimation window.
 
+A family is a subclass of `BasisSystem` that owns its size checks, its rows
+(`_eval_rows`), its `features`, the intervals on which its functions are
+smooth (`segments`, where quadrature panels break) and its descriptor fields.
 Two families are implemented on a window [a, b]:
 
-* "trigonometric" (nested): f_1 = (b-a)^{-1/2}; for even k,
-  f_k = sqrt(2/(b-a)) * cos(k*pi*(x-a)/(b-a)); for odd k > 1,
+* `TrigonometricBasis` ("trigonometric", nested): f_1 = (b-a)^{-1/2}; for
+  even k, f_k = sqrt(2/(b-a)) * cos(k*pi*(x-a)/(b-a)); for odd k > 1,
   f_k = sqrt(2/(b-a)) * sin((k-1)*pi*(x-a)/(b-a)).
-* "piecewise-legendre" (not nested): the window is split into L equal pieces
-  of width h; on piece l the scaled Legendre polynomials
-  sqrt((2j+1)/h) * Q_j(2(x - mid_l)/h), j = 0..J-1, vanish off the open
-  piece.  Basis size is K = J*L, indexed piece-major: within piece 1 all
-  degrees, then piece 2, and so on.
+* `PiecewiseLegendreBasis` ("piecewise-legendre", not nested): the window is
+  split into L equal pieces of width h; on piece l the scaled Legendre
+  polynomials sqrt((2j+1)/h) * Q_j(2(x - mid_l)/h), j = 0..J-1, vanish off
+  the open piece.  Basis size is K = J*L, indexed piece-major: within piece 1
+  all degrees, then piece 2, and so on.
 
 All evaluations return 0 exactly outside the window (and, for the piecewise
 family, at piece boundaries).  Feature functionals F1 and F2 bound the
@@ -19,6 +22,7 @@ sup/derivative growth of the system and feed the sampling-spacing check.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,7 @@ from .errors import (
     BasisIndexError,
     DimensionError,
     IntegrationError,
+    LevyGibbsError,
     ParameterError,
     WindowError,
 )
@@ -73,88 +78,82 @@ class Window:
 
 
 class BasisSystem:
-    """Orthonormal basis of size K on a window; see module docstring for families."""
+    """Orthonormal basis of size K on a window; each family is a subclass (see module docstring)."""
 
-    def __init__(self, family: str, window: Window, K: int, J: int | None = None, L: int | None = None):
-        if family == "trigonometric":
-            if not 1 <= K <= MAX_TRIG_K:
-                raise ParameterError(f"trigonometric K must be in 1..{MAX_TRIG_K}, got {K}")
-            if J is not None or L is not None:
-                raise ParameterError("J/L apply only to the piecewise-legendre family")
-        elif family == "piecewise-legendre":
-            if J is None or L is None:
-                raise ParameterError("piecewise-legendre requires J and L")
-            if not 1 <= J <= MAX_LEGENDRE_J:
-                raise ParameterError(f"J must be in 1..{MAX_LEGENDRE_J}, got {J}")
-            if not 1 <= L <= MAX_LEGENDRE_L:
-                raise ParameterError(f"L must be in 1..{MAX_LEGENDRE_L}, got {L}")
-            if K != J * L:
-                raise ParameterError(f"K must equal J*L = {J * L}, got {K}")
-        else:
-            raise ParameterError(f"unknown basis family {family!r}")
-        self.family = family
+    family: str
+    nested = False
+
+    def __init__(self, window: Window, K: int):
         self.window = window
         self.K = K
-        self.J = J
-        self.L = L
-        if family == "piecewise-legendre":
-            h = window.length / L
-            edges = window.a + h * np.arange(L + 1)
-            edges[-1] = window.b
-            self._edges = edges
-            self._h = h
 
     @classmethod
-    def trigonometric(cls, window: Window, K: int) -> "BasisSystem":
-        return cls("trigonometric", window, K)
+    def trigonometric(cls, window: Window, K: int) -> "TrigonometricBasis":
+        return TrigonometricBasis(window, K)
 
     @classmethod
-    def piecewise_legendre(cls, window: Window, J: int, L: int) -> "BasisSystem":
-        return cls("piecewise-legendre", window, J * L, J=J, L=L)
+    def piecewise_legendre(cls, window: Window, J: int, L: int) -> "PiecewiseLegendreBasis":
+        return PiecewiseLegendreBasis(window, J, L)
 
-    @property
-    def nested(self) -> bool:
-        return self.family == "trigonometric"
-
-    # -- indexing ----------------------------------------------------------
-
-    def linear_index(self, j: int, l: int) -> int:
-        """1-based linear index of degree j on piece l (piecewise family only)."""
-        if self.family != "piecewise-legendre":
-            raise ParameterError("degree/piece indexing applies only to piecewise-legendre")
-        if not (0 <= j < self.J and 1 <= l <= self.L):
-            raise BasisIndexError(f"(j={j}, l={l}) outside degrees 0..{self.J - 1}, pieces 1..{self.L}")
-        return (l - 1) * self.J + j + 1
+    def segments(self) -> list[tuple[float, float]]:
+        """Intervals on which every basis function is smooth."""
+        return [(self.window.a, self.window.b)]
 
     def _check_k(self, k) -> int:
-        if isinstance(k, tuple):
-            return self.linear_index(*k)
         if not (isinstance(k, (int, np.integer)) and 1 <= k <= self.K):
             raise BasisIndexError(f"basis index k={k!r} outside 1..{self.K}")
         return int(k)
-
-    # -- evaluation --------------------------------------------------------
 
     def eval(self, k, x):
         """Evaluate f_k at x (scalar or array); k may be (j, l) for the piecewise family."""
         k = self._check_k(k)
         arr = np.asarray(x, dtype=float)
         out = self._eval_rows(np.array([k]), arr.ravel())[0].reshape(arr.shape)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
     def evaluate_all(self, x) -> np.ndarray:
         """Matrix of basis values, shape (K, len(x))."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         return self._eval_rows(np.arange(1, self.K + 1), arr)
 
-    def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if self.family == "trigonometric":
-            return self._trig_rows(ks, x)
-        return self._legendre_rows(ks, x)
+    def descriptor(self) -> dict:
+        return {"family": self.family, "a": self.window.a, "b": self.window.b, "K": self.K}
 
-    def _trig_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    @classmethod
+    def from_descriptor(cls, d: dict) -> "BasisSystem":
+        """The basis a descriptor() names; ParameterError for a malformed one or an unknown family."""
+        with _parsing("basis descriptor"):
+            window = Window(float(d["a"]), float(d["b"]))
+            family, K = d["family"], int(d["K"])
+            if family == "trigonometric":
+                basis = cls.trigonometric(window, K)
+            elif family == "piecewise-legendre":
+                basis = cls.piecewise_legendre(window, int(d["J"]), int(d["L"]))
+            else:
+                raise ParameterError(f"unknown basis family {family!r}")
+        if basis.K != K:
+            raise ParameterError(f"descriptor K={K} inconsistent with J*L={basis.K}")
+        return basis
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BasisSystem) and self.descriptor() == other.descriptor()
+
+    def __repr__(self) -> str:
+        return f"BasisSystem({self.descriptor()!r})"
+
+
+class TrigonometricBasis(BasisSystem):
+    """The nested trigonometric system f_1..f_K."""
+
+    family = "trigonometric"
+    nested = True
+
+    def __init__(self, window: Window, K: int):
+        if not 1 <= K <= MAX_TRIG_K:
+            raise ParameterError(f"trigonometric K must be in 1..{MAX_TRIG_K}, got {K}")
+        super().__init__(window, K)
+
+    def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         a, width = self.window.a, self.window.length
         inside = (x >= a) & (x <= self.window.b)
         u = np.where(inside, (x - a) / width, 0.0)
@@ -177,7 +176,46 @@ class BasisSystem:
         out[:, ~inside] = 0.0
         return out
 
-    def _legendre_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def features(self) -> "BasisFeatures":
+        """F1 = max_k (sup|f_k| + int|f_k'|), F2 = max_k (sup f_k^2 + 2 int|f_k f_k'|)."""
+        width = self.window.length
+        kstar = self.K - self.K % 2  # highest frequency: k for even k, k-1 for odd k
+        f1, f2 = 1.0 / math.sqrt(width), 1.0 / width
+        if kstar > 0:
+            f1 = max(f1, math.sqrt(2.0 / width) * (1.0 + 2.0 * kstar))
+            f2 = max(f2, (2.0 + 4.0 * kstar) / width)
+        return BasisFeatures(f1, f2)
+
+
+class PiecewiseLegendreBasis(BasisSystem):
+    """J scaled Legendre polynomials on each of L equal pieces; K = J*L, not nested."""
+
+    family = "piecewise-legendre"
+
+    def __init__(self, window: Window, J: int, L: int):
+        if not 1 <= J <= MAX_LEGENDRE_J:
+            raise ParameterError(f"J must be in 1..{MAX_LEGENDRE_J}, got {J}")
+        if not 1 <= L <= MAX_LEGENDRE_L:
+            raise ParameterError(f"L must be in 1..{MAX_LEGENDRE_L}, got {L}")
+        super().__init__(window, J * L)
+        self.J, self.L = J, L
+        self._h = window.length / L
+        self._edges = window.a + self._h * np.arange(L + 1)
+        self._edges[-1] = window.b
+
+    def segments(self) -> list[tuple[float, float]]:
+        return list(zip(self._edges[:-1], self._edges[1:]))
+
+    def linear_index(self, j: int, l: int) -> int:
+        """1-based linear index of degree j on piece l."""
+        if not (0 <= j < self.J and 1 <= l <= self.L):
+            raise BasisIndexError(f"(j={j}, l={l}) outside degrees 0..{self.J - 1}, pieces 1..{self.L}")
+        return (l - 1) * self.J + j + 1
+
+    def _check_k(self, k) -> int:
+        return self.linear_index(*k) if isinstance(k, tuple) else super()._check_k(k)
+
+    def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         edges, h = self._edges, self._h
         piece = np.floor((x - self.window.a) / h).astype(int)
         piece = np.clip(piece, 0, self.L - 1)
@@ -194,58 +232,32 @@ class BasisSystem:
             out[row] = np.where(mask, scale * eval_legendre(j, u), 0.0)
         return out
 
-    # -- features ----------------------------------------------------------
-
     def features(self) -> "BasisFeatures":
-        """F1 = max_k (sup|f_k| + int|f_k'|), F2 = max_k (sup f_k^2 + 2 int|f_k f_k'|)."""
-        if self.family == "trigonometric":
-            width = self.window.length
-            # Effective frequency index: k for even k, k-1 for odd k (0 for k=1).
-            kstar = max((k if k % 2 == 0 else k - 1) for k in range(1, self.K + 1))
-            s = math.sqrt(2.0 / width)
-            f1 = 1.0 / math.sqrt(width)
-            f2 = 1.0 / width
-            if kstar > 0:
-                f1 = max(f1, s * (1.0 + 2.0 * kstar))
-                f2 = max(f2, (2.0 + 4.0 * kstar) / width)
-            return BasisFeatures(f1, f2, self.K, self.family)
+        """F1 = max_k (sup|f_k| + int|f_k'|), F2 = max_k (sup f_k^2 + 2 int|f_k f_k'|), on each piece."""
         h = self._h
         f1 = f2 = 0.0
         for j in range(self.J):
             scale = math.sqrt((2 * j + 1) / h)
-            f1 = max(f1, scale * (1.0 + _legendre_tv(j)))
-            f2 = max(f2, scale**2 * (1.0 + _legendre_sq_tv(j)))
-        return BasisFeatures(f1, f2, self.K, self.family)
-
-    # -- serialization -----------------------------------------------------
+            tv, sq_tv = _legendre_variations(j)
+            f1 = max(f1, scale * (1.0 + tv))
+            f2 = max(f2, scale**2 * (1.0 + sq_tv))
+        return BasisFeatures(f1, f2)
 
     def descriptor(self) -> dict:
-        d = {"family": self.family, "a": self.window.a, "b": self.window.b, "K": self.K}
-        if self.family == "piecewise-legendre":
-            d["J"] = self.J
-            d["L"] = self.L
-        return d
+        return super().descriptor() | {"J": self.J, "L": self.L}
 
-    @classmethod
-    def from_descriptor(cls, d: dict) -> "BasisSystem":
-        try:
-            window = Window(float(d["a"]), float(d["b"]))
-            family = d["family"]
-            if family == "piecewise-legendre":
-                basis = cls.piecewise_legendre(window, int(d["J"]), int(d["L"]))
-            else:
-                basis = cls(family, window, int(d["K"]))
-        except KeyError as exc:
-            raise ParameterError(f"basis descriptor missing field {exc}") from exc
-        if basis.K != int(d["K"]):
-            raise ParameterError(f"descriptor K={d['K']} inconsistent with J*L={basis.K}")
-        return basis
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BasisSystem) and self.descriptor() == other.descriptor()
-
-    def __repr__(self) -> str:
-        return f"BasisSystem({self.descriptor()!r})"
+@contextmanager
+def _parsing(what: str):
+    """Re-raise a missing key or a value of the wrong type inside the block as ParameterError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParameterError(f"{what} missing field {exc}") from exc
+    except LevyGibbsError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -254,36 +266,15 @@ class BasisFeatures:
 
     F1: float
     F2: float
-    K: int
-    family: str
 
 
-def _legendre_critical(j: int) -> np.ndarray:
-    """Endpoints plus interior critical points of Q_j, sorted."""
-    pts = [-1.0, 1.0]
-    if j >= 2:
-        deriv = np.polynomial.legendre.Legendre.basis(j).deriv()
-        pts.extend(np.real(deriv.roots()).tolist())
-    return np.sort(np.asarray(pts))
-
-
-def _legendre_tv(j: int) -> float:
-    """Total variation of Q_j on [-1, 1]."""
-    if j == 0:
-        return 0.0
-    pts = _legendre_critical(j)
-    vals = eval_legendre(j, pts)
-    return float(np.sum(np.abs(np.diff(vals))))
-
-
-def _legendre_sq_tv(j: int) -> float:
-    """Total variation of Q_j^2 on [-1, 1]; critical points are roots of Q_j and Q_j'."""
-    if j == 0:
-        return 0.0
-    roots = np.polynomial.legendre.Legendre.basis(j).roots()
-    pts = np.sort(np.concatenate([_legendre_critical(j), np.real(roots)]))
-    vals = eval_legendre(j, pts) ** 2
-    return float(np.sum(np.abs(np.diff(vals))))
+def _legendre_variations(j: int) -> tuple[float, float]:
+    """Total variations of Q_j and Q_j^2 on [-1, 1], between critical points (Q_j^2 also turns at Q_j's roots)."""
+    q = np.polynomial.legendre.Legendre.basis(j)
+    crit = np.sort(np.concatenate([[-1.0, 1.0], np.real(q.deriv().roots())]))
+    crit_sq = np.sort(np.concatenate([crit, np.real(q.roots())]))
+    tv = np.sum(np.abs(np.diff(eval_legendre(j, crit))))
+    return float(tv), float(np.sum(np.abs(np.diff(eval_legendre(j, crit_sq) ** 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +315,16 @@ class CoefficientVector:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoefficientVector":
-        try:
+        """The vector a to_dict() record holds; ParameterError or DimensionError for a malformed record."""
+        with _parsing("coefficient record"):
             basis = BasisSystem.from_descriptor(d["basis"])
             values = np.asarray(d["values"], dtype=float)
-        except KeyError as exc:
-            raise ParameterError(f"coefficient record missing field {exc}") from exc
-        return cls(basis, values, role=d.get("role", "generic"), t_n=d.get("t_n"))
+            t_n = d.get("t_n")
+        if not np.all(np.isfinite(values)):
+            raise ParameterError("coefficient values must be finite numbers")
+        if t_n is not None and (isinstance(t_n, bool) or not isinstance(t_n, (int, float)) or not 0 < t_n < math.inf):
+            raise ParameterError(f"t_n must be a positive finite number, got {t_n!r}")
+        return cls(basis, values, role=d.get("role", "generic"), t_n=t_n)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +340,11 @@ def quadrature_rule(basis: BasisSystem, quad_nodes: int) -> tuple[np.ndarray, np
 
     Panels never straddle piece boundaries of a piecewise basis, so basis
     rows are smooth on every panel and the rule converges at spectral rate.
-    The node set depends only on (family, window, L, quad_nodes), never on K.
+    The node set depends only on the basis segments and quad_nodes, never on K.
     """
     if quad_nodes < 1:
         raise ParameterError(f"quad_nodes must be >= 1, got {quad_nodes}")
-    if basis.family == "piecewise-legendre":
-        segments = list(zip(basis._edges[:-1], basis._edges[1:]))
-    else:
-        segments = [(basis.window.a, basis.window.b)]
+    segments = basis.segments()
     per_segment = -(-quad_nodes // len(segments))
     panels_per_segment = -(-per_segment // _PANEL)
     xs, ws = [], []

@@ -62,7 +62,7 @@ from .processes import (
     simulate,
     write_increments,
 )
-from .util import fmt_float, open_ascii, snap_ceil
+from .util import fmt_float, open_ascii
 
 
 def _parse_window(text: str) -> Window:
@@ -141,8 +141,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _basis_from_args(args: argparse.Namespace, t_n: float) -> BasisSystem:
     window = args.window if args.window is not None else GibbsConfig.D_prime
+    for name in ("J", "L") if args.family == "trig" else ("K",):
+        if getattr(args, name) is not None:
+            raise ParameterError(f"--{name} does not apply to --family {args.family}")
     if args.family == "trig":
-        K = args.K if args.K is not None else snap_ceil(t_n)
+        K = args.K if args.K is not None else GibbsConfig().k_max_for(t_n)
         return BasisSystem.trigonometric(window, K)
     _require(args, "J", "L")
     return BasisSystem.piecewise_legendre(window, args.J, args.L)
@@ -171,11 +174,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_posterior(args: argparse.Namespace) -> int:
     _require(args, "coeffs", "out_dir")
     theta_hat = read_coefficients_json(args.coeffs)
-    t_n = args.t_n if args.t_n is not None else theta_hat.t_n
+    t_n = theta_hat.t_n if theta_hat.t_n is not None else args.t_n
     if t_n is None:
         raise ParameterError("coefficient file carries no t_n; pass --t-n")
+    if theta_hat.t_n is not None and args.t_n is not None and args.t_n != t_n:
+        raise ParameterError(f"--t-n {fmt_float(args.t_n)} differs from t_n = {fmt_float(t_n)} in {args.coeffs}")
     truth = _truth_from_args(args)
-    k_max = args.k_max if args.k_max is not None else min(theta_hat.basis.K, snap_ceil(t_n))
+    k_max = args.k_max if args.k_max is not None else min(theta_hat.basis.K, GibbsConfig().k_max_for(t_n))
     config = _config_from_args(args, k_max=k_max, D_prime=theta_hat.basis.window)
     marginal = (
         MarginalK.point_mass(args.fixed_K, k_max)
@@ -344,7 +349,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("posterior", help="sample the Gibbs posterior from saved coefficients")
     p.add_argument("--config", default=None)
     p.add_argument("--coeffs", default=None)
-    p.add_argument("--t-n", dest="t_n", type=float, default=None)
+    p.add_argument("--t-n", dest="t_n", type=float, default=None,
+                   help="observation horizon, for a coefficient file that carries none")
     _add_hyper_flags(p)
     p.add_argument("--fixed-K", dest="fixed_K", type=int, default=None, help="bypass the K prior")
     p.add_argument("--draws", type=int, default=None, help=f"posterior draws (default {DEFAULT_NUM_DRAWS})")

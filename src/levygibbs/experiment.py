@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisFeatures, BasisSystem, CoefficientVector
-from .errors import InputParseError, ParameterError
+from .errors import DimensionError, InputParseError, ParameterError, WindowError
 from .estimator import DEFAULT_GRID_POINTS, empirical_coefficients, l2_error_on_D
 from .posterior import (
     GibbsConfig,
@@ -400,13 +400,14 @@ def write_coefficients_json(path, theta_hat: CoefficientVector) -> None:
 
 
 def read_coefficients_json(path) -> CoefficientVector:
-    """Read a file written by write_coefficients_json; malformed JSON raises InputParseError."""
+    """Read a file written by write_coefficients_json; a malformed file raises InputParseError."""
     try:
         with open_ascii(path) as fh:
-            payload = json.load(fh)
+            return CoefficientVector.from_dict(json.load(fh))
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return CoefficientVector.from_dict(payload)
+    except (ParameterError, DimensionError, WindowError) as exc:
+        raise InputParseError(f"{path}: {exc}") from exc
 
 
 def write_draws_jsonl(path, draws: PosteriorDraws) -> None:

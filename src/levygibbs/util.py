@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import InputParseError
+from .errors import InputParseError, ParameterError
 
 
 def fmt_float(v: float) -> str:
@@ -45,7 +45,7 @@ def snap_ceil(x: float, rel: float = 1e-9) -> int:
     would overshoot by one.
     """
     if not math.isfinite(x):
-        raise ValueError(f"cannot take ceiling of {x!r}")
+        raise ParameterError(f"cannot take ceiling of {x!r}")
     nearest = round(x)
     if abs(x - nearest) <= rel * max(1.0, abs(x)):
         return int(nearest)

@@ -150,6 +150,13 @@ class TestEval:
         with pytest.raises(BasisIndexError):
             basis.linear_index(0, 5)
 
+    def test_index_pair_applies_to_the_piecewise_family_only(self):
+        trig = BasisSystem.trigonometric(D_PRIME, 8)
+        with pytest.raises(BasisIndexError):
+            trig.eval((0, 1), 0.01)
+        legendre = BasisSystem.piecewise_legendre(D_PRIME, J=2, L=4)
+        assert legendre.eval((1, 2), 0.008) == legendre.eval(4, 0.008)
+
     def test_constructor_guards(self):
         with pytest.raises(ParameterError):
             BasisSystem.trigonometric(D_PRIME, 0)
@@ -188,6 +195,18 @@ class TestGram:
         basis = BasisSystem.trigonometric(D_PRIME, 20)
         with pytest.raises(ParameterError):
             gram_matrix(basis, quad_nodes=79)
+
+    def test_piecewise_rule_is_built_panel_by_panel_on_its_segments(self):
+        basis = BasisSystem.piecewise_legendre(D_PRIME, J=3, L=5)
+        segments = basis.segments()
+        assert len(segments) == 5 and segments[0][0] == D_PRIME.a and segments[-1][1] == D_PRIME.b
+        assert all(hi == lo for (_, hi), (lo, _) in zip(segments[:-1], segments[1:]))
+        x, w = quadrature_rule(basis, 2048)
+        # A one-segment basis on each piece gets that piece's share of the nodes.
+        parts = [quadrature_rule(BasisSystem.trigonometric(Window(lo, hi), 1), -(-2048 // 5)) for lo, hi in segments]
+        assert x.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        assert w.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+        assert BasisSystem.trigonometric(D_PRIME, 4).segments() == [(D_PRIME.a, D_PRIME.b)]
 
     def test_rule_independent_of_k(self):
         x8, w8 = quadrature_rule(BasisSystem.trigonometric(D_PRIME, 8), 2048)
@@ -316,6 +335,16 @@ class TestSerialization:
             BasisSystem.piecewise_legendre(D_PRIME, J=2, L=6),
         ):
             assert BasisSystem.from_descriptor(basis.descriptor()) == basis
+
+    def test_descriptor_key_order(self):
+        assert list(BasisSystem.trigonometric(D_PRIME, 12).descriptor()) == ["family", "a", "b", "K"]
+        legendre = BasisSystem.piecewise_legendre(D_PRIME, J=2, L=6).descriptor()
+        assert legendre == {"family": "piecewise-legendre", "a": 0.005, "b": 0.015, "K": 12, "J": 2, "L": 6}
+        assert list(legendre) == ["family", "a", "b", "K", "J", "L"]
+
+    def test_unknown_family_refused(self):
+        with pytest.raises(ParameterError, match="unknown basis family 'wavelet'"):
+            BasisSystem.from_descriptor({"family": "wavelet", "a": 0.005, "b": 0.015, "K": 4})
 
     def test_coefficient_round_trip_lossless(self):
         basis = BasisSystem.trigonometric(D_PRIME, 6)

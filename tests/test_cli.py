@@ -134,6 +134,18 @@ class TestEstimate:
         loaded = CoefficientVector.from_dict(json.loads(out.read_text()))
         assert loaded.basis.K == 8 and loaded.basis.family == "piecewise-legendre"
 
+    @pytest.mark.parametrize("flags, refused", [
+        (["--family", "trig", "--J", "3", "--L", "2"], "--J"),
+        (["--family", "trig", "--L", "2"], "--L"),
+        (["--family", "legendre", "--J", "2", "--L", "2", "--K", "50"], "--K"),
+    ])
+    def test_other_familys_basis_flags_exit_2(self, tmp_path, capsys, flags, refused):
+        inc = simulate_file(tmp_path, delta=0.5, n=256, seed=3)
+        out = tmp_path / "coeffs.json"
+        assert main(["estimate", "--increments", str(inc), "--out", str(out)] + flags) == 2
+        assert f"{refused} does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_D_outside_default_D_prime_is_accepted(self, tmp_path, capsys):
         """D is checked against the basis window only, not against GibbsConfig's default D'."""
         inc = simulate_file(tmp_path, delta=0.5, n=1024, seed=3)
@@ -250,6 +262,35 @@ class TestPosterior:
         assert main(["posterior", "--coeffs", str(coeffs), "--out-dir", str(out)]) == 2
         assert "needs a nested basis" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_t_n_flag_supplies_a_missing_horizon(self, tmp_path):
+        bare = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5], t_n=None, name="bare.json")
+        full = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5], t_n=20.0)
+        common = ["--draws", "50", "--seed", "1"]
+        assert main(["posterior", "--coeffs", str(bare), "--t-n", "20", "--out-dir", str(tmp_path / "a")] + common) == 0
+        assert main(["posterior", "--coeffs", str(full), "--out-dir", str(tmp_path / "b")] + common) == 0
+        for name in ("draws.jsonl", "k_posterior.csv", "band.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_t_n_flag_equal_to_the_files_is_accepted(self, tmp_path):
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5], t_n=1.5)
+        argv = ["posterior", "--coeffs", str(coeffs), "--t-n", "1.5", "--draws", "50", "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 0
+
+    def test_t_n_flag_differing_from_the_files_exits_2(self, tmp_path, capsys):
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5], t_n=1.5)
+        out = tmp_path / "o"
+        argv = ["posterior", "--coeffs", str(coeffs), "--t-n", "40", "--draws", "50", "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--t-n 40.0" in err and "t_n = 1.5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_n", ["nan", "inf"])
+    def test_non_finite_t_n_flag_exits_2(self, tmp_path, capsys, t_n):
+        bare = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5], t_n=None)
+        assert main(["posterior", "--coeffs", str(bare), "--t-n", t_n, "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"cannot take ceiling of {t_n}" in capsys.readouterr().err
 
     def test_missing_horizon_is_usage_error(self, tmp_path, capsys):
         basis = BasisSystem.trigonometric(Window(0.005, 0.015), 2)
@@ -419,6 +460,14 @@ class TestCheck:
         cfg.write_text("D_prime = 0.005,0.015\n")
         assert main(["check", "--j", "1", "--config", str(cfg)]) == 3
         assert "unknown config key(s): D_prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "trig", "--J", "2"],
+        ["--family", "legendre", "--J", "2", "--L", "8", "--K", "16"],
+    ])
+    def test_other_familys_basis_flags_exit_2(self, capsys, flags):
+        assert main(["check", "--j", "1"] + flags) == 2
+        assert "does not apply to --family" in capsys.readouterr().err
 
     @pytest.mark.parametrize("points", ["0", "-3", "1"])
     def test_grid_points_below_two_exit_2(self, capsys, points):
@@ -632,6 +681,31 @@ class TestExitCodes:
         coeffs.write_bytes(b'{"role": "x\xe9"}\n')
         assert main(["posterior", "--coeffs", str(coeffs), "--out-dir", str(tmp_path / "post")]) == 3
         assert f"{coeffs}: not ASCII text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, malform", [
+        ("K not a number", lambda d: d["basis"].update(K="x")),
+        ("top-level list", lambda d: [d]),
+        ("null basis", lambda d: d.update(basis=None)),
+        ("values not numbers", lambda d: d.update(values="abc")),
+        ("null value", lambda d: d["values"].__setitem__(1, None)),
+        ("t_n not a number", lambda d: d.update(t_n="x")),
+        ("t_n negative", lambda d: d.update(t_n=-1.0)),
+        ("t_n zero", lambda d: d.update(t_n=0)),
+        ("unknown family", lambda d: d["basis"].update(family="wavelet")),
+        ("values missing", lambda d: d.pop("values")),
+        ("K is not J*L", lambda d: d.update(basis={"family": "piecewise-legendre", "a": 0.005, "b": 0.015,
+                                                   "K": 5, "J": 2, "L": 2})),
+        ("wrong number of values", lambda d: d["values"].pop()),
+    ])
+    def test_malformed_coeffs_exit_3_naming_the_file(self, tmp_path, capsys, case, malform):
+        payload = json.loads(write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5]).read_text())
+        result = malform(payload)
+        coeffs = tmp_path / "bad.json"
+        coeffs.write_text(json.dumps(result if isinstance(result, list) else payload))
+        out = tmp_path / "post"
+        assert main(["posterior", "--coeffs", str(coeffs), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {coeffs}: ")
+        assert not out.exists()
 
     def test_increments_guard_exits_4(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
