@@ -124,11 +124,11 @@ class BasisSystem:
         """The basis a descriptor() names; ParameterError for a malformed one or an unknown family."""
         with _parsing("basis descriptor"):
             window = Window(float(d["a"]), float(d["b"]))
-            family, K = d["family"], int(d["K"])
+            family, K = d["family"], _size(d, "K")
             if family == "trigonometric":
                 basis = cls.trigonometric(window, K)
             elif family == "piecewise-legendre":
-                basis = cls.piecewise_legendre(window, int(d["J"]), int(d["L"]))
+                basis = cls.piecewise_legendre(window, _size(d, "J"), _size(d, "L"))
             else:
                 raise ParameterError(f"unknown basis family {family!r}")
         if basis.K != K:
@@ -258,6 +258,14 @@ def _parsing(what: str):
         raise
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"malformed {what}: {exc}") from exc
+
+
+def _size(d: dict, key: str) -> int:
+    """The integer field `key` of a descriptor; a bool, a float or a string raises ParameterError."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"malformed basis descriptor: {key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

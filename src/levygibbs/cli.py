@@ -131,7 +131,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "out")
     scheme = _scheme_from_args(args)
     series = simulate(_model_from_args(args), scheme, args.seed, materialize=False)
-    write_increments(args.out, series, header=not args.no_header)
+    write_increments(args.out, series)
     print(
         f"simulate: wrote n={scheme.n} increments "
         f"(delta={fmt_float(scheme.delta)}, t_n={fmt_float(scheme.t_n)}, seed={args.seed}) to {args.out}"
@@ -322,7 +322,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(prog="levy-gibbs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate increments and write them to a file")
+    p = sub.add_parser(
+        "simulate",
+        help="simulate increments and write them to a binary increments file",
+        description="Simulate increments and write them to a binary increments file: one JSON header line "
+        "(format, version, delta, n, seed), then n little-endian float64 values.",
+    )
     p.add_argument("--config", default=None)
     p.add_argument("--process", choices=["vg", "cpois"], default="vg")
     _add_vg_flags(p)
@@ -330,14 +335,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--jump", default=None, help="jump distribution, e.g. point:1 or normal:0,1")
     _add_scheme_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--no-header", action="store_true")
+    p.add_argument("--out", default=None, help="increments file to write")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate basis coefficients from an increments file")
     p.add_argument("--config", default=None)
-    p.add_argument("--increments", default=None)
-    p.add_argument("--delta", type=float, default=None, help="spacing when the file has no header")
+    p.add_argument("--increments", default=None, help="binary increments file, or text with one value per line")
+    p.add_argument("--delta", type=float, default=None, help="spacing of a text file without a header")
     _add_basis_flags(p)
     p.add_argument("--out", default=None)
     p.add_argument("--truth", default=None, help="true density 'vg:mu,sigma,nu' for an error summary")
@@ -410,10 +414,6 @@ def _load_config_file(path) -> dict:
     return values
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
 def _apply_config_defaults(subparser: argparse.ArgumentParser, raw: dict, path) -> None:
     dests = {}
     for action in subparser._actions:
@@ -422,25 +422,19 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, raw: dict, path) 
         if key not in raw:
             continue
         value = raw.pop(key)
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            low = value.lower()
-            if low not in _TRUE | _FALSE:
-                raise InputParseError(f"{path}: key {key}: expected a boolean, got {value!r}")
-            dests[action.dest] = low in _TRUE
-        else:
-            convert = action.type or str
-            try:
-                if isinstance(action, _AppendOverConfig):
-                    items = [convert(tok) for tok in value.split(",")]
-                else:
-                    items = [convert(value)]
-            except (TypeError, ValueError) as exc:
-                raise InputParseError(f"{path}: key {key}: bad value {value!r}") from exc
-            # The command line refuses a value outside a flag's choices; so does the file.
-            if action.choices is not None and any(item not in action.choices for item in items):
-                allowed = ", ".join(map(str, action.choices))
-                raise InputParseError(f"{path}: key {key}: {value!r} is not one of {allowed}")
-            dests[action.dest] = items if isinstance(action, _AppendOverConfig) else items[0]
+        convert = action.type or str
+        try:
+            if isinstance(action, _AppendOverConfig):
+                items = [convert(tok) for tok in value.split(",")]
+            else:
+                items = [convert(value)]
+        except (TypeError, ValueError) as exc:
+            raise InputParseError(f"{path}: key {key}: bad value {value!r}") from exc
+        # The command line refuses a value outside a flag's choices; so does the file.
+        if action.choices is not None and any(item not in action.choices for item in items):
+            allowed = ", ".join(map(str, action.choices))
+            raise InputParseError(f"{path}: key {key}: {value!r} is not one of {allowed}")
+        dests[action.dest] = items if isinstance(action, _AppendOverConfig) else items[0]
     if raw:
         raise InputParseError(f"{path}: unknown config key(s): {', '.join(sorted(raw))}")
     subparser.set_defaults(**dests)

@@ -139,7 +139,8 @@ def _require_nested(basis: BasisSystem) -> None:
 def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
     """Marginal posterior pmf of K from the first k_max empirical coefficients.
 
-    A CoefficientVector on a basis that is not nested raises DimensionError.
+    A CoefficientVector on a basis that is not nested raises DimensionError,
+    and a non-finite value among the first k_max raises ParameterError.
     """
     if isinstance(theta_hat_full, CoefficientVector):
         _require_nested(theta_hat_full.basis)
@@ -149,6 +150,10 @@ def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
         raise DimensionError(
             f"need at least k_max={k_max} coefficients, got shape {vec.shape}"
         )
+    bad = np.flatnonzero(~np.isfinite(vec[:k_max]))
+    if len(bad):
+        i = int(bad[0])
+        raise ParameterError(f"coefficient values must be finite numbers, got {float(vec[i])!r} at index {i}")
     shrink, _ = _shrink_and_variance(t_n, config)
     wt = config.omega * t_n
     ks = np.arange(1, k_max + 1)

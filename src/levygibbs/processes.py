@@ -23,8 +23,8 @@ is therefore reproducible increment-by-increment, independent of how many
 blocks are materialized at once, and safe to generate in parallel.
 
 One pool of forked worker processes (_pool_map) serves all parallel work:
-IncrementSeries.map_blocks, where each worker generates (or slices) its own
-blocks, and the pieces of an increments file.
+IncrementSeries.map_blocks and write_increments, where each worker generates
+(or slices) its own blocks, and the body ranges of a text increments file.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ import contextlib
 import functools
 import io
 import itertools
+import json
 import math
 import os
+import sys
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -382,8 +384,8 @@ def _io_workers() -> int:
 def _pool_map(cap: int, job: Callable):
     """A map of job over items, results in order: in at most `cap` forked workers, one per CPU, or here.
 
-    The text conversions of file pieces hold the GIL, so threads cannot
-    share them; the block fold uses the same pool.  Workers are forked: a
+    Block generation, the block fold and the text parse of file ranges
+    hold the GIL, so threads cannot share them.  Workers are forked: a
     pool of two starts in about 0.02 s on a 2-vCPU Xeon, against 0.7-1.0 s
     for spawn or forkserver, which also re-import __main__.  Fork also hands
     each worker `job` without pickling it, so a job may be a closure over
@@ -463,19 +465,17 @@ simulate_vg = simulate_compound_poisson = simulate
 
 
 # ---------------------------------------------------------------------------
-# Increment file format: optional header "# delta=<r> n=<d> seed=<d>", then one
-# increment per line, the bytes of "%.17g\n" % value (17 significant digits, a
-# lossless round trip).  A file is converted in pieces.  The writer formats
-# WRITE_PIECE values per call; the reader cuts the body into byte ranges of at
-# least READ_PIECE bytes, each ending just after an LF so that no line (nor a
-# CRLF) is split.  A file of several pieces is converted by _pool_map, in
-# worker processes or in this one; either way the bytes written and the values
-# read are the same.
-# A piece is formatted by a numpy kernel (_format_lines) that computes the
-# correctly rounded 17-digit decimal of every finite value with machine
-# floats, zeros and subnormals included; "%" formats only the values whose
-# rounding the kernel's error bound cannot decide (exact ties such as
-# 1234567890123456.25; about 1 in 2**31 of other values) and inf and nan.
+# Increment files.  write_increments writes the binary format: one ASCII line
+# holding the JSON object {"format": "levygibbs-increments", "version": 1,
+# "delta": <number>, "n": <integer>, "seed": <integer or null>}, then exactly
+# 8*n bytes of little-endian float64, a bit-for-bit round trip.  Text is the
+# input format for data from outside: an optional header "# delta=<r> n=<d>
+# seed=<d>", then one number per line.  A text file whose first line begins
+# with '{' is not valid, so read_increments tells the formats apart by the
+# first byte.  Either header is checked before any of the body is read.
+# A text body is cut into byte ranges of at least READ_PIECE bytes, each
+# ending just after an LF so that no line (nor a CRLF) is split, and a body of
+# several ranges is parsed by _pool_map, in worker processes or in this one.
 # Each range is parsed by one C-level np.loadtxt call; a range it refuses is
 # read again here, line by line, in file order and with line numbers carried
 # on from the ranges before it, so each file is accepted or rejected, with the
@@ -484,241 +484,67 @@ simulate_vg = simulate_compound_poisson = simulate
 # ResourceGuardError, and a non-ASCII byte raises InputParseError.
 # ---------------------------------------------------------------------------
 
-# Values per format call of the writer (about 3 MB of text).
-WRITE_PIECE = BLOCK // 8
-# Bytes per body range of the reader (about 0.18M values at 17 digits).
+# Bytes per body range of the text reader (about 0.18M values at 17 digits).
 READ_PIECE = 1 << 22
 # Characters per readlines() batch handed to the C parser.
 READ_BATCH = 1 << 20
 
-# Values per pass of the format kernel, so that its temporaries stay in a core's L2 cache.
-FORMAT_SLICE = 1 << 14
-# frexp exponents of the finite nonzero doubles, and their decimal exponents floor(log10|v|).
-_E_MIN, _E_MAX = -1073, 1024
-_K_MIN, _K_MAX = -324, 308
-# The kernel's digits are those of %.17g when its scaled value is farther than this from a
-# rounding tie; its error is below 2**-45 (see _format_lines).
-_TIE_MARGIN = 2.0**-32
-_WORD = np.dtype("<u8")
+# The first line of a binary increments file: these keys, this format name and version.
+BINARY_KEYS = ("format", "version", "delta", "n", "seed")
+BINARY_FORMAT, BINARY_VERSION = "levygibbs-increments", 1
 
 
-def _format_piece(piece: np.ndarray) -> bytes:
-    """("%.17g\n" * len(piece)) % tuple(piece.tolist()), as ASCII bytes."""
-    piece = np.asarray(piece, dtype=np.float64)
-    return b"".join(_format_lines(piece[lo : lo + FORMAT_SLICE]) for lo in range(0, len(piece), FORMAT_SLICE))
+def write_increments(path, series: IncrementSeries) -> None:
+    """Write a series as a binary increments file: its JSON header line, then its values as little-endian float64.
 
-
-def _format_lines(values: np.ndarray) -> bytes:
-    """The bytes of "%.17g\n" % v for each value, from one char matrix and one delete of its 0 bytes.
-
-    A finite nonzero |v| = f * 2**E (np.frexp, f in [0.5, 1)) has decimal
-    exponent k = floor(log10|v|), which is k0(E) or k0(E) + 1 (see
-    _decimal_scales), and %.17g prints the 17-digit integer D nearest to
-    S = |v| * 10**(16 - k), ties to even, in [10**16, 10**17]: D = 10**17
-    carries to 10**16 and k + 1.  S = f * C with C = 10**(16 - k) * 2**E held
-    as a double-double c + c_tail (relative error below 2**-105).  Dekker's
-    product gives f * c exactly as p + e (numpy has no FMA, so f and c are
-    split into 26-bit halves); then t = e + f * c_tail has |S - (p + t)| below
-    2**-102 * S < 2**-45.  p is an integer (S > 2**53), so D = p + rint(t)
-    unless t is within _TIE_MARGIN of a half-integer; those values, inf and nan
-    go to "%".
+    The blocks are drawn (or sliced) by _pool_map's workers, at most two per
+    worker in flight, and written in block order, so the whole series is
+    never held here unless it already was.
     """
-    bumps, ks, c_hi, c_lo, c_tail = _decimal_scales()
-    frames, exponents, quads, trailing = _line_parts()
-    with np.errstate(invalid="ignore"):  # inf and nan, which fall back to "%"
-        f, e = np.frexp(values)
-        f = np.abs(f)
-        e[~np.isfinite(values)] = 0  # frexp leaves their exponent unspecified
-        e -= _E_MIN
-        row = 2 * e + (f >= bumps[e])
-        c1, c2 = c_hi[row], c_lo[row]
-        split = f * 134217729.0  # 2**27 + 1
-        f1 = split - (split - f)
-        f2 = f - f1
-        p = f * (c1 + c2)
-        t = ((f1 * c1 - p) + f1 * c2 + f2 * c1) + f2 * c2 + f * c_tail[row]
-        r = np.rint(t)
-        fallback = np.flatnonzero(~(np.abs(t - r) < 0.5 - _TIE_MARGIN))
-        digits = p.astype(np.int64) + r.astype(np.int64)
-    k = ks[row]
-    zero = np.flatnonzero(values == 0)
-    k[zero] = 0
-    digits[zero] = 0
-    digits[fallback] = 0
-    carry = np.flatnonzero(digits == 10**17)
-    digits[carry] = 10**16
-    k[carry] += 1
-    # D = d1 * 10**16 + g1 * 10**12 + g2 * 10**8 + g3 * 10**4 + g4
-    upper = digits // 10**8
-    lower = digits - upper * 10**8
-    d1 = upper // 10**8
-    upper -= d1 * 10**8
-    g1 = upper // 10**4
-    g2 = upper - g1 * 10**4
-    g3 = lower // 10**4
-    g4 = lower - g3 * 10**4
-    # Digits printed once trailing zeros are stripped; at least 1 (zero prints "0").
-    count = 17 - trailing[g4]
-    deep = np.flatnonzero(g4 == 0)
-    last = np.ones(len(deep), np.int64)
-    for g, top in ((g1, 5), (g2, 9), (g3, 13)):
-        group = g[deep]
-        nonzero = group != 0
-        last[nonzero] = top - trailing[group[nonzero]]
-    count[deep] = last
-    frame = ((np.clip(k, -5, 17) + 5) * 17 + count - 1) * 2 + np.signbit(values)
-    lines = frames[frame].view(_WORD).reshape(-1, 6)
-    lines[:, 0] += d1.astype(np.uint64) << np.uint64(48)
-    lines[:, 1] += quads[g1]
-    lines[:, 2] += quads[g2]
-    lines[:, 3] += quads[g3]
-    lines[:, 4] += quads[g4]
-    lines[:, 5] = exponents[k - _K_MIN]
-    chars = lines.view(np.uint8)
-    for i in fallback.tolist():
-        text = ("%.17g\n" % values[i]).encode("ascii")
-        chars[i] = 0
-        chars[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return chars.tobytes().translate(None, b"\0")
-
-
-@functools.cache
-def _decimal_scales() -> tuple[np.ndarray, ...]:
-    """Tables of _format_lines, built on first use (about 10 ms): (bumps, ks, c_hi, c_lo, c_tail).
-
-    Per frexp exponent E (index E - _E_MIN), with k0 = floor(log10(2**(E - 1))):
-    bumps, the least double >= 10**(k0 + 1) times 2**-E, so that f >= bumps[E]
-    exactly when |v| >= 10**(k0 + 1).  Per row 2 * (E - _E_MIN) + (k - k0): the
-    decimal exponent k, and C = 10**(16 - k) * 2**E as c + c_tail (c correctly
-    rounded, c_tail the rounded rest), with c = c_hi + c_lo split in 26-bit halves.
-    """
-    e = np.arange(_E_MIN, _E_MAX + 1)
-    k0 = np.floor((e - 1) * math.log10(2)).astype(np.int64)
-    bumps = np.ldexp([_least_double_at_least_pow10(j) for j in (k0 + 1).tolist()], -e)
-    # 10**(16 - k) = (head + tail) * 2**shift with head in [1, 2), from exact integers.
-    head, tail, shift = [], [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
-        b = num.bit_length() - den.bit_length()
-        num, den = (num, den << b) if b >= 0 else (num << -b, den)
-        if num < den:
-            b, num = b - 1, num << 1
-        h = num / den
-        head.append(h)
-        tail.append((num * 2**52 - int(h * 2**52) * den) / (den * 2**52))
-        shift.append(b)
-    ks = (k0[:, None] + np.arange(2)).ravel()
-    scale = np.ldexp(1.0, np.asarray(shift)[ks - _K_MIN] + np.repeat(e, 2))
-    c = np.asarray(head)[ks - _K_MIN] * scale
-    split = c * 134217729.0
-    c_hi = split - (split - c)
-    return bumps, ks, c_hi, c - c_hi, np.asarray(tail)[ks - _K_MIN] * scale
-
-
-def _least_double_at_least_pow10(j: int) -> float:
-    """The least double >= 10**j."""
-    num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
-    d = num / den  # correctly rounded
-    a, b = d.as_integer_ratio()
-    return d if a * den >= num * b else math.nextafter(d, math.inf)
-
-
-@functools.cache
-def _line_parts() -> tuple[np.ndarray, ...]:
-    """Byte tables of _format_lines's 48-byte lines, six little-endian words; 0 bytes are deleted.
-
-    word 0: '-'  '0'  '.'  '0'  '0'  '0'  d1   '.'     sign, and "0.000" for 1e-4 <= |v| < 1
-    words 1-4: d2 '.' d3 '.' ... d17 '.'               a '.' may follow any digit
-    word 5: 'e'  sign  e100  e10  e1  '\n'  0  0
-
-    frames: per (clip(k, -5, 17), digit count, sign), the line with '0' where a
-    digit is printed and every punctuation byte the layout keeps; %g's layout is
-    fixed-point for -4 <= k <= 16, else exponent.  Digit values are added onto
-    the '0's (a digit not printed is a stripped trailing zero, so its 0 byte
-    stays 0).  exponents: word 5 per k.  quads: per 4-digit group, its digit
-    values at bytes 0, 2, 4 and 6.  trailing: trailing zeros of a 4-digit group.
-    """
-    frames = np.zeros((23, 17, 2, 48), np.uint8)
-    for i, k in enumerate(range(-5, 18)):
-        for count in range(1, 18):
-            line = frames[i, count - 1]
-            line[:, 0] = ord("-") * np.arange(2)
-            if k < -4 or k > 16:
-                printed, dot = count, 1
-            elif k < 0:
-                printed, dot = count, 0
-                line[:, 1:3] = np.frombuffer(b"0.", np.uint8)
-                line[:, 3 : 2 - k] = ord("0")
-            else:
-                printed, dot = max(count, k + 1), k + 1
-            line[:, 6 : 6 + 2 * printed : 2] = ord("0")
-            if 0 < dot < count:
-                line[:, 5 + 2 * dot] = ord(".")
-    exponents = np.zeros((_K_MAX - _K_MIN + 1, 8), np.uint8)
-    exponents[:, 5] = ord("\n")
-    for i, k in enumerate(range(_K_MIN, _K_MAX + 1)):
-        if k < -4 or k > 16:
-            exponents[i, :5] = np.frombuffer(b"e%c%03d" % (b"+-"[k < 0], abs(k)), np.uint8)
-            exponents[i, 2] *= abs(k) >= 100  # at least two exponent digits: e-05, e+100
-    group = np.arange(10**4)
-    quads = np.zeros((10**4, 8), np.uint8)
-    quads[:, 0::2] = (group[:, None] // 10 ** np.arange(3, -1, -1)) % 10
-    trailing = np.zeros(10**4, np.int64)
-    for j in (1, 2, 3, 4):
-        trailing[group % 10**j == 0] = j
-    return frames.reshape(-1, 48).view("V48").ravel(), exponents.view(_WORD).ravel(), quads.view(_WORD).ravel(), trailing
-
-
-def write_increments(path, series: IncrementSeries, header: bool = True) -> None:
-    """Write a series to a text file, one increment per line."""
-    pieces = (
-        chunk[lo : lo + WRITE_PIECE]
-        for chunk in series.iter_chunks()
-        for lo in range(0, len(chunk), WRITE_PIECE)
-    )
-    # At most the number of pieces, and 1 only when the series is one piece.
-    count = -(-series.scheme.n // min(BLOCK, WRITE_PIECE))
-    with _pool_map(count, _format_piece) as pmap, open(path, "wb") as fh:
-        if header:
-            seed = series.seed if series.seed is not None else ""
-            fh.write(f"# delta={series.scheme.delta:.17g} n={series.scheme.n} seed={seed}\n".encode("ascii"))
-        for text in pmap(pieces):
-            fh.write(text)
+    scheme = series.scheme
+    seed = None if series.seed is None else int(series.seed)
+    header = {"format": BINARY_FORMAT, "version": BINARY_VERSION, "delta": float(scheme.delta), "n": int(scheme.n),
+              "seed": seed}
+    with _pool_map(scheme.num_blocks, series._block_fn) as pmap, open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        for block in pmap(range(scheme.num_blocks)):
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def read_increments(path, delta: float | None = None) -> IncrementSeries:
-    """Read increments written by :func:`write_increments` (or any one-float-per-line file).
+    """Read a binary increments file written by :func:`write_increments`, or a text file of one float per line.
 
-    The header, when present, supplies delta/n/seed; otherwise delta must be
-    passed (the file is refused before its body is read) and n is the count
-    of increment lines.  A delta argument or header delta that is not
-    positive and finite raises ParameterError or InputParseError before the
-    body is read.  Malformed content raises :class:`InputParseError` naming
-    the offending line; more than MATERIALIZE_LIMIT increments, declared or
-    found, raise ResourceGuardError.
+    A header (the binary file's JSON line, or a text file's optional '#'
+    line) supplies delta/n/seed, and a header delta takes precedence over
+    the delta argument.  A text file without a header needs the delta
+    argument (the file is refused before its body is read) and n is the
+    count of its increment lines.  A delta argument or header delta that is
+    not positive and finite raises ParameterError or InputParseError before
+    the body is read.  Malformed content raises :class:`InputParseError`
+    naming the file (and, in a text file, the offending line); more than
+    MATERIALIZE_LIMIT increments, declared or found, raise ResourceGuardError.
     """
     if delta is not None and not (math.isfinite(delta) and delta > 0.0):
         raise ParameterError(f"delta must be positive and finite, got {delta!r}")
     header_n = header_seed = None
     with open(path, "rb") as fh:
         line = fh.readline()
+        size = os.fstat(fh.fileno()).st_size
+        if line.startswith(b"{"):
+            return _read_binary(path, line, size)
         cr = line.find(b"\r")
         if cr >= 0 and line[cr + 1 : cr + 2] != b"\n":
             line = line[: cr + 1]  # a lone CR ends a line too
         text = decode_ascii(path, line).strip()
         if text.startswith("#"):
             delta, header_n, header_seed = _parse_header(path, text)
-            if header_n > MATERIALIZE_LIMIT:
-                raise ResourceGuardError(
-                    f"{path}: header declares n={header_n} increments, "
-                    f"above the materialization limit of {MATERIALIZE_LIMIT}"
-                )
+            _check_limit(path, header_n)
             body, first_lineno = len(line), 2
         elif delta is None:
             raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
         else:
             body, first_lineno = 0, 1
-        spans = _body_ranges(fh, body, os.fstat(fh.fileno()).st_size)
+        spans = _body_ranges(fh, body, size)
     values, count = _read_body(path, spans, first_lineno, header_n)
     if header_n is not None and header_n != count:
         raise InputParseError(
@@ -728,6 +554,47 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
         raise InputParseError(f"{path}: no increments found")
     scheme = SamplingScheme(delta, count)
     return IncrementSeries(scheme, header_seed, values=values)
+
+
+def _check_limit(path, n: int) -> None:
+    """ResourceGuardError for a header that declares more than MATERIALIZE_LIMIT increments."""
+    if n > MATERIALIZE_LIMIT:
+        raise ResourceGuardError(
+            f"{path}: header declares n={n} increments, above the materialization limit of {MATERIALIZE_LIMIT}"
+        )
+
+
+def _read_binary(path, line: bytes, size: int) -> IncrementSeries:
+    """The series of a binary file of `size` bytes whose first line is `line`: header checks, then one read of its body."""
+    delta, n, seed = _parse_binary_header(path, line)
+    _check_limit(path, n)
+    if size - len(line) != 8 * n:
+        raise InputParseError(f"{path}: body holds {size - len(line)} bytes, expected {8 * n} (n={n} float64 values)")
+    values = np.fromfile(path, dtype="<f8", count=n, offset=len(line))
+    return IncrementSeries(SamplingScheme(delta, n), seed, values=values)
+
+
+def _parse_binary_header(path, line: bytes) -> tuple[float, int, int | None]:
+    """(delta, n, seed) of a binary file's JSON header line; InputParseError naming the file for a malformed one."""
+    try:
+        header = json.loads(decode_ascii(path, line))
+    except json.JSONDecodeError as exc:
+        raise InputParseError(f"{path}: line 1: header is not JSON: {exc.msg}") from exc
+    if set(header) != set(BINARY_KEYS):
+        raise InputParseError(
+            f"{path}: line 1: header keys are {', '.join(sorted(header))}; expected {', '.join(BINARY_KEYS)}"
+        )
+    kind, version, delta, n, seed = (header[key] for key in BINARY_KEYS)
+    # type() is int: a JSON integer, not a bool.
+    if kind != BINARY_FORMAT or type(version) is not int or version != BINARY_VERSION:
+        raise InputParseError(
+            f"{path}: line 1: expected format {BINARY_FORMAT!r} version {BINARY_VERSION}, got {kind!r} version {version!r}"
+        )
+    if type(n) is not int or n < 1 or not (seed is None or type(seed) is int):
+        raise InputParseError(f"{path}: line 1: header n must be a positive integer and seed an integer or null")
+    if type(delta) not in (int, float) or not 0.0 < delta <= sys.float_info.max:
+        raise InputParseError(f"{path}: line 1: header delta must be positive and finite, got {delta!r}")
+    return float(delta), n, seed
 
 
 def _body_ranges(fh, start: int, end: int) -> list[tuple[int, int]]:

@@ -34,12 +34,23 @@ def regime_report_j3():
     return run_regime(RegimeSpec.from_j(3), seed=MASTER_SEED)
 
 
+def reference_write_increments(path, series, header=True):
+    """The per-value f-string text writer, kept as an oracle and as the writer of text fixtures."""
+    with open(path, "w", encoding="ascii") as fh:
+        if header:
+            seed = series.seed if series.seed is not None else ""
+            fh.write(f"# delta={series.scheme.delta:.17g} n={series.scheme.n} seed={seed}\n")
+        for chunk in series.iter_chunks():
+            fh.write("\n".join(f"{v:.17g}" for v in chunk))
+            fh.write("\n")
+
+
 @pytest.fixture
 def pooled_io(monkeypatch):
-    """Increment files converted by 2 forked workers in tiny pieces (forked workers see the patches).
+    """Two forked workers for every pool, and text increments files read in tiny ranges (forked workers see the patches).
 
     Returns a record of the pools started and the worker count of each, the
-    pieces submitted, and the most pieces submitted whose result the parent
+    items submitted, and the most items submitted whose result the parent
     had not yet taken.
     """
     record = SimpleNamespace(pools=0, workers=[], submitted=0, in_flight=0, peak=0)
@@ -66,6 +77,5 @@ def pooled_io(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(processes, "_io_workers", lambda: 2)
-    monkeypatch.setattr(processes, "WRITE_PIECE", 3)
     monkeypatch.setattr(processes, "READ_PIECE", 16)
     return record

@@ -49,7 +49,7 @@ from levygibbs.experiment import (
 )
 from levygibbs.util import derive_seed
 
-from conftest import MASTER_SEED, slow_enabled
+from conftest import MASTER_SEED, reference_write_increments, slow_enabled
 
 
 def simulate_file(tmp_path, name="inc.txt", delta=0.5, n=4096, seed=3, extra=()):
@@ -57,6 +57,40 @@ def simulate_file(tmp_path, name="inc.txt", delta=0.5, n=4096, seed=3, extra=())
     argv = ["simulate", "--delta", str(delta), "--n", str(n), "--seed", str(seed), "--out", str(path)]
     assert main(argv + list(extra)) == 0
     return path
+
+
+BINARY_HEADER = {"format": "levygibbs-increments", "version": 1, "delta": 0.5, "n": 3, "seed": 1}
+
+
+# Binary increments files that estimate refuses with exit 3: case -> (header, body, message).
+BINARY_CASES = {
+    "truncated body": (BINARY_HEADER, bytes(23), "body holds 23 bytes, expected 24"),
+    "over-long body": (BINARY_HEADER, bytes(25), "body holds 25 bytes, expected 24"),
+    "no body": (BINARY_HEADER, b"", "body holds 0 bytes, expected 24"),
+    "negative delta": (BINARY_HEADER | {"delta": -0.5}, bytes(24), "header delta must be positive and finite"),
+    "zero delta": (BINARY_HEADER | {"delta": 0}, bytes(24), "header delta must be positive and finite"),
+    "nan delta": (BINARY_HEADER | {"delta": math.nan}, bytes(24), "header delta must be positive and finite"),
+    "infinite delta": (BINARY_HEADER | {"delta": math.inf}, bytes(24), "header delta must be positive and finite"),
+    "string delta": (BINARY_HEADER | {"delta": "0.5"}, bytes(24), "header delta must be positive and finite"),
+    "bool delta": (BINARY_HEADER | {"delta": True}, bytes(24), "header delta must be positive and finite"),
+    "wrong version": (BINARY_HEADER | {"version": 2}, bytes(24), "expected format 'levygibbs-increments' version 1"),
+    "bool version": (BINARY_HEADER | {"version": True}, bytes(24), "expected format"),
+    "wrong format": (BINARY_HEADER | {"format": "npy"}, bytes(24), "expected format"),
+    "missing key": ({k: v for k, v in BINARY_HEADER.items() if k != "seed"}, bytes(24), "header keys are"),
+    "extra key": (BINARY_HEADER | {"t_n": 1.5}, bytes(24), "header keys are"),
+    "zero n": (BINARY_HEADER | {"n": 0}, b"", "header n must be a positive integer"),
+    "float n": (BINARY_HEADER | {"n": 3.0}, bytes(24), "header n must be a positive integer"),
+    "string seed": (BINARY_HEADER | {"seed": "1"}, bytes(24), "seed an integer or null"),
+    "not JSON": (b"{delta: 0.5}", bytes(24), "header is not JSON"),
+    "trailing text": (json.dumps(BINARY_HEADER).encode("ascii") + b" x", bytes(24), "header is not JSON"),
+    "non-ASCII header": (b'{"format": "levygibbs-incr\xe9ments"}', bytes(24), "not ASCII text (byte 0xe9)"),
+}
+
+
+def header_of(path) -> dict:
+    """The JSON header line of a binary increments file."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline())
 
 
 class TestSimulate:
@@ -69,16 +103,10 @@ class TestSimulate:
 
     def test_header_carries_metadata(self, tmp_path, capsys):
         path = simulate_file(tmp_path, delta=0.25, n=64, seed=11)
-        first = path.read_text().splitlines()[0]
-        assert first == "# delta=0.25 n=64 seed=11"
+        first = path.read_bytes().split(b"\n", 1)[0]
+        assert first == b'{"format": "levygibbs-increments", "version": 1, "delta": 0.25, "n": 64, "seed": 11}'
+        assert path.stat().st_size == len(first) + 1 + 8 * 64
         assert "simulate: wrote n=64" in capsys.readouterr().out
-
-    def test_no_header_and_explicit_delta(self, tmp_path):
-        path = simulate_file(tmp_path, delta=0.25, n=64, extra=["--no-header"])
-        lines = path.read_text().splitlines()
-        assert len(lines) == 64 and not lines[0].startswith("#")
-        series = read_increments(path, delta=0.25)
-        assert series.scheme.n == 64
 
     def test_compound_poisson_point_jumps(self, tmp_path):
         path = tmp_path / "cp.txt"
@@ -107,6 +135,19 @@ class TestEstimate:
         direct = empirical_coefficients(read_increments(inc), basis)
         assert np.array_equal(loaded.values, direct.values)
         assert loaded.t_n == 0.5 * 4096
+
+    def test_binary_and_text_files_give_the_same_coefficients(self, tmp_path):
+        binary = simulate_file(tmp_path, delta=0.5, n=4096, seed=3)
+        text = tmp_path / "inc_text.txt"
+        reference_write_increments(text, read_increments(binary))
+        assert text.read_bytes().startswith(b"# delta=0.5 n=4096 seed=3\n")
+        outputs = []
+        for inc in (binary, text):
+            out = tmp_path / f"{inc.stem}.json"
+            assert main(["estimate", "--increments", str(inc), "--K", "8", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert read_coefficients_json(tmp_path / "inc.json").t_n == 0.5 * 4096
 
     def test_output_bytes_deterministic(self, tmp_path):
         inc = simulate_file(tmp_path, delta=0.5, n=4096, seed=3)
@@ -481,16 +522,9 @@ class TestConfigPrecedence:
         cfg.write_text("seed = 7\nn = 64\ndelta = 0.25\n# comment line\n")
         f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
         assert main(["simulate", "--config", str(cfg), "--out", str(f1)]) == 0
-        assert f1.read_text().splitlines()[0] == "# delta=0.25 n=64 seed=7"
+        assert [header_of(f1)[key] for key in ("delta", "n", "seed")] == [0.25, 64, 7]
         assert main(["simulate", "--config", str(cfg), "--seed", "9", "--out", str(f2)]) == 0
-        assert f2.read_text().splitlines()[0] == "# delta=0.25 n=64 seed=9"
-
-    def test_boolean_keys(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("no_header = yes\nseed = 1\nn = 8\ndelta = 0.5\n")
-        out = tmp_path / "x.txt"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert not out.read_text().startswith("#")
+        assert [header_of(f2)[key] for key in ("delta", "n", "seed")] == [0.25, 64, 9]
 
     def test_unknown_key_is_parse_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -577,6 +611,7 @@ class TestPooledFiles:
     """simulate and estimate through forked workers in tiny pieces (the pooled_io fixture)."""
 
     def test_no_worker_outlives_a_command(self, tmp_path, monkeypatch, pooled_io, capsys):
+        monkeypatch.setattr(processes, "BLOCK", 16)  # 64 increments in 4 blocks
         inc = simulate_file(tmp_path, delta=0.5, n=64, seed=3)
         assert pooled_io.pools == 1 and multiprocessing.active_children() == []
         with monkeypatch.context() as m:
@@ -585,16 +620,18 @@ class TestPooledFiles:
         assert inc.read_bytes() == one.read_bytes()
         out = tmp_path / "coeffs.json"
         assert main(["estimate", "--increments", str(inc), "--K", "8", "--out", str(out)]) == 0
-        assert pooled_io.pools == 2 and multiprocessing.active_children() == []
+        assert pooled_io.pools == 2 and multiprocessing.active_children() == []  # the 4-block fold
         basis = BasisSystem.trigonometric(Window(0.005, 0.015), 8)
         loaded = read_coefficients_json(out)
         direct = empirical_coefficients(simulate(DEFAULT_VG_PARAMS, SamplingScheme(0.5, 64), 3), basis)
         assert np.array_equal(loaded.values, direct.values)
-        lines = inc.read_bytes().splitlines(keepends=True)
-        inc.write_bytes(b"".join(lines[:50] + [b"oops\n"] + lines[50:]))
-        assert main(["estimate", "--increments", str(inc), "--K", "8", "--out", str(out)]) == 3
+        text = tmp_path / "inc_text.txt"
+        reference_write_increments(text, read_increments(inc))
+        lines = text.read_bytes().splitlines(keepends=True)
+        text.write_bytes(b"".join(lines[:50] + [b"oops\n"] + lines[50:]))
+        assert main(["estimate", "--increments", str(text), "--K", "8", "--out", str(out)]) == 3
         assert "line 51: not a number: 'oops'" in capsys.readouterr().err
-        assert pooled_io.pools == 3 and multiprocessing.active_children() == []
+        assert pooled_io.pools == 4 and multiprocessing.active_children() == []  # the direct fold, the text ranges
 
 
 class TestExitCodes:
@@ -695,6 +732,14 @@ class TestExitCodes:
         ("values missing", lambda d: d.pop("values")),
         ("K is not J*L", lambda d: d.update(basis={"family": "piecewise-legendre", "a": 0.005, "b": 0.015,
                                                    "K": 5, "J": 2, "L": 2})),
+        ("K not integral", lambda d: d["basis"].update(K=4.7)),
+        ("K a float", lambda d: d["basis"].update(K=4.0)),
+        ("K a string", lambda d: d["basis"].update(K="4")),
+        ("K a bool", lambda d: d["basis"].update(K=True)),
+        ("J a float", lambda d: d.update(basis={"family": "piecewise-legendre", "a": 0.005, "b": 0.015,
+                                                "K": 4, "J": 2.5, "L": 2})),
+        ("L a bool", lambda d: d.update(basis={"family": "piecewise-legendre", "a": 0.005, "b": 0.015,
+                                               "K": 4, "J": 4, "L": True})),
         ("wrong number of values", lambda d: d["values"].pop()),
     ])
     def test_malformed_coeffs_exit_3_naming_the_file(self, tmp_path, capsys, case, malform):
@@ -718,3 +763,28 @@ class TestExitCodes:
             assert main(["estimate", "--increments", str(path), "--K", "2", "--out", str(out)] + extra) == 4
             assert "materialization limit" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_binary_header_above_limit_exits_4_before_the_body(self, tmp_path, monkeypatch, capsys):
+        reads = []
+        monkeypatch.setattr(np, "fromfile", lambda *args, **kwargs: reads.append(args))
+        declared = tmp_path / "declared.bin"
+        n = processes.MATERIALIZE_LIMIT + 1
+        declared.write_bytes(json.dumps(BINARY_HEADER | {"n": n}).encode("ascii") + b"\n" + bytes(16))
+        out = tmp_path / "o.json"
+        assert main(["estimate", "--increments", str(declared), "--K", "2", "--out", str(out)]) == 4
+        assert f"{declared}: header declares n={n} increments" in capsys.readouterr().err
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BINARY_CASES))
+    def test_malformed_binary_increments_exit_3_naming_the_file(self, tmp_path, capsys, case):
+        header, body, message = BINARY_CASES[case]
+        line = header if isinstance(header, bytes) else json.dumps(header).encode("ascii")
+        inc = tmp_path / "inc.bin"
+        inc.write_bytes(line + b"\n" + body)
+        out = tmp_path / "o.json"
+        assert main(["estimate", "--increments", str(inc), "--delta", "0.5", "--K", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inc}: ") and message in err
+        assert not out.exists()
+        inc.write_bytes(json.dumps(BINARY_HEADER).encode("ascii") + b"\n" + bytes(24))
+        assert main(["estimate", "--increments", str(inc), "--K", "2", "--out", str(out)]) == 0

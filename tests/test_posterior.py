@@ -175,6 +175,18 @@ class TestMarginalK:
         with pytest.raises(DimensionError):
             marginal_k(np.zeros(5), 20.0, GibbsConfig(k_max=6))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_refused(self, bad):
+        values = np.arange(1.0, 9.0)
+        values[[3, 6]] = bad
+        theta_hat = CoefficientVector(BasisSystem.trigonometric(D_PRIME, 8), values, t_n=20.0)
+        with pytest.raises(ParameterError, match=rf"finite numbers, got {bad!r} at index 3$"):
+            marginal_k(theta_hat, 20.0, GibbsConfig(k_max=8))
+        with pytest.raises(ParameterError, match="at index 3"):
+            sample_posterior(theta_hat, 20.0, GibbsConfig(k_max=8), 10, seed=1)
+        values[3] = 0.0  # beyond k_max = 6 a value is never read
+        assert marginal_k(values, 20.0, GibbsConfig(k_max=6)).probs.sum() == pytest.approx(1.0)
+
     def test_point_mass(self):
         marg = MarginalK.point_mass(3, 10)
         assert marg.probs[2] == 1.0 and marg.probs.sum() == 1.0

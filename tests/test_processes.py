@@ -14,11 +14,11 @@ Monte Carlo checks use 4-standard-error tolerances with fixed seeds.
 
 import dataclasses
 import hashlib
+import json
 import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,29 +45,12 @@ from levygibbs import (
     simulate,
     write_increments,
 )
-from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
 
-from conftest import MASTER_SEED, slow_enabled
+from conftest import reference_write_increments
 
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
 DENSE_CP = CompoundPoissonParams(50.0, JumpDistribution.normal(0.01, 0.003))
 BOTH_FAMILIES = pytest.mark.parametrize("model", [STUDY_VG, DENSE_CP], ids=["vg", "cpois"])
-
-
-def reference_write_increments(path, series, header=True):
-    """The per-value f-string writer the block-formatting writer replaced, kept as an oracle."""
-    with open(path, "w", encoding="ascii") as fh:
-        if header:
-            seed = series.seed if series.seed is not None else ""
-            fh.write(f"# delta={series.scheme.delta:.17g} n={series.scheme.n} seed={seed}\n")
-        for chunk in series.iter_chunks():
-            fh.write("\n".join(f"{v:.17g}" for v in chunk))
-            fh.write("\n")
-
-
-def reference_lines(values):
-    """The oracle's per-value f-string over an array: the bytes _format_piece must return."""
-    return "".join(f"{v:.17g}\n" for v in np.asarray(values, dtype=float).tolist()).encode("ascii")
 
 
 def reference_read_increments(path, delta=None):
@@ -253,7 +236,7 @@ class TestVarianceGamma:
         with multiprocessing.get_context("fork").Pool(1) as pool:
             daemonic = pool.apply_async(_write_and_fold, (tmp_path / "daemonic.txt",)).get(timeout=60)
         here = _write_and_fold(tmp_path / "here.txt")
-        assert pooled_io.workers == [2, 2]  # the file pieces and the 3-block fold
+        assert pooled_io.workers == [2, 2]  # the 3-block file and the 3-block fold
         assert (tmp_path / "daemonic.txt").read_bytes() == (tmp_path / "here.txt").read_bytes()
         assert np.array_equal(daemonic, here)
 
@@ -445,25 +428,39 @@ class TestIncrementFiles:
     def test_round_trip_exact(self, tmp_path):
         scheme = SamplingScheme(1e-3, 4096)
         series = simulate(STUDY_VG, scheme, seed=9)
-        path = tmp_path / "inc.txt"
+        path = tmp_path / "inc.bin"
         write_increments(path, series)
         back = read_increments(path)
         assert back.scheme.n == scheme.n
         assert back.scheme.delta == scheme.delta
         assert np.array_equal(back.values, series.values)
 
-    def test_header_carries_metadata(self, tmp_path):
-        series = simulate(STUDY_VG, SamplingScheme(0.25, 8), seed=1)
-        path = tmp_path / "inc.txt"
+    def test_round_trip_across_blocks_bit_for_bit(self, tmp_path):
+        scheme = SamplingScheme(1e-2, BLOCK + 3)  # two blocks, the last one of 3 values
+        series = simulate(DENSE_CP, scheme, seed=6, materialize=False)
+        path = tmp_path / "inc.bin"
         write_increments(path, series)
-        first = path.read_text().splitlines()[0]
-        assert first.startswith("# delta=")
-        assert "n=8" in first and "seed=1" in first
+        back = read_increments(path, delta=0.5)  # the header's delta wins
+        assert (back.scheme, back.seed) == (scheme, 6)
+        assert back.values.tobytes() == series.values.tobytes() and np.count_nonzero(back.values[BLOCK:])
+        assert path.stat().st_size == path.read_bytes().index(b"\n") + 1 + 8 * scheme.n
+
+    def test_header_carries_metadata(self, tmp_path):
+        for seed, written in ((1, 1), (None, None)):
+            path = tmp_path / "inc.bin"
+            write_increments(path, IncrementSeries(SamplingScheme(0.25, 8), seed, values=np.arange(8.0)))
+            first, body = path.read_bytes().split(b"\n", 1)
+            assert json.loads(first) == {
+                "format": "levygibbs-increments", "version": 1, "delta": 0.25, "n": 8, "seed": written,
+            }
+            assert list(json.loads(first)) == ["format", "version", "delta", "n", "seed"]
+            assert body == np.arange(8.0).astype("<f8").tobytes()
+            assert read_increments(path).seed == written
 
     def test_headerless_needs_delta(self, tmp_path):
         series = simulate(STUDY_VG, SamplingScheme(0.25, 8), seed=1)
         path = tmp_path / "inc.txt"
-        write_increments(path, series, header=False)
+        reference_write_increments(path, series, header=False)
         with pytest.raises(InputParseError):
             read_increments(path)
         back = read_increments(path, delta=0.25)
@@ -480,17 +477,6 @@ SPECIAL_VALUES = [
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
     9.999999999999999e16, 1e16, 1e17, 1e-4, 1e-5, 0.1, -0.1,
 ]
-
-# Cases of the format kernel, each also negated: exact 17-digit ties (half to even), a
-# carry to the next power of ten (1e-14 is below 10**-14), the 'g' layout thresholds
-# and their neighbours, zeros, subnormals, the largest double, and the values '%' formats.
-KERNEL_EDGES = [
-    1234567890123456.25, 1234567890123456.75, 0.5, 1e-14, 1e98,
-    1e-4, 9.9999999999999991e-05, 1e-5, 9.9999999999999991e-06, 1e16, 9.9999999999999984e15,
-    1e17, 9.9999999999999984e16, 12000.0, 0.00012, 0.0, 5e-324, 2.225073858507201e-308,
-    2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan,
-]
-KERNEL_EDGES += [-v for v in KERNEL_EDGES]
 
 # Files the reader must accept or refuse exactly as the per-line float() loop does.
 READER_CASES = {
@@ -527,24 +513,10 @@ READER_CASES = {
 
 
 class TestIncrementFileEquivalence:
-    """The block writer and the C-level reader against the per-value code they replaced."""
-
-    @pytest.mark.parametrize("header", [True, False])
-    def test_writer_bytes(self, tmp_path, monkeypatch, header):
-        vg = simulate(STUDY_VG, SamplingScheme(1.5625e-05, 5000), seed=7)
-        special = values_series(SPECIAL_VALUES, seed=3)
-        edges = values_series(KERNEL_EDGES, seed=None)
-        monkeypatch.setattr(processes, "BLOCK", 5)  # 12 values: blocks of 5, 5 and 2
-        monkeypatch.setattr(processes, "FORMAT_SLICE", 2)  # kernel passes of 2 values within a piece
-        assert [len(c) for c in special.iter_chunks()] == [5, 5, 2]
-        for series in (vg, special, edges):
-            new, old = tmp_path / "new.txt", tmp_path / "old.txt"
-            write_increments(new, series, header=header)
-            reference_write_increments(old, series, header=header)
-            assert new.read_bytes() == old.read_bytes()
+    """The binary round trip of special values, and the C-level text reader against the per-line loop it replaced."""
 
     def test_writer_round_trips_special_values(self, tmp_path):
-        path = tmp_path / "inc.txt"
+        path = tmp_path / "inc.bin"
         write_increments(path, values_series(SPECIAL_VALUES))
         assert read_increments(path).values.tobytes() == np.array(SPECIAL_VALUES).tobytes()
 
@@ -559,7 +531,7 @@ class TestIncrementFileEquivalence:
     def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, header):
         # 64-character readlines() batches feed a 3003-line file to the one parse call in many pieces.
         path = tmp_path / "inc.txt"
-        write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
+        reference_write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
         monkeypatch.setattr(processes, "READ_BATCH", 64)
         for tail in (b"", b"\n\n0.5\n", b"1_0\n"):  # "1_0": only the line loop accepts it
             path.write_bytes(path.read_bytes() + tail)
@@ -578,9 +550,9 @@ class TestIncrementFileEquivalence:
         monkeypatch.setattr(np, "loadtxt", spy)
         path = tmp_path / "inc.txt"
         series = simulate(STUDY_VG, SamplingScheme(1e-3, 10), seed=1)
-        write_increments(path, series)
+        reference_write_increments(path, series)
         assert len(read_increments(path)) == 10
-        write_increments(path, series, header=False)
+        reference_write_increments(path, series, header=False)
         assert len(read_increments(path, delta=1e-3)) == 10
         path.write_text("# delta=0.5 n=1 seed=1\n" + "0.5\n" * 10)  # the header undercounts
         with pytest.raises(InputParseError, match="file has 10 increments"):
@@ -632,65 +604,6 @@ class TestIncrementFileEquivalence:
         text = ("# delta=0.5 n=%d seed=1\n" % len(lines) if header else "") + "\n".join(lines)
         path.write_bytes(text.encode("ascii"))
         assert read_outcome(read_increments, path, 1.0) == read_outcome(reference_read_increments, path, 1.0)
-
-
-class TestFormatKernel:
-    """_format_piece, a numpy kernel with '%' for the values it cannot decide, against the f-string oracle."""
-
-    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
-    @settings(max_examples=300, deadline=None)
-    def test_random_bit_patterns(self, bits):
-        # Any 64-bit pattern: subnormals, nan payloads and infinities included.
-        values = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert processes._format_piece(values) == reference_lines(values)
-
-    def test_random_bit_patterns_across_passes(self):
-        values = np.random.default_rng(11).integers(0, 2**64, 5 * processes.FORMAT_SLICE // 2, dtype=np.uint64)
-        values = values.view(np.float64)
-        assert processes._format_piece(values) == reference_lines(values)
-
-    def test_powers_of_ten_and_neighbours(self):
-        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
-        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
-        values = np.concatenate([values, -values])
-        assert processes._format_piece(values) == reference_lines(values)
-
-    def test_rounding_carries_to_a_power_of_ten(self):
-        # Doubles below 10**k whose 17-digit rounding is 10**k: the kernel's integer reaches 10**17.
-        carried = []
-        for k in range(-323, 309):
-            d = float(f"1e{k}")
-            if Fraction(d) < Fraction(10) ** k == Fraction(f"{d:.17g}"):
-                carried.append(d)
-        assert len(carried) >= 10 and 1e-14 in carried and 1e98 in carried
-        values = np.array(carried + [-d for d in carried])
-        text = processes._format_piece(values)
-        assert text == reference_lines(values)
-        assert b"\n1e-14\n" in text and b"\n1e+98\n" in text
-
-    def test_ties_zeros_and_extremes(self):
-        values = np.array(KERNEL_EDGES)
-        text = processes._format_piece(values)
-        assert text == reference_lines(values)
-        assert text.startswith(b"1234567890123456.2\n1234567890123456.8\n0.5\n")
-        lines, zero = text.split(b"\n"), KERNEL_EDGES.index(0.0)
-        assert (lines[zero], lines[len(KERNEL_EDGES) // 2 + zero]) == (b"0", b"-0")
-
-    def test_decimal_exponent_tables_are_exact(self):
-        bumps, ks = processes._decimal_scales()[:2]
-        for i, e in enumerate(range(processes._E_MIN, processes._E_MAX + 1)):
-            k0 = int(ks[2 * i])
-            assert Fraction(10) ** k0 <= Fraction(2) ** (e - 1) < Fraction(10) ** (k0 + 1)
-            threshold = math.ldexp(bumps[i], e)  # the least double >= 10**(k0 + 1)
-            assert Fraction(math.nextafter(threshold, 0)) < Fraction(10) ** (k0 + 1) <= Fraction(threshold)
-
-    @pytest.mark.slow
-    @pytest.mark.skipif(not slow_enabled(), reason="formats 5.12M values twice; set LEVY_GIBBS_RUN_SLOW=1")
-    def test_study_stream_j2(self):
-        spec = RegimeSpec.from_j(2)
-        scheme = SamplingScheme(spec.delta, spec.n)
-        for chunk in simulate(DEFAULT_VG_PARAMS, scheme, seed=MASTER_SEED, materialize=False).iter_chunks():
-            assert processes._format_piece(chunk) == reference_lines(chunk)
 
 
 class TestReaderGuards:
@@ -757,29 +670,27 @@ class TestReaderGuards:
 class TestPooledIncrementFiles:
     """Files of several pieces converted by forked workers (the pooled_io fixture) give the same results."""
 
-    @pytest.mark.parametrize("header", [True, False])
-    def test_writer_bytes(self, tmp_path, monkeypatch, pooled_io, header):
-        vg = simulate(STUDY_VG, SamplingScheme(1.5625e-05, 200), seed=7)
-        special = values_series(SPECIAL_VALUES, seed=3)
-        edges = values_series(KERNEL_EDGES, seed=None)
-        # Blocks of 5 in pieces of 3: pieces of 3, 2, 3, 2 and 2 values for the 12 specials.
-        monkeypatch.setattr(processes, "BLOCK", 5)
-        for series in (vg, special, edges):
-            pooled, one, old = tmp_path / "pooled.txt", tmp_path / "one.txt", tmp_path / "old.txt"
+    def test_writer_bytes(self, tmp_path, monkeypatch, pooled_io):
+        vg = simulate(STUDY_VG, SamplingScheme(1.5625e-05, 200), seed=7, materialize=False)
+        special = values_series(SPECIAL_VALUES + [math.inf, -math.inf, math.nan], seed=3)
+        monkeypatch.setattr(processes, "BLOCK", 5)  # blocks of 5; the 15 specials make 3 of them
+        for series in (vg, special):
+            pooled, one = tmp_path / "pooled.bin", tmp_path / "one.bin"
             pools = pooled_io.pools
-            write_increments(pooled, series, header=header)
-            assert pooled_io.pools == pools + 1
+            write_increments(pooled, series)
+            assert pooled_io.pools == pools + 1 and pooled_io.peak <= 4  # 2 blocks per worker
             with monkeypatch.context() as m:
                 m.setattr(processes, "_io_workers", lambda: 1)
-                write_increments(one, series, header=header)
+                write_increments(one, series)
             assert pooled_io.pools == pools + 1
-            reference_write_increments(old, series, header=header)
-            assert pooled.read_bytes() == one.read_bytes() == old.read_bytes()
+            assert pooled.read_bytes() == one.read_bytes()
+            assert pooled.read_bytes().endswith(series.values.astype("<f8").tobytes())
 
     def test_one_piece_runs_in_process(self, tmp_path, pooled_io):
-        path = tmp_path / "inc.txt"
-        write_increments(path, values_series([0.5, -0.25, 1.0]), header=False)  # WRITE_PIECE = 3
-        assert path.read_bytes() == b"0.5\n-0.25\n1\n"  # within READ_PIECE = 16
+        path = tmp_path / "inc.bin"
+        write_increments(path, values_series([0.5, -0.25, 1.0]))  # one block
+        assert read_increments(path).values.tolist() == [0.5, -0.25, 1.0]
+        path.write_bytes(b"0.5\n-0.25\n1\n")  # within READ_PIECE = 16
         assert read_outcome(read_increments, path, 1.0) == read_outcome(reference_read_increments, path, 1.0)
         assert pooled_io.pools == 0
 
@@ -794,7 +705,7 @@ class TestPooledIncrementFiles:
     @pytest.mark.parametrize("header", [True, False])
     def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, pooled_io, header):
         path = tmp_path / "inc.txt"
-        write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
+        reference_write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
         monkeypatch.setattr(processes, "READ_PIECE", 4096)
         monkeypatch.setattr(processes, "READ_BATCH", 64)
         for tail in (b"", b"\n\n0.5\n", b"1_0\n"):
@@ -872,11 +783,14 @@ class TestPooledIncrementFiles:
                 assert pulled <= done + bound
         assert pulled == 20
 
-    def test_in_flight_bound(self, tmp_path, pooled_io):
-        path = tmp_path / "inc.txt"
-        write_increments(path, simulate(STUDY_VG, SamplingScheme(1e-3, 300), seed=4))
-        assert pooled_io.submitted == 100 and pooled_io.peak == 4  # 2 pieces per worker
+    def test_in_flight_bound(self, tmp_path, monkeypatch, pooled_io):
+        monkeypatch.setattr(processes, "BLOCK", 3)
+        series = simulate(STUDY_VG, SamplingScheme(1e-3, 300), seed=4, materialize=False)
+        write_increments(tmp_path / "inc.bin", series)
+        assert pooled_io.submitted == 100 and pooled_io.peak == 4  # 2 blocks per worker
         pooled_io.peak = 0
+        path = tmp_path / "inc.txt"
+        reference_write_increments(path, series)
         assert len(read_increments(path)) == 300
         assert pooled_io.submitted > 300 and pooled_io.peak == 4
 
