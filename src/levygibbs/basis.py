@@ -37,6 +37,7 @@ from .errors import (
     ParameterError,
     WindowError,
 )
+from .util import is_integer
 
 MAX_TRIG_K = 512
 MAX_LEGENDRE_J = 5
@@ -263,7 +264,7 @@ def _parsing(what: str):
 def _size(d: dict, key: str) -> int:
     """The integer field `key` of a descriptor; a bool, a float or a string raises ParameterError."""
     value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ParameterError(f"malformed basis descriptor: {key} must be an integer, got {value!r}")
     return int(value)
 

@@ -38,7 +38,7 @@ from .posterior import (
     sample_posterior,
 )
 from .processes import ProcessModel, SamplingScheme, VarianceGammaParams, simulate
-from .util import derive_seed, fmt_float, open_ascii, snap_ceil
+from .util import derive_seed, fmt_float, is_integer, open_ascii, snap_ceil
 
 # Default study process parameters.
 DEFAULT_VG_PARAMS = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
@@ -67,7 +67,7 @@ class RegimeSpec:
     j: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.j, (int, np.integer)) and self.j >= 1):
+        if not (is_integer(self.j) and self.j >= 1):
             raise ParameterError(f"regime index j must be a positive integer, got {self.j!r}")
         object.__setattr__(self, "j", int(self.j))
 

@@ -28,7 +28,7 @@ from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
 from .estimator import DEFAULT_GRID_POINTS
 from .processes import MATERIALIZE_LIMIT, _block_rng
-from .util import snap_ceil
+from .util import is_integer, snap_ceil
 
 # Draws are generated in fixed blocks, each from its own substream of the
 # seed, so one block can be redrawn on its own, bit for bit.
@@ -66,7 +66,7 @@ class GibbsConfig:
         # admissibility diagnostics can report on it; the pmf is still proper.
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ParameterError(f"beta must be nonnegative and finite, got {self.beta!r}")
-        if self.k_max is not None and not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):
+        if self.k_max is not None and not (is_integer(self.k_max) and self.k_max >= 1):
             raise ParameterError(f"k_max must be a positive integer or None, got {self.k_max!r}")
         if not self.D_prime.contains(self.D):
             raise WindowError(

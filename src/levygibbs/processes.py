@@ -24,7 +24,7 @@ blocks are materialized at once, and safe to generate in parallel.
 
 One pool of forked worker processes (_pool_map) serves all parallel work:
 IncrementSeries.map_blocks and write_increments, where each worker generates
-(or slices) its own blocks, and the body ranges of a text increments file.
+(or slices) its own blocks.  A text increments file is read here, in one pass.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import io
-import itertools
 import json
 import math
 import os
@@ -51,7 +49,7 @@ from .errors import (
     RangeError,
     ResourceGuardError,
 )
-from .util import decode_ascii
+from .util import decode_ascii, is_integer, open_ascii
 
 # Fixed RNG block span.  Block b covers increment indices [b*BLOCK, (b+1)*BLOCK).
 BLOCK = 1 << 20
@@ -71,7 +69,7 @@ class SamplingScheme:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (is_integer(self.n) and self.n >= 1):
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ParameterError(f"delta must be positive and finite, got {self.delta!r}")
@@ -384,15 +382,14 @@ def _io_workers() -> int:
 def _pool_map(cap: int, job: Callable):
     """A map of job over items, results in order: in at most `cap` forked workers, one per CPU, or here.
 
-    Block generation, the block fold and the text parse of file ranges
-    hold the GIL, so threads cannot share them.  Workers are forked: a
-    pool of two starts in about 0.02 s on a 2-vCPU Xeon, against 0.7-1.0 s
-    for spawn or forkserver, which also re-import __main__.  Fork also hands
-    each worker `job` without pickling it, so a job may be a closure over
-    this process's arrays; only the items and the results are pickled.  With
-    one worker, no "fork" start method, or in a daemonic process (a
-    multiprocessing.Pool worker, which may not have children) the builtin
-    map runs here.  At most two items per worker are in flight, so what is
+    Block generation and the block fold hold the GIL, so threads cannot
+    share them.  Workers are forked: a pool of two starts in about 0.02 s on
+    a 2-vCPU Xeon, against 0.7-1.0 s for spawn or forkserver, which also
+    re-import __main__.  Fork also hands each worker `job` without pickling
+    it, so a job may be a closure over this process's arrays; only the items
+    and the results are pickled.  With one worker, no "fork" start method,
+    or in a daemonic process (a multiprocessing.Pool worker, which may not
+    have children) the builtin map runs here.  At most two items per worker are in flight, so what is
     held at once is bounded whatever the item count.  The pool is shut down
     and its workers joined on every exit, errors included.
     """
@@ -473,21 +470,20 @@ simulate_vg = simulate_compound_poisson = simulate
 # seed=<d>", then one number per line.  A text file whose first line begins
 # with '{' is not valid, so read_increments tells the formats apart by the
 # first byte.  Either header is checked before any of the body is read.
-# A text body is cut into byte ranges of at least READ_PIECE bytes, each
-# ending just after an LF so that no line (nor a CRLF) is split, and a body of
-# several ranges is parsed by _pool_map, in worker processes or in this one.
-# Each range is parsed by one C-level np.loadtxt call; a range it refuses is
-# read again here, line by line, in file order and with line numbers carried
-# on from the ranges before it, so each file is accepted or rejected, with the
+# A text file is read once, in this process, as ASCII with universal newlines
+# (CRLF and a lone CR end a line too), in readlines() batches of about
+# READ_BATCH characters.  Each batch is parsed by one C-level np.loadtxt call;
+# a batch it refuses goes through the line loop, with line numbers carried on
+# from the batches before it, so each file is accepted or rejected, with the
 # same values and the same error, as by that line loop alone.  A file
 # declaring, or holding, more than MATERIALIZE_LIMIT increments raises
 # ResourceGuardError, and a non-ASCII byte raises InputParseError.
 # ---------------------------------------------------------------------------
 
-# Bytes per body range of the text reader (about 0.18M values at 17 digits).
-READ_PIECE = 1 << 22
-# Characters per readlines() batch handed to the C parser.
+# Characters per readlines() batch of the text reader.
 READ_BATCH = 1 << 20
+# The most bytes read for the first line of a binary file, its LF included.
+BINARY_HEADER_BYTES = 4096
 
 # The first line of a binary increments file: these keys, this format name and version.
 BINARY_KEYS = ("format", "version", "delta", "n", "seed")
@@ -526,26 +522,25 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
     """
     if delta is not None and not (math.isfinite(delta) and delta > 0.0):
         raise ParameterError(f"delta must be positive and finite, got {delta!r}")
-    header_n = header_seed = None
     with open(path, "rb") as fh:
-        line = fh.readline()
-        size = os.fstat(fh.fileno()).st_size
+        line = fh.readline(BINARY_HEADER_BYTES)
         if line.startswith(b"{"):
-            return _read_binary(path, line, size)
-        cr = line.find(b"\r")
-        if cr >= 0 and line[cr + 1 : cr + 2] != b"\n":
-            line = line[: cr + 1]  # a lone CR ends a line too
-        text = decode_ascii(path, line).strip()
+            if not line.endswith(b"\n"):
+                raise InputParseError(f"{path}: line 1: header has no line end in its first {BINARY_HEADER_BYTES} bytes")
+            return _read_binary(path, line, os.fstat(fh.fileno()).st_size)
+    header_n = header_seed = None
+    with open_ascii(path) as fh:
+        text = fh.readline().strip()
         if text.startswith("#"):
             delta, header_n, header_seed = _parse_header(path, text)
             _check_limit(path, header_n)
-            body, first_lineno = len(line), 2
+            first_lineno = 2
         elif delta is None:
             raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
         else:
-            body, first_lineno = 0, 1
-        spans = _body_ranges(fh, body, size)
-    values, count = _read_body(path, spans, first_lineno, header_n)
+            fh.seek(0)
+            first_lineno = 1
+        values, count = _read_body(path, fh, first_lineno, header_n)
     if header_n is not None and header_n != count:
         raise InputParseError(
             f"{path}: header declares n={header_n} but file has {count} increments"
@@ -597,98 +592,41 @@ def _parse_binary_header(path, line: bytes) -> tuple[float, int, int | None]:
     return float(delta), n, seed
 
 
-def _body_ranges(fh, start: int, end: int) -> list[tuple[int, int]]:
-    """Cut bytes [start, end) of fh into ranges of at least READ_PIECE bytes, all but the last ending in LF."""
-    spans = []
-    while end - start > READ_PIECE:
-        pos = start + READ_PIECE - 1
-        fh.seek(pos)
-        stop = end
-        while buf := fh.read(1 << 16):
-            i = buf.find(b"\n")
-            if i >= 0:
-                stop = pos + i + 1
-                break
-            pos += len(buf)
-        spans.append((start, stop))
-        start = stop
-    if start < end:
-        spans.append((start, end))
-    return spans
+def _read_body(path, fh, first_lineno: int, n: int | None) -> tuple[np.ndarray, int]:
+    """(values, count): the count of values in the rest of the text file fh, and the values when count is n or n is None.
 
-
-def _read_body(path, spans, first_lineno: int, n: int | None) -> tuple[np.ndarray, int]:
-    """(values, count): the count of values in the body ranges, and the values when count is n or n is None.
-
-    Ranges are parsed ahead in workers; the results are taken in file order,
-    and a refused range goes through the line loop here, so the first error
-    in file order is the one raised.  With a header, values go straight into
-    one array of the declared size.
+    Each readlines() batch is parsed by one np.loadtxt call, which takes a
+    single column of one or more rows only: two tokens on a line (say
+    around a vertical tab, which splits fields there but not in float()) and
+    text it finds empty go to the line loop, which stops once the count
+    passes MATERIALIZE_LIMIT.  With a header, values go straight into one
+    array of the declared size.
     """
     out = None if n is None else np.empty(max(n, 0))
     parts, count, lineno = [], 0, first_lineno
-    with _pool_map(len(spans), functools.partial(_parse_range, path)) as pmap:
-        for span, (values, newlines) in zip(spans, pmap(spans)):
-            if values is None:
-                values = _parse_lines(path, _text(_range_bytes(path, span)), lineno, MATERIALIZE_LIMIT + 1 - count)
-            lineno += newlines
-            if out is None:
-                parts.append(values)
-            elif count + len(values) <= len(out):
-                out[count : count + len(values)] = values
-            count += len(values)
-            if count > MATERIALIZE_LIMIT:
-                raise ResourceGuardError(
-                    f"{path}: more than {MATERIALIZE_LIMIT} increments, above the materialization limit"
-                )
+    for batch in iter(functools.partial(fh.readlines, READ_BATCH), []):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            try:
+                values = np.loadtxt(batch, comments=None, ndmin=2)
+            except ValueError:
+                values = None
+        if values is None or values.shape[0] == 0 or values.shape[1] != 1:
+            values = _parse_lines(path, batch, lineno, MATERIALIZE_LIMIT + 1 - count)
+        values = values.reshape(-1)
+        lineno += len(batch)
+        if out is None:
+            parts.append(values)
+        elif count + len(values) <= len(out):
+            out[count : count + len(values)] = values
+        count += len(values)
+        if count > MATERIALIZE_LIMIT:
+            raise ResourceGuardError(
+                f"{path}: more than {MATERIALIZE_LIMIT} increments, above the materialization limit"
+            )
     if out is None:
         out = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
     return out, count
-
-
-def _range_bytes(path, span: tuple[int, int]) -> bytes:
-    """Bytes [start, stop) of the file; a non-ASCII byte raises InputParseError naming the file."""
-    start, stop = span
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        data = fh.read(stop - start)
-    if not data.isascii():
-        decode_ascii(path, data)  # raises, naming the first non-ASCII byte
-    return data
-
-
-def _text(data: bytes) -> io.TextIOWrapper:
-    """ASCII bytes as text lines, CRLF and a lone CR read as LF (as open() reads them)."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
-
-
-def _parse_range(path, span: tuple[int, int]) -> tuple[np.ndarray | None, int]:
-    """One body range: (its values, or None if the C parser refuses it; its number of line ends).
-
-    The range is parsed by one np.loadtxt call, which takes a single column
-    of one or more rows only: two tokens on a line (say around a vertical
-    tab, which splits fields here but not in float()) and text the parser
-    finds empty go to the line loop.  So does a range of MATERIALIZE_LIMIT
-    line ends or more (only a body without LF can have that many): the line
-    loop stops after MATERIALIZE_LIMIT + 1 values, where one call would hold
-    them all.
-    """
-    data = _range_bytes(path, span)
-    newlines = data.count(b"\n")
-    if b"\r" in data:
-        newlines += data.count(b"\r") - data.count(b"\r\n")
-    if newlines >= MATERIALIZE_LIMIT:
-        return None, newlines
-    lines = itertools.chain.from_iterable(iter(functools.partial(_text(data).readlines, READ_BATCH), []))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        try:
-            arr = np.loadtxt(lines, comments=None, ndmin=2)
-        except ValueError:
-            return None, newlines
-    if arr.shape[0] == 0 or arr.shape[1] != 1:
-        return None, newlines
-    return arr.reshape(-1), newlines
 
 
 def _parse_lines(path, lines, first_lineno: int, limit: int) -> np.ndarray:

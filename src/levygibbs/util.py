@@ -37,6 +37,11 @@ def decode_ascii(path, data: bytes) -> str:
         raise _not_ascii(path, exc) from exc
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def snap_ceil(x: float, rel: float = 1e-9) -> int:
     """Ceiling that forgives float noise: values within rel of an integer snap to it.
 

@@ -47,7 +47,7 @@ def reference_write_increments(path, series, header=True):
 
 @pytest.fixture
 def pooled_io(monkeypatch):
-    """Two forked workers for every pool, and text increments files read in tiny ranges (forked workers see the patches).
+    """Two forked workers for every pool (forked workers see the patches).
 
     Returns a record of the pools started and the worker count of each, the
     items submitted, and the most items submitted whose result the parent
@@ -77,5 +77,4 @@ def pooled_io(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(processes, "_io_workers", lambda: 2)
-    monkeypatch.setattr(processes, "READ_PIECE", 16)
     return record

@@ -10,6 +10,7 @@ import json
 import math
 import multiprocessing
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,21 @@ class TestEstimate:
         assert main(["simulate", "--j", "2", "--seed", str(sim_seed), "--out", str(inc)]) == 0
         out = tmp_path / "coeffs.json"
         assert main(["estimate", "--increments", str(inc), "--out", str(out)]) == 0
+        loaded = CoefficientVector.from_dict(json.loads(out.read_text()))
+        assert loaded.values.tobytes() == regime_reports[2].theta_hat.values.tobytes()
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not slow_enabled(), reason="exports and parses 5.12M text lines; set LEVY_GIBBS_RUN_SLOW=1")
+    def test_text_export_matches_run_regime_j2(self, tmp_path, regime_reports):
+        """The README's %.17g text export of the j=2 series, read by estimate, gives run_regime's coefficients."""
+        sim_seed = int(derive_seed(MASTER_SEED, "simulate"))
+        inc, text = tmp_path / "j2.bin", tmp_path / "j2.txt"
+        assert main(["simulate", "--j", "2", "--seed", str(sim_seed), "--out", str(inc)]) == 0
+        s = read_increments(inc)
+        np.savetxt(text, s.values, fmt="%.17g", comments="# ", header=f"delta={s.scheme.delta!r} n={s.scheme.n} seed={s.seed}")
+        assert text.stat().st_size > 100 * processes.READ_BATCH  # about 100 batches
+        out = tmp_path / "coeffs.json"
+        assert main(["estimate", "--increments", str(text), "--out", str(out)]) == 0
         loaded = CoefficientVector.from_dict(json.loads(out.read_text()))
         assert loaded.values.tobytes() == regime_reports[2].theta_hat.values.tobytes()
 
@@ -608,7 +624,7 @@ class TestConfigPrecedence:
 
 
 class TestPooledFiles:
-    """simulate and estimate through forked workers in tiny pieces (the pooled_io fixture)."""
+    """simulate and estimate through forked workers in tiny blocks (the pooled_io fixture)."""
 
     def test_no_worker_outlives_a_command(self, tmp_path, monkeypatch, pooled_io, capsys):
         monkeypatch.setattr(processes, "BLOCK", 16)  # 64 increments in 4 blocks
@@ -631,7 +647,7 @@ class TestPooledFiles:
         text.write_bytes(b"".join(lines[:50] + [b"oops\n"] + lines[50:]))
         assert main(["estimate", "--increments", str(text), "--K", "8", "--out", str(out)]) == 3
         assert "line 51: not a number: 'oops'" in capsys.readouterr().err
-        assert pooled_io.pools == 4 and multiprocessing.active_children() == []  # the direct fold, the text ranges
+        assert pooled_io.pools == 3 and multiprocessing.active_children() == []  # the direct fold; text is read here
 
 
 class TestExitCodes:
@@ -774,6 +790,19 @@ class TestExitCodes:
         assert main(["estimate", "--increments", str(declared), "--K", "2", "--out", str(out)]) == 4
         assert f"{declared}: header declares n={n} increments" in capsys.readouterr().err
         assert reads == [] and not out.exists()
+
+    def test_binary_header_without_line_end_exits_3(self, tmp_path, capsys):
+        inc = tmp_path / "inc.bin"
+        inc.write_bytes(b"{" + b" " * (8 << 20))
+        out = tmp_path / "o.json"
+        tracemalloc.start()
+        try:
+            assert main(["estimate", "--increments", str(inc), "--delta", "0.5", "--K", "2", "--out", str(out)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.startswith(f"error: {inc}: line 1: header has no line end")
+        assert peak < 1 << 20 and not out.exists()
 
     @pytest.mark.parametrize("case", sorted(BINARY_CASES))
     def test_malformed_binary_increments_exit_3_naming_the_file(self, tmp_path, capsys, case):

@@ -77,6 +77,15 @@ class TestRegimeArithmetic:
         # larger regimes are well defined, just expensive
         assert RegimeSpec.from_j(4).delta == 1e-3 * 2.0**-12
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: SamplingScheme(0.5, True), lambda: RegimeSpec(True), lambda: GibbsConfig(k_max=True)],
+        ids=["SamplingScheme.n", "RegimeSpec.j", "GibbsConfig.k_max"],
+    )
+    def test_bool_is_not_a_count(self, make):
+        with pytest.raises(ParameterError, match="must be a positive integer"):
+            make()
+
     def test_delta_n_t_n_derived_from_j(self):
         # j is the one field, so no regime can carry a delta, n or t_n of another j.
         assert [f.name for f in dataclasses.fields(RegimeSpec)] == ["j"]

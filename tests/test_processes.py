@@ -18,6 +18,7 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -538,7 +539,7 @@ class TestIncrementFileEquivalence:
             expected = read_outcome(reference_read_increments, path, 1.0)
             assert read_outcome(read_increments, path, 1.0) == expected
 
-    def test_one_parse_call_per_range_without_max_rows(self, tmp_path, monkeypatch):
+    def test_one_parse_call_per_batch_without_max_rows(self, tmp_path, monkeypatch):
         # np.loadtxt reserves max_rows rows up front; called without it, it reserves nothing ahead.
         calls = []
         loadtxt = np.loadtxt
@@ -559,37 +560,28 @@ class TestIncrementFileEquivalence:
             read_increments(path)
         assert len(calls) == 3 and not any("max_rows" in kwargs for kwargs in calls)
 
-    @pytest.mark.parametrize(
-        "body, over",
-        [
-            (b"1\r2\r3\r4\r5\r6\r", True),
-            (b"1\r2\r3\r4\r5\rx\r", True),  # the line loop stops at value 5, before the bad line
-            (b"1\r\r2\r3\r4\r\r", False),
-            (b"# delta=0.5 n=4 seed=1\r1\r2\r3\r4\r", False),
-        ],
-    )
-    def test_range_of_limit_line_ends_goes_to_line_loop(self, tmp_path, monkeypatch, body, over):
-        # A body without LF is one range; with MATERIALIZE_LIMIT line ends or more, only the line loop reads it.
-        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
-        loadtxt_calls, seen = [], []
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loadtxt_calls.append(kwargs))
+    def test_line_loop_runs_on_refused_batches_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(processes, "READ_BATCH", 16)
+        seen = []
         parse_lines = processes._parse_lines
 
-        def spy(*args):
-            seen.append(args)
-            return parse_lines(*args)
+        def spy(path, lines, first_lineno, limit):
+            seen.append(len(lines))
+            return parse_lines(path, lines, first_lineno, limit)
 
         monkeypatch.setattr(processes, "_parse_lines", spy)
+        body = [b"%d.5\n" % i for i in range(60)]  # 4 or 5 bytes a line: 4 or 5 lines a batch
         path = tmp_path / "inc.txt"
-        path.write_bytes(body)
-        if over:
-            with pytest.raises(ResourceGuardError, match="more than 4"):
-                read_increments(path, delta=0.5)
-        else:
-            expected = read_outcome(reference_read_increments, path, 0.5)
-            assert expected[1] == 4
-            assert read_outcome(read_increments, path, 0.5) == expected
-        assert len(seen) == 1 and loadtxt_calls == []
+        path.write_bytes(b"# delta=0.5 n=60 seed=1\n" + b"".join(body[:10] + [b"# note\n"] + body[10:]))
+        expected = read_outcome(reference_read_increments, path, None)
+        assert read_outcome(read_increments, path, None) == expected
+        assert len(seen) == 1 and seen[0] < 8
+        path.write_bytes(path.read_bytes() + b"".join(body[:30]) + b"x\n" + b"".join(body[:10]))
+        seen.clear()
+        expected = read_outcome(reference_read_increments, path, None)
+        assert expected[0] is InputParseError and "line 93:" in expected[1]
+        assert read_outcome(read_increments, path, None) == expected
+        assert len(seen) == 2 and max(seen) < 8
 
     @given(
         lines=st.lists(
@@ -623,6 +615,20 @@ class TestReaderGuards:
         path.write_bytes(path.read_bytes() + b"5\nnot-a-number\n")
         with pytest.raises(ResourceGuardError, match="more than 4"):
             read_increments(path, delta=0.5)
+
+    def test_lone_cr_header_line_is_read_alone(self, tmp_path, monkeypatch):
+        # Universal newlines end line 1 at its CR, so the header is refused before the 8 MB body is read.
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
+        path = tmp_path / "inc.txt"
+        path.write_bytes(b"# delta=0.5 n=5 seed=1\r" + b"0.1\r" * 2_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError, match="n=5"):
+                read_increments(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_non_ascii_is_parse_error_naming_file(self, tmp_path):
         path = tmp_path / "inc.txt"
@@ -668,7 +674,7 @@ class TestReaderGuards:
 
 
 class TestPooledIncrementFiles:
-    """Files of several pieces converted by forked workers (the pooled_io fixture) give the same results."""
+    """Under the pooled_io fixture, binary files written by forked workers give the same bytes, and text reads start no pool."""
 
     def test_writer_bytes(self, tmp_path, monkeypatch, pooled_io):
         vg = simulate(STUDY_VG, SamplingScheme(1.5625e-05, 200), seed=7, materialize=False)
@@ -686,34 +692,33 @@ class TestPooledIncrementFiles:
             assert pooled.read_bytes() == one.read_bytes()
             assert pooled.read_bytes().endswith(series.values.astype("<f8").tobytes())
 
-    def test_one_piece_runs_in_process(self, tmp_path, pooled_io):
+    def test_text_reads_run_in_process(self, tmp_path, pooled_io):
         path = tmp_path / "inc.bin"
         write_increments(path, values_series([0.5, -0.25, 1.0]))  # one block
         assert read_increments(path).values.tolist() == [0.5, -0.25, 1.0]
-        path.write_bytes(b"0.5\n-0.25\n1\n")  # within READ_PIECE = 16
+        path.write_bytes(b"".join(b"%d.5\n" % i for i in range(3000)))
         assert read_outcome(read_increments, path, 1.0) == read_outcome(reference_read_increments, path, 1.0)
         assert pooled_io.pools == 0
 
     @pytest.mark.parametrize("name", sorted(READER_CASES))
     def test_reader_matches_line_loop(self, tmp_path, monkeypatch, pooled_io, name):
-        monkeypatch.setattr(processes, "READ_PIECE", 4)
+        monkeypatch.setattr(processes, "READ_BATCH", 4)  # about one line a batch
         path = tmp_path / f"{name}.txt"
         path.write_bytes(READER_CASES[name])
         for delta in (None, 0.25):
             assert read_outcome(read_increments, path, delta) == read_outcome(reference_read_increments, path, delta)
+        assert pooled_io.pools == 0
 
     @pytest.mark.parametrize("header", [True, False])
     def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, pooled_io, header):
         path = tmp_path / "inc.txt"
         reference_write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
-        monkeypatch.setattr(processes, "READ_PIECE", 4096)
-        monkeypatch.setattr(processes, "READ_BATCH", 64)
+        monkeypatch.setattr(processes, "READ_BATCH", 1)  # one line a batch: 3003 or more parse calls
         for tail in (b"", b"\n\n0.5\n", b"1_0\n"):
             path.write_bytes(path.read_bytes() + tail)
-            pools = pooled_io.pools
             expected = read_outcome(reference_read_increments, path, 1.0)
             assert read_outcome(read_increments, path, 1.0) == expected
-            assert pooled_io.pools == pools + 1
+        assert pooled_io.pools == 0
 
     @given(
         lines=st.lists(
@@ -723,47 +728,68 @@ class TestPooledIncrementFiles:
         header=st.booleans(),
     )
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_reader_matches_line_loop_fuzzed(self, tmp_path_factory, pooled_io, lines, header):
-        # The pooled_io patches hold for every example, which is what this test wants; READ_PIECE = 16.
+    def test_reader_matches_line_loop_fuzzed(self, tmp_path_factory, monkeypatch, pooled_io, lines, header):
+        # The patches hold for every example, which is what this test wants: batches of about one line.
+        monkeypatch.setattr(processes, "READ_BATCH", 4)
         path = tmp_path_factory.mktemp("fuzz") / "inc.txt"
         text = ("# delta=0.5 n=%d seed=1\n" % len(lines) if header else "") + "\n".join(lines)
         path.write_bytes(text.encode("ascii"))
         assert read_outcome(read_increments, path, 1.0) == read_outcome(reference_read_increments, path, 1.0)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_line_loop_runs_on_refused_pieces_only(self, tmp_path, monkeypatch, pooled_io, workers):
-        monkeypatch.setattr(processes, "_io_workers", lambda: workers)
-        seen = []
-        parse_lines = processes._parse_lines
-
-        def spy(path, lines, first_lineno, limit):
-            lines = list(lines)
-            seen.append(len(lines))
-            return parse_lines(path, lines, first_lineno, limit)
-
-        monkeypatch.setattr(processes, "_parse_lines", spy)
-        body = [b"%d.5\n" % i for i in range(60)]  # 4 or 5 bytes a line: 3 or 4 lines a piece
-        path = tmp_path / "inc.txt"
-        path.write_bytes(b"# delta=0.5 n=60 seed=1\n" + b"".join(body[:10] + [b"# note\n"] + body[10:]))
-        expected = read_outcome(reference_read_increments, path, None)
-        assert read_outcome(read_increments, path, None) == expected
-        assert len(seen) == 1 and seen[0] < 8
-        path.write_bytes(path.read_bytes() + b"".join(body[:30]) + b"x\n" + b"".join(body[:10]))
-        seen.clear()
-        expected = read_outcome(reference_read_increments, path, None)
-        assert expected[0] is InputParseError and "line 93:" in expected[1]
-        assert read_outcome(read_increments, path, None) == expected
-        assert len(seen) == 2 and max(seen) < 8
+        assert pooled_io.pools == 0
 
     @pytest.mark.parametrize("ends", [(b"\r\n",), (b"\r", b"\n"), (b"\n", b"\r\n", b"\r")])
-    def test_line_numbers_across_cr_line_ends(self, tmp_path, pooled_io, ends):
+    def test_line_numbers_across_cr_line_ends(self, tmp_path, monkeypatch, pooled_io, ends):
+        monkeypatch.setattr(processes, "READ_BATCH", 16)  # 4 or 5 lines a batch
         lines = [b"%d.5" % i for i in range(40)] + [b"bad"]
         path = tmp_path / "inc.txt"
         path.write_bytes(b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines)))
         expected = read_outcome(reference_read_increments, path, 0.5)
         assert expected == (InputParseError, f"{path}: line 41: not a number: 'bad'")
         assert read_outcome(read_increments, path, 0.5) == expected
-        assert pooled_io.pools == 1
+        assert pooled_io.pools == 0
+
+    def test_non_ascii_in_later_range(self, tmp_path, monkeypatch, pooled_io):
+        monkeypatch.setattr(processes, "READ_BATCH", 16)
+        path = tmp_path / "inc.txt"
+        body = b"".join(b"%d.25\n" % i for i in range(100))  # 590 bytes
+        path.write_bytes(body + b"0.\xe92\n" + body)
+        with pytest.raises(InputParseError, match=r"inc\.txt: not ASCII text \(byte 0xe9\)"):
+            read_increments(path, delta=0.5)
+        # The first error in file order wins once the non-ASCII byte lies beyond the decoder's 8 KiB read-ahead.
+        path.write_bytes(body + b"bad\n" + body * 30 + b"0.\xe92\n")
+        with pytest.raises(InputParseError, match="line 101: not a number: 'bad'"):
+            read_increments(path, delta=0.5)
+        assert pooled_io.pools == 0
+
+    def test_header_above_limit_refused_before_any_range(self, tmp_path, monkeypatch, pooled_io):
+        # No batch of the body is parsed once the header declares too many increments.
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
+        calls = []
+        monkeypatch.setattr(processes, "_read_body", lambda *args: calls.append(args))
+        path = tmp_path / "inc.txt"
+        path.write_bytes(b"# delta=0.5 n=5 seed=1\n" + b"1.0\n" * 100)
+        with pytest.raises(ResourceGuardError, match="n=5"):
+            read_increments(path)
+        assert calls == [] and pooled_io.pools == 0 and pooled_io.submitted == 0
+
+    @pytest.mark.parametrize("first", [b"1.0", b"1_0"])  # C-level parse, then the line loop
+    def test_headerless_body_stops_after_limit(self, tmp_path, monkeypatch, pooled_io, first):
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 20)
+        monkeypatch.setattr(processes, "READ_BATCH", 16)  # 5 lines a batch
+        path = tmp_path / "inc.txt"
+        path.write_bytes(first + b"\n" + b"2.0\n" * 19)
+        assert len(read_increments(path, delta=0.5)) == 20
+        path.write_bytes(path.read_bytes() + b"3.0\n" * 1000 + b"not-a-number\n")
+        batches, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda lines, **kwargs: batches.append(len(lines)) or loadtxt(lines, **kwargs))
+        with pytest.raises(ResourceGuardError, match="more than 20"):
+            read_increments(path, delta=0.5)
+        assert len(batches) == 5  # value 21 is in batch 5 of 205
+        # Value 21 opens a batch the C parser refuses; the line loop stops there, before the bad line.
+        path.write_bytes(b"2.0\n" * 20 + b"1_0\nx\n")
+        with pytest.raises(ResourceGuardError, match="more than 20"):
+            read_increments(path, delta=0.5)
+        assert pooled_io.pools == 0
 
     def test_read_ahead_bound(self):
         # While the caller holds a result, taken after `done` others, at most `bound` more items were pulled:
@@ -788,47 +814,6 @@ class TestPooledIncrementFiles:
         series = simulate(STUDY_VG, SamplingScheme(1e-3, 300), seed=4, materialize=False)
         write_increments(tmp_path / "inc.bin", series)
         assert pooled_io.submitted == 100 and pooled_io.peak == 4  # 2 blocks per worker
-        pooled_io.peak = 0
-        path = tmp_path / "inc.txt"
-        reference_write_increments(path, series)
-        assert len(read_increments(path)) == 300
-        assert pooled_io.submitted > 300 and pooled_io.peak == 4
-
-    def test_non_ascii_in_later_range(self, tmp_path, pooled_io):
-        path = tmp_path / "inc.txt"
-        body = b"".join(b"%d.25\n" % i for i in range(100))
-        path.write_bytes(body + b"0.\xe92\n" + body)
-        with pytest.raises(InputParseError, match=r"inc\.txt: not ASCII text \(byte 0xe9\)"):
-            read_increments(path, delta=0.5)
-        assert pooled_io.pools == 1
-        path.write_bytes(body + b"bad\n" + body + b"0.\xe92\n")  # the first error in file order wins
-        with pytest.raises(InputParseError, match="line 101: not a number: 'bad'"):
-            read_increments(path, delta=0.5)
-
-    def test_header_above_limit_refused_before_any_range(self, tmp_path, monkeypatch, pooled_io):
-        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
-        path = tmp_path / "inc.txt"
-        path.write_bytes(b"# delta=0.5 n=5 seed=1\n" + b"1.0\n" * 100)
-        with pytest.raises(ResourceGuardError, match="n=5"):
-            read_increments(path)
-        assert pooled_io.pools == 0 and pooled_io.submitted == 0
-
-    @pytest.mark.parametrize("first", [b"1.0", b"1_0"])  # C-level parse, then the line loop
-    def test_headerless_body_stops_after_limit(self, tmp_path, monkeypatch, pooled_io, first):
-        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 20)
-        path = tmp_path / "inc.txt"
-        path.write_bytes(first + b"\n" + b"2.0\n" * 19)
-        assert len(read_increments(path, delta=0.5)) == 20
-        submitted = pooled_io.submitted
-        path.write_bytes(path.read_bytes() + b"3.0\n" * 1000 + b"not-a-number\n")
-        with pytest.raises(ResourceGuardError, match="more than 20"):
-            read_increments(path, delta=0.5)
-        # 16-byte ranges of 4 lines: 6 reach value 21, and at most 4 more were in flight.
-        assert pooled_io.submitted - submitted <= 10
-        # Value 21 opens a range the C parser refuses; the line loop stops there, before the bad line.
-        path.write_bytes(b"2.0\n" * 20 + b"1_0\nx\n")
-        with pytest.raises(ResourceGuardError, match="more than 20"):
-            read_increments(path, delta=0.5)
 
 
 class TestIncrementSeries:
