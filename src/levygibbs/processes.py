@@ -23,8 +23,12 @@ is therefore reproducible increment-by-increment, independent of how many
 blocks are materialized at once, and safe to generate in parallel.
 
 One pool of forked worker processes (_pool_map) serves all parallel work:
-IncrementSeries.map_blocks and write_increments, where each worker generates
-(or slices) its own blocks.  A text increments file is read here, in one pass.
+IncrementSeries.map_blocks and write_increments.  Each worker draws, slices
+or reads its own blocks and does its own file I/O: a block read from a
+binary increments file is read by the worker that folds it, and a block
+written to one is written at its offset by the worker that drew it, so no
+block crosses a pipe and the whole body is never held in this process.  A
+text increments file is read here, in one pass.
 """
 
 from __future__ import annotations
@@ -295,10 +299,11 @@ class IncrementSeries:
     """Increment data Y_1..Y_n together with the sampling scheme that produced them.
 
     The series is either materialized (one ndarray of length n) or streamed
-    (blocks generated on demand from a block function).  A materialized
-    series serves its BLOCK-sized chunks through a block function too, so
-    both forms yield the same chunks in the same order and any chunk-folding
-    consumer produces bit-identical results on either representation.
+    (block b served on demand by a block function: drawn by simulate, or
+    read at its offset from a binary increments file by read_increments).
+    A materialized series serves its BLOCK-sized chunks through a block
+    function too, so every form yields the same chunks in the same order and
+    any chunk-folding consumer produces bit-identical results on each.
     """
 
     def __init__(
@@ -341,7 +346,10 @@ class IncrementSeries:
                     f"refusing to materialize {n} increments "
                     f"(limit {MATERIALIZE_LIMIT}); iterate chunks instead"
                 )
-            self._set_values(np.concatenate(list(self.iter_chunks())))
+            values = np.empty(n)
+            for b, chunk in enumerate(self.iter_chunks()):
+                values[b * BLOCK : (b + 1) * BLOCK] = chunk
+            self._set_values(values)
         return self._values
 
     def __len__(self) -> int:
@@ -465,25 +473,32 @@ simulate_vg = simulate_compound_poisson = simulate
 # Increment files.  write_increments writes the binary format: one ASCII line
 # holding the JSON object {"format": "levygibbs-increments", "version": 1,
 # "delta": <number>, "n": <integer>, "seed": <integer or null>}, then exactly
-# 8*n bytes of little-endian float64, a bit-for-bit round trip.  Text is the
+# 8*n bytes of little-endian float64, a bit-for-bit round trip.  It writes a
+# sibling temp file, each block at its own offset by the worker that drew it,
+# and renames it over the path only once every block is written.  Text is the
 # input format for data from outside: an optional header "# delta=<r> n=<d>
 # seed=<d>", then one number per line.  A text file whose first line begins
 # with '{' is not valid, so read_increments tells the formats apart by the
 # first byte.  Either header is checked before any of the body is read.
+# A binary body is read lazily: each block is read at its offset when it is
+# folded (by the worker that folds it) or materialized, after a check that
+# the file is the one whose header was read.
 # A text file is read once, in this process, as ASCII with universal newlines
 # (CRLF and a lone CR end a line too), in readlines() batches of about
 # READ_BATCH characters.  Each batch is parsed by one C-level np.loadtxt call;
-# a batch it refuses goes through the line loop, with line numbers carried on
-# from the batches before it, so each file is accepted or rejected, with the
-# same values and the same error, as by that line loop alone.  A file
+# a batch it refuses, or in which it finds a value that is not finite, goes
+# through the line loop, with line numbers carried on from the batches before
+# it, so each file is accepted or rejected, with the same values and the same
+# error, as by that line loop alone.  A line longer than LINE_BYTES, a value
+# that is not finite, and a non-ASCII byte raise InputParseError; a file
 # declaring, or holding, more than MATERIALIZE_LIMIT increments raises
-# ResourceGuardError, and a non-ASCII byte raises InputParseError.
+# ResourceGuardError.
 # ---------------------------------------------------------------------------
 
 # Characters per readlines() batch of the text reader.
 READ_BATCH = 1 << 20
-# The most bytes read for the first line of a binary file, its LF included.
-BINARY_HEADER_BYTES = 4096
+# The longest line read, its line end included: a binary file's header, or a line of a text file.
+LINE_BYTES = 4096
 
 # The first line of a binary increments file: these keys, this format name and version.
 BINARY_KEYS = ("format", "version", "delta", "n", "seed")
@@ -493,18 +508,49 @@ BINARY_FORMAT, BINARY_VERSION = "levygibbs-increments", 1
 def write_increments(path, series: IncrementSeries) -> None:
     """Write a series as a binary increments file: its JSON header line, then its values as little-endian float64.
 
-    The blocks are drawn (or sliced) by _pool_map's workers, at most two per
-    worker in flight, and written in block order, so the whole series is
-    never held here unless it already was.
+    The file is first written as `<path>.<pid>.tmp` next to path (created
+    anew, so the umask applies).  Each of _pool_map's workers draws, slices
+    or reads the blocks it is given and writes each at its own offset; only
+    block indices cross the pipe.  Once every block is written the temp file
+    is renamed over path, which replaces a symlink rather than writing
+    through it.  On any error the temp file is removed and path keeps what
+    it held before.
     """
     scheme = series.scheme
     seed = None if series.seed is None else int(series.seed)
     header = {"format": BINARY_FORMAT, "version": BINARY_VERSION, "delta": float(scheme.delta), "n": int(scheme.n),
               "seed": seed}
-    with _pool_map(scheme.num_blocks, series._block_fn) as pmap, open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("ascii") + b"\n")
-        for block in pmap(range(scheme.num_blocks)):
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+    line = json.dumps(header).encode("ascii") + b"\n"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+
+    def write_block(b: int) -> None:
+        m = _block_size(scheme, b)
+        block = np.ascontiguousarray(series._block_fn(b), dtype="<f8")
+        if block.shape != (m,):
+            raise ParameterError(f"block {b} holds {block.size} values, expected {m}")
+        _pwrite(fd, block, len(line) + 8 * b * BLOCK)
+
+    try:
+        try:
+            _pwrite(fd, line, 0)
+            with _pool_map(scheme.num_blocks, write_block) as pmap:
+                collections.deque(pmap(range(scheme.num_blocks)), maxlen=0)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """All of data's bytes written to fd at offset, whatever each os.pwrite call takes."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
 
 
 def read_increments(path, delta: float | None = None) -> IncrementSeries:
@@ -517,20 +563,29 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
     count of its increment lines.  A delta argument or header delta that is
     not positive and finite raises ParameterError or InputParseError before
     the body is read.  Malformed content raises :class:`InputParseError`
-    naming the file (and, in a text file, the offending line); more than
+    naming the file (and the offending line of a text file); more than
     MATERIALIZE_LIMIT increments, declared or found, raise ResourceGuardError.
+
+    A text file is read here and its series is materialized.  A binary file
+    is read up to its header and its body size is checked; the series reads
+    each block of the body when it is folded or materialized, so its errors
+    come then: InputParseError naming the file if it changed since this call
+    or a value is not finite (with its 1-based increment index).
     """
     if delta is not None and not (math.isfinite(delta) and delta > 0.0):
         raise ParameterError(f"delta must be positive and finite, got {delta!r}")
     with open(path, "rb") as fh:
-        line = fh.readline(BINARY_HEADER_BYTES)
+        line = fh.readline(LINE_BYTES)
         if line.startswith(b"{"):
             if not line.endswith(b"\n"):
-                raise InputParseError(f"{path}: line 1: header has no line end in its first {BINARY_HEADER_BYTES} bytes")
-            return _read_binary(path, line, os.fstat(fh.fileno()).st_size)
+                raise InputParseError(f"{path}: line 1: header has no line end in its first {LINE_BYTES} bytes")
+            return _read_binary(path, line, os.fstat(fh.fileno()))
     header_n = header_seed = None
     with open_ascii(path) as fh:
-        text = fh.readline().strip()
+        text = fh.readline(LINE_BYTES)
+        if len(text) == LINE_BYTES and not text.endswith("\n"):
+            raise InputParseError(f"{path}: line 1: no line end in its first {LINE_BYTES} characters")
+        text = text.strip()
         if text.startswith("#"):
             delta, header_n, header_seed = _parse_header(path, text)
             _check_limit(path, header_n)
@@ -559,14 +614,41 @@ def _check_limit(path, n: int) -> None:
         )
 
 
-def _read_binary(path, line: bytes, size: int) -> IncrementSeries:
-    """The series of a binary file of `size` bytes whose first line is `line`: header checks, then one read of its body."""
+def _read_binary(path, line: bytes, stat: os.stat_result) -> IncrementSeries:
+    """The streamed series of a binary file with status `stat` whose first line is `line`: header and size checks only."""
     delta, n, seed = _parse_binary_header(path, line)
     _check_limit(path, n)
-    if size - len(line) != 8 * n:
-        raise InputParseError(f"{path}: body holds {size - len(line)} bytes, expected {8 * n} (n={n} float64 values)")
-    values = np.fromfile(path, dtype="<f8", count=n, offset=len(line))
-    return IncrementSeries(SamplingScheme(delta, n), seed, values=values)
+    if stat.st_size - len(line) != 8 * n:
+        raise InputParseError(f"{path}: body holds {stat.st_size - len(line)} bytes, expected {8 * n} (n={n} float64 values)")
+    scheme = SamplingScheme(delta, n)
+    identity = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    return IncrementSeries(scheme, seed, block_fn=functools.partial(_read_block, path, len(line), identity, scheme))
+
+
+def _read_block(path, offset: int, identity: tuple, scheme: SamplingScheme, b: int) -> np.ndarray:
+    """Block b of a binary file's body, which starts at offset; InputParseError naming the file if it changed or a value is not finite.
+
+    The file must still have the (device, inode, size, mtime) `identity`
+    it had when its header was read.
+    """
+    m = _block_size(scheme, b)
+    out = np.empty(m, dtype="<f8")
+    try:
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns) != identity:
+                raise InputParseError(f"{path}: file changed since its header was read")
+            fh.seek(offset + 8 * b * BLOCK)
+            got = fh.readinto(out)
+    except FileNotFoundError as exc:
+        raise InputParseError(f"{path}: file removed since its header was read") from exc
+    if got != 8 * m:
+        raise InputParseError(f"{path}: short read of block {b}: {got} of {8 * m} bytes")
+    finite = np.isfinite(out)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise InputParseError(f"{path}: increment {b * BLOCK + first + 1} is not finite: {float(out[first])!r}")
+    return out
 
 
 def _parse_binary_header(path, line: bytes) -> tuple[float, int, int | None]:
@@ -597,21 +679,25 @@ def _read_body(path, fh, first_lineno: int, n: int | None) -> tuple[np.ndarray, 
 
     Each readlines() batch is parsed by one np.loadtxt call, which takes a
     single column of one or more rows only: two tokens on a line (say
-    around a vertical tab, which splits fields there but not in float()) and
-    text it finds empty go to the line loop, which stops once the count
-    passes MATERIALIZE_LIMIT.  With a header, values go straight into one
-    array of the declared size.
+    around a vertical tab, which splits fields there but not in float()),
+    text it finds empty and a value that is not finite go to the line loop,
+    which stops once the count passes MATERIALIZE_LIMIT.  A batch holding a
+    line longer than LINE_BYTES is refused before it is parsed.  With a
+    header, values go straight into one array of the declared size.
     """
     out = None if n is None else np.empty(max(n, 0))
     parts, count, lineno = [], 0, first_lineno
     for batch in iter(functools.partial(fh.readlines, READ_BATCH), []):
+        if max(map(len, batch)) > LINE_BYTES:
+            long = next(i for i, line in enumerate(batch) if len(line) > LINE_BYTES)
+            raise InputParseError(f"{path}: line {lineno + long}: longer than {LINE_BYTES} characters")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             try:
                 values = np.loadtxt(batch, comments=None, ndmin=2)
             except ValueError:
                 values = None
-        if values is None or values.shape[0] == 0 or values.shape[1] != 1:
+        if values is None or values.shape[0] == 0 or values.shape[1] != 1 or not np.isfinite(values).all():
             values = _parse_lines(path, batch, lineno, MATERIALIZE_LIMIT + 1 - count)
         values = values.reshape(-1)
         lineno += len(batch)
@@ -640,9 +726,12 @@ def _parse_lines(path, lines, first_lineno: int, limit: int) -> np.ndarray:
         if not text or text.startswith("#"):
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError as exc:
             raise InputParseError(f"{path}: line {lineno}: not a number: {text!r}") from exc
+        if not math.isfinite(value):
+            raise InputParseError(f"{path}: line {lineno}: not a finite number: {text!r}")
+        values.append(value)
         if len(values) == limit:
             break
     return np.asarray(values, dtype=float)

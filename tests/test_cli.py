@@ -5,10 +5,13 @@ Covers the file formats, byte-level determinism, config precedence
 0 success, 2 usage/validation, 3 input parse, 4 resource guard.
 """
 
+import errno
+import hashlib
 import inspect
 import json
 import math
 import multiprocessing
+import os
 import re
 import tracemalloc
 
@@ -45,6 +48,7 @@ from levygibbs.experiment import (
     RegimeSpec,
     delta_condition,
     read_coefficients_json,
+    run_regime,
     write_band_table,
     write_k_table,
 )
@@ -120,6 +124,38 @@ class TestSimulate:
         counts = np.round(vals / 0.7)
         assert np.array_equal(counts * 0.7, vals)
         assert vals.max() > 0.0
+
+    # sha256 of simulate's output: the bytes stay fixed whichever process draws or writes each block.
+    @pytest.mark.parametrize("flags, digest", [
+        ("--j 1 --seed 7", "f53defe65cfb00ac6c18ab4c6458926f1f8fc905fc2ad08e7e2a5642e65af910"),
+        ("--delta 0.001 --n 2200000 --seed 7", "d1162a7930337c1b01d4114116bc9cf42ec00c19783ae840f2817b329f6ee74d"),
+        ("--process cpois --lambda 2 --jump normal:0.01,0.003 --delta 0.001 --n 2200000 --seed 7",
+         "cc4f685cf2fd2a41a30089380ea1ed021d026046eab546cf7efd68b1451e0fbd"),
+    ], ids=["j1", "vg-3-blocks", "cpois-3-blocks"])
+    def test_output_bytes_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "inc.bin"
+        assert main(["simulate", *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert os.listdir(tmp_path) == ["inc.bin"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(processes, "BLOCK", 16)
+        out = simulate_file(tmp_path, name="inc.bin", delta=0.5, n=64, seed=3)
+        before = out.read_bytes()
+        block = processes.VarianceGammaParams.block
+
+        def disk_full(self, scheme, seed, b):
+            if b == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return block(self, scheme, seed, b)
+
+        monkeypatch.setattr(processes.VarianceGammaParams, "block", disk_full)
+        argv = ["simulate", "--delta", "0.25", "--n", "64", "--seed", "4", "--out", str(out)]
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == before and os.listdir(tmp_path) == ["inc.bin"]
+        assert main(["simulate", "--delta", "0.5", "--n", "64", "--out", str(tmp_path / "no" / "inc.bin")]) == 2
+        assert os.listdir(tmp_path) == ["inc.bin"]
 
     def test_degenerate_vg_writes_zeros(self, tmp_path):
         path = simulate_file(tmp_path, extra=["--mu", "0", "--sigma", "0"])
@@ -650,6 +686,19 @@ class TestPooledFiles:
         assert pooled_io.pools == 3 and multiprocessing.active_children() == []  # the direct fold; text is read here
 
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pipeline_matches_run_regime_in_blocks(self, tmp_path, monkeypatch, pooled_io, cpus):
+        """simulate --j 1 then estimate equals run_regime bit for bit when j=1 spans five blocks."""
+        monkeypatch.setattr(processes, "BLOCK", 1 << 15)
+        monkeypatch.setattr(processes, "_io_workers", lambda: cpus)
+        expected = run_regime(RegimeSpec.from_j(1), num_draws=10, seed=MASTER_SEED).theta_hat.values
+        inc, out = tmp_path / "j1.bin", tmp_path / "coeffs.json"
+        assert main(["simulate", "--j", "1", "--seed", str(derive_seed(MASTER_SEED, "simulate")), "--out", str(inc)]) == 0
+        assert main(["estimate", "--increments", str(inc), "--out", str(out)]) == 0
+        assert read_coefficients_json(out).values.tobytes() == expected.tobytes()
+        assert pooled_io.workers == ([2, 2, 2] if cpus == 2 else [])  # the regime's fold, the writer, the fold
+
+
 class TestExitCodes:
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         assert main([]) == 2
@@ -670,6 +719,39 @@ class TestExitCodes:
         assert main(["estimate", "--increments", str(bad), "--delta", "0.5",
                      "--K", "2", "--out", str(tmp_path / "o.json")]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_text_increment_exits_3(self, tmp_path, capsys, value):
+        bad = tmp_path / "inc.txt"
+        bad.write_text(f"# delta=0.5 n=3 seed=1\n0.1\n{value}\n0.3\n")
+        out = tmp_path / "o.json"
+        assert main(["estimate", "--increments", str(bad), "--K", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {bad}: line 3: not a finite number: {value!r}\n"
+        assert not out.exists()
+
+    def test_non_finite_binary_increment_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "inc.bin"
+        bad.write_bytes(json.dumps(BINARY_HEADER | {"n": 2}).encode("ascii") + b"\n" + np.array([math.nan, math.inf]).tobytes())
+        out = tmp_path / "o.json"
+        assert main(["estimate", "--increments", str(bad), "--K", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {bad}: increment 1 is not finite: nan\n"
+        assert not out.exists()
+
+    def test_unbounded_text_line_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "inc.txt"
+        bad.write_bytes(b"1" * (8 << 20))
+        out = tmp_path / "o.json"
+        tracemalloc.start()
+        try:
+            assert main(["estimate", "--increments", str(bad), "--delta", "0.5", "--K", "2", "--out", str(out)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: no line end in its first 4096 characters")
+        assert peak < 1 << 20 and not out.exists()
+        bad.write_bytes(b"0.5\n" * 10 + b" " * 5000 + b"0.5\n0.5\n")  # line 11, in the first batch
+        assert main(["estimate", "--increments", str(bad), "--delta", "0.5", "--K", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {bad}: line 11: longer than 4096 characters\n"
 
     def test_bad_header_delta_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "inc.txt"
@@ -782,7 +864,7 @@ class TestExitCodes:
 
     def test_binary_header_above_limit_exits_4_before_the_body(self, tmp_path, monkeypatch, capsys):
         reads = []
-        monkeypatch.setattr(np, "fromfile", lambda *args, **kwargs: reads.append(args))
+        monkeypatch.setattr(processes, "_read_block", lambda *args: reads.append(args))
         declared = tmp_path / "declared.bin"
         n = processes.MATERIALIZE_LIMIT + 1
         declared.write_bytes(json.dumps(BINARY_HEADER | {"n": n}).encode("ascii") + b"\n" + bytes(16))

@@ -55,7 +55,7 @@ BOTH_FAMILIES = pytest.mark.parametrize("model", [STUDY_VG, DENSE_CP], ids=["vg"
 
 
 def reference_read_increments(path, delta=None):
-    """The per-line float() reader the C-level parse replaced, kept as an oracle."""
+    """The per-line float() reader the C-level parse replaced, kept as an oracle; it refuses values that are not finite."""
     header_n = header_seed = None
     values = []
     with open(path, "r", encoding="ascii") as fh:
@@ -70,9 +70,12 @@ def reference_read_increments(path, delta=None):
         if not text or text.startswith("#"):
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError as exc:
             raise InputParseError(f"{path}: line {lineno}: not a number: {text!r}") from exc
+        if not math.isfinite(value):
+            raise InputParseError(f"{path}: line {lineno}: not a finite number: {text!r}")
+        values.append(value)
     if header_n is not None and header_n != len(values):
         raise InputParseError(
             f"{path}: header declares n={header_n} but file has {len(values)} increments"
@@ -814,6 +817,156 @@ class TestPooledIncrementFiles:
         series = simulate(STUDY_VG, SamplingScheme(1e-3, 300), seed=4, materialize=False)
         write_increments(tmp_path / "inc.bin", series)
         assert pooled_io.submitted == 100 and pooled_io.peak == 4  # 2 blocks per worker
+
+
+class FailingModel:
+    """A model whose block `fail` raises, so a write stops part way."""
+
+    def __init__(self, fail):
+        self.fail = fail
+
+    def block(self, scheme, seed, b):
+        if b == self.fail:
+            raise RuntimeError(f"block {b} failed")
+        return np.full(processes._block_size(scheme, b), float(b))
+
+
+class TestIncrementFileWriter:
+    """write_increments writes a temp file, each block at its offset, then renames it over the path."""
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    @pytest.mark.parametrize("previous", [b"old bytes\n", None])
+    def test_failed_write_leaves_path_and_no_temp_file(self, tmp_path, monkeypatch, pooled, previous):
+        monkeypatch.setattr(processes, "_io_workers", lambda: 2 if pooled else 1)
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        path = tmp_path / "inc.bin"
+        if previous is not None:
+            path.write_bytes(previous)
+        series = simulate(FailingModel(1), SamplingScheme(1e-3, 3000), seed=0, materialize=False)
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            write_increments(path, series)
+        assert sorted(os.listdir(tmp_path)) == ([] if previous is None else ["inc.bin"])
+        if previous is not None:
+            assert path.read_bytes() == previous
+        write_increments(path, simulate(FailingModel(None), SamplingScheme(1e-3, 3000), seed=0, materialize=False))
+        assert read_increments(path).values.tolist() == [0.0] * 1000 + [1.0] * 1000 + [2.0] * 1000
+
+    def test_block_of_the_wrong_length_refused(self, tmp_path, monkeypatch, pooled_io):
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        series = IncrementSeries(SamplingScheme(1e-3, 2500), 0, block_fn=lambda b: np.zeros(1000))
+        with pytest.raises(ParameterError, match="block 2 holds"):
+            write_increments(tmp_path / "inc.bin", series)
+        assert os.listdir(tmp_path) == []
+
+    def test_rewrite_of_a_read_file_round_trips(self, tmp_path, monkeypatch, pooled_io):
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        path = tmp_path / "inc.bin"
+        write_increments(path, simulate(DENSE_CP, SamplingScheme(1e-2, 2500), seed=3, materialize=False))
+        before = path.read_bytes()
+        write_increments(path, read_increments(path))  # its blocks read from path while the temp file is written
+        assert path.read_bytes() == before and os.listdir(tmp_path) == ["inc.bin"]
+
+    def test_symlink_replaced_not_written_through(self, tmp_path):
+        target = tmp_path / "target.bin"
+        target.write_bytes(b"kept")
+        link = tmp_path / "link.bin"
+        link.symlink_to(target)
+        write_increments(link, values_series([0.5, 1.5]))
+        assert not link.is_symlink() and target.read_bytes() == b"kept"
+        assert read_increments(link).values.tolist() == [0.5, 1.5]
+
+    def test_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_increments(tmp_path / "inc.bin", values_series([0.5]))
+        finally:
+            os.umask(old)
+        assert (tmp_path / "inc.bin").stat().st_mode & 0o777 == 0o640
+
+
+def write_study_file(path, n):
+    """A binary file of n study increments, and its body as np.fromfile reads it."""
+    write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, n), seed=4, materialize=False))
+    return np.fromfile(path, dtype="<f8", offset=path.read_bytes().index(b"\n") + 1)
+
+
+class TestFileBackedSeries:
+    """read_increments of a binary file reads each block at its offset when the block is used."""
+
+    def test_values_equal_the_body(self, tmp_path, monkeypatch, pooled_io):
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        path = tmp_path / "inc.bin"
+        body = write_study_file(path, 2500)
+        series = read_increments(path)
+        assert not series.materialized
+        assert [len(chunk) for chunk in series.iter_chunks()] == [1000, 1000, 500]
+        assert series.values.tobytes() == body.tobytes() and series.materialized
+
+    def test_fold_reads_its_blocks_in_the_workers(self, tmp_path, monkeypatch, pooled_io):
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        path = tmp_path / "inc.bin"
+        body = write_study_file(path, 2500)
+        reads = []
+        read_block = processes._read_block
+        monkeypatch.setattr(processes, "_read_block", lambda *args: reads.append(os.getpid()) or read_block(*args))
+        series = read_increments(path)
+        basis = BasisSystem.trigonometric(Window(-0.01, 0.01), 8)
+        theta = empirical_coefficients(series, basis).values
+        assert reads == [] and pooled_io.workers[-1] == 2  # every block was read in a worker
+        one = empirical_coefficients(series, basis, max_workers=1).values
+        assert len(reads) == 3 and set(reads) == {os.getpid()}
+        expected = empirical_coefficients(IncrementSeries(series.scheme, 4, values=body), basis).values
+        assert theta.tobytes() == one.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("change", ["truncated", "replaced", "rewritten", "removed"])
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_changed_file_refused_at_the_fold(self, tmp_path, monkeypatch, change, pooled):
+        monkeypatch.setattr(processes, "_io_workers", lambda: 2 if pooled else 1)
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        path = tmp_path / "inc.bin"
+        write_study_file(path, 2500)
+        series = read_increments(path)
+        data = path.read_bytes()
+        if change == "truncated":
+            os.truncate(path, len(data) - 8)
+        elif change == "replaced":
+            other = tmp_path / "other.bin"
+            other.write_bytes(data)
+            os.replace(other, path)
+        elif change == "rewritten":  # same size, later mtime
+            path.write_bytes(data[:-8] + np.float64(0.5).tobytes())
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        else:
+            path.unlink()
+        basis = BasisSystem.trigonometric(Window(-0.01, 0.01), 8)
+        with pytest.raises(InputParseError, match=rf"^{path}: file (changed|removed) since its header was read"):
+            empirical_coefficients(series, basis)
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_fold_holds_one_block(self, tmp_path):
+        path = tmp_path / "inc.bin"
+        write_study_file(path, 2 * BLOCK + 5)
+        basis = BasisSystem.trigonometric(Window(0.005, 0.015), 20)
+        tracemalloc.start()
+        try:
+            empirical_coefficients(read_increments(path), basis, max_workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * BLOCK  # 12.6 MB: one 8 MB block and its window masks
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_its_increment(self, tmp_path, monkeypatch, pooled_io, value):
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        path = tmp_path / "inc.bin"
+        for values, index in (([value, math.inf], 1), ([0.5] * 2200 + [value] + [0.5] * 99, 2201)):
+            write_increments(path, values_series(values))
+            series = read_increments(path)  # only the header is read here
+            with pytest.raises(InputParseError, match=rf"^{path}: increment {index} is not finite: {value!r}$"):
+                empirical_coefficients(series, BasisSystem.trigonometric(Window(-0.01, 0.01), 4))
+            with pytest.raises(InputParseError, match=rf"increment {index} is not finite"):
+                series.values
 
 
 class TestIncrementSeries:
