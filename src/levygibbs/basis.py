@@ -35,9 +35,10 @@ from .errors import (
     IntegrationError,
     LevyGibbsError,
     ParameterError,
+    ResourceGuardError,
     WindowError,
 )
-from .util import is_integer
+from .util import MATERIALIZE_LIMIT, is_integer
 
 MAX_TRIG_K = 512
 MAX_LEGENDRE_J = 5
@@ -72,9 +73,16 @@ class Window:
         return self.a <= other.a and other.b <= self.b
 
     def grid(self, grid_points: int) -> np.ndarray:
-        """Uniform grid of `grid_points` points from a to b; ParameterError below two points."""
+        """Uniform grid of `grid_points` points from a to b.
+
+        ParameterError below two points; ResourceGuardError, before allocating, above MATERIALIZE_LIMIT.
+        """
         if grid_points < 2:
             raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
+        if grid_points > MATERIALIZE_LIMIT:
+            raise ResourceGuardError(
+                f"grid_points={grid_points} is above the materialization limit of {MATERIALIZE_LIMIT}"
+            )
         return np.linspace(self.a, self.b, grid_points)
 
 

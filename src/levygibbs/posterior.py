@@ -27,8 +27,8 @@ from scipy.special import logsumexp
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
 from .estimator import DEFAULT_GRID_POINTS
-from .processes import MATERIALIZE_LIMIT, _block_rng
-from .util import is_integer, snap_ceil
+from .processes import _block_rng
+from .util import MATERIALIZE_LIMIT, check_seed, is_integer, snap_ceil
 
 # Draws are generated in fixed blocks, each from its own substream of the
 # seed, so one block can be redrawn on its own, bit for bit.
@@ -237,13 +237,15 @@ def sample_posterior(
     draws in draw order, K_i of them for draw i.  The theta_i of the result
     are views of the blocks' theta matrices; see DrawBlocks.
 
-    Raises ParameterError when theta_hat_full is not a CoefficientVector,
-    DimensionError for a basis that is not nested, and ResourceGuardError,
-    before allocating, when the grid evaluations or the theta matrices (up to
-    num_draws * k_max values) would hold more than MATERIALIZE_LIMIT values.
+    Raises ParameterError when theta_hat_full is not a CoefficientVector or
+    seed is not a non-negative integer, DimensionError for a basis that is
+    not nested, and ResourceGuardError, before allocating, when the grid
+    evaluations or the theta matrices (up to num_draws * k_max values) would
+    hold more than MATERIALIZE_LIMIT values.
     """
     if num_draws < 1:
         raise ParameterError(f"num_draws must be >= 1, got {num_draws}")
+    check_seed(seed)
     if not isinstance(theta_hat_full, CoefficientVector):
         raise ParameterError(f"theta_hat_full must be a CoefficientVector, got {type(theta_hat_full).__name__}")
     basis = theta_hat_full.basis
@@ -263,7 +265,6 @@ def sample_posterior(
     cum = np.cumsum(marginal.probs)
     cum[-1] = 1.0
 
-    grid = config.D.grid(grid_points)
     if num_draws * grid_points > MATERIALIZE_LIMIT:
         raise ResourceGuardError(
             f"{num_draws} draws on {grid_points} grid points exceed the materialization "
@@ -274,6 +275,7 @@ def sample_posterior(
             f"{num_draws} draws of up to k_max={k_max} coefficients exceed the materialization "
             f"limit of {MATERIALIZE_LIMIT} values; draw fewer or lower k_max"
         )
+    grid = config.D.grid(grid_points)
     rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
 
     grid_values = np.empty((num_draws, grid_points))

@@ -36,11 +36,11 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 import sys
-import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -53,13 +53,10 @@ from .errors import (
     RangeError,
     ResourceGuardError,
 )
-from .util import decode_ascii, is_integer, open_ascii
+from .util import MATERIALIZE_LIMIT, check_seed, decode_ascii, is_integer, open_ascii
 
 # Fixed RNG block span.  Block b covers increment indices [b*BLOCK, (b+1)*BLOCK).
 BLOCK = 1 << 20
-
-# Refuse to materialize series larger than this; stream instead.
-MATERIALIZE_LIMIT = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -374,8 +371,7 @@ class IncrementSeries:
         """
         blocks = self.scheme.num_blocks
         cap = blocks if max_workers is None else min(blocks, max_workers)
-        with _pool_map(cap, lambda block: fn(self._block_fn(block))) as pmap:
-            return list(pmap(range(blocks)))
+        return _pool_map(cap, lambda block: fn(self._block_fn(block)), range(blocks))
 
 
 def _io_workers() -> int:
@@ -386,9 +382,8 @@ def _io_workers() -> int:
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _pool_map(cap: int, job: Callable):
-    """A map of job over items, results in order: in at most `cap` forked workers, one per CPU, or here.
+def _pool_map(cap: int, job: Callable, items) -> list:
+    """[job(item) for item in items]: in at most `cap` forked workers, one per CPU, or here.
 
     Block generation and the block fold hold the GIL, so threads cannot
     share them.  Workers are forked: a pool of two starts in about 0.02 s on
@@ -411,11 +406,10 @@ def _pool_map(cap: int, job: Callable):
             context = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_set_job, initargs=(job,))
             try:
-                yield functools.partial(_bounded_map, pool, 2 * workers, _run_job)
+                return list(_bounded_map(pool, 2 * workers, _run_job, items))
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
-            return
-    yield functools.partial(map, job)
+    return list(map(job, items))
 
 
 def _bounded_map(pool, bound: int, fn, items) -> Iterator:
@@ -457,8 +451,10 @@ def simulate(model: ProcessModel, scheme: SamplingScheme, seed: int, materialize
     """Simulate the increments of a process model under the given scheme.
 
     With materialize=False the returned series generates blocks lazily and
-    can be iterated repeatedly; the values are identical either way.
+    can be iterated repeatedly; the values are identical either way.  A seed
+    that is not a non-negative integer raises ParameterError.
     """
+    check_seed(seed)
     series = IncrementSeries(scheme, seed, block_fn=functools.partial(model.block, scheme, seed))
     if materialize:
         series.values  # generates and caches the blocks, or raises ResourceGuardError
@@ -484,18 +480,17 @@ simulate_vg = simulate_compound_poisson = simulate
 # folded (by the worker that folds it) or materialized, after a check that
 # the file is the one whose header was read.
 # A text file is read once, in this process, as ASCII with universal newlines
-# (CRLF and a lone CR end a line too), in readlines() batches of about
-# READ_BATCH characters.  Each batch is parsed by one C-level np.loadtxt call;
-# a batch it refuses, or in which it finds a value that is not finite, goes
-# through the line loop, with line numbers carried on from the batches before
-# it, so each file is accepted or rejected, with the same values and the same
-# error, as by that line loop alone.  A line longer than LINE_BYTES, a value
-# that is not finite, and a non-ASCII byte raise InputParseError; a file
-# declaring, or holding, more than MATERIALIZE_LIMIT increments raises
-# ResourceGuardError.
+# (CRLF and a lone CR end a line too), in reads of READ_BATCH characters split
+# into lines.  float() of each line is the one parse rule: a batch of lines is
+# converted by one C-level np.fromiter over float(), and a batch holding a
+# blank, '#' or bad line, or a value that is not finite, goes through the line
+# loop, with line numbers carried on from the batches before it.  A line of
+# LINE_BYTES characters or more, a value that is not finite, and a non-ASCII
+# byte raise InputParseError; a file declaring, or holding, more than
+# MATERIALIZE_LIMIT increments raises ResourceGuardError.
 # ---------------------------------------------------------------------------
 
-# Characters per readlines() batch of the text reader.
+# Characters per read of the text reader.
 READ_BATCH = 1 << 20
 # The longest line read, its line end included: a binary file's header, or a line of a text file.
 LINE_BYTES = 4096
@@ -534,8 +529,7 @@ def write_increments(path, series: IncrementSeries) -> None:
     try:
         try:
             _pwrite(fd, line, 0)
-            with _pool_map(scheme.num_blocks, write_block) as pmap:
-                collections.deque(pmap(range(scheme.num_blocks)), maxlen=0)
+            _pool_map(scheme.num_blocks, write_block, range(scheme.num_blocks))
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -580,22 +574,18 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
             if not line.endswith(b"\n"):
                 raise InputParseError(f"{path}: line 1: header has no line end in its first {LINE_BYTES} bytes")
             return _read_binary(path, line, os.fstat(fh.fileno()))
-    header_n = header_seed = None
+    header_n, header_seed, first_lineno = None, None, 1
     with open_ascii(path) as fh:
-        text = fh.readline(LINE_BYTES)
-        if len(text) == LINE_BYTES and not text.endswith("\n"):
-            raise InputParseError(f"{path}: line 1: no line end in its first {LINE_BYTES} characters")
-        text = text.strip()
+        batches = _line_batches(path, fh)
+        lines = next(batches, [""])  # an empty file reads as one blank line
+        text = lines[0].strip()
         if text.startswith("#"):
             delta, header_n, header_seed = _parse_header(path, text)
             _check_limit(path, header_n)
-            first_lineno = 2
+            lines, first_lineno = lines[1:], 2
         elif delta is None:
             raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
-        else:
-            fh.seek(0)
-            first_lineno = 1
-        values, count = _read_body(path, fh, first_lineno, header_n)
+        values, count = _read_body(path, itertools.chain([lines], batches), first_lineno, header_n)
     if header_n is not None and header_n != count:
         raise InputParseError(
             f"{path}: header declares n={header_n} but file has {count} increments"
@@ -674,32 +664,24 @@ def _parse_binary_header(path, line: bytes) -> tuple[float, int, int | None]:
     return float(delta), n, seed
 
 
-def _read_body(path, fh, first_lineno: int, n: int | None) -> tuple[np.ndarray, int]:
-    """(values, count): the count of values in the rest of the text file fh, and the values when count is n or n is None.
+def _read_body(path, batches, first_lineno: int, n: int | None) -> tuple[np.ndarray, int]:
+    """(values, count): the count of values in the rest of a text file, given as batches of lines, and the values when count is n or n is None.
 
-    Each readlines() batch is parsed by one np.loadtxt call, which takes a
-    single column of one or more rows only: two tokens on a line (say
-    around a vertical tab, which splits fields there but not in float()),
-    text it finds empty and a value that is not finite go to the line loop,
-    which stops once the count passes MATERIALIZE_LIMIT.  A batch holding a
-    line longer than LINE_BYTES is refused before it is parsed.  With a
-    header, values go straight into one array of the declared size.
+    Each batch is converted by one C-level np.fromiter over float(), which
+    strips what str.strip() strips, so a batch it takes gives the line
+    loop's values; a blank, '#' or bad line or a value that is not finite
+    sends the batch to the line loop, which stops once the count passes
+    MATERIALIZE_LIMIT.  With a header, values go into one array of size n.
     """
     out = None if n is None else np.empty(max(n, 0))
     parts, count, lineno = [], 0, first_lineno
-    for batch in iter(functools.partial(fh.readlines, READ_BATCH), []):
-        if max(map(len, batch)) > LINE_BYTES:
-            long = next(i for i, line in enumerate(batch) if len(line) > LINE_BYTES)
-            raise InputParseError(f"{path}: line {lineno + long}: longer than {LINE_BYTES} characters")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            try:
-                values = np.loadtxt(batch, comments=None, ndmin=2)
-            except ValueError:
-                values = None
-        if values is None or values.shape[0] == 0 or values.shape[1] != 1 or not np.isfinite(values).all():
+    for batch in batches:
+        try:
+            values = np.fromiter(map(float, batch), float, len(batch))
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
             values = _parse_lines(path, batch, lineno, MATERIALIZE_LIMIT + 1 - count)
-        values = values.reshape(-1)
         lineno += len(batch)
         if out is None:
             parts.append(values)
@@ -713,6 +695,28 @@ def _read_body(path, fh, first_lineno: int, n: int | None) -> tuple[np.ndarray, 
     if out is None:
         out = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
     return out, count
+
+
+def _line_batches(path, fh) -> Iterator[list[str]]:
+    """The lines of text file fh, without their line ends, in lists of about READ_BATCH characters.
+
+    The first read is of one line's worth, so a header is checked first.  A
+    line of LINE_BYTES characters or more raises InputParseError in the read
+    that reaches that length, so about one read is held at once.
+    """
+    lineno, carry, size = 1, "", min(LINE_BYTES, READ_BATCH)
+    while chunk := fh.read(size):
+        lines = chunk.split("\n")  # universal newlines: CR and CRLF are already "\n"
+        lines[0] = carry + lines[0]
+        if max(map(len, lines)) >= LINE_BYTES:
+            long = next(i for i, line in enumerate(lines) if len(line) >= LINE_BYTES)
+            raise InputParseError(f"{path}: line {lineno + long}: longer than {LINE_BYTES} characters")
+        carry, size = lines.pop(), READ_BATCH
+        if lines:
+            yield lines
+            lineno += len(lines)
+    if carry:
+        yield [carry]
 
 
 def _parse_lines(path, lines, first_lineno: int, limit: int) -> np.ndarray:

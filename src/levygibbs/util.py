@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import InputParseError, ParameterError
 
+# Refuse to materialize more values than this in one array; stream instead.
+MATERIALIZE_LIMIT = 1 << 27
+
 
 def fmt_float(v: float) -> str:
     """The package's one float format: shortest round-trip repr, so reruns print identical bytes."""
@@ -42,6 +45,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_seed(seed) -> None:
+    """ParameterError unless seed is a non-negative integer; a bool is not a seed."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def snap_ceil(x: float, rel: float = 1e-9) -> int:
     """Ceiling that forgives float noise: values within rel of an integer snap to it.
 
@@ -61,8 +70,10 @@ def derive_seed(master: int, label: str) -> int:
     """Deterministic child seed for a named stage of a seeded pipeline.
 
     Distinct labels give statistically independent streams; the mapping is
-    fixed so external callers can reproduce any stage in isolation.
+    fixed so external callers can reproduce any stage in isolation.  A master
+    seed that is not a non-negative integer raises ParameterError.
     """
+    check_seed(master)
     codes = {"simulate": 1, "draws": 2}
     if label not in codes:
         raise ValueError(f"unknown seed label {label!r}; expected one of {sorted(codes)}")

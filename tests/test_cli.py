@@ -567,6 +567,33 @@ class TestCheck:
         assert main(["check", "--j", "1", "--grid-points", points]) == 2
         assert f"grid_points must be >= 2, got {points}" in capsys.readouterr().err
 
+    def test_grid_points_above_limit_exit_4(self, tmp_path, capsys):
+        inc = tmp_path / "inc.bin"
+        assert main(["simulate", "--delta", "0.001", "--n", "100", "--out", str(inc)]) == 0
+        commands = [
+            ["check", "--j", "1"],
+            ["estimate", "--increments", str(inc), "--out", str(tmp_path / "o.json"), "--truth", "vg:0,0.117,0.002"],
+            ["posterior", "--coeffs", str(write_coeffs(tmp_path, [5.0, -2.0])), "--out-dir", str(tmp_path / "post")],
+        ]
+        capsys.readouterr()
+        for argv in commands:
+            assert main(argv + ["--grid-points", "100000000000"]) == 4
+            assert "materialization limit" in capsys.readouterr().err
+        assert not (tmp_path / "post").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment", "posterior"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        argv = {
+            "simulate": ["simulate", "--j", "1", "--seed", "-1", "--out", str(tmp_path / "inc.bin")],
+            "experiment": ["experiment", "--j", "1", "--seed", "-3", "--out-dir", str(tmp_path / "exp")],
+            "posterior": ["posterior", "--coeffs", str(write_coeffs(tmp_path, [5.0, -2.0])), "--seed", "-1",
+                          "--out-dir", str(tmp_path / "post")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer, got -") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.tmp")) and not (tmp_path / "inc.bin").exists()
+
 
 class TestConfigPrecedence:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):
@@ -747,7 +774,7 @@ class TestExitCodes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: no line end in its first 4096 characters")
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: longer than 4096 characters")
         assert peak < 1 << 20 and not out.exists()
         bad.write_bytes(b"0.5\n" * 10 + b" " * 5000 + b"0.5\n0.5\n")  # line 11, in the first batch
         assert main(["estimate", "--increments", str(bad), "--delta", "0.5", "--K", "2", "--out", str(out)]) == 3

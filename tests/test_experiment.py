@@ -111,6 +111,9 @@ class TestRegimeArithmetic:
         assert derive_seed(0, "simulate") != derive_seed(1, "simulate")
         with pytest.raises(ValueError):
             derive_seed(0, "mystery")
+        for seed in (-1, 1.5, True, None):
+            with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+                derive_seed(seed, "simulate")
 
 
 class TestDeltaCondition:

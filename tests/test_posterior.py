@@ -41,7 +41,7 @@ from levygibbs import (
 )
 from levygibbs.experiment import write_draws_jsonl
 from levygibbs.posterior import DISTANCE_TILE_ROWS, DRAW_BLOCK, DrawBlocks, _draw_distances
-from levygibbs.processes import MATERIALIZE_LIMIT
+from levygibbs.util import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
@@ -308,6 +308,11 @@ class TestSamplePosterior:
         assert 10**9 * 512 > MATERIALIZE_LIMIT
         with pytest.raises(ResourceGuardError):
             sample_posterior(self.theta_perp, self.t_n, self.config, 10**9, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            sample_posterior(self.theta_perp, self.t_n, self.config, 10, seed=seed)
 
     def test_theta_storage_guard(self, monkeypatch):
         # 400 x 2 grid values pass the limit, but the theta matrices may hold 400 x k_max = 8,000 values

@@ -97,6 +97,19 @@ def read_outcome(reader, path, delta):
     return values.tobytes(), n, d, seed
 
 
+def spy_line_batches(monkeypatch):
+    """The list to which each batch of lines the text reader reads appends its line count."""
+    sizes, line_batches = [], processes._line_batches
+
+    def spy(path, fh):
+        for lines in line_batches(path, fh):
+            sizes.append(len(lines))
+            yield lines
+
+    monkeypatch.setattr(processes, "_line_batches", spy)
+    return sizes
+
+
 def values_series(values, seed=None):
     values = np.asarray(values, dtype=float)
     return IncrementSeries(SamplingScheme(1e-3, len(values)), seed, values=values)
@@ -251,6 +264,11 @@ class TestVarianceGamma:
         y = simulate(STUDY_VG, SamplingScheme(1e-3, n), seed=0).values
         stat = ks_2samp(y, -y).statistic
         assert stat < 1.628 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            simulate(STUDY_VG, SamplingScheme(1e-3, 10), seed=seed, materialize=False)
 
     def test_bad_params(self):
         with pytest.raises(ParameterError):
@@ -517,7 +535,7 @@ READER_CASES = {
 
 
 class TestIncrementFileEquivalence:
-    """The binary round trip of special values, and the C-level text reader against the per-line loop it replaced."""
+    """The binary round trip of special values, and the text reader's batched parse against the per-line loop."""
 
     def test_writer_round_trips_special_values(self, tmp_path):
         path = tmp_path / "inc.bin"
@@ -533,7 +551,7 @@ class TestIncrementFileEquivalence:
 
     @pytest.mark.parametrize("header", [True, False])
     def test_reader_matches_line_loop_across_batches(self, tmp_path, monkeypatch, header):
-        # 64-character readlines() batches feed a 3003-line file to the one parse call in many pieces.
+        # 64-character reads feed a 3003-line file to the one parse rule in many batches.
         path = tmp_path / "inc.txt"
         reference_write_increments(path, simulate(STUDY_VG, SamplingScheme(1.5625e-05, 3003), seed=2), header=header)
         monkeypatch.setattr(processes, "READ_BATCH", 64)
@@ -543,15 +561,15 @@ class TestIncrementFileEquivalence:
             assert read_outcome(read_increments, path, 1.0) == expected
 
     def test_one_parse_call_per_batch_without_max_rows(self, tmp_path, monkeypatch):
-        # np.loadtxt reserves max_rows rows up front; called without it, it reserves nothing ahead.
-        calls = []
-        loadtxt = np.loadtxt
+        # One np.fromiter call per batch, sized to the batch's value lines, so nothing is reserved ahead.
+        calls, fromiter = [], np.fromiter
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return loadtxt(*args, **kwargs)
+        def spy(iterable, dtype, count):
+            calls.append(count)
+            return fromiter(iterable, dtype, count)
 
-        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(np, "fromiter", spy)
+        batches = spy_line_batches(monkeypatch)
         path = tmp_path / "inc.txt"
         series = simulate(STUDY_VG, SamplingScheme(1e-3, 10), seed=1)
         reference_write_increments(path, series)
@@ -561,7 +579,7 @@ class TestIncrementFileEquivalence:
         path.write_text("# delta=0.5 n=1 seed=1\n" + "0.5\n" * 10)  # the header undercounts
         with pytest.raises(InputParseError, match="file has 10 increments"):
             read_increments(path)
-        assert len(calls) == 3 and not any("max_rows" in kwargs for kwargs in calls)
+        assert batches == [11, 10, 11] and calls == [10, 10, 10]
 
     def test_line_loop_runs_on_refused_batches_only(self, tmp_path, monkeypatch):
         monkeypatch.setattr(processes, "READ_BATCH", 16)
@@ -573,7 +591,7 @@ class TestIncrementFileEquivalence:
             return parse_lines(path, lines, first_lineno, limit)
 
         monkeypatch.setattr(processes, "_parse_lines", spy)
-        body = [b"%d.5\n" % i for i in range(60)]  # 4 or 5 bytes a line: 4 or 5 lines a batch
+        body = [b"%d.5\n" % i for i in range(60)]  # 4 or 5 characters a line: 3 or 4 lines a batch
         path = tmp_path / "inc.txt"
         path.write_bytes(b"# delta=0.5 n=60 seed=1\n" + b"".join(body[:10] + [b"# note\n"] + body[10:]))
         expected = read_outcome(reference_read_increments, path, None)
@@ -609,7 +627,7 @@ class TestReaderGuards:
         with pytest.raises(ResourceGuardError, match="n=5"):
             read_increments(path)
 
-    @pytest.mark.parametrize("first", [b"1", b"1_0"])  # C-level parse, then the line loop
+    @pytest.mark.parametrize("first", [b"1", b"1_0"])  # "1_0": a float() spelling numpy's own parsers refuse
     def test_headerless_body_above_limit_refused(self, tmp_path, monkeypatch, first):
         monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 4)
         path = tmp_path / "inc.txt"
@@ -632,6 +650,33 @@ class TestReaderGuards:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_long_later_line_refused_without_reading_it_whole(self, tmp_path):
+        path = tmp_path / "inc.txt"
+        path.write_bytes(b"0.5\n" + b"1" * (8 << 20) + b"\n0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputParseError, match="line 2: longer than 4096 characters"):
+                read_increments(path, delta=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("read_batch", [processes.READ_BATCH, 64], ids=["one_read", "64_char_reads"])
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "unterminated_last"])
+    def test_line_bound_is_4096_characters(self, tmp_path, monkeypatch, read_batch, where):
+        monkeypatch.setattr(processes, "READ_BATCH", read_batch)
+        path = tmp_path / "inc.txt"
+        for width in (4095, 4096):
+            lines = [b"0.5", b"0.5", b"0.5"]
+            lines[where] = b"0" * (width - 1) + b"1"
+            path.write_bytes(b"\n".join(lines) + (b"" if where == 2 else b"\n"))
+            if width == 4095:
+                assert read_increments(path, delta=0.5).values.tolist() == [1.0 if i == where else 0.5 for i in range(3)]
+            else:
+                with pytest.raises(InputParseError, match=f"line {where + 1}: longer than 4096 characters"):
+                    read_increments(path, delta=0.5)
 
     def test_non_ascii_is_parse_error_naming_file(self, tmp_path):
         path = tmp_path / "inc.txt"
@@ -742,7 +787,7 @@ class TestPooledIncrementFiles:
 
     @pytest.mark.parametrize("ends", [(b"\r\n",), (b"\r", b"\n"), (b"\n", b"\r\n", b"\r")])
     def test_line_numbers_across_cr_line_ends(self, tmp_path, monkeypatch, pooled_io, ends):
-        monkeypatch.setattr(processes, "READ_BATCH", 16)  # 4 or 5 lines a batch
+        monkeypatch.setattr(processes, "READ_BATCH", 16)  # 3 or 4 lines a batch
         lines = [b"%d.5" % i for i in range(40)] + [b"bad"]
         path = tmp_path / "inc.txt"
         path.write_bytes(b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines)))
@@ -775,20 +820,19 @@ class TestPooledIncrementFiles:
             read_increments(path)
         assert calls == [] and pooled_io.pools == 0 and pooled_io.submitted == 0
 
-    @pytest.mark.parametrize("first", [b"1.0", b"1_0"])  # C-level parse, then the line loop
+    @pytest.mark.parametrize("first", [b"1.0", b"1_0"])  # "1_0": a float() spelling numpy's own parsers refuse
     def test_headerless_body_stops_after_limit(self, tmp_path, monkeypatch, pooled_io, first):
         monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 20)
-        monkeypatch.setattr(processes, "READ_BATCH", 16)  # 5 lines a batch
+        monkeypatch.setattr(processes, "READ_BATCH", 20)  # 5 lines a batch
         path = tmp_path / "inc.txt"
         path.write_bytes(first + b"\n" + b"2.0\n" * 19)
         assert len(read_increments(path, delta=0.5)) == 20
         path.write_bytes(path.read_bytes() + b"3.0\n" * 1000 + b"not-a-number\n")
-        batches, loadtxt = [], np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda lines, **kwargs: batches.append(len(lines)) or loadtxt(lines, **kwargs))
+        batches = spy_line_batches(monkeypatch)
         with pytest.raises(ResourceGuardError, match="more than 20"):
             read_increments(path, delta=0.5)
         assert len(batches) == 5  # value 21 is in batch 5 of 205
-        # Value 21 opens a batch the C parser refuses; the line loop stops there, before the bad line.
+        # Value 21 opens a batch the C-level parse refuses; the line loop stops there, before the bad line.
         path.write_bytes(b"2.0\n" * 20 + b"1_0\nx\n")
         with pytest.raises(ResourceGuardError, match="more than 20"):
             read_increments(path, delta=0.5)

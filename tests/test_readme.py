@@ -1,7 +1,10 @@
-"""The README's `## Library` example runs as written."""
+"""The README's `## Library` example and its text-file one-liners run as written."""
 
 import pathlib
 import re
+import shutil
+
+from levygibbs.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +16,20 @@ def test_library_example_runs():
     exec(compile(code, str(README), "exec"), namespace)
     assert len(namespace["draws"]) == 1000
     assert namespace["band"].level == 0.9
+
+
+def test_text_one_liners_round_trip(tmp_path, monkeypatch):
+    # A j=1 binary file, exported to text and converted back by the README's lines, comes back bit for bit.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    read, export, convert = (
+        re.search(rf"`({start}.*?)`", text).group(1)
+        for start in (r"s = read_increments\(", r"np\.savetxt\(", r"write_increments\(")
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--j", "1", "--seed", "3", "--out", "inc.bin"]) == 0
+    original = pathlib.Path("inc.bin").read_bytes()
+    namespace = {}
+    exec("import numpy as np\nfrom levygibbs import read_increments, write_increments\n" + read + "\n" + export, namespace)
+    shutil.copy("inc.txt", "data.txt")
+    exec(convert.replace("delta=...", "delta=s.scheme.delta"), namespace)
+    assert pathlib.Path("inc.bin").read_bytes() == original
