@@ -157,16 +157,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     series = read_increments(args.increments, delta=args.delta)
     basis = _basis_from_args(args, series.scheme.t_n)
     theta_hat = empirical_coefficients(series, basis)
+    # D is checked against the basis window only, so its default is read
+    # off GibbsConfig rather than validated inside a config.
+    D = args.D if args.D is not None else GibbsConfig.D
+    err = None if truth is None else l2_error_on_D(theta_hat, truth, D, **_given(args, grid_points="grid_points"))
     write_coefficients_json(args.out, theta_hat)
     print(
         f"estimate: K={basis.K} t_n={fmt_float(series.scheme.t_n)} "
         f"in-window estimator written to {args.out}"
     )
-    if truth is not None:
-        # D is checked against the basis window only, so its default is read
-        # off GibbsConfig rather than validated inside a config.
-        D = args.D if args.D is not None else GibbsConfig.D
-        err = l2_error_on_D(theta_hat, truth, D, **_given(args, grid_points="grid_points"))
+    if err is not None:
         print(f"estimate: l2_error_on_D={fmt_float(err)} (truth {args.truth}, {args.truth_convention})")
     return 0
 
@@ -193,12 +193,12 @@ def cmd_posterior(args: argparse.Namespace) -> int:
         theta_hat, t_n, config, num_draws, args.seed, marginal=marginal, **_given(args, grid_points="grid_points")
     )
     band = credible_band(draws, level, **_given(args, metric="metric"))
+    psi_true = truth(draws.grid) if truth is not None else None
 
     out = functools.partial(os.path.join, args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     write_draws_jsonl(out("draws.jsonl"), draws)
     write_k_table(out("k_posterior.csv"), [(args.label_j, marginal.probs)])
-    psi_true = truth(draws.grid) if truth is not None else None
     write_band_table(out("band.csv"), draws.grid, psi_true, band.center, band.lo, band.hi)
     print(
         f"posterior: {len(draws)} draws (k_max={k_max}, seed={args.seed}) -> {args.out_dir}; "
@@ -212,12 +212,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not args.j_list:
         raise ParameterError("pass at least one regime index via --j")
     config = _config_from_args(args)
-    out = functools.partial(os.path.join, args.out_dir)
-    os.makedirs(args.out_dir, exist_ok=True)
     model = _model_from_args(args)
+    specs = [RegimeSpec.from_j(j) for j in args.j_list]
     reports = []
-    for j in args.j_list:
-        spec = RegimeSpec.from_j(j)
+    for spec in specs:
         report = run_regime(
             spec,
             model=model,
@@ -227,11 +225,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
         reports.append(report)
         print(
-            f"experiment: j={j} t_n={fmt_float(report.t_n)} k_mode={report.k_mode} "
+            f"experiment: j={spec.j} t_n={fmt_float(report.t_n)} k_mode={report.k_mode} "
             f"err_projection={fmt_float(report.err_projection)} "
             f"err_postmean={fmt_float(report.err_postmean)} "
             f"band_radius={fmt_float(report.band_radius)} runtime_s={report.runtime_s:.2f}"
         )
+    out = functools.partial(os.path.join, args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     write_report_json(reports, out("report.json"))
     write_errors_csv(reports, out("errors.csv"), **_given(args, alpha_assumed="alpha"))
     write_k_posterior_csv(reports, out("k_posterior.csv"))

@@ -332,11 +332,13 @@ def rate_table(reports: list[ExperimentReport], alpha_assumed: float = DEFAULT_A
     """
     if len(reports) < 2:
         raise ParameterError("rate_table needs at least two regimes to compare")
-    rows = []
-    for rep in reports:
-        eps = contraction_rate(rep.t_n, alpha_assumed)
-        rows.append(RateRow(rep.j, rep.t_n, rep.err_postmean, eps, rep.err_postmean / eps))
-    return rows
+    return _rate_rows(reports, alpha_assumed)
+
+
+def _rate_rows(reports: list[ExperimentReport], alpha_assumed: float) -> list[RateRow]:
+    """One RateRow per regime, of any number: the rate_table rows that errors.csv writes too."""
+    eps = [contraction_rate(rep.t_n, alpha_assumed) for rep in reports]
+    return [RateRow(rep.j, rep.t_n, rep.err_postmean, e, rep.err_postmean / e) for rep, e in zip(reports, eps)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +379,10 @@ def write_k_table(path, tables) -> None:
 
 def write_errors_csv(reports: list[ExperimentReport], path, alpha_assumed: float = DEFAULT_ALPHA_ASSUMED) -> None:
     """One row per regime: j, t_n, err_projection, err_postmean, eps_n, ratio."""
-    rows = []
-    for rep in reports:
-        eps = contraction_rate(rep.t_n, alpha_assumed)
-        rows.append((rep.j, rep.t_n, rep.err_projection, rep.err_postmean, eps, rep.err_postmean / eps))
+    rows = [
+        (row.j, row.t_n, rep.err_projection, row.err_postmean, row.eps_n, row.ratio)
+        for rep, row in zip(reports, _rate_rows(reports, alpha_assumed))
+    ]
     _write_csv(path, "j,t_n,err_projection,err_postmean,eps_n,ratio", rows)
 
 

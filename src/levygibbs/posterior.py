@@ -202,13 +202,13 @@ class PosteriorDraws:
 
     draws[i] is (K_i, theta_i); grid_values[i] is the synthesized density of
     draw i on `grid` (a uniform grid over the reporting window D).  `draws`
-    is any sequence of such pairs: the sampler gives a DrawBlocks.
+    is the sampler's DrawBlocks.
     """
 
     basis: BasisSystem
     grid: np.ndarray
     grid_values: np.ndarray
-    draws: DrawBlocks | list
+    draws: DrawBlocks
     seed: int
 
     def __len__(self) -> int:

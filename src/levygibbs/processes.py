@@ -33,7 +33,6 @@ text increments file is read here, in one pass.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import itertools
@@ -369,9 +368,7 @@ class IncrementSeries:
         closure.  Results are in block order either way, so reductions over
         the list are deterministic.
         """
-        blocks = self.scheme.num_blocks
-        cap = blocks if max_workers is None else min(blocks, max_workers)
-        return _pool_map(cap, lambda block: fn(self._block_fn(block)), range(blocks))
+        return _pool_map(lambda block: fn(self._block_fn(block)), self.scheme.num_blocks, max_workers)
 
 
 def _io_workers() -> int:
@@ -382,45 +379,32 @@ def _io_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_map(cap: int, job: Callable, items) -> list:
-    """[job(item) for item in items]: in at most `cap` forked workers, one per CPU, or here.
+def _pool_map(job: Callable[[int], object], blocks: int, max_workers: int | None = None) -> list:
+    """[job(b) for b in range(blocks)]: in at most one forked worker per CPU, per block and max_workers, or here.
 
     Block generation and the block fold hold the GIL, so threads cannot
     share them.  Workers are forked: a pool of two starts in about 0.02 s on
     a 2-vCPU Xeon, against 0.7-1.0 s for spawn or forkserver, which also
     re-import __main__.  Fork also hands each worker `job` without pickling
-    it, so a job may be a closure over this process's arrays; only the items
-    and the results are pickled.  With one worker, no "fork" start method,
-    or in a daemonic process (a multiprocessing.Pool worker, which may not
-    have children) the builtin map runs here.  At most two items per worker are in flight, so what is
-    held at once is bounded whatever the item count.  The pool is shut down
+    it, so a job may be a closure over this process's arrays; only block
+    indices and results are pickled.  With one worker, no "fork" start
+    method, or in any process multiprocessing started (a worker of any pool,
+    this one's included) the blocks are mapped here.  The pool is shut down
     and its workers joined on every exit, errors included.
     """
-    workers = min(_io_workers(), cap)
-    if workers > 1:
-        # Imported here, so that importing the package does not pay about 8 ms for them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    # Imported here, so that importing the package does not pay about 8 ms for them.
+    import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
-            context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_set_job, initargs=(job,))
-            try:
-                return list(_bounded_map(pool, 2 * workers, _run_job, items))
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-    return list(map(job, items))
+    workers = min(_io_workers(), blocks, blocks if max_workers is None else max_workers)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.parent_process() is not None:
+        return [job(b) for b in range(blocks)]
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def _bounded_map(pool, bound: int, fn, items) -> Iterator:
-    """fn over items in pool, results in item order; an item is submitted once taken, and at most `bound` are not yet yielded."""
-    pending = collections.deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == bound:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_set_job, initargs=(job,))
+    try:
+        return list(pool.map(_run_job, range(blocks)))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # The job of the _pool_map a forked worker serves; set only in workers.
@@ -432,8 +416,8 @@ def _set_job(job: Callable) -> None:
     _JOB = job
 
 
-def _run_job(item):
-    return _JOB(item)
+def _run_job(b: int):
+    return _JOB(b)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -468,14 +452,15 @@ simulate_vg = simulate_compound_poisson = simulate
 # ---------------------------------------------------------------------------
 # Increment files.  write_increments writes the binary format: one ASCII line
 # holding the JSON object {"format": "levygibbs-increments", "version": 1,
-# "delta": <number>, "n": <integer>, "seed": <integer or null>}, then exactly
+# "delta": <number>, "n": <integer>, "seed": <seed or null>}, then exactly
 # 8*n bytes of little-endian float64, a bit-for-bit round trip.  It writes a
 # sibling temp file, each block at its own offset by the worker that drew it,
 # and renames it over the path only once every block is written.  Text is the
 # input format for data from outside: an optional header "# delta=<r> n=<d>
 # seed=<d>", then one number per line.  A text file whose first line begins
 # with '{' is not valid, so read_increments tells the formats apart by the
-# first byte.  Either header is checked before any of the body is read.
+# first byte.  Either header is checked before any of the body is read, and
+# a seed in either is one that util.check_seed accepts.
 # A binary body is read lazily: each block is read at its offset when it is
 # folded (by the worker that folds it) or materialized, after a check that
 # the file is the one whose header was read.
@@ -509,9 +494,11 @@ def write_increments(path, series: IncrementSeries) -> None:
     block indices cross the pipe.  Once every block is written the temp file
     is renamed over path, which replaces a symlink rather than writing
     through it.  On any error the temp file is removed and path keeps what
-    it held before.
+    it held before.  A series seed that is not None or a non-negative
+    integer raises ParameterError before the temp file is created.
     """
     scheme = series.scheme
+    check_seed(0 if series.seed is None else series.seed)  # so that the header reads back
     seed = None if series.seed is None else int(series.seed)
     header = {"format": BINARY_FORMAT, "version": BINARY_VERSION, "delta": float(scheme.delta), "n": int(scheme.n),
               "seed": seed}
@@ -529,7 +516,7 @@ def write_increments(path, series: IncrementSeries) -> None:
     try:
         try:
             _pwrite(fd, line, 0)
-            _pool_map(scheme.num_blocks, write_block, range(scheme.num_blocks))
+            _pool_map(write_block, scheme.num_blocks)
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -581,7 +568,7 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
         text = lines[0].strip()
         if text.startswith("#"):
             delta, header_n, header_seed = _parse_header(path, text)
-            _check_limit(path, header_n)
+            _check_header(path, header_n, header_seed)
             lines, first_lineno = lines[1:], 2
         elif delta is None:
             raise InputParseError(f"{path}: no header and no delta supplied; sampling spacing unknown")
@@ -596,8 +583,12 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
     return IncrementSeries(scheme, header_seed, values=values)
 
 
-def _check_limit(path, n: int) -> None:
-    """ResourceGuardError for a header that declares more than MATERIALIZE_LIMIT increments."""
+def _check_header(path, n: int, seed: int | None) -> None:
+    """InputParseError naming the file and line 1 for a header seed check_seed refuses; ResourceGuardError for n above MATERIALIZE_LIMIT."""
+    try:
+        check_seed(0 if seed is None else seed)
+    except ParameterError as exc:
+        raise InputParseError(f"{path}: line 1: header {exc}") from exc
     if n > MATERIALIZE_LIMIT:
         raise ResourceGuardError(
             f"{path}: header declares n={n} increments, above the materialization limit of {MATERIALIZE_LIMIT}"
@@ -607,7 +598,7 @@ def _check_limit(path, n: int) -> None:
 def _read_binary(path, line: bytes, stat: os.stat_result) -> IncrementSeries:
     """The streamed series of a binary file with status `stat` whose first line is `line`: header and size checks only."""
     delta, n, seed = _parse_binary_header(path, line)
-    _check_limit(path, n)
+    _check_header(path, n, seed)
     if stat.st_size - len(line) != 8 * n:
         raise InputParseError(f"{path}: body holds {stat.st_size - len(line)} bytes, expected {8 * n} (n={n} float64 values)")
     scheme = SamplingScheme(delta, n)
@@ -742,9 +733,14 @@ def _parse_lines(path, lines, first_lineno: int, limit: int) -> np.ndarray:
 
 
 def _parse_header(path, text: str) -> tuple[float, int, int | None]:
+    """(delta, n, seed) of a text header line, whose keys are delta, n and an optional seed, each at most once."""
     fields = {}
     for tok in text.lstrip("#").split():
         key, _, val = tok.partition("=")
+        if key in fields or key not in ("delta", "n", "seed"):
+            raise InputParseError(
+                f"{path}: line 1: {'repeated' if key in fields else 'unknown'} header key {key!r}: {text!r}"
+            )
         fields[key] = val
     try:
         delta = float(fields["delta"])

@@ -49,31 +49,15 @@ def reference_write_increments(path, series, header=True):
 def pooled_io(monkeypatch):
     """Two forked workers for every pool (forked workers see the patches).
 
-    Returns a record of the pools started and the worker count of each, the
-    items submitted, and the most items submitted whose result the parent
-    had not yet taken.
+    Returns a record of the pools started and the worker count of each.
     """
-    record = SimpleNamespace(pools=0, workers=[], submitted=0, in_flight=0, peak=0)
+    record = SimpleNamespace(pools=0, workers=[])
 
     class SpyPool(ProcessPoolExecutor):
         def __init__(self, max_workers, *args, **kwargs):
             super().__init__(max_workers, *args, **kwargs)
             record.pools += 1
             record.workers.append(max_workers)
-
-        def submit(self, fn, *args, **kwargs):
-            future = super().submit(fn, *args, **kwargs)
-            record.submitted += 1
-            record.in_flight += 1
-            record.peak = max(record.peak, record.in_flight)
-            result = future.result
-
-            def taken(*a, **k):
-                record.in_flight -= 1
-                return result(*a, **k)
-
-            future.result = taken
-            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(processes, "_io_workers", lambda: 2)

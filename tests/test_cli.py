@@ -86,6 +86,7 @@ BINARY_CASES = {
     "zero n": (BINARY_HEADER | {"n": 0}, b"", "header n must be a positive integer"),
     "float n": (BINARY_HEADER | {"n": 3.0}, bytes(24), "header n must be a positive integer"),
     "string seed": (BINARY_HEADER | {"seed": "1"}, bytes(24), "seed an integer or null"),
+    "negative seed": (BINARY_HEADER | {"seed": -7}, bytes(24), "header seed must be a non-negative integer, got -7"),
     "not JSON": (b"{delta: 0.5}", bytes(24), "header is not JSON"),
     "trailing text": (json.dumps(BINARY_HEADER).encode("ascii") + b" x", bytes(24), "header is not JSON"),
     "non-ASCII header": (b'{"format": "levygibbs-incr\xe9ments"}', bytes(24), "not ASCII text (byte 0xe9)"),
@@ -733,6 +734,32 @@ class TestExitCodes:
         assert main(["simulate"]) == 2  # missing --out
         assert main(["simulate", "--out", str(tmp_path / "x")]) == 2  # missing scheme
         capsys.readouterr()
+
+    def test_estimate_error_writes_no_out_file(self, tmp_path, capsys):
+        # The error summary's grid is refused after the fold; --out is written only after it.
+        inc = simulate_file(tmp_path, "inc.bin", delta=0.001, n=100)
+        out = tmp_path / "o.json"
+        argv = ["estimate", "--increments", str(inc), "--out", str(out), "--truth", "vg:0,0.117,0.002"]
+        assert main(argv + ["--grid-points", "100000000000"]) == 4
+        assert "materialization limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--j", "1", "--seed", "-3"], ["--j", "0"], ["--j", "1", "--j", "0"]])
+    def test_experiment_error_creates_no_out_dir(self, tmp_path, capsys, flags):
+        assert main(["experiment", *flags, "--draws", "10", "--out-dir", str(tmp_path / "exp")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "exp").exists()
+
+    def test_posterior_error_writes_no_out_dir(self, tmp_path, capsys):
+        # A 513-point grid on D = [-0.01, 0.01] holds x = 0, where no Levy density is defined.
+        inc = simulate_file(tmp_path, "inc.bin", delta=0.001, n=4096)
+        coeffs = tmp_path / "c0.json"
+        assert main(["estimate", "--increments", str(inc), "--window=-0.01,0.01", "--K", "20", "--out", str(coeffs)]) == 0
+        argv = ["posterior", "--coeffs", str(coeffs), "--D=-0.01,0.01", "--grid-points", "513",
+                "--truth", "vg:0,0.117,0.002", "--out-dir", str(tmp_path / "p")]
+        assert main(argv) == 2
+        assert "not defined at x = 0" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     def test_bad_jump_spec_exits_3(self, tmp_path, capsys):
         argv = ["simulate", "--process", "cpois", "--lambda", "1.0", "--jump", "fancy:1",

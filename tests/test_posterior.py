@@ -451,9 +451,8 @@ class TestPosteriorSummaries:
         basis = BasisSystem.trigonometric(D_PRIME, 4)
         grid = np.linspace(0.006, 0.014, 64)
         row = synthesize(basis, np.array([1.0, 2.0, 0.0, -1.0]), grid)
-        draws = PosteriorDraws(
-            basis, grid, np.tile(row, (5, 1)), [(4, np.array([1.0, 2.0, 0.0, -1.0]))] * 5, seed=0
-        )
+        blocks = DrawBlocks([(np.full(5, 4), np.tile([1.0, 2.0, 0.0, -1.0], (5, 1)))])
+        draws = PosteriorDraws(basis, grid, np.tile(row, (5, 1)), blocks, seed=0)
         np.testing.assert_allclose(posterior_mean_function(draws), row, rtol=1e-14)
 
     def test_fixed_k_mean_function_matches_closed_form(self):
@@ -472,7 +471,7 @@ class TestPosteriorSummaries:
 
     def test_empty_draws_error(self):
         basis = BasisSystem.trigonometric(D_PRIME, 4)
-        empty = PosteriorDraws(basis, np.linspace(0.006, 0.014, 8), np.empty((0, 8)), [], seed=0)
+        empty = PosteriorDraws(basis, np.linspace(0.006, 0.014, 8), np.empty((0, 8)), DrawBlocks([]), seed=0)
         with pytest.raises(EmptyDrawsError):
             posterior_mean_function(empty)
 
@@ -489,7 +488,7 @@ class TestPosteriorSummaries:
         basis = BasisSystem.trigonometric(D_PRIME, 4)
         grid = np.linspace(0.006, 0.014, 32)
         row = synthesize(basis, np.ones(4), grid)
-        draws = PosteriorDraws(basis, grid, np.tile(row, (6, 1)), [(4, np.ones(4))] * 6, seed=0)
+        draws = PosteriorDraws(basis, grid, np.tile(row, (6, 1)), DrawBlocks([(np.full(6, 4), np.ones((6, 4)))]), seed=0)
         # identical up to the rounding introduced by averaging the center
         assert credible_band(draws, 0.9).radius < 1e-12
 

@@ -19,7 +19,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -120,6 +120,12 @@ def _write_and_fold(path):
     series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
     write_increments(path, series)
     return empirical_coefficients(series, BasisSystem.trigonometric(Window(-0.01, 0.01), 8)).values
+
+
+def _worker_and_block_pids():
+    """(this process's pid, the pid that maps each block of a 3-block series); run in a ProcessPoolExecutor worker."""
+    series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
+    return os.getpid(), series.map_blocks(lambda chunk: os.getpid())
 
 
 def vg_moments(params, scheme):
@@ -256,6 +262,13 @@ class TestVarianceGamma:
         assert pooled_io.workers == [2, 2]  # the 3-block file and the 3-block fold
         assert (tmp_path / "daemonic.txt").read_bytes() == (tmp_path / "here.txt").read_bytes()
         assert np.array_equal(daemonic, here)
+
+    def test_pool_worker_maps_in_process(self, monkeypatch, pooled_io):
+        # A ProcessPoolExecutor worker is not daemonic, but it is started by multiprocessing, so it starts no pool.
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            worker, pids = pool.submit(_worker_and_block_pids).result(timeout=60)
+        assert worker != os.getpid() and pids == [worker] * 3
 
     def test_symmetry_ks(self):
         # mu = 0 makes the increment law symmetric: Y and -Y agree, two-sample
@@ -710,6 +723,22 @@ class TestReaderGuards:
         with pytest.raises(InputParseError, match=r"inc\.txt: line 1: malformed header"):
             read_increments(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("# delta=0.5 n=3 sede=4 delta=0.25", "unknown header key 'sede'"),
+        ("# delta=0.5 n=3 seed=4 delta=0.25", "repeated header key 'delta'"),
+        ("# delta=0.5 n=3 seed= seed=4", "repeated header key 'seed'"),
+        ("# delta=0.5 n=3 seed=-7", "header seed must be a non-negative integer, got -7"),
+    ], ids=["unknown key", "repeated delta", "repeated seed", "negative seed"])
+    def test_header_keys_and_seed_refused_before_body(self, tmp_path, monkeypatch, header, message):
+        calls = []
+        monkeypatch.setattr(processes, "_read_body", lambda *args: calls.append(args))
+        path = tmp_path / "inc.txt"
+        path.write_text(header + "\n0.1\n0.2\n0.3\n")
+        with pytest.raises(InputParseError) as excinfo:
+            read_increments(path)
+        assert str(excinfo.value).startswith(f"{path}: line 1: {message}")
+        assert calls == []
+
     @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_delta_argument_refused_before_body(self, tmp_path, monkeypatch, delta):
         calls = []
@@ -732,7 +761,7 @@ class TestPooledIncrementFiles:
             pooled, one = tmp_path / "pooled.bin", tmp_path / "one.bin"
             pools = pooled_io.pools
             write_increments(pooled, series)
-            assert pooled_io.pools == pools + 1 and pooled_io.peak <= 4  # 2 blocks per worker
+            assert pooled_io.pools == pools + 1
             with monkeypatch.context() as m:
                 m.setattr(processes, "_io_workers", lambda: 1)
                 write_increments(one, series)
@@ -818,7 +847,7 @@ class TestPooledIncrementFiles:
         path.write_bytes(b"# delta=0.5 n=5 seed=1\n" + b"1.0\n" * 100)
         with pytest.raises(ResourceGuardError, match="n=5"):
             read_increments(path)
-        assert calls == [] and pooled_io.pools == 0 and pooled_io.submitted == 0
+        assert calls == [] and pooled_io.pools == 0
 
     @pytest.mark.parametrize("first", [b"1.0", b"1_0"])  # "1_0": a float() spelling numpy's own parsers refuse
     def test_headerless_body_stops_after_limit(self, tmp_path, monkeypatch, pooled_io, first):
@@ -838,30 +867,6 @@ class TestPooledIncrementFiles:
             read_increments(path, delta=0.5)
         assert pooled_io.pools == 0
 
-    def test_read_ahead_bound(self):
-        # While the caller holds a result, taken after `done` others, at most `bound` more items were pulled:
-        # an item is submitted as soon as it is pulled, so the parent never holds a pulled item back.
-        pulled = 0
-
-        def items():
-            nonlocal pulled
-            for i in range(20):
-                pulled += 1
-                yield i
-
-        bound = 3
-        with ThreadPoolExecutor(2) as pool:
-            for done, result in enumerate(processes._bounded_map(pool, bound, lambda i: i * i, items())):
-                assert result == done * done
-                assert pulled <= done + bound
-        assert pulled == 20
-
-    def test_in_flight_bound(self, tmp_path, monkeypatch, pooled_io):
-        monkeypatch.setattr(processes, "BLOCK", 3)
-        series = simulate(STUDY_VG, SamplingScheme(1e-3, 300), seed=4, materialize=False)
-        write_increments(tmp_path / "inc.bin", series)
-        assert pooled_io.submitted == 100 and pooled_io.peak == 4  # 2 blocks per worker
-
 
 class FailingModel:
     """A model whose block `fail` raises, so a write stops part way."""
@@ -877,6 +882,12 @@ class FailingModel:
 
 class TestIncrementFileWriter:
     """write_increments writes a temp file, each block at its offset, then renames it over the path."""
+
+    @pytest.mark.parametrize("seed", [-7, True, 1.5])
+    def test_seed_no_header_reads_back_refused(self, tmp_path, seed):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            write_increments(tmp_path / "inc.bin", values_series([0.5, 0.25], seed=seed))
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("pooled", [True, False])
     @pytest.mark.parametrize("previous", [b"old bytes\n", None])
