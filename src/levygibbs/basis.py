@@ -17,6 +17,10 @@ Two families are implemented on a window [a, b]:
 All evaluations return 0 exactly outside the window (and, for the piecewise
 family, at piece boundaries).  Feature functionals F1 and F2 bound the
 sup/derivative growth of the system and feed the sampling-spacing check.
+
+scipy is imported only inside the function that needs it (`eval_legendre`
+for the piecewise family), so importing the package, and the trig pipeline,
+never load it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_legendre
 
 from .errors import (
     BasisIndexError,
@@ -225,6 +228,8 @@ class PiecewiseLegendreBasis(BasisSystem):
         return self.linear_index(*k) if isinstance(k, tuple) else super()._check_k(k)
 
     def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        from scipy.special import eval_legendre
+
         edges, h = self._edges, self._h
         piece = np.floor((x - self.window.a) / h).astype(int)
         piece = np.clip(piece, 0, self.L - 1)
@@ -287,6 +292,8 @@ class BasisFeatures:
 
 def _legendre_variations(j: int) -> tuple[float, float]:
     """Total variations of Q_j and Q_j^2 on [-1, 1], between critical points (Q_j^2 also turns at Q_j's roots)."""
+    from scipy.special import eval_legendre
+
     q = np.polynomial.legendre.Legendre.basis(j)
     crit = np.sort(np.concatenate([[-1.0, 1.0], np.real(q.deriv().roots())]))
     crit_sq = np.sort(np.concatenate([crit, np.real(q.roots())]))

@@ -31,6 +31,7 @@ from .experiment import (
     DEFAULT_NUM_DRAWS,
     DEFAULT_VG_PARAMS,
     RegimeSpec,
+    check_alpha,
     delta_condition,
     read_coefficients_json,
     run_regime,
@@ -211,6 +212,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _require(args, "out_dir")
     if not args.j_list:
         raise ParameterError("pass at least one regime index via --j")
+    if args.alpha is not None:
+        check_alpha(args.alpha)  # before any regime runs, so a bad --alpha costs nothing and writes nothing
     config = _config_from_args(args)
     model = _model_from_args(args)
     specs = [RegimeSpec.from_j(j) for j in args.j_list]

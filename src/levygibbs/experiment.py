@@ -259,6 +259,12 @@ def run_regime(
     )
 
 
+def check_alpha(alpha_assumed: float) -> None:
+    """ParameterError unless the assumed smoothness alpha is positive and finite."""
+    if not (math.isfinite(alpha_assumed) and alpha_assumed > 0.0):
+        raise ParameterError(f"alpha_assumed must be positive and finite, got {alpha_assumed!r}")
+
+
 def oracle_dimension(t_n: float, alpha_assumed: float) -> int:
     """K_n = ceil(t_n^{1/(2*alpha+1)}), the rate-optimal dimension under smoothness alpha.
 
@@ -267,8 +273,7 @@ def oracle_dimension(t_n: float, alpha_assumed: float) -> int:
     window.  For the trig sieve on D' any psi with psi(a') != psi(b') has
     alpha = 1/2: its sine coefficients decay as 1/k.
     """
-    if not (math.isfinite(alpha_assumed) and alpha_assumed > 0.0):
-        raise ParameterError(f"alpha_assumed must be positive, got {alpha_assumed!r}")
+    check_alpha(alpha_assumed)
     return snap_ceil(t_n ** (1.0 / (2.0 * alpha_assumed + 1.0)))
 
 
@@ -280,6 +285,7 @@ def contraction_rate(t_n: float, alpha_assumed: float) -> float:
     """
     if t_n <= 1.0:
         raise ParameterError(f"contraction rate needs t_n > 1, got {t_n!r}")
+    check_alpha(alpha_assumed)
     return math.sqrt(math.log(t_n)) * t_n ** (-alpha_assumed / (2.0 * alpha_assumed + 1.0))
 
 

@@ -13,7 +13,8 @@ the sieve prior proportional to exp(-beta K log K) on K = 1..k_max:
                     - (K/2) log(2 omega t_n sigma0^2 + 1)  -  beta K log K  + const.
 
 All pmf work happens in log space with max subtraction, so k_max in the
-hundreds neither overflows nor loses normalization.
+hundreds neither overflows nor loses normalization.  The normalisation is
+numpy only (`_log_sum_exp`), so this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
@@ -130,6 +130,19 @@ def conditional_posterior(theta_hat, t_n: float, config: GibbsConfig) -> Conditi
     return ConditionalPosterior(len(vec), shrink * vec, variance)
 
 
+def _log_sum_exp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a finite 1-d array, bit for bit as scipy.special.logsumexp (scipy >= 1.15).
+
+    The m maxima are taken out of the sum: log1p(s / m) + log(m) + max, with
+    s the sum of exp(a - max) over the other entries.
+    """
+    top = a.max()
+    at_top = a == top
+    count = at_top.sum(dtype=float)
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum() / count
+    return np.log1p(rest) + np.log(count) + top
+
+
 def _require_nested(basis: BasisSystem) -> None:
     """Model K keeps the first K basis functions, a sieve only when the basis is nested."""
     if not basis.nested:
@@ -161,7 +174,7 @@ def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
     dim_penalty = 0.5 * ks * math.log(2.0 * wt * config.sigma0**2 + 1.0)
     prior_penalty = config.beta * ks * np.log(ks)
     log_w = data_term - dim_penalty - prior_penalty
-    probs = np.exp(log_w - logsumexp(log_w))
+    probs = np.exp(log_w - _log_sum_exp(log_w))
     probs /= probs.sum()
     return MarginalK(log_w, probs)
 
@@ -259,9 +272,9 @@ def sample_posterior(
     if marginal.k_max != k_max:
         raise DimensionError(f"marginal covers K=1..{marginal.k_max}, expected k_max={k_max}")
 
-    shrink, variance = _shrink_and_variance(t_n, config)
-    means = shrink * vec[:k_max]
-    sd = math.sqrt(variance)
+    cond = conditional_posterior(vec[:k_max], t_n, config)
+    means = cond.means
+    sd = math.sqrt(cond.variance)
     cum = np.cumsum(marginal.probs)
     cum[-1] = 1.0
 

@@ -30,7 +30,7 @@ from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
 from levygibbs.processes import VarianceGammaParams
 
 from conftest import MASTER_SEED, slow_enabled
-from test_posterior import ORACLE_CONFIG, ORACLE_THETA_HAT, ORACLE_TN, brute_force_pmf_and_moments
+from test_posterior import ORACLE_CONFIG, ORACLE_THETA_HAT, ORACLE_TN, oracle_pmf_and_moments
 
 
 def emit(capsys, line):
@@ -67,7 +67,7 @@ def test_criterion_02_gram_identity(capsys):
 
 
 def test_criterion_03_conjugacy_oracle(capsys):
-    pmf_oracle, means_oracle, _ = brute_force_pmf_and_moments(ORACLE_THETA_HAT, ORACLE_TN, ORACLE_CONFIG)
+    pmf_oracle, means_oracle, _ = oracle_pmf_and_moments()
     cond = conditional_posterior(ORACLE_THETA_HAT, ORACLE_TN, ORACLE_CONFIG)
     marg = marginal_k(ORACLE_THETA_HAT, ORACLE_TN, ORACLE_CONFIG)
     dev_mean = float(np.max(np.abs(cond.means - means_oracle)))

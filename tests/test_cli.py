@@ -13,6 +13,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -422,6 +424,49 @@ class TestExperiment:
         assert main(["experiment", "--j", "1"]) == 2
 
 
+# Imports the package, checks that scipy was not loaded, then blocks scipy
+# (every import of it or a submodule raises ImportError) and runs the commands.
+WITHOUT_SCIPY = """
+import json, sys
+import levygibbs, levygibbs.cli
+assert "scipy" not in sys.modules, "importing levygibbs loaded scipy"
+sys.modules["scipy"] = None
+for argv in json.loads(sys.argv[1]):
+    code = levygibbs.cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}")
+"""
+
+
+def trig_pipeline_argvs(d) -> list[list[str]]:
+    return [
+        ["simulate", "--j", "1", "--seed", "3", "--out", str(d / "inc.bin")],
+        ["estimate", "--increments", str(d / "inc.bin"), "--out", str(d / "c.json"), "--truth", "vg:0,0.117,0.002"],
+        ["posterior", "--coeffs", str(d / "c.json"), "--draws", "200", "--out-dir", str(d / "post")],
+        ["experiment", "--j", "1", "--draws", "200", "--out-dir", str(d / "exp")],
+    ]
+
+
+def test_trig_pipeline_runs_without_scipy(tmp_path):
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    blocked.mkdir()
+    free.mkdir()
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, json.dumps(trig_pipeline_argvs(blocked))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for argv in trig_pipeline_argvs(free):
+        assert main(argv) == 0
+    names = sorted(str(p.relative_to(free)) for p in free.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(blocked)) for p in blocked.rglob("*") if p.is_file())
+    assert len(names) == 9
+    for name in names:
+        assert (blocked / name).read_bytes() == (free / name).read_bytes(), name
+
+
 def window_flag(w: Window) -> str:
     return f"{w.a!r},{w.b!r}"
 
@@ -748,6 +793,14 @@ class TestExitCodes:
     def test_experiment_error_creates_no_out_dir(self, tmp_path, capsys, flags):
         assert main(["experiment", *flags, "--draws", "10", "--out-dir", str(tmp_path / "exp")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "0", "-1", "nan", "inf"])
+    def test_experiment_alpha_not_positive_exits_2(self, tmp_path, capsys, alpha):
+        argv = ["experiment", "--j", "1", "--draws", "10", "--alpha", alpha, "--out-dir", str(tmp_path / "exp")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha_assumed must be positive and finite, got ") and err.count("\n") == 1
         assert not (tmp_path / "exp").exists()
 
     def test_posterior_error_writes_no_out_dir(self, tmp_path, capsys):

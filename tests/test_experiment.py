@@ -167,6 +167,13 @@ class TestRateHelpers:
         with pytest.raises(ParameterError):
             contraction_rate(1.0, 2.0)
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, -1.0, math.nan, math.inf])
+    def test_alpha_not_positive_refused(self, alpha):
+        # alpha = -1/2 used to divide by zero; 0 and -1 gave a rate that means nothing.
+        for rate in (contraction_rate, oracle_dimension):
+            with pytest.raises(ParameterError, match="alpha_assumed must be positive and finite"):
+                rate(320.0, alpha)
+
     def test_no_overfit_point_mass(self):
         rep = SimpleNamespace(j=1, t_n=20.0, k_probs=np.array([1.0]))
         rows = no_overfit_diagnostic([rep], tau=2.0, alpha_assumed=2.0)

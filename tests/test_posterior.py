@@ -7,9 +7,11 @@ The central oracle is brute-force quadrature of the unnormalized posterior
 on a tensor Gauss-Legendre grid: a one-dimensional rule for conditional
 moments at K=1 and a genuinely three-dimensional rule for the marginal pmf
 over K <= 3, so the closed forms are checked without assuming the
-coordinate factorization they rely on.
+coordinate factorization they rely on.  R_n is the library's own loss,
+`empirical_risk`, evaluated node by node.
 """
 
+import functools
 import hashlib
 import math
 
@@ -31,6 +33,7 @@ from levygibbs import (
     conditional_posterior,
     concentration_probability,
     credible_band,
+    empirical_risk,
     marginal_k,
     MarginalK,
     posterior_mean_function,
@@ -40,7 +43,7 @@ from levygibbs import (
     validate_config,
 )
 from levygibbs.experiment import write_draws_jsonl
-from levygibbs.posterior import DISTANCE_TILE_ROWS, DRAW_BLOCK, DrawBlocks, _draw_distances
+from levygibbs.posterior import DISTANCE_TILE_ROWS, DRAW_BLOCK, DrawBlocks, _draw_distances, _log_sum_exp
 from levygibbs.util import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
@@ -58,35 +61,42 @@ def gl_grid(points, lim=14.0):
     return lim * x, lim * w
 
 
-def brute_force_pmf_and_moments(theta_hat, t_n, config, points=160):
+def brute_force_pmf_and_moments(theta_hat, t_n, config, points=56):
     """Tensor-quadrature pmf over K = 1..3 plus conditional moments at K=3.
 
     Z_K = int exp(-omega*t_n*R_{n,K}(theta)) dPhi_{sigma0}(theta) over R^K
-    with R_{n,K}(theta) = -2<theta, theta_hat[:K]> + |theta|^2, and
-    pmf(K) proportional to exp(-beta*K*log K) * Z_K.
+    with R_{n,K} the library's own loss, empirical_risk(theta, theta_hat[:K]),
+    called at every node of the K-dimensional grid, and pmf(K) proportional
+    to exp(-beta*K*log K) * Z_K.  56 nodes per axis on [-14, 14] put the rule
+    within 1e-11 of the pmf and 1e-8 of the moments.
     """
     w_rate = config.omega * t_n
     x, w = gl_grid(points)
     phi = w * np.exp(-(x**2) / (2.0 * config.sigma0**2)) / (config.sigma0 * math.sqrt(2.0 * math.pi))
-
-    z = []
     grids = np.meshgrid(x, x, x, indexing="ij")
     weights3 = phi[:, None, None] * phi[None, :, None] * phi[None, None, :]
+
+    z = []
     for K in (1, 2, 3):
-        risk = sum(-2.0 * grids[k] * theta_hat[k] + grids[k] ** 2 for k in range(K))
-        mask = np.exp(-w_rate * risk)
-        # integrate out the unused coordinates of the 3-d grid
-        z.append(float(np.sum(weights3 * mask)))
+        nodes = np.stack(grids[:K], axis=-1)[(slice(None),) * K + (0,) * (3 - K)].reshape(-1, K)
+        risk = np.array([empirical_risk(node, theta_hat[:K]).value for node in nodes])
+        # the unused coordinates of the 3-d grid are integrated out against the prior
+        post = weights3 * np.exp(-w_rate * risk).reshape((points,) * K + (1,) * (3 - K))
+        z.append(float(np.sum(post)))
     prior = np.array([math.exp(-config.beta * K * math.log(K)) for K in (1, 2, 3)])
     weights = prior * np.array(z)
     pmf = weights / weights.sum()
 
-    risk3 = sum(-2.0 * grids[k] * theta_hat[k] + grids[k] ** 2 for k in range(3))
-    post3 = weights3 * np.exp(-w_rate * risk3)
-    z3 = float(np.sum(post3))
-    means = np.array([float(np.sum(post3 * grids[k])) / z3 for k in range(3)])
-    second = np.array([float(np.sum(post3 * grids[k] ** 2)) / z3 for k in range(3)])
+    # post and z[2] are the K = 3 posterior from the last pass of the loop
+    means = np.array([float(np.sum(post * grids[k])) / z[2] for k in range(3)])
+    second = np.array([float(np.sum(post * grids[k] ** 2)) / z[2] for k in range(3)])
     return pmf, means, second - means**2
+
+
+@functools.cache
+def oracle_pmf_and_moments():
+    """brute_force_pmf_and_moments at the ORACLE_* posterior, computed once."""
+    return brute_force_pmf_and_moments(ORACLE_THETA_HAT, ORACLE_TN, ORACLE_CONFIG)
 
 
 class TestConditionalPosterior:
@@ -130,6 +140,55 @@ class TestConditionalPosterior:
             conditional_posterior(np.array([1.0]), 0.0, GibbsConfig())
 
 
+def scipy_logsumexp():
+    """scipy.special.logsumexp, the reference _log_sum_exp reproduces; skip where its formula differs."""
+    scipy = pytest.importorskip("scipy")
+    if np.lib.NumpyVersion(scipy.__version__) < "1.15.0":
+        pytest.skip(f"scipy {scipy.__version__} < 1.15 computes log(sum(exp(a - max))) + max, another formula")
+    from scipy.special import logsumexp
+
+    return logsumexp
+
+
+def log_sum_exp_cases():
+    """Random, tied and wide-range 1-d vectors, with the edge cases of one element and all equal."""
+    rng = np.random.default_rng(21)
+    cases = [np.array([0.0]), np.array([-7.5]), np.array([3.0, 3.0]), np.full(9, -2.5), np.array([1e300, -1e300])]
+    for i in range(3000):
+        n = int(rng.integers(1, 400))
+        kind = i % 4
+        if kind == 0:
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        elif kind == 1:
+            a = rng.integers(-3, 3, n).astype(float)
+        elif kind == 2:
+            a = rng.uniform(-1e300, 1e300, n)
+        else:
+            a = rng.standard_normal(n) * 1e4
+            a[rng.integers(0, n, 3)] = a.max()
+        cases.append(a)
+    return cases
+
+
+class TestLogSumExp:
+    def test_bits_match_scipy(self):
+        logsumexp = scipy_logsumexp()
+        for a in log_sum_exp_cases():
+            assert same_bits(_log_sum_exp(a), logsumexp(a)), a
+
+    def test_marginal_probs_match_scipy_normalisation(self):
+        # The pmf marginal_k computed with scipy.special.logsumexp, bit for bit.
+        logsumexp = scipy_logsumexp()
+        rng = np.random.default_rng(22)
+        cases = [(np.zeros(12), 20.0, 12), (600.0 / np.arange(1.0, 151.0), 320.0, 150)]
+        cases += [(rng.standard_normal(k) * 600.0, float(k), k) for k in (1, 2, 20, 80, 320)]
+        for theta_hat, t_n, k_max in cases:
+            marg = marginal_k(theta_hat, t_n, GibbsConfig(k_max=k_max))
+            probs = np.exp(marg.log_weights - logsumexp(marg.log_weights))
+            probs /= probs.sum()
+            assert same_bits(marg.probs, probs)
+
+
 class TestMarginalK:
     def test_zero_data_penalty_only(self):
         config = GibbsConfig(k_max=12)
@@ -144,12 +203,12 @@ class TestMarginalK:
         assert marg.log_weights[0] == pytest.approx(penalty, rel=1e-15)
 
     def test_pmf_matches_tensor_quadrature(self):
-        pmf, _, _ = brute_force_pmf_and_moments(ORACLE_THETA_HAT, ORACLE_TN, ORACLE_CONFIG)
+        pmf, _, _ = oracle_pmf_and_moments()
         marg = marginal_k(ORACLE_THETA_HAT, ORACLE_TN, ORACLE_CONFIG)
         np.testing.assert_allclose(marg.probs, pmf, atol=1e-8)
 
     def test_moments_match_tensor_quadrature(self):
-        _, means, var = brute_force_pmf_and_moments(ORACLE_THETA_HAT, ORACLE_TN, ORACLE_CONFIG)
+        _, means, var = oracle_pmf_and_moments()
         cond = conditional_posterior(ORACLE_THETA_HAT, ORACLE_TN, ORACLE_CONFIG)
         np.testing.assert_allclose(cond.means, means, atol=1e-6)
         assert cond.variance == pytest.approx(var[0], abs=1e-6)
