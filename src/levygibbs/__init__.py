@@ -31,7 +31,6 @@ from .errors import (
     WindowError,
 )
 from .estimator import (
-    RiskValue,
     empirical_coefficients,
     empirical_risk,
     l2_error_on_D,

@@ -75,6 +75,11 @@ class Window:
     def contains(self, other: "Window") -> bool:
         return self.a <= other.a and other.b <= self.b
 
+    def check_contains(self, D: "Window", name: str) -> None:
+        """WindowError unless the reporting window D lies inside this window, called `name` in the message."""
+        if not self.contains(D):
+            raise WindowError(f"D=[{D.a}, {D.b}] must be contained in {name} [{self.a}, {self.b}]")
+
     def grid(self, grid_points: int) -> np.ndarray:
         """Uniform grid of `grid_points` points from a to b.
 
@@ -135,7 +140,7 @@ class BasisSystem:
     def from_descriptor(cls, d: dict) -> "BasisSystem":
         """The basis a descriptor() names; ParameterError for a malformed one or an unknown family."""
         with _parsing("basis descriptor"):
-            window = Window(float(d["a"]), float(d["b"]))
+            window = Window(_number(d["a"], "basis window a"), _number(d["b"], "basis window b"))
             family, K = d["family"], _size(d, "K")
             if family == "trigonometric":
                 basis = cls.trigonometric(window, K)
@@ -270,7 +275,7 @@ def _parsing(what: str):
         raise ParameterError(f"{what} missing field {exc}") from exc
     except LevyGibbsError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed {what}: {exc}") from exc
 
 
@@ -280,6 +285,13 @@ def _size(d: dict, key: str) -> int:
     if not is_integer(value):
         raise ParameterError(f"malformed basis descriptor: {key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number as a float; a bool, a string, nan, inf or any other value raises ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParameterError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -342,13 +354,14 @@ class CoefficientVector:
         """The vector a to_dict() record holds; ParameterError or DimensionError for a malformed record."""
         with _parsing("coefficient record"):
             basis = BasisSystem.from_descriptor(d["basis"])
-            values = np.asarray(d["values"], dtype=float)
+            values = np.array([_number(v, "each coefficient value") for v in d["values"]])
             t_n = d.get("t_n")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("coefficient values must be finite numbers")
-        if t_n is not None and (isinstance(t_n, bool) or not isinstance(t_n, (int, float)) or not 0 < t_n < math.inf):
-            raise ParameterError(f"t_n must be a positive finite number, got {t_n!r}")
-        return cls(basis, values, role=d.get("role", "generic"), t_n=t_n)
+            if t_n is not None and not _number(t_n, "t_n") > 0:
+                raise ParameterError(f"t_n must be a positive finite number, got {t_n!r}")
+            role = d.get("role", "generic")
+        if not isinstance(role, str):
+            raise ParameterError(f"role must be a string, got {role!r}")
+        return cls(basis, values, role=role, t_n=t_n)
 
 
 # ---------------------------------------------------------------------------

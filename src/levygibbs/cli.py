@@ -23,6 +23,7 @@ from .errors import (
     LevyGibbsError,
     ParameterError,
     ResourceGuardError,
+    WindowError,
 )
 from .estimator import DEFAULT_GRID_POINTS, empirical_coefficients, l2_error_on_D
 from .experiment import (
@@ -67,11 +68,14 @@ from .util import fmt_float, open_ascii
 
 
 def _parse_window(text: str) -> Window:
+    """The window 'lo,hi'; argparse prints an ArgumentTypeError's reason with the flag."""
     try:
         lo, hi = (float(tok) for tok in text.split(","))
+        return Window(lo, hi)
+    except WindowError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     except ValueError as exc:
-        raise ParameterError(f"expected a window as 'lo,hi', got {text!r}") from exc
-    return Window(lo, hi)
+        raise argparse.ArgumentTypeError(f"expected a window as 'lo,hi', got {text!r}") from exc
 
 
 def _truth_from_args(args: argparse.Namespace) -> TrueLevyDensity | None:
@@ -212,6 +216,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _require(args, "out_dir")
     if not args.j_list:
         raise ParameterError("pass at least one regime index via --j")
+    if len(set(args.j_list)) < len(args.j_list):
+        raise ParameterError(f"each regime index may be passed once, got --j {args.j_list}")
     if args.alpha is not None:
         check_alpha(args.alpha)  # before any regime runs, so a bad --alpha costs nothing and writes nothing
     config = _config_from_args(args)
@@ -297,10 +303,14 @@ def _add_vg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=float, default=DEFAULT_VG_PARAMS.nu)
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
+def _add_rate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, default=None, help=f"learning rate (default {GibbsConfig.omega})")
-    p.add_argument("--sigma0", type=float, default=None, help=f"prior coefficient sd (default {GibbsConfig.sigma0})")
     p.add_argument("--beta", type=float, default=None, help=f"K-prior penalty strength (default {GibbsConfig.beta})")
+
+
+def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
+    _add_rate_flags(p)
+    p.add_argument("--sigma0", type=float, default=None, help=f"prior coefficient sd (default {GibbsConfig.sigma0})")
     p.add_argument("--k-max", dest="k_max", type=int, default=None, help="prior truncation (default ceil(t_n))")
 
 
@@ -394,7 +404,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--case", choices=["fixed-K", "prior-on-K"], default=None)
     p.add_argument("--bound", type=float, default=None)
     _add_vg_flags(p)
-    _add_hyper_flags(p)
+    _add_rate_flags(p)  # validate_config reads omega and beta only; the basis size comes from --K
     p.add_argument("--tau", type=float, default=None)
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     _add_grid_flag(p)
@@ -431,8 +441,8 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, raw: dict, path) 
                 items = [convert(tok) for tok in value.split(",")]
             else:
                 items = [convert(value)]
-        except (TypeError, ValueError) as exc:
-            raise InputParseError(f"{path}: key {key}: bad value {value!r}") from exc
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise InputParseError(f"{path}: key {key}: bad value {value!r} ({exc})") from exc
         # The command line refuses a value outside a flag's choices; so does the file.
         if action.choices is not None and any(item not in action.choices for item in items):
             allowed = ", ".join(map(str, action.choices))

@@ -9,12 +9,10 @@ the series is materialized, streamed, or folded by forked workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values, synthesize
-from .errors import DimensionError, ParameterError, WindowError
+from .errors import DimensionError, ParameterError
 from .processes import IncrementSeries
 
 # Points of the uniform grid on D on which densities are compared and drawn.
@@ -23,15 +21,6 @@ DEFAULT_GRID_POINTS = 512
 # Basis rows evaluated at once in the fold, so no (K, in-window) matrix is
 # held.  Each row is summed pairwise on its own, so the sums do not depend on it.
 _FOLD_ROWS = 32
-
-
-@dataclass(frozen=True)
-class RiskValue:
-    """A quadratic-risk value together with the dimension K and horizon t_n it refers to."""
-
-    value: float
-    K: int
-    t_n: float | None = None
 
 
 def empirical_coefficients(
@@ -67,7 +56,7 @@ def empirical_coefficients(
     return CoefficientVector(basis, total / t_n, role="empirical", t_n=t_n)
 
 
-def empirical_risk(theta, theta_hat) -> RiskValue:
+def empirical_risk(theta, theta_hat) -> float:
     """R_{n,K}(theta) = -2 <theta, theta_hat> + ||theta||^2, minimized at theta_hat.
 
     With the projected truth theta_perp in place of theta_hat this is the
@@ -77,9 +66,7 @@ def empirical_risk(theta, theta_hat) -> RiskValue:
     that = _coefficient_values(theta_hat)
     if len(that) != len(t):
         raise DimensionError(f"coefficient length {len(that)} does not match {len(t)}")
-    value = -2.0 * float(t @ that) + float(t @ t)
-    t_n = theta_hat.t_n if isinstance(theta_hat, CoefficientVector) else None
-    return RiskValue(value, len(t), t_n)
+    return -2.0 * float(t @ that) + float(t @ t)
 
 
 def l2_error_on_D(theta, reference, D: Window, grid_points: int = DEFAULT_GRID_POINTS) -> float:
@@ -91,11 +78,7 @@ def l2_error_on_D(theta, reference, D: Window, grid_points: int = DEFAULT_GRID_P
     """
     if not isinstance(theta, CoefficientVector):
         raise ParameterError("theta must be a CoefficientVector (basis required for synthesis)")
-    if not theta.basis.window.contains(D):
-        raise WindowError(
-            f"D=[{D.a}, {D.b}] is not contained in the basis window "
-            f"[{theta.basis.window.a}, {theta.basis.window.b}]"
-        )
+    theta.basis.window.check_contains(D, "the basis window")
     grid = D.grid(grid_points)
     est = synthesize(theta.basis, theta, grid)
     if isinstance(reference, CoefficientVector):

@@ -83,10 +83,6 @@ class RegimeSpec:
     def n(self) -> int:
         return snap_ceil(SAMPLE_FACTOR * self.delta**-DELTA_EXPONENT)
 
-    @property
-    def t_n(self) -> float:
-        return self.n * self.delta
-
     def scheme(self) -> SamplingScheme:
         return SamplingScheme(self.delta, self.n)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
-from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError, WindowError
+from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError
 from .estimator import DEFAULT_GRID_POINTS
 from .processes import _block_rng
 from .util import MATERIALIZE_LIMIT, check_seed, is_integer, snap_ceil
@@ -68,11 +68,7 @@ class GibbsConfig:
             raise ParameterError(f"beta must be nonnegative and finite, got {self.beta!r}")
         if self.k_max is not None and not (is_integer(self.k_max) and self.k_max >= 1):
             raise ParameterError(f"k_max must be a positive integer or None, got {self.k_max!r}")
-        if not self.D_prime.contains(self.D):
-            raise WindowError(
-                f"D=[{self.D.a}, {self.D.b}] must be contained in "
-                f"D_prime=[{self.D_prime.a}, {self.D_prime.b}]"
-            )
+        self.D_prime.check_contains(self.D, "D_prime")
 
     def k_max_for(self, t_n: float) -> int:
         return self.k_max if self.k_max is not None else snap_ceil(t_n)
@@ -80,9 +76,8 @@ class GibbsConfig:
 
 @dataclass(frozen=True)
 class ConditionalPosterior:
-    """Gaussian posterior of the first K coefficients: independent, common variance."""
+    """Gaussian posterior of the first K = len(means) coefficients: independent, common variance."""
 
-    K: int
     means: np.ndarray
     variance: float
 
@@ -127,7 +122,7 @@ def conditional_posterior(theta_hat, t_n: float, config: GibbsConfig) -> Conditi
     if len(vec) == 0:
         raise DimensionError(f"theta_hat must be a nonempty 1-d vector, got shape {vec.shape}")
     shrink, variance = _shrink_and_variance(t_n, config)
-    return ConditionalPosterior(len(vec), shrink * vec, variance)
+    return ConditionalPosterior(shrink * vec, variance)
 
 
 def _log_sum_exp(a: np.ndarray) -> float:
@@ -250,19 +245,21 @@ def sample_posterior(
     draws in draw order, K_i of them for draw i.  The theta_i of the result
     are views of the blocks' theta matrices; see DrawBlocks.
 
-    Raises ParameterError when theta_hat_full is not a CoefficientVector or
-    seed is not a non-negative integer, DimensionError for a basis that is
-    not nested, and ResourceGuardError, before allocating, when the grid
-    evaluations or the theta matrices (up to num_draws * k_max values) would
-    hold more than MATERIALIZE_LIMIT values.
+    Raises ParameterError when theta_hat_full is not a CoefficientVector,
+    num_draws is not a positive integer or seed is not a non-negative
+    integer, DimensionError for a basis that is not nested, WindowError when
+    config.D is not inside the basis window, and ResourceGuardError, before
+    allocating, when the grid evaluations or the theta matrices (up to
+    num_draws * k_max values) would hold more than MATERIALIZE_LIMIT values.
     """
-    if num_draws < 1:
-        raise ParameterError(f"num_draws must be >= 1, got {num_draws}")
+    if not (is_integer(num_draws) and num_draws >= 1):
+        raise ParameterError(f"num_draws must be a positive integer, got {num_draws!r}")
     check_seed(seed)
     if not isinstance(theta_hat_full, CoefficientVector):
         raise ParameterError(f"theta_hat_full must be a CoefficientVector, got {type(theta_hat_full).__name__}")
     basis = theta_hat_full.basis
     _require_nested(basis)
+    basis.window.check_contains(config.D, "the basis window")
     vec = theta_hat_full.values
     k_max = config.k_max_for(t_n)
     if len(vec) < k_max:
@@ -334,7 +331,6 @@ class BandResult:
     level: float
     metric: str
     radius: float
-    grid: np.ndarray
     center: np.ndarray
     lo: np.ndarray | None
     hi: np.ndarray | None
@@ -371,8 +367,8 @@ def credible_band(draws: PosteriorDraws, level: float, metric: str = "sup") -> B
     dist = _draw_distances(draws, center, metric)
     radius = float(np.quantile(dist, level, method="higher"))
     if metric == "sup":
-        return BandResult(level, metric, radius, draws.grid, center, center - radius, center + radius)
-    return BandResult(level, metric, radius, draws.grid, center, None, None)
+        return BandResult(level, metric, radius, center, center - radius, center + radius)
+    return BandResult(level, metric, radius, center, None, None)
 
 
 def concentration_probability(draws: PosteriorDraws, psi_star, radius: float) -> float:

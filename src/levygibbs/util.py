@@ -12,6 +12,9 @@ from .errors import InputParseError, ParameterError
 # Refuse to materialize more values than this in one array; stream instead.
 MATERIALIZE_LIMIT = 1 << 27
 
+# snap_ceil takes an integer for a value within this relative distance of it.
+SNAP_REL = 1e-9
+
 
 def fmt_float(v: float) -> str:
     """The package's one float format: shortest round-trip repr, so reruns print identical bytes."""
@@ -51,8 +54,8 @@ def check_seed(seed) -> None:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def snap_ceil(x: float, rel: float = 1e-9) -> int:
-    """Ceiling that forgives float noise: values within rel of an integer snap to it.
+def snap_ceil(x: float) -> int:
+    """Ceiling that forgives float noise: values within SNAP_REL of an integer snap to it.
 
     Quantities like 0.05 * delta**(-5/3) are exact integers in real arithmetic
     for the dyadic spacing grid but land an ulp above in floats; a bare ceil
@@ -61,7 +64,7 @@ def snap_ceil(x: float, rel: float = 1e-9) -> int:
     if not math.isfinite(x):
         raise ParameterError(f"cannot take ceiling of {x!r}")
     nearest = round(x)
-    if abs(x - nearest) <= rel * max(1.0, abs(x)):
+    if abs(x - nearest) <= SNAP_REL * max(1.0, abs(x)):
         return int(nearest)
     return int(math.ceil(x))
 

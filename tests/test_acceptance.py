@@ -87,7 +87,7 @@ def test_criterion_04_risk_difference_identity(capsys):
     for _ in range(1000):
         t1 = rng.normal(scale=100.0, size=8)
         t2 = rng.normal(scale=100.0, size=8)
-        d_risk = empirical_risk(t1, theta_hat).value - empirical_risk(t2, theta_hat).value
+        d_risk = empirical_risk(t1, theta_hat) - empirical_risk(t2, theta_hat)
         d_norm = float((t1 - theta_hat) @ (t1 - theta_hat) - (t2 - theta_hat) @ (t2 - theta_hat))
         worst = max(worst, abs(d_risk - d_norm) / max(abs(d_risk), abs(d_norm), 1.0))
     elapsed = time.monotonic() - start

@@ -505,8 +505,8 @@ class TestOneOwner:
 
     def test_unset_hyperparameter_flags_take_gibbs_config_defaults(self, tmp_path, capsys):
         c = GibbsConfig()
-        hyper = ["--omega", repr(c.omega), "--sigma0", repr(c.sigma0), "--beta", repr(c.beta),
-                 "--D", window_flag(c.D)]
+        rate = ["--omega", repr(c.omega), "--beta", repr(c.beta), "--D", window_flag(c.D)]
+        hyper = rate + ["--sigma0", repr(c.sigma0)]
         metric = inspect.signature(credible_band).parameters["metric"].default
         tau = inspect.signature(validate_config).parameters["tau"].default
         spacing = inspect.signature(delta_condition).parameters
@@ -523,7 +523,7 @@ class TestOneOwner:
             (lambda d: ["experiment", "--j", "1", "--draws", "50", "--out-dir", str(d)],
              hyper + ["--D-prime", window_flag(c.D_prime), "--alpha", repr(DEFAULT_ALPHA_ASSUMED)]),
             (lambda d: ["check", "--j", "1"],
-             hyper + ["--window", window_flag(c.D_prime), "--tau", repr(tau),
+             rate + ["--window", window_flag(c.D_prime), "--tau", repr(tau),
                       "--case", spacing["case"].default, "--bound", repr(spacing["bound"].default)]),
         ]
         for i, (argv, explicit) in enumerate(runs):
@@ -599,6 +599,18 @@ class TestCheck:
         cfg.write_text("D_prime = 0.005,0.015\n")
         assert main(["check", "--j", "1", "--config", str(cfg)]) == 3
         assert "unknown config key(s): D_prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, key", [("--sigma0", "sigma0"), ("--k-max", "k_max")])
+    def test_hyperparameters_check_does_not_read_are_refused(self, tmp_path, capsys, flag, key):
+        # validate_config reads only omega and beta, and the basis size comes from --K.
+        assert main(["check", "--help"]) == 0
+        assert flag not in capsys.readouterr().out
+        assert main(["check", "--j", "1", flag, "7"]) == 2
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 7\n")
+        assert main(["check", "--j", "1", "--config", str(cfg)]) == 3
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--family", "trig", "--J", "2"],
@@ -726,6 +738,33 @@ class TestConfigPrecedence:
             assert f"key {key}: 'fancy' is not one of" in capsys.readouterr().err
             assert not (tmp_path / "y").exists()
 
+    def test_config_equals_form_reads_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\nn = 64\ndelta = 0.25\n")
+        spaced, joined = tmp_path / "a.bin", tmp_path / "b.bin"
+        assert main(["simulate", "--config", str(cfg), "--out", str(spaced)]) == 0
+        assert main(["simulate", f"--config={cfg}", "--out", str(joined)]) == 0
+        assert header_of(joined)["seed"] == 7 and joined.read_bytes() == spaced.read_bytes()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("0.01", "expected a window as 'lo,hi', got '0.01'"),
+        ("a,b", "expected a window as 'lo,hi', got 'a,b'"),
+        ("0.1,0.2,0.3", "expected a window as 'lo,hi', got '0.1,0.2,0.3'"),
+        ("2,1", "window requires a < b, got [2.0, 1.0]"),
+        ("nan,1", "window endpoints must be finite, got [nan, 1.0]"),
+    ])
+    def test_bad_window_prints_its_reason(self, tmp_path, capsys, text, reason):
+        inc = simulate_file(tmp_path, delta=0.5, n=64, seed=3)
+        argv = ["estimate", "--increments", str(inc), "--out", str(tmp_path / "c.json")]
+        capsys.readouterr()
+        assert main([*argv, "--window", text]) == 2
+        assert f"argument --window: {reason}\n" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"window = {text}\n")
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: key window: bad value {text!r} ({reason})\n"
+        assert not (tmp_path / "c.json").exists()
+
     def test_missing_equals_is_parse_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just a line\n")
@@ -802,6 +841,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: alpha_assumed must be positive and finite, got ") and err.count("\n") == 1
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("flags, config", [(["--j", "1", "--j", "1"], None), ([], "j = 2,1,2\n")])
+    def test_experiment_repeated_regime_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, flags, config):
+        monkeypatch.setattr(cli, "run_regime", lambda *args, **kwargs: pytest.fail("a regime ran"))
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        assert main(["experiment", *flags, "--out-dir", str(tmp_path / "exp")]) == 2
+        assert "each regime index may be passed once" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("truth, message", [
+        ("gauss:0,1,2", "unknown truth family 'gauss:0,1,2'; expected 'vg:mu,sigma,nu'"),
+        ("vg:0,0.117", "expected 'vg:mu,sigma,nu', got 'vg:0,0.117'"),
+        ("vg:0,x,0.002", "expected 'vg:mu,sigma,nu', got 'vg:0,x,0.002'"),
+    ])
+    def test_malformed_truth_exits_2(self, tmp_path, capsys, truth, message):
+        inc = simulate_file(tmp_path, delta=0.5, n=64, seed=3)
+        out = tmp_path / "c.json"
+        assert main(["estimate", "--increments", str(inc), "--truth", truth, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_j_with_delta_exits_2(self, tmp_path, capsys):
+        for argv in (["simulate", "--out", str(tmp_path / "x")], ["check"]):
+            assert main([*argv, "--j", "1", "--delta", "0.5"]) == 2
+            assert capsys.readouterr().err == "error: pass either --j or --delta/--n, not both\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_coeffs_not_json_exits_3(self, tmp_path, capsys):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text('{"basis": {"family": "trigonometric"},\n "values": [1.0,]}\n')
+        assert main(["posterior", "--coeffs", str(coeffs), "--out-dir", str(tmp_path / "post")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {coeffs}: line 2: invalid JSON: ")
+        assert not (tmp_path / "post").exists()
 
     def test_posterior_error_writes_no_out_dir(self, tmp_path, capsys):
         # A 513-point grid on D = [-0.01, 0.01] holds x = 0, where no Levy density is defined.
@@ -946,6 +1020,13 @@ class TestExitCodes:
         ("L a bool", lambda d: d.update(basis={"family": "piecewise-legendre", "a": 0.005, "b": 0.015,
                                                "K": 4, "J": 4, "L": True})),
         ("wrong number of values", lambda d: d["values"].pop()),
+        ("value a string", lambda d: d["values"].__setitem__(0, "5.0")),
+        ("value a bool", lambda d: d["values"].__setitem__(1, True)),
+        ("role not a string", lambda d: d.update(role=["x"])),
+        ("a a string", lambda d: d["basis"].update(a="0.005")),
+        ("b a bool", lambda d: d["basis"].update(b=True)),
+        ("t_n a bool", lambda d: d.update(t_n=True)),
+        ("value too large for a float", lambda d: d["values"].__setitem__(0, 10**400)),
     ])
     def test_malformed_coeffs_exit_3_naming_the_file(self, tmp_path, capsys, case, malform):
         payload = json.loads(write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5]).read_text())

@@ -135,20 +135,20 @@ class TestRisk:
         self.theta_hat = empirical_coefficients(series_from(values, 0.05), self.basis)
 
     def test_zero_theta(self):
-        assert empirical_risk(np.zeros(8), self.theta_hat).value == 0.0
+        assert empirical_risk(np.zeros(8), self.theta_hat) == 0.0
 
     def test_minimum_at_theta_hat(self):
         v = self.theta_hat.values
-        assert empirical_risk(self.theta_hat, self.theta_hat).value == pytest.approx(
+        assert empirical_risk(self.theta_hat, self.theta_hat) == pytest.approx(
             -float(v @ v), rel=1e-14
         )
 
     def test_minimizer_property(self):
         rng = np.random.default_rng(3)
-        best = empirical_risk(self.theta_hat, self.theta_hat).value
+        best = empirical_risk(self.theta_hat, self.theta_hat)
         for _ in range(1000):
             theta = self.theta_hat.values + rng.standard_normal(8) * rng.uniform(0.01, 10)
-            assert empirical_risk(theta, self.theta_hat).value > best
+            assert empirical_risk(theta, self.theta_hat) > best
 
     def test_risk_difference_identity(self):
         rng = np.random.default_rng(5)
@@ -156,7 +156,7 @@ class TestRisk:
         for _ in range(1000):
             t1 = rng.standard_normal(8) * 3.0
             t2 = rng.standard_normal(8) * 3.0
-            lhs = empirical_risk(t1, self.theta_hat).value - empirical_risk(t2, self.theta_hat).value
+            lhs = empirical_risk(t1, self.theta_hat) - empirical_risk(t2, self.theta_hat)
             d1 = float((t1 - hat) @ (t1 - hat))
             d2 = float((t2 - hat) @ (t2 - hat))
             assert abs(lhs - (d1 - d2)) <= 1e-12 * (d1 + d2 + 1.0)
@@ -168,14 +168,10 @@ class TestRisk:
         hat = rng.standard_normal(5) * rng.uniform(0.1, 1e3)
         t1 = rng.standard_normal(5) * rng.uniform(0.1, 1e3)
         t2 = rng.standard_normal(5) * rng.uniform(0.1, 1e3)
-        lhs = empirical_risk(t1, hat).value - empirical_risk(t2, hat).value
+        lhs = empirical_risk(t1, hat) - empirical_risk(t2, hat)
         d1 = float((t1 - hat) @ (t1 - hat))
         d2 = float((t2 - hat) @ (t2 - hat))
         assert abs(lhs - (d1 - d2)) <= 1e-12 * (d1 + d2 + 1.0)
-
-    def test_metadata_propagates(self):
-        r = empirical_risk(np.zeros(8), self.theta_hat)
-        assert r.K == 8 and r.t_n == self.theta_hat.t_n
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -192,10 +188,10 @@ class TestPopulationRisk:
 
     def test_minimum_at_projection(self):
         v = self.perp.values
-        assert empirical_risk(self.perp, self.perp).value == pytest.approx(-float(v @ v), rel=1e-14)
+        assert empirical_risk(self.perp, self.perp) == pytest.approx(-float(v @ v), rel=1e-14)
 
     def test_zero_theta(self):
-        assert empirical_risk(np.zeros(8), self.perp).value == 0.0
+        assert empirical_risk(np.zeros(8), self.perp) == 0.0
 
     def test_matches_quadrature_form(self):
         rng = np.random.default_rng(8)
@@ -205,7 +201,7 @@ class TestPopulationRisk:
             theta = rng.standard_normal(8) * 50.0
             fn = synthesize(self.basis, theta, x)
             quad = float(np.sum(w * (-2.0 * fn * perp_fn + fn**2)))
-            assert abs(empirical_risk(theta, self.perp).value - quad) < 1e-6
+            assert abs(empirical_risk(theta, self.perp) - quad) < 1e-6
 
 
 class TestL2Error:

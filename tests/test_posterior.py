@@ -30,6 +30,7 @@ from levygibbs import (
     ResourceGuardError,
     VarianceGammaParams,
     Window,
+    WindowError,
     conditional_posterior,
     concentration_probability,
     credible_band,
@@ -79,7 +80,7 @@ def brute_force_pmf_and_moments(theta_hat, t_n, config, points=56):
     z = []
     for K in (1, 2, 3):
         nodes = np.stack(grids[:K], axis=-1)[(slice(None),) * K + (0,) * (3 - K)].reshape(-1, K)
-        risk = np.array([empirical_risk(node, theta_hat[:K]).value for node in nodes])
+        risk = np.array([empirical_risk(node, theta_hat[:K]) for node in nodes])
         # the unused coordinates of the 3-d grid are integrated out against the prior
         post = weights3 * np.exp(-w_rate * risk).reshape((points,) * K + (1,) * (3 - K))
         z.append(float(np.sum(post)))
@@ -349,6 +350,22 @@ class TestSamplePosterior:
         short = CoefficientVector(BasisSystem.trigonometric(D_PRIME, 5), np.zeros(5))
         with pytest.raises(DimensionError):
             sample_posterior(short, self.t_n, self.config, 10, seed=0)
+
+    @pytest.mark.parametrize("num_draws", [1.5, True, 10.0, "10", -1])
+    def test_num_draws_must_be_a_positive_integer(self, num_draws):
+        with pytest.raises(ParameterError, match="num_draws must be a positive integer"):
+            sample_posterior(self.theta_perp, self.t_n, self.config, num_draws, seed=0)
+
+    def test_D_outside_the_basis_window_refused_before_allocating(self, monkeypatch):
+        # A basis on D' with D = [0.1, 0.9] would draw every density as 0 on D and band it with radius 0.0.
+        config = GibbsConfig(k_max=20, D=Window(0.1, 0.9), D_prime=Window(0.0, 1.0))
+        monkeypatch.setattr(posterior, "MATERIALIZE_LIMIT", 0)
+        with pytest.raises(WindowError, match=r"D=\[0.1, 0.9\] must be contained in the basis window \[0.005, 0.015\]"):
+            sample_posterior(self.theta_perp, self.t_n, config, 10, seed=0)
+
+    def test_marginal_must_cover_k_max(self):
+        with pytest.raises(DimensionError, match="marginal covers K=1..21, expected k_max=20"):
+            sample_posterior(self.theta_perp, self.t_n, self.config, 10, seed=0, marginal=MarginalK.point_mass(2, 21))
 
     def test_basis_must_be_nested(self):
         # Piece-major legendre prefixes are not models: K = 20 of J=4, L=8 covers 5 of the 8 pieces.

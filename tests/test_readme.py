@@ -1,7 +1,8 @@
-"""The README's `## Library` example and its text-file one-liners run as written."""
+"""The README's `## Library` example, its command lines and its text-file one-liners run as written."""
 
 import pathlib
 import re
+import shlex
 import shutil
 
 from levygibbs.cli import main
@@ -16,6 +17,18 @@ def test_library_example_runs():
     exec(compile(code, str(README), "exec"), namespace)
     assert len(namespace["draws"]) == 1000
     assert namespace["band"].level == 0.9
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch):
+    # Each `levy-gibbs` line of the `## Command line` block exits 0, run in order in one directory.
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1).replace("\\\n", " ")
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in argvs if argv[:1] == ["levy-gibbs"]]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_text_one_liners_round_trip(tmp_path, monkeypatch):
