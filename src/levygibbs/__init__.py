@@ -76,6 +76,7 @@ from .processes import (
     SamplingScheme,
     TrueLevyDensity,
     VarianceGammaParams,
+    parse_process,
     read_increments,
     simulate,
     write_increments,

@@ -54,12 +54,12 @@ from .posterior import (
     validate_config,
 )
 from .processes import (
-    CompoundPoissonParams,
-    JumpDistribution,
     ProcessModel,
     SamplingScheme,
     TrueLevyDensity,
+    PROCESS_FORMS,
     VarianceGammaParams,
+    parse_process,
     read_increments,
     simulate,
     write_increments,
@@ -78,26 +78,21 @@ def _parse_window(text: str) -> Window:
         raise argparse.ArgumentTypeError(f"expected a window as 'lo,hi', got {text!r}") from exc
 
 
-def _truth_from_args(args: argparse.Namespace) -> TrueLevyDensity | None:
-    """The --truth density 'vg:mu,sigma,nu' under --truth-convention; None without --truth."""
-    if args.truth is None:
-        return None
-    kind, _, rest = args.truth.partition(":")
-    if kind != "vg":
-        raise ParameterError(f"unknown truth family {args.truth!r}; expected 'vg:mu,sigma,nu'")
+def _parse_process(text: str) -> ProcessModel:
+    """A process spec (parse_process); argparse prints an ArgumentTypeError's reason with the flag."""
     try:
-        mu, sigma, nu = (float(tok) for tok in rest.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"expected 'vg:mu,sigma,nu', got {args.truth!r}") from exc
-    return VarianceGammaParams(mu, sigma, nu).levy_density(decaying=args.truth_convention == "decaying")
+        return parse_process(text)
+    except InputParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _model_from_args(args: argparse.Namespace) -> ProcessModel:
-    """The process of the model flags: --lambda/--jump under --process cpois, else --mu/--sigma/--nu."""
-    if getattr(args, "process", "vg") == "cpois":
-        _require(args, "lam", "jump")
-        return CompoundPoissonParams(args.lam, JumpDistribution.parse(args.jump))
-    return VarianceGammaParams(args.mu, args.sigma, args.nu)
+def _truth_from_args(args: argparse.Namespace) -> TrueLevyDensity | None:
+    """The Levy density of --truth, under --truth-convention for a vg: truth; None without --truth."""
+    if args.truth_convention is None:
+        return None if args.truth is None else args.truth.levy_density()
+    if not isinstance(args.truth, VarianceGammaParams):
+        raise ParameterError("--truth-convention applies only to a vg: --truth")
+    return args.truth.levy_density(decaying=args.truth_convention == "decaying")
 
 
 def _config_from_args(args: argparse.Namespace, **fixed) -> GibbsConfig:
@@ -135,7 +130,7 @@ def _scheme_from_args(args: argparse.Namespace) -> SamplingScheme:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "out")
     scheme = _scheme_from_args(args)
-    series = simulate(_model_from_args(args), scheme, args.seed, materialize=False)
+    series = simulate(args.process, scheme, args.seed, materialize=False)
     write_increments(args.out, series)
     print(
         f"simulate: wrote n={scheme.n} increments "
@@ -159,20 +154,19 @@ def _basis_from_args(args: argparse.Namespace, t_n: float) -> BasisSystem:
 def cmd_estimate(args: argparse.Namespace) -> int:
     _require(args, "increments", "out")
     truth = _truth_from_args(args)
+    if truth is None and (args.D is not None or args.grid_points is not None):
+        raise ParameterError("--D and --grid-points apply only with --truth")
     series = read_increments(args.increments, delta=args.delta)
     basis = _basis_from_args(args, series.scheme.t_n)
     theta_hat = empirical_coefficients(series, basis)
-    # D is checked against the basis window only, so its default is read
-    # off GibbsConfig rather than validated inside a config.
+    # D is checked against the basis window only, so its default comes off GibbsConfig, unvalidated.
     D = args.D if args.D is not None else GibbsConfig.D
     err = None if truth is None else l2_error_on_D(theta_hat, truth, D, **_given(args, grid_points="grid_points"))
     write_coefficients_json(args.out, theta_hat)
-    print(
-        f"estimate: K={basis.K} t_n={fmt_float(series.scheme.t_n)} "
-        f"in-window estimator written to {args.out}"
-    )
+    print(f"estimate: K={basis.K} t_n={fmt_float(series.scheme.t_n)} in-window estimator written to {args.out}")
     if err is not None:
-        print(f"estimate: l2_error_on_D={fmt_float(err)} (truth {args.truth}, {args.truth_convention})")
+        convention = f", {args.truth_convention or 'decaying'}" if isinstance(args.truth, VarianceGammaParams) else ""
+        print(f"estimate: l2_error_on_D={fmt_float(err)} (truth {args.truth.spec()}{convention})")
     return 0
 
 
@@ -221,13 +215,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.alpha is not None:
         check_alpha(args.alpha)  # before any regime runs, so a bad --alpha costs nothing and writes nothing
     config = _config_from_args(args)
-    model = _model_from_args(args)
     specs = [RegimeSpec.from_j(j) for j in args.j_list]
     reports = []
     for spec in specs:
         report = run_regime(
             spec,
-            model=model,
+            model=args.process,
             config=config,
             seed=args.seed,
             **_given(args, num_draws="draws", band_level="level", grid_points="grid_points"),
@@ -258,7 +251,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     basis = _basis_from_args(args, scheme.t_n)
     diag = delta_condition(basis.features(), scheme, **_given(args, case="case", bound="bound"))
     config = _config_from_args(args, D_prime=basis.window)
-    psi = _model_from_args(args).levy_density()
+    psi = args.process.levy_density()
     grid = config.D.grid(args.grid_points if args.grid_points is not None else DEFAULT_GRID_POINTS)
     beta_diag = validate_config(config, float(np.max(psi(grid))), **_given(args, tau="tau"))
 
@@ -297,10 +290,9 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="number of increments")
 
 
-def _add_vg_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, default=DEFAULT_VG_PARAMS.mu)
-    p.add_argument("--sigma", type=float, default=DEFAULT_VG_PARAMS.sigma)
-    p.add_argument("--nu", type=float, default=DEFAULT_VG_PARAMS.nu)
+def _add_process_flag(p: argparse.ArgumentParser, flag: str, what: str, default: ProcessModel | None) -> None:
+    shown = f"default {default.spec()}" if default is not None else "optional"
+    p.add_argument(flag, type=_parse_process, default=default, help=f"{what}, {' or '.join(PROCESS_FORMS.values())} ({shown})")
 
 
 def _add_rate_flags(p: argparse.ArgumentParser) -> None:
@@ -342,10 +334,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "(format, version, delta, n, seed), then n little-endian float64 values.",
     )
     p.add_argument("--config", default=None)
-    p.add_argument("--process", choices=["vg", "cpois"], default="vg")
-    _add_vg_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="jump rate (cpois)")
-    p.add_argument("--jump", default=None, help="jump distribution, e.g. point:1 or normal:0,1")
+    _add_process_flag(p, "--process", "process to simulate", DEFAULT_VG_PARAMS)
     _add_scheme_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="increments file to write")
@@ -357,8 +346,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--delta", type=float, default=None, help="spacing of a text file without a header")
     _add_basis_flags(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--truth", default=None, help="true density 'vg:mu,sigma,nu' for an error summary")
-    p.add_argument("--truth-convention", choices=["decaying", "printed"], default="decaying")
+    _add_process_flag(p, "--truth", "true process for an error summary", None)
+    p.add_argument("--truth-convention", choices=["decaying", "printed"], default=None, help="a vg: truth's form (default decaying)")
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     _add_grid_flag(p)
     p.set_defaults(func=cmd_estimate)
@@ -376,8 +365,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--metric", choices=["sup", "l2"], default=None)
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)
     _add_grid_flag(p)
-    p.add_argument("--truth", default=None, help="true density 'vg:mu,sigma,nu' for band.csv")
-    p.add_argument("--truth-convention", choices=["decaying", "printed"], default="decaying")
+    _add_process_flag(p, "--truth", "true process for band.csv", None)
+    p.add_argument("--truth-convention", choices=["decaying", "printed"], default=None, help="a vg: truth's form (default decaying)")
     p.add_argument("--label-j", dest="label_j", type=int, default=0, help="j column for k_posterior.csv")
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.set_defaults(func=cmd_posterior)
@@ -385,7 +374,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("experiment", help="run seeded regimes end to end and write report files")
     p.add_argument("--config", default=None)
     p.add_argument("--j", dest="j_list", type=int, action=_AppendOverConfig, default=None, help="regime index (repeatable)")
-    _add_vg_flags(p)
+    _add_process_flag(p, "--process", "process to study", DEFAULT_VG_PARAMS)
     _add_hyper_flags(p)
     p.add_argument("--draws", type=int, default=None, help=f"posterior draws (default {DEFAULT_NUM_DRAWS})")
     p.add_argument("--seed", type=int, default=0)
@@ -403,7 +392,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_basis_flags(p)
     p.add_argument("--case", choices=["fixed-K", "prior-on-K"], default=None)
     p.add_argument("--bound", type=float, default=None)
-    _add_vg_flags(p)
+    _add_process_flag(p, "--process", "process whose Levy density bounds beta", DEFAULT_VG_PARAMS)
     _add_rate_flags(p)  # validate_config reads omega and beta only; the basis size comes from --K
     p.add_argument("--tau", type=float, default=None)
     _add_window_flag(p, "--D", "reporting window", GibbsConfig.D)

@@ -196,6 +196,7 @@ def run_regime(
     "draws"), so each stage can be reproduced standalone from the master seed.
     """
     start = time.perf_counter()
+    psi_star = model.levy_density()  # before the draws, so a model without a density costs nothing
     if config is None:
         config = GibbsConfig()
     scheme = spec.scheme()
@@ -216,7 +217,6 @@ def run_regime(
         grid_points=grid_points,
     )
 
-    psi_star = model.levy_density()
     psi_true = np.asarray(psi_star(draws.grid), dtype=float)
     band = credible_band(draws, band_level, metric="sup")
     psi_mean = band.center

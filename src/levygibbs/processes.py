@@ -13,9 +13,10 @@ Y_i = X_{i*delta} - X_{(i-1)*delta}.  Two process families are provided:
 
 Each family is one model class (VarianceGammaParams, CompoundPoissonParams)
 with one interface: model.block(scheme, seed, b) draws increment block b,
-simulate(model, scheme, seed) serves those blocks as a series, and
-model.levy_density() is the true Levy density.  Callers hold a model and
-need not know its family.
+simulate(model, scheme, seed) serves those blocks as a series,
+model.levy_density() is the true Levy density, and model.spec() is the text
+form ('vg:mu,sigma,nu' or 'cpois:rate,kind:p1[,p2]') that parse_process
+reads back.  Callers hold a model and need not know its family.
 
 Generation is counter based: increment block b (a fixed span of 2**20
 indices) is produced by a Philox generator keyed on (seed, b).  The stream
@@ -52,7 +53,7 @@ from .errors import (
     RangeError,
     ResourceGuardError,
 )
-from .util import MATERIALIZE_LIMIT, check_seed, decode_ascii, is_integer, open_ascii
+from .util import MATERIALIZE_LIMIT, check_seed, decode_ascii, fmt_float, is_integer, open_ascii
 
 # Fixed RNG block span.  Block b covers increment indices [b*BLOCK, (b+1)*BLOCK).
 BLOCK = 1 << 20
@@ -129,6 +130,9 @@ class VarianceGammaParams:
         if self.nu <= 0.0:
             raise ParameterError(f"nu must be > 0, got {self.nu!r}")
 
+    def spec(self) -> str:
+        return "vg:" + ",".join(map(fmt_float, (self.mu, self.sigma, self.nu)))
+
     def block(self, scheme: SamplingScheme, seed: int, b: int) -> np.ndarray:
         """Increment block b of the series, drawn from the subordinated representation."""
         rng, m = _block_rng(seed, b), _block_size(scheme, b)
@@ -169,8 +173,8 @@ class JumpDistribution:
     """Jump-size distribution handle for the compound Poisson family.
 
     Supported kinds: "point" (all jumps equal to c), "normal" (mean, sd),
-    "uniform" (lo, hi), "exponential" (mean).  The string form used by the
-    CLI is "kind:p1[,p2]", e.g. "normal:0,1".
+    "uniform" (lo, hi), "exponential" (mean).  spec() is the string form
+    "kind:p1[,p2]", e.g. "normal:0.0,1.0", that a "cpois:" process spec ends in.
     """
 
     kind: str
@@ -213,25 +217,8 @@ class JumpDistribution:
     def exponential(cls, mean: float) -> "JumpDistribution":
         return cls("exponential", (float(mean),))
 
-    @classmethod
-    def parse(cls, text: str) -> "JumpDistribution":
-        kind, _, rest = text.partition(":")
-        kind = kind.strip()
-        if kind not in cls._ARITY:
-            raise InputParseError(
-                f"unknown jump distribution {kind!r}; expected one of {sorted(cls._ARITY)}"
-            )
-        try:
-            params = tuple(float(tok) for tok in rest.split(",")) if rest else ()
-        except ValueError as exc:
-            raise InputParseError(f"could not parse jump parameters from {text!r}") from exc
-        try:
-            return cls(kind, params)
-        except ParameterError as exc:
-            raise InputParseError(str(exc)) from exc
-
     def spec(self) -> str:
-        return self.kind + ":" + ",".join(repr(p) for p in self.params)
+        return self.kind + ":" + ",".join(map(fmt_float, self.params))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "point":
@@ -253,6 +240,9 @@ class CompoundPoissonParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ParameterError(f"rate must be positive and finite, got {self.rate!r}")
+
+    def spec(self) -> str:
+        return f"cpois:{fmt_float(self.rate)},{self.jumps.spec()}"
 
     def block(self, scheme: SamplingScheme, seed: int, b: int) -> np.ndarray:
         """Increment block b of the series: Poisson jump counts, then the sum of each increment's jumps."""
@@ -287,8 +277,27 @@ class CompoundPoissonParams:
         return TrueLevyDensity("compound-poisson", {"rate": rate, "jumps": self.jumps.spec()}, evaluate)
 
 
-# A process model: what simulate draws from and what a regime study runs on.
+# A process model: what simulate draws and a regime study runs on; parse_process reads back its spec().
 ProcessModel = VarianceGammaParams | CompoundPoissonParams
+PROCESS_FORMS = {"vg": "vg:mu,sigma,nu", "cpois": "cpois:rate,kind:p1[,p2]"}
+
+
+def parse_process(text: str) -> ProcessModel:
+    """The model of a spec; InputParseError for a malformed spec or parameters the model refuses."""
+    family, _, rest = text.partition(":")
+    if family not in PROCESS_FORMS:
+        raise InputParseError(f"unknown process {text!r}; expected {' or '.join(map(repr, PROCESS_FORMS.values()))}")
+    try:
+        if family == "vg":
+            mu, sigma, nu = map(float, rest.split(","))
+            return VarianceGammaParams(mu, sigma, nu)
+        rate, _, jumps = rest.partition(",")
+        kind, _, params = jumps.partition(":")
+        return CompoundPoissonParams(float(rate), JumpDistribution(kind, tuple(map(float, params.split(",")))))
+    except ParameterError as exc:  # a ValueError too, so caught first
+        raise InputParseError(f"{text!r}: {exc}") from exc
+    except ValueError as exc:
+        raise InputParseError(f"expected {PROCESS_FORMS[family]!r}, got {text!r}") from exc
 
 
 class IncrementSeries:

@@ -26,7 +26,9 @@ import levygibbs.processes as processes
 from levygibbs import (
     BasisSystem,
     CoefficientVector,
+    CompoundPoissonParams,
     GibbsConfig,
+    JumpDistribution,
     ResourceGuardError,
     SamplingScheme,
     VarianceGammaParams,
@@ -34,6 +36,7 @@ from levygibbs import (
     conditional_posterior,
     credible_band,
     empirical_coefficients,
+    l2_error_on_D,
     marginal_k,
     read_increments,
     sample_posterior,
@@ -51,12 +54,19 @@ from levygibbs.experiment import (
     delta_condition,
     read_coefficients_json,
     run_regime,
+    write_band_csv,
     write_band_table,
+    write_errors_csv,
+    write_k_posterior_csv,
     write_k_table,
+    write_report_json,
 )
-from levygibbs.util import derive_seed
+from levygibbs.util import derive_seed, fmt_float
 
 from conftest import MASTER_SEED, reference_write_increments, slow_enabled
+
+DENSE_CP_SPEC = "cpois:320,normal:0.01,0.003"
+DENSE_CP = CompoundPoissonParams(320.0, JumpDistribution.normal(0.01, 0.003))
 
 
 def simulate_file(tmp_path, name="inc.txt", delta=0.5, n=4096, seed=3, extra=()):
@@ -119,7 +129,7 @@ class TestSimulate:
     def test_compound_poisson_point_jumps(self, tmp_path):
         path = tmp_path / "cp.txt"
         argv = [
-            "simulate", "--process", "cpois", "--lambda", "2.0", "--jump", "point:0.7",
+            "simulate", "--process", "cpois:2.0,point:0.7",
             "--delta", "0.5", "--n", "2048", "--seed", "5", "--out", str(path),
         ]
         assert main(argv) == 0
@@ -132,7 +142,7 @@ class TestSimulate:
     @pytest.mark.parametrize("flags, digest", [
         ("--j 1 --seed 7", "f53defe65cfb00ac6c18ab4c6458926f1f8fc905fc2ad08e7e2a5642e65af910"),
         ("--delta 0.001 --n 2200000 --seed 7", "d1162a7930337c1b01d4114116bc9cf42ec00c19783ae840f2817b329f6ee74d"),
-        ("--process cpois --lambda 2 --jump normal:0.01,0.003 --delta 0.001 --n 2200000 --seed 7",
+        ("--process cpois:2,normal:0.01,0.003 --delta 0.001 --n 2200000 --seed 7",
          "cc4f685cf2fd2a41a30089380ea1ed021d026046eab546cf7efd68b1451e0fbd"),
     ], ids=["j1", "vg-3-blocks", "cpois-3-blocks"])
     def test_output_bytes_pinned(self, tmp_path, flags, digest):
@@ -161,8 +171,21 @@ class TestSimulate:
         assert os.listdir(tmp_path) == ["inc.bin"]
 
     def test_degenerate_vg_writes_zeros(self, tmp_path):
-        path = simulate_file(tmp_path, extra=["--mu", "0", "--sigma", "0"])
+        path = simulate_file(tmp_path, extra=["--process", "vg:0,0,0.002"])
         assert not np.any(read_increments(path).values)
+
+    @pytest.mark.parametrize("key", ["mu", "sigma", "nu", "lambda", "jump"])
+    def test_per_parameter_model_flags_are_gone(self, tmp_path, capsys, key):
+        # --process names the whole model; a flag or config key for one parameter exits 2 or 3.
+        out = tmp_path / "inc.bin"
+        assert main(["simulate", "--j", "1", f"--{key}", "1", "--out", str(out)]) == 2
+        assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        for command in ("simulate", "experiment", "check"):
+            assert main([command, "--config", str(cfg)]) == 3
+            assert f"unknown config key(s): {key}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -205,6 +228,14 @@ class TestEstimate:
         ]
         assert main(argv) == 0
         assert "l2_error_on_D=" in capsys.readouterr().out
+
+    def test_compound_poisson_truth_reports_l2_error(self, tmp_path, capsys):
+        inc, out = tmp_path / "cp.bin", tmp_path / "coeffs.json"
+        assert main(["simulate", "--process", DENSE_CP_SPEC, "--j", "1", "--seed", "3", "--out", str(inc)]) == 0
+        assert main(["estimate", "--increments", str(inc), "--out", str(out), "--truth", DENSE_CP_SPEC]) == 0
+        expected = l2_error_on_D(read_coefficients_json(out), DENSE_CP.levy_density(), GibbsConfig.D)
+        echo = f"estimate: l2_error_on_D={fmt_float(expected)} (truth cpois:320.0,normal:0.01,0.003)\n"
+        assert capsys.readouterr().out.endswith(echo)
 
     def test_legendre_family(self, tmp_path):
         inc = simulate_file(tmp_path, delta=0.5, n=1024, seed=3)
@@ -496,6 +527,17 @@ class TestOneOwner:
             assert b"\r" not in data
             assert data == (tmp_path / name).read_bytes()
 
+    def test_experiment_compound_poisson_files_are_the_library_writers_bytes(self, tmp_path):
+        out = tmp_path / "exp"
+        assert main(["experiment", "--j", "1", "--process", DENSE_CP_SPEC, "--out-dir", str(out)]) == 0
+        report = run_regime(RegimeSpec.from_j(1), model=DENSE_CP)
+        write_report_json([report], tmp_path / "report.json")
+        write_errors_csv([report], tmp_path / "errors.csv")
+        write_k_posterior_csv([report], tmp_path / "k_posterior.csv")
+        write_band_csv(report, tmp_path / "band.csv")
+        for name in ("report.json", "errors.csv", "k_posterior.csv", "band.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
     def test_experiment_csvs_end_lines_with_newline_only(self, tmp_path):
         out = tmp_path / "exp"
         assert main(["experiment", "--j", "1", "--draws", "50", "--out-dir", str(out)]) == 0
@@ -521,9 +563,10 @@ class TestOneOwner:
                         "--out-dir", str(d)],
              hyper + ["--metric", metric]),
             (lambda d: ["experiment", "--j", "1", "--draws", "50", "--out-dir", str(d)],
-             hyper + ["--D-prime", window_flag(c.D_prime), "--alpha", repr(DEFAULT_ALPHA_ASSUMED)]),
+             hyper + ["--D-prime", window_flag(c.D_prime), "--alpha", repr(DEFAULT_ALPHA_ASSUMED),
+                      "--process", DEFAULT_VG_PARAMS.spec()]),
             (lambda d: ["check", "--j", "1"],
-             rate + ["--window", window_flag(c.D_prime), "--tau", repr(tau),
+             rate + ["--window", window_flag(c.D_prime), "--tau", repr(tau), "--process", DEFAULT_VG_PARAMS.spec(),
                       "--case", spacing["case"].default, "--bound", repr(spacing["bound"].default)]),
         ]
         for i, (argv, explicit) in enumerate(runs):
@@ -570,6 +613,13 @@ class TestOneOwner:
             assert f"(default {DEFAULT_BAND_LEVEL})" in text
             assert f"(default {DEFAULT_GRID_POINTS})" in text
 
+    def test_help_prints_the_default_process(self, capsys):
+        for command in ("simulate", "experiment", "check"):
+            assert main([command, "--help"]) == 0
+            text = " ".join(capsys.readouterr().out.split())
+            assert f"(default {DEFAULT_VG_PARAMS.spec()})" in text
+            assert text.count("--process") == 2  # the usage line and the one flag
+
 
 class TestCheck:
     def test_j3_defaults_all_pass(self, capsys):
@@ -578,6 +628,19 @@ class TestCheck:
         assert "K=320" in out
         assert "n*delta^(5/3)" in out
         assert "[FAIL]" not in out
+
+    def test_compound_poisson_process_sets_the_beta_thresholds(self, capsys):
+        config = GibbsConfig()
+        thresholds = {}
+        for spec, model in ((DENSE_CP_SPEC, DENSE_CP), (DEFAULT_VG_PARAMS.spec(), DEFAULT_VG_PARAMS)):
+            assert main(["check", "--j", "1", "--process", spec]) == 0
+            out = capsys.readouterr().out
+            psi_max = float(np.max(model.levy_density()(config.D.grid(DEFAULT_GRID_POINTS))))
+            diag = validate_config(config, psi_max)
+            assert f"vs omega*C^2={fmt_float(diag.basic_threshold)} " in out
+            assert f"vs tau/(tau-1)*omega*C^2={fmt_float(diag.tau_threshold)} " in out
+            thresholds[spec] = diag.basic_threshold
+        assert thresholds[DENSE_CP_SPEC] != thresholds[DEFAULT_VG_PARAMS.spec()]
 
     def test_beta_zero_flags_failure(self, capsys):
         assert main(["check", "--j", "1", "--beta", "0"]) == 0
@@ -675,8 +738,7 @@ class TestConfigPrecedence:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
     def test_keys_are_flag_names(self, tmp_path):
-        flags = {"process": "cpois", "lambda": "2", "jump": "normal:0.01,0.003", "seed": "4", "n": "300",
-                 "delta": "0.25"}
+        flags = {"process": "cpois:2,normal:0.01,0.003", "seed": "4", "n": "300", "delta": "0.25"}
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in flags.items()))
         by_config, by_flags = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -704,7 +766,7 @@ class TestConfigPrecedence:
         assert parser.parse_args(["experiment"]).j_list == [1, 2]
         assert parser.parse_args(["experiment", "--j", "3", "--j", "4"]).j_list == [3, 4]
 
-    @pytest.mark.parametrize("command, key", [("simulate", "lam"), ("experiment", "j_list")])
+    @pytest.mark.parametrize("command, key", [("experiment", "j_list")])
     def test_dest_names_are_not_keys(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
@@ -727,16 +789,14 @@ class TestConfigPrecedence:
             assert main([*argv, "--truth-convention", convention, "--out", str(by_flag)]) == 0
             assert capsys.readouterr().out.replace(str(by_flag), "<out>") == from_config
             assert f", {convention})" in from_config and by_config.read_bytes() == by_flag.read_bytes()
-        # The family and the process have no fallback past these refusals: exit 2 for a flag, 3 for a key.
-        estimate_argv = ["estimate", "--increments", str(inc), "--out", str(tmp_path / "y")]
-        simulate_argv = ["simulate", "--delta", "0.5", "--n", "8", "--out", str(tmp_path / "y")]
-        for argv, key in ((estimate_argv, "family"), (simulate_argv, "process")):
-            assert main([*argv, f"--{key}", "fancy"]) == 2
-            assert "invalid choice: 'fancy'" in capsys.readouterr().err
-            cfg.write_text(f"{key} = fancy\n")
-            assert main([*argv, "--config", str(cfg)]) == 3
-            assert f"key {key}: 'fancy' is not one of" in capsys.readouterr().err
-            assert not (tmp_path / "y").exists()
+        # The family has no fallback past these refusals: exit 2 for a flag, 3 for a key.
+        argv = ["estimate", "--increments", str(inc), "--out", str(tmp_path / "y")]
+        assert main([*argv, "--family", "fancy"]) == 2
+        assert "invalid choice: 'fancy'" in capsys.readouterr().err
+        cfg.write_text("family = fancy\n")
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert "key family: 'fancy' is not one of" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
 
     def test_config_equals_form_reads_the_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -853,15 +913,43 @@ class TestExitCodes:
         assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("truth, message", [
-        ("gauss:0,1,2", "unknown truth family 'gauss:0,1,2'; expected 'vg:mu,sigma,nu'"),
+        ("gauss:0,1,2", "unknown process 'gauss:0,1,2'; expected 'vg:mu,sigma,nu' or 'cpois:rate,kind:p1[,p2]'"),
         ("vg:0,0.117", "expected 'vg:mu,sigma,nu', got 'vg:0,0.117'"),
         ("vg:0,x,0.002", "expected 'vg:mu,sigma,nu', got 'vg:0,x,0.002'"),
+        ("vg:0,0.117,0", "'vg:0,0.117,0': nu must be > 0, got 0.0"),
+        ("cpois:2,point:", "expected 'cpois:rate,kind:p1[,p2]', got 'cpois:2,point:'"),
     ])
     def test_malformed_truth_exits_2(self, tmp_path, capsys, truth, message):
+        # Parsed by the argparse type of --process, so argparse prints the reason with the flag.
         inc = simulate_file(tmp_path, delta=0.5, n=64, seed=3)
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        for argv in (["estimate", "--increments", str(inc), "--out", str(out)],
+                     ["posterior", "--coeffs", str(coeffs), "--out-dir", str(out)]):
+            assert main([*argv, "--truth", truth]) == 2
+            assert capsys.readouterr().err.endswith(f"error: argument --truth: {message}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--D", "0.006,0.014"], "--D and --grid-points apply only with --truth"),
+        (["--grid-points", "512"], "--D and --grid-points apply only with --truth"),
+        (["--truth-convention", "decaying"], "--truth-convention applies only to a vg: --truth"),
+        (["--truth", DENSE_CP_SPEC, "--truth-convention", "printed"], "--truth-convention applies only to a vg: --truth"),
+    ])
+    def test_estimate_flag_without_its_truth_exits_2(self, tmp_path, capsys, flags, message):
+        inc = simulate_file(tmp_path, name="inc.bin", delta=0.5, n=64, seed=3)
         out = tmp_path / "c.json"
-        assert main(["estimate", "--increments", str(inc), "--truth", truth, "--out", str(out)]) == 2
+        assert main(["estimate", "--increments", str(inc), "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["inc.bin"]
+
+    @pytest.mark.parametrize("flags", [["--truth-convention", "printed"], ["--truth", DENSE_CP_SPEC, "--truth-convention", "decaying"]])
+    def test_posterior_convention_without_vg_truth_exits_2(self, tmp_path, capsys, flags):
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0])
+        out = tmp_path / "post"
+        assert main(["posterior", "--coeffs", str(coeffs), "--out-dir", str(out), *flags]) == 2
+        assert capsys.readouterr().err == "error: --truth-convention applies only to a vg: --truth\n"
         assert not out.exists()
 
     def test_j_with_delta_exits_2(self, tmp_path, capsys):
@@ -889,10 +977,17 @@ class TestExitCodes:
         assert not (tmp_path / "p").exists()
 
     def test_bad_jump_spec_exits_3(self, tmp_path, capsys):
-        argv = ["simulate", "--process", "cpois", "--lambda", "1.0", "--jump", "fancy:1",
-                "--delta", "0.5", "--n", "16", "--out", str(tmp_path / "x")]
-        assert main(argv) == 3
-        assert "fancy" in capsys.readouterr().err
+        # From a config file; on the command line it exits 2, as a bad window does.
+        spec = "cpois:1.0,fancy:1"
+        reason = f"{spec!r}: unknown jump distribution 'fancy'; expected one of ['exponential', 'normal', 'point', 'uniform']"
+        argv = ["simulate", "--delta", "0.5", "--n", "16", "--out", str(tmp_path / "x")]
+        assert main([*argv, "--process", spec]) == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --process: {reason}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"process = {spec}\n")
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: key process: bad value {spec!r} ({reason})\n"
+        assert not (tmp_path / "x").exists()
 
     def test_malformed_increments_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

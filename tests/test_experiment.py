@@ -36,6 +36,7 @@ from levygibbs import (
     write_k_posterior_csv,
     write_report_json,
 )
+import levygibbs.experiment as experiment
 from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
 from levygibbs.util import derive_seed, snap_ceil
 
@@ -287,6 +288,12 @@ class TestRunRegime:
         np.testing.assert_allclose(rep.psi_true, 320.0 * norm.pdf(rep.grid, 0.01, 0.003), rtol=1e-13)
         # Most jumps land in D', so the posterior mean is within 10% of the truth in L2(D) (about 4% at this seed).
         assert rep.err_postmean < 0.1 * float(np.sqrt(np.trapezoid(rep.psi_true**2, rep.grid)))
+
+    def test_model_without_density_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(experiment, "simulate", lambda *args, **kwargs: pytest.fail("simulate ran"))
+        model = CompoundPoissonParams(2.0, JumpDistribution.point(0.01))
+        with pytest.raises(ParameterError, match="no Levy density"):
+            run_regime(RegimeSpec(2), model=model)
 
     def test_validation_on_report_fields(self, regime_reports):
         with pytest.raises(ParameterError):

@@ -42,6 +42,7 @@ from levygibbs import (
     VarianceGammaParams,
     Window,
     empirical_coefficients,
+    parse_process,
     read_increments,
     simulate,
     write_increments,
@@ -347,43 +348,52 @@ class TestCompoundPoisson:
     @pytest.mark.parametrize("jumps", sorted(FROZEN_BLOCKS))
     def test_frozen_block_digests(self, jumps):
         # Pins the Philox stream of every jump kind bit for bit.
-        params = CompoundPoissonParams(50.0, JumpDistribution.parse(jumps))
+        params = parse_process(f"cpois:50,{jumps}")
         scheme = SamplingScheme(1e-2, BLOCK + 1000)
         digests = tuple(hashlib.sha256(params.block(scheme, 20211, b).tobytes()).hexdigest() for b in (0, 1))
         assert digests == self.FROZEN_BLOCKS[jumps]
 
 
-class TestJumpDistribution:
+# Strategies for every process model: both families and all four jump kinds, each within its parameter rules.
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+JUMPS = st.one_of(
+    st.builds(JumpDistribution.point, FINITE),
+    st.builds(JumpDistribution.normal, FINITE, st.floats(min_value=0.0, max_value=1e6)),
+    st.builds(lambda lo, width: JumpDistribution.uniform(lo, lo + width), FINITE, POSITIVE),
+    st.builds(JumpDistribution.exponential, POSITIVE),
+)
+MODELS = st.one_of(
+    st.builds(VarianceGammaParams, FINITE, st.floats(min_value=0.0, max_value=1e6), POSITIVE),
+    st.builds(CompoundPoissonParams, POSITIVE, JUMPS),
+)
+
+
+class TestParseProcess:
     def test_parse_forms(self):
-        assert JumpDistribution.parse("point:1") == JumpDistribution.point(1.0)
-        assert JumpDistribution.parse("normal:0,1") == JumpDistribution.normal(0.0, 1.0)
-        assert JumpDistribution.parse("uniform:-1,2") == JumpDistribution.uniform(-1.0, 2.0)
-        assert JumpDistribution.parse("exponential:0.5") == JumpDistribution.exponential(0.5)
+        assert parse_process("vg:0,0.117,0.002") == VarianceGammaParams(0.0, 0.117, 0.002)
+        assert parse_process("cpois:2,point:1") == CompoundPoissonParams(2.0, JumpDistribution.point(1.0))
+        assert parse_process("cpois:2,normal:0,1") == CompoundPoissonParams(2.0, JumpDistribution.normal(0.0, 1.0))
+        assert parse_process("cpois:2,uniform:-1,2") == CompoundPoissonParams(2.0, JumpDistribution.uniform(-1.0, 2.0))
+        assert parse_process("cpois:2,exponential:0.5") == CompoundPoissonParams(2.0, JumpDistribution.exponential(0.5))
 
-    def test_parse_rejects_garbage(self):
-        for text in ("gamma:1", "normal:0", "point:", "point:1,2", "normal:a,b"):
+    def test_rejects_garbage(self):
+        # Bad jump specs inside a cpois: spec, then malformed or refused specs of both families.
+        for text in (
+            "cpois:1,gamma:1", "cpois:1,normal:0", "cpois:1,point:", "cpois:1,point:1,2", "cpois:1,normal:a,b",
+            "vg:0,1", "vg:0,x,1", "gauss:1", "cpois:1", "cpois:0,point:1", "vg:0,1,0", "vg:0,-1,1", "vg", "",
+        ):
             with pytest.raises(InputParseError):
-                JumpDistribution.parse(text)
+                parse_process(text)
 
-    @given(
-        kind=st.sampled_from(["point", "normal", "uniform", "exponential"]),
-        values=st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=2
-        ),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_spec_round_trip(self, kind, values):
-        a, b = values
-        if kind == "point":
-            dist = JumpDistribution.point(a)
-        elif kind == "normal":
-            dist = JumpDistribution.normal(a, abs(b) + 0.1)
-        elif kind == "uniform":
-            lo, hi = min(a, b), max(a, b) + 0.1
-            dist = JumpDistribution.uniform(lo, hi)
-        else:
-            dist = JumpDistribution.exponential(abs(a) + 0.1)
-        assert JumpDistribution.parse(dist.spec()) == dist
+    @given(model=MODELS)
+    @settings(max_examples=200, deadline=None)
+    def test_spec_round_trip(self, model):
+        assert parse_process(model.spec()) == model
+
+    def test_spec_of_the_study_truth(self):
+        assert STUDY_VG.spec() == "vg:0.0,0.11700427342623003,0.002"
+        assert DENSE_CP.spec() == "cpois:50.0,normal:0.01,0.003"
 
 
 class TestTrueDensity:
