@@ -18,7 +18,6 @@ from .basis import (
     synthesize,
 )
 from .errors import (
-    BasisIndexError,
     DimensionError,
     DomainError,
     EmptyDrawsError,

@@ -11,8 +11,8 @@ Two families are implemented on a window [a, b]:
 * `PiecewiseLegendreBasis` ("piecewise-legendre", not nested): the window is
   split into L equal pieces of width h; on piece l the scaled Legendre
   polynomials sqrt((2j+1)/h) * Q_j(2(x - mid_l)/h), j = 0..J-1, vanish off
-  the open piece.  Basis size is K = J*L, indexed piece-major: within piece 1
-  all degrees, then piece 2, and so on.
+  the open piece.  Basis size is K = J*L, indexed piece-major: row
+  (l-1)*J + j of evaluate_all (0-based) is degree j on piece l.
 
 All evaluations return 0 exactly outside the window (and, for the piecewise
 family, at piece boundaries).  Feature functionals F1 and F2 bound the
@@ -33,7 +33,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
-    BasisIndexError,
     DimensionError,
     IntegrationError,
     LevyGibbsError,
@@ -116,20 +115,8 @@ class BasisSystem:
         """Intervals on which every basis function is smooth."""
         return [(self.window.a, self.window.b)]
 
-    def _check_k(self, k) -> int:
-        if not (isinstance(k, (int, np.integer)) and 1 <= k <= self.K):
-            raise BasisIndexError(f"basis index k={k!r} outside 1..{self.K}")
-        return int(k)
-
-    def eval(self, k, x):
-        """Evaluate f_k at x (scalar or array); k may be (j, l) for the piecewise family."""
-        k = self._check_k(k)
-        arr = np.asarray(x, dtype=float)
-        out = self._eval_rows(np.array([k]), arr.ravel())[0].reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
-
     def evaluate_all(self, x) -> np.ndarray:
-        """Matrix of basis values, shape (K, len(x))."""
+        """Matrix of basis values, shape (K, len(x)): row k-1 is f_k."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         return self._eval_rows(np.arange(1, self.K + 1), arr)
 
@@ -176,18 +163,14 @@ class TrigonometricBasis(BasisSystem):
         u = np.where(inside, (x - a) / width, 0.0)
         s = math.sqrt(2.0 / width)
         out = np.empty((len(ks), len(x)))
-        # cos row k and sin row k+1 share the angle fl(k*pi)*u: computed once.
         angle = np.empty_like(u)
-        angle_freq = None
         for row, k in enumerate(ks):
             even = k % 2 == 0
             freq = k if even else k - 1
             if freq == 0:
                 out[row] = 1.0 / math.sqrt(width)
                 continue
-            if freq != angle_freq:
-                np.multiply(freq * math.pi, u, out=angle)
-                angle_freq = freq
+            np.multiply(freq * math.pi, u, out=angle)
             (np.cos if even else np.sin)(angle, out=out[row])
             out[row] *= s
         out[:, ~inside] = 0.0
@@ -222,15 +205,6 @@ class PiecewiseLegendreBasis(BasisSystem):
 
     def segments(self) -> list[tuple[float, float]]:
         return list(zip(self._edges[:-1], self._edges[1:]))
-
-    def linear_index(self, j: int, l: int) -> int:
-        """1-based linear index of degree j on piece l."""
-        if not (0 <= j < self.J and 1 <= l <= self.L):
-            raise BasisIndexError(f"(j={j}, l={l}) outside degrees 0..{self.J - 1}, pieces 1..{self.L}")
-        return (l - 1) * self.J + j + 1
-
-    def _check_k(self, k) -> int:
-        return self.linear_index(*k) if isinstance(k, tuple) else super()._check_k(k)
 
     def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         from scipy.special import eval_legendre

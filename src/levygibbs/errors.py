@@ -24,10 +24,6 @@ class DimensionError(LevyGibbsError, ValueError):
     """A vector has the wrong length for the basis or operation at hand."""
 
 
-class BasisIndexError(LevyGibbsError, IndexError):
-    """A basis index k lies outside 1..K."""
-
-
 class WindowError(LevyGibbsError, ValueError):
     """A window is degenerate or not contained where the operation requires."""
 

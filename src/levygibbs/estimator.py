@@ -85,4 +85,9 @@ def l2_error_on_D(theta, reference, D: Window, grid_points: int = DEFAULT_GRID_P
         ref = synthesize(reference.basis, reference, grid)
     else:
         ref = np.asarray(reference(grid), dtype=float)
-    return float(np.sqrt(np.trapezoid((est - ref) ** 2, grid)))
+    return float(_l2_norm(est - ref, grid))
+
+
+def _l2_norm(diff: np.ndarray, grid: np.ndarray):
+    """L2 norm along the last axis of `diff`, sampled on `grid`, by the trapezoid rule; squares `diff` in place."""
+    return np.sqrt(np.trapezoid(np.square(diff, out=diff), grid, axis=-1))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import BasisFeatures, BasisSystem, CoefficientVector
 from .errors import DimensionError, InputParseError, ParameterError, WindowError
-from .estimator import DEFAULT_GRID_POINTS, empirical_coefficients, l2_error_on_D
+from .estimator import DEFAULT_GRID_POINTS, _l2_norm, empirical_coefficients, l2_error_on_D
 from .posterior import (
     GibbsConfig,
     PosteriorDraws,
@@ -220,7 +220,7 @@ def run_regime(
     psi_true = np.asarray(psi_star(draws.grid), dtype=float)
     band = credible_band(draws, band_level, metric="sup")
     psi_mean = band.center
-    err_postmean = float(np.sqrt(np.trapezoid((psi_mean - psi_true) ** 2, draws.grid)))
+    err_postmean = float(_l2_norm(psi_mean - psi_true, draws.grid))
 
     k_mode = marginal.mode()
     truncated = theta_hat.values.copy()

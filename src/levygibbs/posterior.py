@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError
-from .estimator import DEFAULT_GRID_POINTS
+from .estimator import DEFAULT_GRID_POINTS, _l2_norm
 from .processes import _block_rng
 from .util import MATERIALIZE_LIMIT, check_seed, is_integer, snap_ceil
 
@@ -76,10 +76,11 @@ class GibbsConfig:
 
 @dataclass(frozen=True)
 class ConditionalPosterior:
-    """Gaussian posterior of the first K = len(means) coefficients: independent, common variance."""
+    """Gaussian posterior of the first K = len(means) coefficients: independent, common variance; means = shrink * theta_hat."""
 
     means: np.ndarray
     variance: float
+    shrink: float
 
 
 @dataclass(frozen=True)
@@ -107,22 +108,17 @@ class MarginalK:
         return cls(lw, probs)
 
 
-def _shrink_and_variance(t_n: float, config: GibbsConfig) -> tuple[float, float]:
-    if not (math.isfinite(t_n) and t_n > 0.0):
-        raise ParameterError(f"horizon must be positive and finite, got t_n={t_n!r}")
-    two_wt = 2.0 * config.omega * t_n
-    shrink = 1.0 / (1.0 + 1.0 / (two_wt * config.sigma0**2))
-    variance = 1.0 / (two_wt + config.sigma0**-2)
-    return shrink, variance
-
-
 def conditional_posterior(theta_hat, t_n: float, config: GibbsConfig) -> ConditionalPosterior:
     """Closed-form coefficient posterior at fixed dimension K = len(theta_hat)."""
     vec = _coefficient_values(theta_hat)
     if len(vec) == 0:
         raise DimensionError(f"theta_hat must be a nonempty 1-d vector, got shape {vec.shape}")
-    shrink, variance = _shrink_and_variance(t_n, config)
-    return ConditionalPosterior(shrink * vec, variance)
+    if not (math.isfinite(t_n) and t_n > 0.0):
+        raise ParameterError(f"horizon must be positive and finite, got t_n={t_n!r}")
+    two_wt = 2.0 * config.omega * t_n
+    shrink = 1.0 / (1.0 + 1.0 / (two_wt * config.sigma0**2))
+    variance = 1.0 / (two_wt + config.sigma0**-2)
+    return ConditionalPosterior(shrink * vec, variance, shrink)
 
 
 def _log_sum_exp(a: np.ndarray) -> float:
@@ -162,7 +158,7 @@ def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
     if len(bad):
         i = int(bad[0])
         raise ParameterError(f"coefficient values must be finite numbers, got {float(vec[i])!r} at index {i}")
-    shrink, _ = _shrink_and_variance(t_n, config)
+    shrink = conditional_posterior(vec[:k_max], t_n, config).shrink
     wt = config.omega * t_n
     ks = np.arange(1, k_max + 1)
     data_term = np.cumsum(wt * shrink * vec[:k_max] ** 2)
@@ -353,7 +349,7 @@ def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> n
         if metric == "sup":
             np.max(np.abs(diffs, out=diffs), axis=1, out=dist[lo : lo + len(tile)])
         else:
-            dist[lo : lo + len(tile)] = np.sqrt(np.trapezoid(np.square(diffs, out=diffs), draws.grid, axis=1))
+            dist[lo : lo + len(tile)] = _l2_norm(diffs, draws.grid)
     return dist
 
 

@@ -245,18 +245,25 @@ class CompoundPoissonParams:
         return f"cpois:{fmt_float(self.rate)},{self.jumps.spec()}"
 
     def block(self, scheme: SamplingScheme, seed: int, b: int) -> np.ndarray:
-        """Increment block b of the series: Poisson jump counts, then the sum of each increment's jumps."""
+        """Increment block b of the series: Poisson jump counts, then the sum of each increment's jumps.
+
+        ResourceGuardError when the block expects, or draws, more than MATERIALIZE_LIMIT jumps.
+        """
         rng, m = _block_rng(seed, b), _block_size(scheme, b)
-        counts = rng.poisson(self.rate * scheme.delta, size=m)
+        lam = self.rate * scheme.delta
+        if lam * m > MATERIALIZE_LIMIT:
+            raise ResourceGuardError(f"block {b} expects {lam * m:.6g} jumps, above the limit of {MATERIALIZE_LIMIT}")
+        counts = rng.poisson(lam, size=m)
         if self.jumps.kind == "point":
             # Summing k copies of c is exactly k*c here; keeps increments exact multiples.
             return counts * self.jumps.params[0]
         total = int(counts.sum())
-        if total == 0:
-            return np.zeros(m)
+        if total > MATERIALIZE_LIMIT:
+            raise ResourceGuardError(f"block {b} drew {total} jumps, above the limit of {MATERIALIZE_LIMIT}")
         sizes = self.jumps.sample(rng, total)
         owners = np.repeat(np.arange(m), counts)
-        return np.bincount(owners, weights=sizes, minlength=m)
+        # bincount of no owners gives int64 zeros, whatever the weights.
+        return np.bincount(owners, weights=sizes, minlength=m).astype(float, copy=False)
 
     def levy_density(self) -> TrueLevyDensity:
         """rate * f, with f the density of the jump size; point jumps and a normal with sd 0 have none."""

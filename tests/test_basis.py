@@ -6,13 +6,13 @@ exact trig/Legendre closed forms for single-point evaluations.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from levygibbs import (
-    BasisIndexError,
     BasisSystem,
     CoefficientVector,
     DimensionError,
@@ -69,15 +69,20 @@ class TestWindow:
         assert not Window(0.006, 0.014).contains(D_PRIME)
 
 
+def value(basis, k, x):
+    """f_k(x) at one point: row k-1 of evaluate_all."""
+    return basis.evaluate_all(x)[k - 1, 0]
+
+
 class TestEval:
     def test_trig_constant_is_ten(self):
         basis = BasisSystem.trigonometric(D_PRIME, 4)
         for x in (0.005, 0.0101, 0.015):
-            assert basis.eval(1, x) == pytest.approx(10.0, abs=1e-12)
+            assert value(basis, 1, x) == pytest.approx(10.0, abs=1e-12)
 
     def test_trig_k2_at_left_endpoint(self):
         basis = BasisSystem.trigonometric(D_PRIME, 4)
-        assert basis.eval(2, 0.005) == pytest.approx(math.sqrt(200.0), rel=1e-15)
+        assert value(basis, 2, 0.005) == pytest.approx(math.sqrt(200.0), rel=1e-15)
 
     def test_trig_frequencies_as_printed(self):
         # even k carries frequency k, odd k > 1 carries k - 1
@@ -85,21 +90,19 @@ class TestEval:
         u = 0.3
         x = D_PRIME.a + u * D_PRIME.length
         s = math.sqrt(2.0 / D_PRIME.length)
-        assert basis.eval(4, x) == pytest.approx(s * math.cos(4 * math.pi * u), rel=1e-12)
-        assert basis.eval(5, x) == pytest.approx(s * math.sin(4 * math.pi * u), rel=1e-12)
+        assert value(basis, 4, x) == pytest.approx(s * math.cos(4 * math.pi * u), rel=1e-12)
+        assert value(basis, 5, x) == pytest.approx(s * math.sin(4 * math.pi * u), rel=1e-12)
 
     def test_legendre_degree0_indicator(self):
         basis = BasisSystem.piecewise_legendre(Window(0.0, 1.0), J=1, L=4)
-        # (j=0, l=2) is the normalized indicator of piece (0.25, 0.5)
-        assert basis.eval((0, 2), 0.3) == pytest.approx(2.0, rel=1e-15)
-        assert basis.eval((0, 2), 0.7) == 0.0
+        # k = 2 (degree 0 on piece 2) is the normalized indicator of piece (0.25, 0.5)
+        assert value(basis, 2, 0.3) == pytest.approx(2.0, rel=1e-15)
+        assert value(basis, 2, 0.7) == 0.0
 
     def test_legendre_open_pieces(self):
         basis = BasisSystem.piecewise_legendre(Window(0.0, 1.0), J=2, L=4)
-        for k in range(1, basis.K + 1):
-            assert basis.eval(k, 0.25) == 0.0  # interior edge
-            assert basis.eval(k, 0.0) == 0.0
-            assert basis.eval(k, 1.0) == 0.0
+        # interior edge and both window ends
+        assert np.all(basis.evaluate_all([0.25, 0.0, 1.0]) == 0.0)
 
     def test_zero_outside_window_exactly(self):
         for basis in (
@@ -132,30 +135,26 @@ class TestEval:
         basis = BasisSystem.trigonometric(D_PRIME, 320)
         rows = basis.evaluate_all(x)
         assert rows.tobytes() == expect.tobytes()
+        # a row does not depend on the rows evaluated with it
         for k in (1, 2, 7, 320):
-            assert basis.eval(k, x).tobytes() == rows[k - 1].tobytes()
+            assert basis._eval_rows(np.array([k]), x)[0].tobytes() == rows[k - 1].tobytes()
 
-    def test_index_bounds(self):
-        basis = BasisSystem.trigonometric(D_PRIME, 8)
-        for k in (0, 9, -1):
-            with pytest.raises(BasisIndexError):
-                basis.eval(k, 0.01)
-
-    def test_linear_index_is_piece_major(self):
-        basis = BasisSystem.piecewise_legendre(D_PRIME, J=3, L=4)
-        seen = [basis.linear_index(j, l) for l in range(1, 5) for j in range(3)]
-        assert seen == list(range(1, 13))
-        with pytest.raises(BasisIndexError):
-            basis.linear_index(3, 1)
-        with pytest.raises(BasisIndexError):
-            basis.linear_index(0, 5)
-
-    def test_index_pair_applies_to_the_piecewise_family_only(self):
-        trig = BasisSystem.trigonometric(D_PRIME, 8)
-        with pytest.raises(BasisIndexError):
-            trig.eval((0, 1), 0.01)
-        legendre = BasisSystem.piecewise_legendre(D_PRIME, J=2, L=4)
-        assert legendre.eval((1, 2), 0.008) == legendre.eval(4, 0.008)
+    def test_rows_are_piece_major(self):
+        # row (l-1)*J + j (0-based) is degree j on piece l: the scaled Q_j on
+        # that piece's open interval and exactly 0 off it
+        J, L = 3, 4
+        basis = BasisSystem.piecewise_legendre(D_PRIME, J=J, L=L)
+        h = D_PRIME.length / L
+        t = np.array([0.1, 0.35, 0.8])
+        x = np.concatenate([D_PRIME.a + (l - 1 + t) * h for l in range(1, L + 1)])
+        rows = basis.evaluate_all(x)
+        for l in range(1, L + 1):
+            on = slice((l - 1) * len(t), l * len(t))
+            for j in range(J):
+                row = rows[(l - 1) * J + j]
+                q = np.polynomial.legendre.Legendre.basis(j)(2.0 * t - 1.0)
+                np.testing.assert_allclose(row[on], math.sqrt((2 * j + 1) / h) * q, rtol=1e-12)
+                assert np.count_nonzero(row) == np.count_nonzero(row[on])
 
     def test_constructor_guards(self):
         with pytest.raises(ParameterError):
@@ -260,7 +259,7 @@ class TestProjection:
 
     def test_basis_function_projects_to_unit_vector(self):
         basis = BasisSystem.trigonometric(D_PRIME, 8)
-        theta = project_density(basis, lambda x: basis.eval(3, x))
+        theta = project_density(basis, lambda x: basis.evaluate_all(x)[2])
         expect = np.zeros(8)
         expect[2] = 1.0
         np.testing.assert_allclose(theta.values, expect, atol=1e-10)
@@ -359,3 +358,23 @@ class TestSerialization:
         basis = BasisSystem.trigonometric(D_PRIME, 6)
         with pytest.raises(DimensionError):
             CoefficientVector(basis, np.zeros(5))
+
+
+TRIG8 = BasisSystem.trigonometric(D_PRIME, 8)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: quadrature_rule(TRIG8, 0), ParameterError, "quad_nodes must be >= 1, got 0"),
+    (lambda: gram_matrix(TRIG8, quad_nodes=31), ParameterError, "quad_nodes=31 below the 4K floor for K=8"),
+    (lambda: project_density(TRIG8, np.ones_like, quad_nodes=31), ParameterError,
+     "quad_nodes=31 below the 4K floor for K=8"),
+    (lambda: project_density(TRIG8, lambda x: np.where(x < 0.01, np.nan, 1.0)), IntegrationError,
+     "density is not finite everywhere on the window"),
+    (lambda: synthesize(TRIG8, np.zeros((1, 8)), 0.01), DimensionError, "coefficient vector must be 1-d, got shape (1, 8)"),
+    (lambda: BasisSystem.from_descriptor({"family": "trigonometric", "a": 0.005, "b": 0.015}), ParameterError,
+     "basis descriptor missing field 'K'"),
+], ids=["no-quadrature-nodes", "gram-below-4K", "projection-below-4K", "density-not-finite", "coefficients-2d", "descriptor-without-K"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as excinfo:
+        call()
+    assert excinfo.type is error

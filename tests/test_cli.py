@@ -144,7 +144,10 @@ class TestSimulate:
         ("--delta 0.001 --n 2200000 --seed 7", "d1162a7930337c1b01d4114116bc9cf42ec00c19783ae840f2817b329f6ee74d"),
         ("--process cpois:2,normal:0.01,0.003 --delta 0.001 --n 2200000 --seed 7",
          "cc4f685cf2fd2a41a30089380ea1ed021d026046eab546cf7efd68b1451e0fbd"),
-    ], ids=["j1", "vg-3-blocks", "cpois-3-blocks"])
+        # blocks 0 and 1 draw no jump, block 2 draws one
+        ("--process cpois:1e-3,uniform:0.005,0.02 --delta 0.001 --n 3000000 --seed 9",
+         "5801ecdfd0567a87a9130a02e4dd2e081c341f89be1c417c44864bce2edbd341"),
+    ], ids=["j1", "vg-3-blocks", "cpois-3-blocks", "cpois-zero-jump-blocks"])
     def test_output_bytes_pinned(self, tmp_path, flags, digest):
         out = tmp_path / "inc.bin"
         assert main(["simulate", *flags.split(), "--out", str(out)]) == 0
@@ -478,16 +481,18 @@ def trig_pipeline_argvs(d) -> list[list[str]]:
     ]
 
 
+def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this package first on its path."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+
+
 def test_trig_pipeline_runs_without_scipy(tmp_path):
     blocked, free = tmp_path / "blocked", tmp_path / "free"
     blocked.mkdir()
     free.mkdir()
-    package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY, json.dumps(trig_pipeline_argvs(blocked))],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python("-c", WITHOUT_SCIPY, json.dumps(trig_pipeline_argvs(blocked)))
     assert proc.returncode == 0, proc.stderr
     for argv in trig_pipeline_argvs(free):
         assert main(argv) == 0
@@ -887,6 +892,27 @@ class TestExitCodes:
         assert main(argv + ["--grid-points", "100000000000"]) == 4
         assert "materialization limit" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocks", [1, 3], ids=["in-process", "forked"])
+    def test_jump_guard_exits_4(self, tmp_path, monkeypatch, capsys, blocks):
+        # 16-increment blocks at rate 5 and delta 1 expect 80 jumps each, above a limit of 64.
+        monkeypatch.setattr(processes, "BLOCK", 16)
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 64)
+        out = tmp_path / "inc.bin"
+        argv = ["simulate", "--process", "cpois:5,normal:0,1", "--delta", "1", "--n", str(16 * blocks), "--out", str(out)]
+        assert main(argv) == 4
+        assert "expects 80 jumps, above the limit of 64" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--process", "cpois:1e300,normal:0,1", "--delta", "1", "--n", "4", "--out", "x.bin"],
+        ["experiment", "--j", "1", "--process", "cpois:1e300,normal:0.01,0.003", "--out-dir", "e"],
+    ], ids=["simulate", "experiment"])
+    def test_rate_numpy_refuses_exits_4_without_traceback(self, tmp_path, argv):
+        proc = run_python("-m", "levygibbs.cli", *argv, cwd=tmp_path)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: block 0 expects ") and "Traceback" not in proc.stderr
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flags", [["--j", "1", "--seed", "-3"], ["--j", "0"], ["--j", "1", "--j", "0"]])
     def test_experiment_error_creates_no_out_dir(self, tmp_path, capsys, flags):

@@ -1,6 +1,7 @@
 """Estimator tests: double-loop summation oracle, risk algebra, L2 errors."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,12 +58,8 @@ class TestEmpiricalCoefficients:
         series = series_from(values, delta=0.01)
         theta = empirical_coefficients(series, basis)
         t_n = series.scheme.t_n
-        oracle = np.array(
-            [
-                sum(basis.eval(k, float(y)) for y in values) / t_n
-                for k in range(1, basis.K + 1)
-            ]
-        )
+        # one point at a time, summed in data order
+        oracle = sum(basis.evaluate_all(float(y))[:, 0] for y in values) / t_n
         np.testing.assert_allclose(theta.values, oracle, rtol=1e-12)
 
     def test_streamed_equals_materialized_bitwise(self):
@@ -227,3 +224,12 @@ class TestL2Error:
         theta = CoefficientVector(basis, np.zeros(4))
         with pytest.raises(WindowError):
             l2_error_on_D(theta, theta, D_PRIME)
+
+
+@pytest.mark.parametrize("theta", [np.zeros(6), [0.0] * 6], ids=["ndarray", "list"])
+def test_input_checks(theta):
+    # l2_error_on_D synthesizes theta, so it needs the basis a CoefficientVector carries.
+    message = "theta must be a CoefficientVector (basis required for synthesis)"
+    with pytest.raises(ParameterError, match=re.escape(message)) as excinfo:
+        l2_error_on_D(theta, STUDY_VG.levy_density(), D)
+    assert excinfo.type is ParameterError

@@ -8,6 +8,7 @@ byte-for-byte (the report writers exclude wall-clock time for this reason).
 import dataclasses
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from scipy.stats import norm
 
 from levygibbs import (
+    BasisFeatures,
     BasisSystem,
     CompoundPoissonParams,
     GibbsConfig,
@@ -391,3 +393,15 @@ class TestWriters:
         assert "runtime" not in json.dumps(payload).lower()
         assert list(regime.keys()) == sorted(regime.keys())
         assert regime["err_postmean"] == regime_reports[1].err_postmean
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: delta_condition(BasisFeatures(1.0, 1.0), SamplingScheme(1e-3, 10), bound=0.0), "bound must be positive, got 0.0"),
+    (lambda: delta_condition(BasisFeatures(1.0, 1.0), SamplingScheme(1e-3, 10), bound=math.nan),
+     "bound must be positive, got nan"),
+    (lambda: no_overfit_diagnostic([], tau=1.0), "tau must exceed 1, got 1.0"),
+], ids=["delta-bound-zero", "delta-bound-nan", "no-overfit-tau-one"])
+def test_input_checks(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)) as excinfo:
+        call()
+    assert excinfo.type is ParameterError

@@ -14,6 +14,7 @@ coordinate factorization they rely on.  R_n is the library's own loss,
 import functools
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -645,3 +646,37 @@ class TestValidateConfig:
             validate_config(GibbsConfig(), 0.0)
         with pytest.raises(ParameterError):
             validate_config(GibbsConfig(), 10.0, tau=1.0)
+
+
+def summary_draws(num: int) -> PosteriorDraws:
+    """num identical draws of f_1 + f_2 on an 8-point grid over D."""
+    basis = BasisSystem.trigonometric(D_PRIME, 2)
+    grid = np.linspace(0.006, 0.014, 8)
+    blocks = DrawBlocks([(np.full(num, 2), np.ones((num, 2)))] if num else [])
+    return PosteriorDraws(basis, grid, np.tile(synthesize(basis, [1.0, 1.0], grid), (num, 1)), blocks, seed=0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GibbsConfig(omega=0.0), ParameterError, "omega must be positive and finite, got 0.0"),
+    (lambda: GibbsConfig(omega=math.inf), ParameterError, "omega must be positive and finite, got inf"),
+    (lambda: GibbsConfig(sigma0=-1.0), ParameterError, "sigma0 must be positive and finite, got -1.0"),
+    (lambda: GibbsConfig(sigma0=math.nan), ParameterError, "sigma0 must be positive and finite, got nan"),
+    (lambda: GibbsConfig(beta=-0.5), ParameterError, "beta must be nonnegative and finite, got -0.5"),
+    (lambda: GibbsConfig(beta=math.nan), ParameterError, "beta must be nonnegative and finite, got nan"),
+    (lambda: conditional_posterior([], 20.0, GibbsConfig()), DimensionError,
+     "theta_hat must be a nonempty 1-d vector, got shape (0,)"),
+    (lambda: credible_band(summary_draws(3), 0.9, "linf"), ParameterError, "metric must be 'sup' or 'l2', got 'linf'"),
+    (lambda: concentration_probability(summary_draws(0), STUDY_VG.levy_density(), 1.0), EmptyDrawsError,
+     "no posterior draws"),
+    (lambda: concentration_probability(summary_draws(3), STUDY_VG.levy_density(), -1.0), ParameterError,
+     "radius must be >= 0, got -1.0"),
+    (lambda: concentration_probability(summary_draws(3), STUDY_VG.levy_density(), math.nan), ParameterError,
+     "radius must be >= 0, got nan"),
+], ids=[
+    "omega-zero", "omega-inf", "sigma0-negative", "sigma0-nan", "beta-negative", "beta-nan", "theta-hat-empty",
+    "band-metric-unknown", "concentration-no-draws", "radius-negative", "radius-nan",
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as excinfo:
+        call()
+    assert excinfo.type is error

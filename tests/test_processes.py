@@ -18,6 +18,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -37,6 +38,7 @@ from levygibbs import (
     InputParseError,
     JumpDistribution,
     ParameterError,
+    RangeError,
     ResourceGuardError,
     SamplingScheme,
     VarianceGammaParams,
@@ -324,6 +326,35 @@ class TestCompoundPoisson:
     def test_rate_must_be_positive(self):
         with pytest.raises(ParameterError):
             CompoundPoissonParams(0.0, JumpDistribution.point(1.0))
+
+    def test_point_jumps_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        assert JumpDistribution.point(0.7).sample(rng, 3).tolist() == [0.7, 0.7, 0.7]
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_block_without_jumps_is_float64_zeros(self):
+        params = CompoundPoissonParams(1e-9, JumpDistribution.normal(0.01, 0.003))
+        block = params.block(SamplingScheme(1e-3, 4096), 0, 0)
+        assert block.dtype == np.float64 and block.tobytes() == np.zeros(4096).tobytes()
+        # At seed 6, block 0 draws no jump and block 1 one jump: sha256 of block 1.
+        params = CompoundPoissonParams(1e-3, JumpDistribution.uniform(0.005, 0.02))
+        scheme = SamplingScheme(1e-3, 2 * BLOCK)
+        assert params.block(scheme, 6, 0).tobytes() == np.zeros(BLOCK).tobytes()
+        digest = hashlib.sha256(params.block(scheme, 6, 1).tobytes()).hexdigest()
+        assert digest == "487bf627ba9614342d2e2659af3ce95491f99359d1df91ff025f19e2a8153263"
+
+    def test_jump_guard(self, monkeypatch):
+        # A rate numpy's Poisson sampler refuses is refused before the counts are drawn.
+        with pytest.raises(ResourceGuardError, match="block 0 expects 4e.300 jumps"):
+            CompoundPoissonParams(1e300, JumpDistribution.normal(0.0, 1.0)).block(SamplingScheme(1.0, 4), 0, 0)
+        # Expected total 1.25 * 8 = 10 is at the limit; seed 2 draws 13 jumps and seed 3 draws 10.
+        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 10)
+        params = CompoundPoissonParams(1.25, JumpDistribution.normal(0.0, 1.0))
+        with pytest.raises(ResourceGuardError, match="block 0 drew 13 jumps, above the limit of 10"):
+            params.block(SamplingScheme(1.0, 8), 2, 0)
+        assert np.count_nonzero(params.block(SamplingScheme(1.0, 8), 3, 0)) > 0
+        with pytest.raises(ResourceGuardError, match="block 0 expects 10.5 jumps"):
+            CompoundPoissonParams(1.5, JumpDistribution.point(1.0)).block(SamplingScheme(1.0, 7), 0, 0)
 
     # sha256 of block 0 and of the 1,000-increment last block at seed 20211, rate 50, delta 0.01.
     FROZEN_BLOCKS = {
@@ -1054,3 +1085,28 @@ class TestIncrementSeries:
             series.values
         with pytest.raises(ResourceGuardError):
             simulate(STUDY_VG, big, seed=0, materialize=True)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: SamplingScheme(1e308, 2), RangeError, "horizon n*delta overflows: n=2, delta=1e+308"),
+    (lambda tmp: VarianceGammaParams(0.0, math.nan, 1e-3), ParameterError, "sigma must be finite, got nan"),
+    (lambda tmp: JumpDistribution.normal(math.inf, 1.0), ParameterError, "jump parameters must be finite, got (inf, 1.0)"),
+    (lambda tmp: JumpDistribution.normal(0.0, -1.0), ParameterError, "normal jump sd must be >= 0, got -1.0"),
+    (lambda tmp: JumpDistribution.uniform(1.0, 1.0), ParameterError,
+     "uniform jump bounds must satisfy lo < hi, got (1.0, 1.0)"),
+    (lambda tmp: JumpDistribution.exponential(0.0), ParameterError, "exponential jump mean must be > 0, got 0.0"),
+    (lambda tmp: IncrementSeries(SamplingScheme(1.0, 4), None), ParameterError,
+     "exactly one of values/block_fn must be given"),
+    (lambda tmp: IncrementSeries(SamplingScheme(1.0, 4), None, np.zeros(4), lambda b: np.zeros(4)), ParameterError,
+     "exactly one of values/block_fn must be given"),
+    (lambda tmp: write_increments(tmp / "x.bin", IncrementSeries(SamplingScheme(1.0, 4), 0, block_fn=lambda b: np.zeros(3))),
+     ParameterError, "block 0 holds 3 values, expected 4"),
+], ids=[
+    "horizon-overflows", "vg-nan", "jump-not-finite", "normal-sd-negative", "uniform-empty", "exponential-mean-zero",
+    "series-neither", "series-both", "write-short-block",
+])
+def test_input_checks(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as excinfo:
+        call(tmp_path)
+    assert excinfo.type is error
+    assert os.listdir(tmp_path) == []  # no temp file left behind
