@@ -368,11 +368,16 @@ def quadrature_rule(basis: BasisSystem, quad_nodes: int) -> tuple[np.ndarray, np
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def gram_matrix(basis: BasisSystem, quad_nodes: int = DEFAULT_QUAD_NODES) -> np.ndarray:
-    """K x K matrix of pairwise inner products over the window (identity up to quadrature)."""
+def _floored_rule(basis: BasisSystem, quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """quadrature_rule for the Gram matrix and the projection, which need at least 4K nodes."""
     if quad_nodes < 4 * basis.K:
         raise ParameterError(f"quad_nodes={quad_nodes} below the 4K floor for K={basis.K}")
-    x, w = quadrature_rule(basis, quad_nodes)
+    return quadrature_rule(basis, quad_nodes)
+
+
+def gram_matrix(basis: BasisSystem, quad_nodes: int = DEFAULT_QUAD_NODES) -> np.ndarray:
+    """K x K matrix of pairwise inner products over the window (identity up to quadrature)."""
+    x, w = _floored_rule(basis, quad_nodes)
     rows = basis.evaluate_all(x)
     return (rows * w) @ rows.T
 
@@ -385,11 +390,9 @@ def project_density(basis: BasisSystem, psi, quad_nodes: int = DEFAULT_QUAD_NODE
     rule comparison); if any estimate exceeds PROJECTION_TOL an IntegrationError
     asks for more nodes rather than returning silently degraded values.
     """
-    if quad_nodes < 4 * basis.K:
-        raise ParameterError(f"quad_nodes={quad_nodes} below the 4K floor for K={basis.K}")
 
     def integrate(nodes: int) -> np.ndarray:
-        x, w = quadrature_rule(basis, nodes)
+        x, w = _floored_rule(basis, nodes)
         vals = np.asarray(psi(x), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise IntegrationError("density is not finite everywhere on the window")

@@ -46,6 +46,7 @@ from .experiment import (
     write_report_json,
 )
 from .posterior import (
+    ConfigDiagnostics,
     GibbsConfig,
     MarginalK,
     credible_band,
@@ -232,6 +233,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             f"err_postmean={fmt_float(report.err_postmean)} "
             f"band_radius={fmt_float(report.band_radius)} runtime_s={report.runtime_s:.2f}"
         )
+        # run_regime's grid is check's grid at the same --grid-points, so the verdicts are check's.
+        _print_beta_lines("experiment", validate_config(config, float(report.psi_true.max())))
     out = functools.partial(os.path.join, args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     write_report_json(reports, out("report.json"))
@@ -259,15 +262,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     for name, value in diag.values.items():
         flag = "pass" if diag.passed[name] else "FAIL"
         print(f"check:   {name} = {fmt_float(value)} [{flag}]")
-    print(
-        f"check: beta={fmt_float(beta_diag.beta)} vs omega*C^2={fmt_float(beta_diag.basic_threshold)} "
-        f"[{'pass' if beta_diag.basic_ok else 'FAIL'}]"
-    )
-    print(
-        f"check: beta vs tau/(tau-1)*omega*C^2={fmt_float(beta_diag.tau_threshold)} "
-        f"(tau={fmt_float(beta_diag.tau)}) [{'pass' if beta_diag.tau_ok else 'FAIL'}]"
-    )
+    _print_beta_lines("check", beta_diag)
     return 0
+
+
+def _print_beta_lines(command: str, diag: ConfigDiagnostics) -> None:
+    """validate_config's two verdicts, as check and experiment print them."""
+    basic = f"beta={fmt_float(diag.beta)} vs omega*C^2={fmt_float(diag.basic_threshold)}"
+    strong = f"beta vs tau/(tau-1)*omega*C^2={fmt_float(diag.tau_threshold)} (tau={fmt_float(diag.tau)})"
+    for text, ok in ((basic, diag.basic_ok), (strong, diag.tau_ok)):
+        print(f"{command}: {text} [{'pass' if ok else 'FAIL'}]")
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,6 @@ class DeltaDiagnostics:
     bound: float
     values: dict
     passed: dict
-    all_ok: bool
 
 
 def delta_condition(
@@ -124,8 +123,7 @@ def delta_condition(
         values["n*delta^3"] = n * d**3
     else:
         values["n*delta^(5/3)"] = n * d**DELTA_EXPONENT
-    passed = {name: v <= bound for name, v in values.items()}
-    return DeltaDiagnostics(case, bound, values, passed, all(passed.values()))
+    return DeltaDiagnostics(case, bound, values, {name: v <= bound for name, v in values.items()})
 
 
 @dataclass

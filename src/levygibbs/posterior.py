@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
+from .basis import CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError
 from .estimator import DEFAULT_GRID_POINTS, _l2_norm
 from .processes import _block_rng
@@ -134,34 +134,33 @@ def _log_sum_exp(a: np.ndarray) -> float:
     return np.log1p(rest) + np.log(count) + top
 
 
-def _require_nested(basis: BasisSystem) -> None:
-    """Model K keeps the first K basis functions, a sieve only when the basis is nested."""
-    if not basis.nested:
-        raise DimensionError(f"the K posterior needs a nested basis, got the {basis.family} basis")
+def _leading_coefficients(theta_hat_full, k_max: int) -> np.ndarray:
+    """The first k_max values of theta_hat_full, the input of both parts of the posterior.
 
-
-def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
-    """Marginal posterior pmf of K from the first k_max empirical coefficients.
-
-    A CoefficientVector on a basis that is not nested raises DimensionError,
-    and a non-finite value among the first k_max raises ParameterError.
+    Model K keeps the first K basis functions, a sieve only on a nested basis:
+    another basis or fewer than k_max values raise DimensionError, and a value
+    among them that is not finite ParameterError.  Later values are never read.
     """
-    if isinstance(theta_hat_full, CoefficientVector):
-        _require_nested(theta_hat_full.basis)
+    if isinstance(theta_hat_full, CoefficientVector) and not theta_hat_full.basis.nested:
+        raise DimensionError(f"the K posterior needs a nested basis, got the {theta_hat_full.basis.family} basis")
     vec = _coefficient_values(theta_hat_full)
-    k_max = config.k_max_for(t_n)
     if len(vec) < k_max:
-        raise DimensionError(
-            f"need at least k_max={k_max} coefficients, got shape {vec.shape}"
-        )
+        raise DimensionError(f"need at least k_max={k_max} coefficients, got shape {vec.shape}")
     bad = np.flatnonzero(~np.isfinite(vec[:k_max]))
     if len(bad):
         i = int(bad[0])
         raise ParameterError(f"coefficient values must be finite numbers, got {float(vec[i])!r} at index {i}")
-    shrink = conditional_posterior(vec[:k_max], t_n, config).shrink
+    return vec[:k_max]
+
+
+def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
+    """Marginal posterior pmf of K from the first k_max empirical coefficients (_leading_coefficients)."""
+    k_max = config.k_max_for(t_n)
+    vec = _leading_coefficients(theta_hat_full, k_max)
+    shrink = conditional_posterior(vec, t_n, config).shrink
     wt = config.omega * t_n
     ks = np.arange(1, k_max + 1)
-    data_term = np.cumsum(wt * shrink * vec[:k_max] ** 2)
+    data_term = np.cumsum(wt * shrink * vec**2)
     dim_penalty = 0.5 * ks * math.log(2.0 * wt * config.sigma0**2 + 1.0)
     prior_penalty = config.beta * ks * np.log(ks)
     log_w = data_term - dim_penalty - prior_penalty
@@ -209,11 +208,9 @@ class PosteriorDraws:
     is the sampler's DrawBlocks.
     """
 
-    basis: BasisSystem
     grid: np.ndarray
     grid_values: np.ndarray
     draws: DrawBlocks
-    seed: int
 
     def __len__(self) -> int:
         return len(self.draws)
@@ -243,9 +240,10 @@ def sample_posterior(
 
     Raises ParameterError when theta_hat_full is not a CoefficientVector,
     num_draws is not a positive integer or seed is not a non-negative
-    integer, DimensionError for a basis that is not nested, WindowError when
-    config.D is not inside the basis window, and ResourceGuardError, before
-    allocating, when the grid evaluations or the theta matrices (up to
+    integer, the errors of _leading_coefficients whatever `marginal` is,
+    WindowError when config.D is not inside the basis window, DimensionError
+    when `marginal` does not cover K = 1..k_max, and ResourceGuardError,
+    before allocating, when the grid evaluations or the theta matrices (up to
     num_draws * k_max values) would hold more than MATERIALIZE_LIMIT values.
     """
     if not (is_integer(num_draws) and num_draws >= 1):
@@ -253,19 +251,16 @@ def sample_posterior(
     check_seed(seed)
     if not isinstance(theta_hat_full, CoefficientVector):
         raise ParameterError(f"theta_hat_full must be a CoefficientVector, got {type(theta_hat_full).__name__}")
-    basis = theta_hat_full.basis
-    _require_nested(basis)
-    basis.window.check_contains(config.D, "the basis window")
-    vec = theta_hat_full.values
     k_max = config.k_max_for(t_n)
-    if len(vec) < k_max:
-        raise DimensionError(f"need at least k_max={k_max} coefficients, got {len(vec)}")
+    vec = _leading_coefficients(theta_hat_full, k_max)
+    basis = theta_hat_full.basis
+    basis.window.check_contains(config.D, "the basis window")
     if marginal is None:
         marginal = marginal_k(theta_hat_full, t_n, config)
     if marginal.k_max != k_max:
         raise DimensionError(f"marginal covers K=1..{marginal.k_max}, expected k_max={k_max}")
 
-    cond = conditional_posterior(vec[:k_max], t_n, config)
+    cond = conditional_posterior(vec, t_n, config)
     means = cond.means
     sd = math.sqrt(cond.variance)
     cum = np.cumsum(marginal.probs)
@@ -305,7 +300,7 @@ def sample_posterior(
             # a product over the zero-padded width, can differ in the last ulp.
             grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
         blocks.append((ks, theta))
-    return PosteriorDraws(basis, grid, grid_values, DrawBlocks(blocks), seed)
+    return PosteriorDraws(grid, grid_values, DrawBlocks(blocks))
 
 
 def posterior_mean_function(draws: PosteriorDraws) -> np.ndarray:
@@ -355,8 +350,7 @@ def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> n
 
 def credible_band(draws: PosteriorDraws, level: float, metric: str = "sup") -> BandResult:
     """Band around the posterior mean containing `level` of the drawn densities."""
-    if len(draws) == 0:
-        raise EmptyDrawsError("no posterior draws to band")
+    # The level before the mean, so a bad level costs nothing; the mean refuses empty draws.
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level!r}")
     center = posterior_mean_function(draws)
@@ -394,12 +388,12 @@ class ConfigDiagnostics:
 def validate_config(config: GibbsConfig, psi_sup_estimate: float, tau: float = 3.0) -> ConfigDiagnostics:
     """Check beta against the learning-rate thresholds implied by sup_D psi.
 
-    With C^2 = 2 * psi_sup_estimate the basic requirement is
-    beta > omega * C^2; the strengthened form for a margin parameter tau > 1
-    is beta > tau/(tau-1) * omega * C^2.
+    With C^2 = 2 * psi_sup_estimate, the basic requirement is beta > omega * C^2
+    and the strengthened one, for a margin tau > 1, beta > tau/(tau-1) * omega * C^2.
+    A density that vanishes on D gives C^2 = 0, so both thresholds are 0.
     """
-    if not (math.isfinite(psi_sup_estimate) and psi_sup_estimate > 0.0):
-        raise ParameterError(f"psi_sup_estimate must be positive, got {psi_sup_estimate!r}")
+    if not (math.isfinite(psi_sup_estimate) and psi_sup_estimate >= 0.0):
+        raise ParameterError(f"psi_sup_estimate must be nonnegative and finite, got {psi_sup_estimate!r}")
     if not tau > 1.0:
         raise ParameterError(f"tau must exceed 1, got {tau!r}")
     c2 = 2.0 * psi_sup_estimate

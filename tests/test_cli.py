@@ -450,8 +450,21 @@ class TestExperiment:
         assert main(argv) == 0
         assert (out / "band_j1.csv").exists() and (out / "band_j2.csv").exists()
         assert not (out / "band.csv").exists()
-        stdout = capsys.readouterr().out
-        assert "experiment: j=1" in stdout and "experiment: j=2" in stdout
+        lines = capsys.readouterr().out.splitlines()
+        heads = [line.split("=")[0] for line in lines[:6]]
+        assert heads == ["experiment: j", "experiment: beta", "experiment: beta vs tau/(tau-1)*omega*C^2"] * 2
+        assert lines[0].startswith("experiment: j=1") and lines[3].startswith("experiment: j=2")
+
+    @pytest.mark.parametrize("process", [[], ["--process", DENSE_CP_SPEC]], ids=["default-vg", "dense-cp"])
+    def test_prints_the_beta_lines_of_check(self, tmp_path, capsys, process):
+        assert main(["check", "--j", "1", *process]) == 0
+        expected = [line.removeprefix("check:") for line in capsys.readouterr().out.splitlines()[-2:]]
+        assert main(["experiment", "--j", "1", "--draws", "50", *process, "--out-dir", str(tmp_path / "exp")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("experiment: j=1 ")
+        assert [line.removeprefix("experiment:") for line in lines[1:3]] == expected
+        assert all(line.startswith(" beta") for line in expected)
+        assert all(line.endswith("[FAIL]") == bool(process) for line in expected)
 
     def test_requires_regime_and_out_dir(self, tmp_path):
         assert main(["experiment", "--out-dir", str(tmp_path / "x")]) == 2
@@ -650,6 +663,14 @@ class TestCheck:
     def test_beta_zero_flags_failure(self, capsys):
         assert main(["check", "--j", "1", "--beta", "0"]) == 0
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_density_vanishing_on_D_passes_any_positive_beta(self, capsys):
+        # Jumps uniform on [0.02, 0.03] put no Levy mass on D = [0.006, 0.014], so C^2 = 0.
+        assert main(["check", "--j", "1", "--process", "cpois:2,uniform:0.02,0.03"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "check: beta=0.5 vs omega*C^2=0.0 [pass]",
+            "check: beta vs tau/(tau-1)*omega*C^2=0.0 (tau=3.0) [pass]",
+        ]
 
     def test_fixed_k_case(self, capsys):
         assert main(["check", "--j", "1", "--case", "fixed-K"]) == 0

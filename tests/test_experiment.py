@@ -128,7 +128,7 @@ class TestDeltaCondition:
     def test_j3_passes_default_bound(self):
         diag = delta_condition(self.features, self.spec.scheme())
         assert diag.values["n*delta^(5/3)"] == pytest.approx(0.05, rel=1e-9)
-        assert diag.all_ok
+        assert all(diag.passed.values())
 
     def test_quadrupling_n_flips_flag(self):
         scheme4 = SamplingScheme(self.spec.delta, 4 * self.spec.n)

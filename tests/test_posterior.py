@@ -248,6 +248,34 @@ class TestMarginalK:
         values[3] = 0.0  # beyond k_max = 6 a value is never read
         assert marginal_k(values, 20.0, GibbsConfig(k_max=6)).probs.sum() == pytest.approx(1.0)
 
+    def test_non_finite_refused_whatever_the_marginal(self):
+        values = np.arange(1.0, 21.0)
+        values[2] = math.nan
+        theta_hat = CoefficientVector(BasisSystem.trigonometric(D_PRIME, 20), values, t_n=20.0)
+        message = "coefficient values must be finite numbers, got nan at index 2"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            sample_posterior(theta_hat, 20.0, GibbsConfig(k_max=20), 10, seed=1, marginal=MarginalK.point_mass(5, 20))
+
+    def test_non_finite_past_k_max_accepted(self):
+        values = np.arange(1.0, 31.0)
+        values[25] = math.inf
+        theta_hat = CoefficientVector(BasisSystem.trigonometric(D_PRIME, 30), values, t_n=20.0)
+        config = GibbsConfig(k_max=20)
+        assert marginal_k(theta_hat, 20.0, config).probs.sum() == pytest.approx(1.0)
+        for marginal in (None, MarginalK.point_mass(5, 20)):
+            draws = sample_posterior(theta_hat, 20.0, config, 10, seed=1, marginal=marginal)
+            assert np.all(np.isfinite(draws.grid_values))
+
+    def test_short_vector_same_message(self):
+        theta_hat = CoefficientVector(BasisSystem.trigonometric(D_PRIME, 19), np.ones(19), t_n=20.0)
+        config = GibbsConfig(k_max=20)
+        message = "need at least k_max=20 coefficients, got shape (19,)"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            marginal_k(theta_hat, 20.0, config)
+        for marginal in (None, MarginalK.point_mass(5, 20)):
+            with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+                sample_posterior(theta_hat, 20.0, config, 10, seed=1, marginal=marginal)
+
     def test_point_mass(self):
         marg = MarginalK.point_mass(3, 10)
         assert marg.probs[2] == 1.0 and marg.probs.sum() == 1.0
@@ -498,7 +526,7 @@ class TestDrawBlocks:
         for i in (0, -1):
             with pytest.raises(IndexError):
                 empty[i]
-        draws = PosteriorDraws(self.basis, np.linspace(0.006, 0.014, 8), np.empty((0, 8)), empty, seed=0)
+        draws = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), empty)
         assert len(draws) == 0
         with pytest.raises(EmptyDrawsError):
             credible_band(draws, 0.9)
@@ -529,7 +557,7 @@ class TestPosteriorSummaries:
         grid = np.linspace(0.006, 0.014, 64)
         row = synthesize(basis, np.array([1.0, 2.0, 0.0, -1.0]), grid)
         blocks = DrawBlocks([(np.full(5, 4), np.tile([1.0, 2.0, 0.0, -1.0], (5, 1)))])
-        draws = PosteriorDraws(basis, grid, np.tile(row, (5, 1)), blocks, seed=0)
+        draws = PosteriorDraws(grid, np.tile(row, (5, 1)), blocks)
         np.testing.assert_allclose(posterior_mean_function(draws), row, rtol=1e-14)
 
     def test_fixed_k_mean_function_matches_closed_form(self):
@@ -547,8 +575,7 @@ class TestPosteriorSummaries:
         assert np.all(np.abs(posterior_mean_function(draws) - expect) < 3.0 * se + 1e-12)
 
     def test_empty_draws_error(self):
-        basis = BasisSystem.trigonometric(D_PRIME, 4)
-        empty = PosteriorDraws(basis, np.linspace(0.006, 0.014, 8), np.empty((0, 8)), DrawBlocks([]), seed=0)
+        empty = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), DrawBlocks([]))
         with pytest.raises(EmptyDrawsError):
             posterior_mean_function(empty)
 
@@ -565,7 +592,7 @@ class TestPosteriorSummaries:
         basis = BasisSystem.trigonometric(D_PRIME, 4)
         grid = np.linspace(0.006, 0.014, 32)
         row = synthesize(basis, np.ones(4), grid)
-        draws = PosteriorDraws(basis, grid, np.tile(row, (6, 1)), DrawBlocks([(np.full(6, 4), np.ones((6, 4)))]), seed=0)
+        draws = PosteriorDraws(grid, np.tile(row, (6, 1)), DrawBlocks([(np.full(6, 4), np.ones((6, 4)))]))
         # identical up to the rounding introduced by averaging the center
         assert credible_band(draws, 0.9).radius < 1e-12
 
@@ -642,10 +669,19 @@ class TestValidateConfig:
         assert diag.tau_threshold == pytest.approx(2.0 * diag.c_squared * config.omega, rel=1e-15)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            validate_config(GibbsConfig(), 0.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match=f"psi_sup_estimate must be nonnegative and finite, got {bad!r}"):
+                validate_config(GibbsConfig(), bad)
         with pytest.raises(ParameterError):
             validate_config(GibbsConfig(), 10.0, tau=1.0)
+
+    def test_density_vanishing_on_D(self):
+        # C^2 = 0: both thresholds are 0, so each verdict passes exactly when beta > 0.
+        diag = validate_config(GibbsConfig(), 0.0)
+        assert (diag.c_squared, diag.basic_threshold, diag.tau_threshold) == (0.0, 0.0, 0.0)
+        assert diag.basic_ok and diag.tau_ok
+        diag = validate_config(GibbsConfig(beta=0.0), 0.0)
+        assert not diag.basic_ok and not diag.tau_ok
 
 
 def summary_draws(num: int) -> PosteriorDraws:
@@ -653,7 +689,7 @@ def summary_draws(num: int) -> PosteriorDraws:
     basis = BasisSystem.trigonometric(D_PRIME, 2)
     grid = np.linspace(0.006, 0.014, 8)
     blocks = DrawBlocks([(np.full(num, 2), np.ones((num, 2)))] if num else [])
-    return PosteriorDraws(basis, grid, np.tile(synthesize(basis, [1.0, 1.0], grid), (num, 1)), blocks, seed=0)
+    return PosteriorDraws(grid, np.tile(synthesize(basis, [1.0, 1.0], grid), (num, 1)), blocks)
 
 
 @pytest.mark.parametrize("call, error, message", [
