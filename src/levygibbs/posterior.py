@@ -27,6 +27,7 @@ import numpy as np
 from .basis import CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError
 from .estimator import DEFAULT_GRID_POINTS, _l2_norm
+from . import processes
 from .processes import _block_rng
 from .util import MATERIALIZE_LIMIT, check_seed, is_integer, snap_ceil
 
@@ -34,10 +35,33 @@ from .util import MATERIALIZE_LIMIT, check_seed, is_integer, snap_ceil
 # seed, so one block can be redrawn on its own, bit for bit.
 DRAW_BLOCK = 256
 
-# Draw distances are computed per tile of this many grid rows in one reused
-# buffer (0.5 MB at 512 grid points, so it stays in a core's L2 cache).  Rows
-# are independent, so the tile size changes no distance.
+# Draw distances are computed per tile of this many grid rows, in one reused
+# buffer per thread (0.5 MB at 512 grid points, so it stays in a core's L2
+# cache).  Rows are independent, so the tile size changes no distance.
 DISTANCE_TILE_ROWS = 128
+
+
+def _fan_out(job, items: int) -> list:
+    """[job(lo, hi) for each run lo..hi]: range(items) cut into one run of consecutive items per thread.
+
+    There are min(processes._io_workers(), items) threads, so one per CPU at
+    most.  The calling thread runs the first run and a thread pool the
+    others; with fewer than two threads, job(0, items) runs here alone.  Each
+    job writes only its own slice of any shared output, so the cut changes no
+    result's bits.  numpy runs the jobs' matmul and ufunc loops without the
+    GIL.  Every pool thread has exited on return, so a later fork copies none.
+    """
+    workers = min(processes._io_workers(), items)
+    if workers < 2:
+        return [job(0, items)]
+    # Imported here, so that importing the package does not load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [items * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(job, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        first = job(cuts[0], cuts[1])
+    return [first] + [f.result() for f in rest]
 
 
 @dataclass(frozen=True)
@@ -99,6 +123,8 @@ class MarginalK:
 
     @classmethod
     def point_mass(cls, k0: int, k_max: int) -> "MarginalK":
+        if not (is_integer(k0) and is_integer(k_max)):
+            raise ParameterError(f"point mass K and k_max must be integers, got K={k0!r}, k_max={k_max!r}")
         if not 1 <= k0 <= k_max:
             raise ParameterError(f"point mass K={k0} outside 1..{k_max}")
         lw = np.full(k_max, -np.inf)
@@ -235,8 +261,11 @@ def sample_posterior(
     DRAW_BLOCK with per-block substreams of `seed`, so the stream is
     reproducible and one block can be redrawn alone.  Each block's substream
     gives the block's uniforms for K first, then the standard normals of its
-    draws in draw order, K_i of them for draw i.  The theta_i of the result
-    are views of the blocks' theta matrices; see DrawBlocks.
+    draws in draw order, K_i of them for draw i.  Runs of consecutive blocks
+    are drawn on one thread per CPU (_fan_out), each writing only its blocks'
+    rows of grid_values, so the result has the same bits on any number of
+    CPUs.  The theta_i of the result are views of the blocks' theta matrices;
+    see DrawBlocks.
 
     Raises ParameterError when theta_hat_full is not a CoefficientVector,
     num_draws is not a positive integer or seed is not a non-negative
@@ -280,34 +309,57 @@ def sample_posterior(
     rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
 
     grid_values = np.empty((num_draws, grid_points))
-    blocks = []
-    for start in range(0, num_draws, DRAW_BLOCK):
-        m = min(DRAW_BLOCK, num_draws - start)
-        rng = _block_rng(seed, start // DRAW_BLOCK)
-        u = rng.random(m)
-        ks = np.searchsorted(cum, u, side="right") + 1
-        # Row i holds draw i's coefficients in its first K_i entries; one call
-        # for all normals continues the stream exactly as one call per draw.
-        width = int(ks.max())
-        filled = np.arange(width) < ks[:, None]
-        z = np.zeros((m, width))
-        z[filled] = rng.standard_normal(int(ks.sum()))
-        theta = means[:width] + sd * z
-        for K in np.unique(ks):
-            idx = np.flatnonzero(ks == K)
-            # A stack of 1xK products runs one GEMV per draw, the kernel and
-            # summation order of theta_i @ rows[:K]; a GEMM over the group, or
-            # a product over the zero-padded width, can differ in the last ulp.
-            grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
-        blocks.append((ks, theta))
+
+    def draw_blocks(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        blocks = []
+        for b in range(lo, hi):
+            start = b * DRAW_BLOCK
+            m = min(DRAW_BLOCK, num_draws - start)
+            rng = _block_rng(seed, b)
+            u = rng.random(m)
+            ks = np.searchsorted(cum, u, side="right") + 1
+            # Row i holds draw i's coefficients in its first K_i entries; one call
+            # for all normals continues the stream exactly as one call per draw.
+            width = int(ks.max())
+            filled = np.arange(width) < ks[:, None]
+            z = np.zeros((m, width))
+            z[filled] = rng.standard_normal(int(ks.sum()))
+            theta = means[:width] + sd * z
+            for K in np.unique(ks):
+                idx = np.flatnonzero(ks == K)
+                # A stack of 1xK products runs one GEMV per draw, the kernel and
+                # summation order of theta_i @ rows[:K]; a GEMM over the group, or
+                # a product over the zero-padded width, can differ in the last ulp.
+                grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
+            blocks.append((ks, theta))
+        return blocks
+
+    runs = _fan_out(draw_blocks, (num_draws + DRAW_BLOCK - 1) // DRAW_BLOCK)
+    blocks = [block for run in runs for block in run]
     return PosteriorDraws(grid, grid_values, DrawBlocks(blocks))
 
 
 def posterior_mean_function(draws: PosteriorDraws) -> np.ndarray:
-    """Pointwise Monte Carlo mean of the drawn densities on draws.grid."""
+    """Pointwise Monte Carlo mean of the drawn densities on draws.grid.
+
+    Spans of grid columns are averaged on one thread per CPU (_fan_out).  A
+    span of two or more columns sums each column over the draws in row
+    order, as grid_values.mean(axis=0) does, so the bits do not depend on the
+    cut; numpy would sum a one-column span pairwise, so spans are cut from
+    column pairs, the last one taking an odd column.
+    """
     if len(draws) == 0:
         raise EmptyDrawsError("no posterior draws to average")
-    return draws.grid_values.mean(axis=0)
+    grid_values = draws.grid_values
+    center = np.empty(grid_values.shape[1])
+    pairs = len(center) // 2
+
+    def average(lo: int, hi: int) -> None:
+        stop = len(center) if hi == pairs else 2 * hi
+        center[2 * lo : stop] = grid_values[:, 2 * lo : stop].mean(axis=0)
+
+    _fan_out(average, pairs)
+    return center
 
 
 @dataclass(frozen=True)
@@ -331,20 +383,25 @@ def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> n
     """Distance of every drawn density to `center` on draws.grid, in the sup or L2(D) metric.
 
     The rows are taken in tiles of DISTANCE_TILE_ROWS, each differenced into
-    one reused buffer, so no temporary of the grid's size is made.
+    its thread's one reused buffer, so no temporary of the grid's size is
+    made.  Runs of consecutive tiles go to one thread per CPU (_fan_out).
     """
     if metric not in ("sup", "l2"):
         raise ParameterError(f"metric must be 'sup' or 'l2', got {metric!r}")
     grid_values = draws.grid_values
     dist = np.empty(len(grid_values))
-    buf = np.empty((DISTANCE_TILE_ROWS, grid_values.shape[1]))
-    for lo in range(0, len(grid_values), DISTANCE_TILE_ROWS):
-        tile = grid_values[lo : lo + DISTANCE_TILE_ROWS]
-        diffs = np.subtract(tile, center, out=buf[: len(tile)])
-        if metric == "sup":
-            np.max(np.abs(diffs, out=diffs), axis=1, out=dist[lo : lo + len(tile)])
-        else:
-            dist[lo : lo + len(tile)] = _l2_norm(diffs, draws.grid)
+
+    def measure(first_tile: int, end_tile: int) -> None:
+        buf = np.empty((DISTANCE_TILE_ROWS, grid_values.shape[1]))
+        for lo in range(first_tile * DISTANCE_TILE_ROWS, end_tile * DISTANCE_TILE_ROWS, DISTANCE_TILE_ROWS):
+            tile = grid_values[lo : lo + DISTANCE_TILE_ROWS]
+            diffs = np.subtract(tile, center, out=buf[: len(tile)])
+            if metric == "sup":
+                np.max(np.abs(diffs, out=diffs), axis=1, out=dist[lo : lo + len(tile)])
+            else:
+                dist[lo : lo + len(tile)] = _l2_norm(diffs, draws.grid)
+
+    _fan_out(measure, (len(grid_values) + DISTANCE_TILE_ROWS - 1) // DISTANCE_TILE_ROWS)
     return dist
 
 

@@ -471,12 +471,14 @@ class TestExperiment:
         assert main(["experiment", "--j", "1"]) == 2
 
 
-# Imports the package, checks that scipy was not loaded, then blocks scipy
+# Imports the package, checks that neither scipy nor concurrent.futures was
+# loaded, then blocks scipy
 # (every import of it or a submodule raises ImportError) and runs the commands.
 WITHOUT_SCIPY = """
 import json, sys
 import levygibbs, levygibbs.cli
 assert "scipy" not in sys.modules, "importing levygibbs loaded scipy"
+assert "concurrent.futures" not in sys.modules, "importing levygibbs loaded concurrent.futures"
 sys.modules["scipy"] = None
 for argv in json.loads(sys.argv[1]):
     code = levygibbs.cli.main(argv)

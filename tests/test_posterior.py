@@ -15,11 +15,13 @@ import functools
 import hashlib
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from levygibbs import posterior
+from levygibbs import posterior, processes
 from levygibbs import (
     BasisSystem,
     CoefficientVector,
@@ -283,6 +285,15 @@ class TestMarginalK:
         with pytest.raises(ParameterError):
             MarginalK.point_mass(11, 10)
 
+    def test_point_mass_needs_integers(self):
+        assert same_bits(MarginalK.point_mass(np.int64(2), 3).probs, np.array([0.0, 1.0, 0.0]))
+        assert MarginalK.point_mass(1, np.int64(3)).k_max == 3
+        for k0, k_max in ((True, 3), (2.5, 3), (2, 3.0), (2, True)):
+            with pytest.raises(ParameterError, match="^point mass K and k_max must be integers"):
+                MarginalK.point_mass(k0, k_max)
+        with pytest.raises(ParameterError, match=r"^point mass K=0 outside 1\.\.3$"):
+            MarginalK.point_mass(0, 3)
+
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
@@ -455,6 +466,17 @@ class TestSamplePosterior:
         self.check_matches_per_draw(theta_hat, 320.0, config, 600, 2, basis, marg)
 
 
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every microsecond, so threads interleave as often as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestInProcessPath:
     """Several blocks, the last one partial, and partial distance tiles give the per-draw bits, with no pool."""
 
@@ -495,6 +517,50 @@ class TestInProcessPath:
         for metric in ("sup", "l2"):
             credible_band(draws, 0.9, metric=metric)
         concentration_probability(draws, STUDY_VG.levy_density(), 100.0)
+        assert pooled_io.pools == 0
+
+    @pytest.mark.parametrize("grid_points", [2, 513])
+    @pytest.mark.parametrize("num_draws", [1, 255, 257, NUM_DRAWS])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_thread_counts_match_per_draw(self, pooled_io, monkeypatch, short_switch_interval, cpus, num_draws, grid_points):
+        # One thread per CPU: runs of blocks, column spans and runs of tiles,
+        # each cut differently at every count, give the per-draw bits.
+        monkeypatch.setattr(processes, "_io_workers", lambda: cpus)
+        threads = threading.active_count()
+
+        def call(f, *args, **kwargs):
+            out = f(*args, **kwargs)
+            assert threading.active_count() == threads
+            return out
+
+        draws = call(
+            sample_posterior, self.theta, 20.0, self.config, num_draws, seed=5, marginal=self.marginal, grid_points=grid_points
+        )
+        ref_draws, ref_values = per_draw_sample(
+            self.theta.values, 20.0, self.config, num_draws, 5, self.basis, self.marginal, grid_points
+        )
+        assert same_bits(draws.grid_values, ref_values)
+        assert all(
+            K == ref_K and same_bits(theta, ref_theta)
+            for (K, theta), (ref_K, ref_theta) in zip(draws.draws, ref_draws, strict=True)
+        )
+        center = ref_values.mean(axis=0)
+        assert same_bits(call(posterior_mean_function, draws), center)
+        ref_dist = {
+            "sup": np.max(np.abs(ref_values - center), axis=1),
+            "l2": np.sqrt(np.trapezoid((ref_values - center) ** 2, draws.grid, axis=1)),
+        }
+        for metric in ("sup", "l2"):
+            assert same_bits(call(_draw_distances, draws, center, metric), ref_dist[metric])
+            band = call(credible_band, draws, 0.9, metric=metric)
+            radius = np.quantile(ref_dist[metric], 0.9, method="higher")
+            assert band.radius == radius and same_bits(band.center, center)
+            if metric == "sup":
+                assert same_bits(band.lo, center - radius) and same_bits(band.hi, center + radius)
+        psi = STUDY_VG.levy_density()
+        ref_psi = np.sqrt(np.trapezoid((ref_values - psi(draws.grid)) ** 2, draws.grid, axis=1))
+        r = float(np.median(ref_psi))
+        assert call(concentration_probability, draws, psi, r) == float(np.mean(ref_psi > r))
         assert pooled_io.pools == 0
 
 
