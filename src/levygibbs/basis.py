@@ -40,7 +40,7 @@ from .errors import (
     ResourceGuardError,
     WindowError,
 )
-from .util import MATERIALIZE_LIMIT, is_integer
+from .util import MATERIALIZE_LIMIT, check_count
 
 MAX_TRIG_K = 512
 MAX_LEGENDRE_J = 5
@@ -82,14 +82,9 @@ class Window:
     def grid(self, grid_points: int) -> np.ndarray:
         """Uniform grid of `grid_points` points from a to b.
 
-        ParameterError below two points; ResourceGuardError, before allocating, above MATERIALIZE_LIMIT.
+        ParameterError unless an integer >= 2; ResourceGuardError, before allocating, above MATERIALIZE_LIMIT.
         """
-        if grid_points < 2:
-            raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
-        if grid_points > MATERIALIZE_LIMIT:
-            raise ResourceGuardError(
-                f"grid_points={grid_points} is above the materialization limit of {MATERIALIZE_LIMIT}"
-            )
+        grid_points = _materializable(check_count(grid_points, "grid_points", lo=2), "grid_points")
         return np.linspace(self.a, self.b, grid_points)
 
 
@@ -128,11 +123,11 @@ class BasisSystem:
         """The basis a descriptor() names; ParameterError for a malformed one or an unknown family."""
         with _parsing("basis descriptor"):
             window = Window(_number(d["a"], "basis window a"), _number(d["b"], "basis window b"))
-            family, K = d["family"], _size(d, "K")
+            family, K = d["family"], check_count(d["K"], "basis descriptor K")
             if family == "trigonometric":
                 basis = cls.trigonometric(window, K)
             elif family == "piecewise-legendre":
-                basis = cls.piecewise_legendre(window, _size(d, "J"), _size(d, "L"))
+                basis = cls.piecewise_legendre(window, d["J"], d["L"])
             else:
                 raise ParameterError(f"unknown basis family {family!r}")
         if basis.K != K:
@@ -153,9 +148,7 @@ class TrigonometricBasis(BasisSystem):
     nested = True
 
     def __init__(self, window: Window, K: int):
-        if not 1 <= K <= MAX_TRIG_K:
-            raise ParameterError(f"trigonometric K must be in 1..{MAX_TRIG_K}, got {K}")
-        super().__init__(window, K)
+        super().__init__(window, check_count(K, "trigonometric K", hi=MAX_TRIG_K))
 
     def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         a, width = self.window.a, self.window.length
@@ -193,10 +186,7 @@ class PiecewiseLegendreBasis(BasisSystem):
     family = "piecewise-legendre"
 
     def __init__(self, window: Window, J: int, L: int):
-        if not 1 <= J <= MAX_LEGENDRE_J:
-            raise ParameterError(f"J must be in 1..{MAX_LEGENDRE_J}, got {J}")
-        if not 1 <= L <= MAX_LEGENDRE_L:
-            raise ParameterError(f"L must be in 1..{MAX_LEGENDRE_L}, got {L}")
+        J, L = check_count(J, "J", hi=MAX_LEGENDRE_J), check_count(L, "L", hi=MAX_LEGENDRE_L)
         super().__init__(window, J * L)
         self.J, self.L = J, L
         self._h = window.length / L
@@ -253,19 +243,18 @@ def _parsing(what: str):
         raise ParameterError(f"malformed {what}: {exc}") from exc
 
 
-def _size(d: dict, key: str) -> int:
-    """The integer field `key` of a descriptor; a bool, a float or a string raises ParameterError."""
-    value = d[key]
-    if not is_integer(value):
-        raise ParameterError(f"malformed basis descriptor: {key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _number(value, what: str) -> float:
     """A finite JSON number as a float; a bool, a string, nan, inf or any other value raises ParameterError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ParameterError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _materializable(count: int, name: str) -> int:
+    """count, or ResourceGuardError (raised before anything is allocated) when it is above MATERIALIZE_LIMIT."""
+    if count > MATERIALIZE_LIMIT:
+        raise ResourceGuardError(f"{name}={count} is above the materialization limit of {MATERIALIZE_LIMIT}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -352,9 +341,10 @@ def quadrature_rule(basis: BasisSystem, quad_nodes: int) -> tuple[np.ndarray, np
     Panels never straddle piece boundaries of a piecewise basis, so basis
     rows are smooth on every panel and the rule converges at spectral rate.
     The node set depends only on the basis segments and quad_nodes, never on K.
+    ParameterError unless quad_nodes is a positive integer; ResourceGuardError,
+    before anything is allocated, above MATERIALIZE_LIMIT.
     """
-    if quad_nodes < 1:
-        raise ParameterError(f"quad_nodes must be >= 1, got {quad_nodes}")
+    quad_nodes = _materializable(check_count(quad_nodes, "quad_nodes"), "quad_nodes")
     segments = basis.segments()
     per_segment = -(-quad_nodes // len(segments))
     panels_per_segment = -(-per_segment // _PANEL)

@@ -34,8 +34,6 @@ def empirical_coefficients(
     forked workers (default one per CPU); the result does not depend on it.
     """
     t_n = series.scheme.t_n
-    if t_n <= 0.0:
-        raise ParameterError(f"horizon must be positive, got t_n={t_n!r}")
     a, b = basis.window.a, basis.window.b
     ks = np.arange(1, basis.K + 1)
 

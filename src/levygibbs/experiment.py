@@ -38,7 +38,7 @@ from .posterior import (
     sample_posterior,
 )
 from .processes import ProcessModel, SamplingScheme, VarianceGammaParams, simulate
-from .util import derive_seed, fmt_float, is_integer, open_ascii, snap_ceil
+from .util import check_count, check_seed, derive_seed, fmt_float, open_ascii, snap_ceil
 
 # Default study process parameters.
 DEFAULT_VG_PARAMS = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
@@ -67,9 +67,7 @@ class RegimeSpec:
     j: int
 
     def __post_init__(self) -> None:
-        if not (is_integer(self.j) and self.j >= 1):
-            raise ParameterError(f"regime index j must be a positive integer, got {self.j!r}")
-        object.__setattr__(self, "j", int(self.j))
+        object.__setattr__(self, "j", check_count(self.j, "regime index j"))
 
     @classmethod
     def from_j(cls, j: int) -> "RegimeSpec":
@@ -194,6 +192,7 @@ def run_regime(
     "draws"), so each stage can be reproduced standalone from the master seed.
     """
     start = time.perf_counter()
+    num_draws, seed = check_count(num_draws, "num_draws"), check_seed(seed)  # stored as ints, so the report serializes
     psi_star = model.levy_density()  # before the draws, so a model without a density costs nothing
     if config is None:
         config = GibbsConfig()
@@ -359,10 +358,10 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _write_json(path, payload) -> None:
-    """Indented JSON with sorted keys and a trailing newline."""
+    """Indented JSON with sorted keys and a trailing newline; a payload that does not serialize raises before path is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_band_table(path, grid, psi_true, psi_mean, lo, hi) -> None:

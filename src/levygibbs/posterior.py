@@ -29,7 +29,7 @@ from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGua
 from .estimator import DEFAULT_GRID_POINTS, _l2_norm
 from . import processes
 from .processes import _block_rng
-from .util import MATERIALIZE_LIMIT, check_seed, is_integer, snap_ceil
+from .util import MATERIALIZE_LIMIT, check_count, check_seed, snap_ceil
 
 # Draws are generated in fixed blocks, each from its own substream of the
 # seed, so one block can be redrawn on its own, bit for bit.
@@ -90,8 +90,8 @@ class GibbsConfig:
         # admissibility diagnostics can report on it; the pmf is still proper.
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ParameterError(f"beta must be nonnegative and finite, got {self.beta!r}")
-        if self.k_max is not None and not (is_integer(self.k_max) and self.k_max >= 1):
-            raise ParameterError(f"k_max must be a positive integer or None, got {self.k_max!r}")
+        if self.k_max is not None:
+            object.__setattr__(self, "k_max", check_count(self.k_max, "k_max"))
         self.D_prime.check_contains(self.D, "D_prime")
 
     def k_max_for(self, t_n: float) -> int:
@@ -123,10 +123,8 @@ class MarginalK:
 
     @classmethod
     def point_mass(cls, k0: int, k_max: int) -> "MarginalK":
-        if not (is_integer(k0) and is_integer(k_max)):
-            raise ParameterError(f"point mass K and k_max must be integers, got K={k0!r}, k_max={k_max!r}")
-        if not 1 <= k0 <= k_max:
-            raise ParameterError(f"point mass K={k0} outside 1..{k_max}")
+        k_max = check_count(k_max, "point mass k_max")
+        k0 = check_count(k0, "point mass K", hi=k_max)
         lw = np.full(k_max, -np.inf)
         lw[k0 - 1] = 0.0
         probs = np.zeros(k_max)
@@ -268,15 +266,14 @@ def sample_posterior(
     see DrawBlocks.
 
     Raises ParameterError when theta_hat_full is not a CoefficientVector,
-    num_draws is not a positive integer or seed is not a non-negative
-    integer, the errors of _leading_coefficients whatever `marginal` is,
+    num_draws is not a positive integer, grid_points is not an integer >= 2
+    or seed is not a non-negative integer, the errors of _leading_coefficients whatever `marginal` is,
     WindowError when config.D is not inside the basis window, DimensionError
     when `marginal` does not cover K = 1..k_max, and ResourceGuardError,
     before allocating, when the grid evaluations or the theta matrices (up to
     num_draws * k_max values) would hold more than MATERIALIZE_LIMIT values.
     """
-    if not (is_integer(num_draws) and num_draws >= 1):
-        raise ParameterError(f"num_draws must be a positive integer, got {num_draws!r}")
+    num_draws, grid_points = check_count(num_draws, "num_draws"), check_count(grid_points, "grid_points", lo=2)
     check_seed(seed)
     if not isinstance(theta_hat_full, CoefficientVector):
         raise ParameterError(f"theta_hat_full must be a CoefficientVector, got {type(theta_hat_full).__name__}")

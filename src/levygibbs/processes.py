@@ -53,7 +53,7 @@ from .errors import (
     RangeError,
     ResourceGuardError,
 )
-from .util import MATERIALIZE_LIMIT, check_seed, decode_ascii, fmt_float, is_integer, open_ascii
+from .util import MATERIALIZE_LIMIT, check_count, check_seed, decode_ascii, fmt_float, open_ascii
 
 # Fixed RNG block span.  Block b covers increment indices [b*BLOCK, (b+1)*BLOCK).
 BLOCK = 1 << 20
@@ -70,8 +70,7 @@ class SamplingScheme:
     n: int
 
     def __post_init__(self) -> None:
-        if not (is_integer(self.n) and self.n >= 1):
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", check_count(self.n, "n"))
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ParameterError(f"delta must be positive and finite, got {self.delta!r}")
         if not math.isfinite(self.t_n):

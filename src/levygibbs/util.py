@@ -48,10 +48,20 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_seed(seed) -> None:
-    """ParameterError unless seed is a non-negative integer; a bool is not a seed."""
-    if not (is_integer(seed) and seed >= 0):
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+def check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
+    """The one count rule: int(value) for an integer in lo..hi (hi=None: no upper end), else ParameterError naming `name`."""
+    if is_integer(value) and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    if hi is not None:
+        rule = f"an integer in {lo}..{hi}"
+    else:
+        rule = {1: "a positive integer", 0: "a non-negative integer"}.get(lo, f"an integer >= {lo}")
+    raise ParameterError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_seed(seed) -> int:
+    """int(seed) for a non-negative integer seed; ParameterError otherwise."""
+    return check_count(seed, "seed", lo=0)
 
 
 def snap_ceil(x: float) -> int:

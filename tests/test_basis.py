@@ -7,6 +7,7 @@ exact trig/Legendre closed forms for single-point evaluations.
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from levygibbs import (
     DimensionError,
     IntegrationError,
     ParameterError,
+    ResourceGuardError,
     VarianceGammaParams,
     Window,
     WindowError,
@@ -27,6 +29,7 @@ from levygibbs import (
     synthesize,
 )
 from levygibbs.basis import MAX_LEGENDRE_J, MAX_LEGENDRE_L, MAX_TRIG_K
+from levygibbs.util import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
@@ -364,7 +367,7 @@ TRIG8 = BasisSystem.trigonometric(D_PRIME, 8)
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: quadrature_rule(TRIG8, 0), ParameterError, "quad_nodes must be >= 1, got 0"),
+    (lambda: quadrature_rule(TRIG8, 0), ParameterError, "quad_nodes must be a positive integer, got 0"),
     (lambda: gram_matrix(TRIG8, quad_nodes=31), ParameterError, "quad_nodes=31 below the 4K floor for K=8"),
     (lambda: project_density(TRIG8, np.ones_like, quad_nodes=31), ParameterError,
      "quad_nodes=31 below the 4K floor for K=8"),
@@ -378,3 +381,10 @@ def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as excinfo:
         call()
     assert excinfo.type is error
+
+
+def test_quadrature_guard_fires_before_allocating():
+    # segments() is the rule's first step towards its nodes, so the stub fails the test if the guard is missing.
+    stub = SimpleNamespace(segments=lambda: pytest.fail("quadrature_rule went past its guard"))
+    with pytest.raises(ResourceGuardError, match=f"quad_nodes={MATERIALIZE_LIMIT + 1} is above the materialization limit"):
+        quadrature_rule(stub, MATERIALIZE_LIMIT + 1)

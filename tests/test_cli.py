@@ -714,7 +714,7 @@ class TestCheck:
     @pytest.mark.parametrize("points", ["0", "-3", "1"])
     def test_grid_points_below_two_exit_2(self, capsys, points):
         assert main(["check", "--j", "1", "--grid-points", points]) == 2
-        assert f"grid_points must be >= 2, got {points}" in capsys.readouterr().err
+        assert f"grid_points must be an integer >= 2, got {points}" in capsys.readouterr().err
 
     def test_grid_points_above_limit_exit_4(self, tmp_path, capsys):
         inc = tmp_path / "inc.bin"

@@ -2,7 +2,6 @@
 
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,10 +117,11 @@ class TestEmpiricalCoefficients:
         assert np.array_equal(a, b)
 
     def test_nonpositive_horizon_rejected(self):
-        basis = BasisSystem.trigonometric(D_PRIME, 4)
-        fake = SimpleNamespace(scheme=SimpleNamespace(t_n=0.0))
-        with pytest.raises(ParameterError):
-            empirical_coefficients(fake, basis)
+        # SamplingScheme owns the horizon rule (n >= 1, delta > 0), so the fold
+        # never receives a series with t_n <= 0.
+        for values, delta in (([0.01], 0.0), ([0.01], -0.5), ([], 0.5)):
+            with pytest.raises(ParameterError):
+                series_from(values, delta=delta)
 
 
 class TestRisk:

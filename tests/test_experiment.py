@@ -18,11 +18,14 @@ from scipy.stats import norm
 from levygibbs import (
     BasisFeatures,
     BasisSystem,
+    CoefficientVector,
     CompoundPoissonParams,
     GibbsConfig,
     JumpDistribution,
+    MarginalK,
     ParameterError,
     SamplingScheme,
+    Window,
     concentration_probability,
     contraction_rate,
     delta_condition,
@@ -30,6 +33,7 @@ from levygibbs import (
     no_overfit_diagnostic,
     oracle_dimension,
     project_density,
+    quadrature_rule,
     rate_table,
     run_regime,
     sample_posterior,
@@ -40,7 +44,7 @@ from levygibbs import (
 )
 import levygibbs.experiment as experiment
 from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
-from levygibbs.util import derive_seed, snap_ceil
+from levygibbs.util import check_seed, derive_seed, snap_ceil
 
 from conftest import MASTER_SEED
 
@@ -49,6 +53,36 @@ FROZEN = {
     1: dict(k_mode=5, err_projection=129.13722087236616, err_postmean=125.71867444127629),
     2: dict(k_mode=9, err_projection=96.74615003284464, err_postmean=91.14508688833367),
     3: dict(k_mode=17, err_projection=48.66229949926915, err_postmean=39.16267763286257),
+}
+
+
+D_PRIME = Window(0.005, 0.015)
+THETA4 = CoefficientVector(BasisSystem.trigonometric(D_PRIME, 4), np.ones(4), role="empirical", t_n=20.0)
+
+# Each size the library takes: (make(value), the stored int of make's result, a legal value).
+COUNT_SITES = {
+    "SamplingScheme.n": (lambda v: SamplingScheme(0.5, v), lambda s: s.n, 4),
+    "RegimeSpec.j": (RegimeSpec, lambda s: s.j, 2),
+    "GibbsConfig.k_max": (lambda v: GibbsConfig(k_max=v), lambda c: c.k_max, 4),
+    "MarginalK.point_mass.K": (lambda v: MarginalK.point_mass(v, 8), MarginalK.mode, 4),
+    "MarginalK.point_mass.k_max": (lambda v: MarginalK.point_mass(2, v), lambda m: m.k_max, 4),
+    "sample_posterior.num_draws": (
+        lambda v: sample_posterior(THETA4, 20.0, GibbsConfig(k_max=4), v, seed=0, grid_points=8), len, 4,
+    ),
+    "sample_posterior.grid_points": (
+        lambda v: sample_posterior(THETA4, 20.0, GibbsConfig(k_max=4), 2, seed=0, grid_points=v),
+        lambda draws: draws.grid_values.shape[1], 4,
+    ),
+    "TrigonometricBasis.K": (lambda v: BasisSystem.trigonometric(D_PRIME, v), lambda b: b.K, 4),
+    "PiecewiseLegendreBasis.J": (lambda v: BasisSystem.piecewise_legendre(D_PRIME, v, 2), lambda b: b.J, 4),
+    "PiecewiseLegendreBasis.L": (lambda v: BasisSystem.piecewise_legendre(D_PRIME, 2, v), lambda b: b.L, 4),
+    "descriptor.K": (
+        lambda v: BasisSystem.from_descriptor({"family": "trigonometric", "a": 0.005, "b": 0.015, "K": v}),
+        lambda b: b.K, 4,
+    ),
+    "Window.grid": (D_PRIME.grid, len, 4),
+    "quadrature_rule": (lambda v: quadrature_rule(THETA4.basis, v), lambda rule: len(rule[0]), 32),
+    "check_seed": (check_seed, lambda seed: seed, 4),
 }
 
 
@@ -80,14 +114,14 @@ class TestRegimeArithmetic:
         # larger regimes are well defined, just expensive
         assert RegimeSpec.from_j(4).delta == 1e-3 * 2.0**-12
 
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: SamplingScheme(0.5, True), lambda: RegimeSpec(True), lambda: GibbsConfig(k_max=True)],
-        ids=["SamplingScheme.n", "RegimeSpec.j", "GibbsConfig.k_max"],
-    )
-    def test_bool_is_not_a_count(self, make):
-        with pytest.raises(ParameterError, match="must be a positive integer"):
-            make()
+    @pytest.mark.parametrize("make, stored, k", list(COUNT_SITES.values()), ids=list(COUNT_SITES))
+    def test_bool_is_not_a_count(self, make, stored, k):
+        # util.check_count at every size the library takes: no bool or float, and a numpy integer is stored as an int.
+        for bad in (True, 2.5, np.float64(4.0)):
+            with pytest.raises(ParameterError, match="must be (a positive|a non-negative|an) integer"):
+                make(bad)
+        value = stored(make(np.int64(k)))
+        assert type(value) is int and value == k
 
     def test_delta_n_t_n_derived_from_j(self):
         # j is the one field, so no regime can carry a delta, n or t_n of another j.
@@ -393,6 +427,35 @@ class TestWriters:
         assert "runtime" not in json.dumps(payload).lower()
         assert list(regime.keys()) == sorted(regime.keys())
         assert regime["err_postmean"] == regime_reports[1].err_postmean
+
+
+    def test_failed_json_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "coeffs.json"
+        experiment.write_coefficients_json(path, THETA4)
+        before = path.read_bytes()
+        unserializable = CoefficientVector(THETA4.basis, THETA4.values, role="empirical", t_n=np.float32(2.0))
+        with pytest.raises(TypeError, match="float32"):
+            experiment.write_coefficients_json(path, unserializable)
+        assert path.read_bytes() == before
+
+    def test_coefficient_files_of_numpy_sizes_read_back(self, tmp_path):
+        for basis in (
+            BasisSystem.trigonometric(D_PRIME, np.int64(6)),
+            BasisSystem.piecewise_legendre(D_PRIME, np.int64(3), np.int64(2)),
+        ):
+            theta = CoefficientVector(basis, np.arange(6.0), role="empirical", t_n=20.0)
+            path = tmp_path / f"{basis.family}.json"
+            experiment.write_coefficients_json(path, theta)
+            back = experiment.read_coefficients_json(path)
+            assert back.basis == basis and np.array_equal(back.values, theta.values)
+
+    def test_report_of_numpy_counts_has_the_bytes_of_int_counts(self, tmp_path):
+        paths = [tmp_path / "int.json", tmp_path / "numpy.json"]
+        for path, as_count in zip(paths, (int, np.int64)):
+            config = GibbsConfig(k_max=as_count(20))
+            report = run_regime(RegimeSpec(1), config=config, num_draws=as_count(200), seed=as_count(MASTER_SEED))
+            write_report_json([report], path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("call, message", [
