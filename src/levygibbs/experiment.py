@@ -357,9 +357,16 @@ def _write_csv(path, header: str, rows) -> None:
             fh.write("\n")
 
 
+def _json_float(o) -> float:
+    """json.dumps' hook for what it cannot encode: a numpy float becomes a float; anything else raises TypeError."""
+    if isinstance(o, np.floating):
+        return float(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _write_json(path, payload) -> None:
     """Indented JSON with sorted keys and a trailing newline; a payload that does not serialize raises before path is opened."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_float) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
@@ -414,7 +421,7 @@ def read_coefficients_json(path) -> CoefficientVector:
 def write_draws_jsonl(path, draws: PosteriorDraws) -> None:
     """One {"draw_index", "K", "theta"} record per posterior draw, one per line."""
     with open(path, "w", encoding="ascii") as fh:
-        for i, (K, theta) in enumerate(draws.draws):
+        for i, (K, theta) in enumerate(draws):
             fh.write(json.dumps({"draw_index": i, "K": K, "theta": [float(v) for v in theta]}))
             fh.write("\n")
 

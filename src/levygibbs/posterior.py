@@ -41,27 +41,30 @@ DRAW_BLOCK = 256
 DISTANCE_TILE_ROWS = 128
 
 
-def _fan_out(job, items: int) -> list:
-    """[job(lo, hi) for each run lo..hi]: range(items) cut into one run of consecutive items per thread.
+def _fan_out(job, items: int) -> None:
+    """Run job(lo, hi) on each run lo..hi of range(items), cut into one run of consecutive items per thread.
 
     There are min(processes._io_workers(), items) threads, so one per CPU at
     most.  The calling thread runs the first run and a thread pool the
     others; with fewer than two threads, job(0, items) runs here alone.  Each
-    job writes only its own slice of any shared output, so the cut changes no
-    result's bits.  numpy runs the jobs' matmul and ufunc loops without the
-    GIL.  Every pool thread has exited on return, so a later fork copies none.
+    job writes only its own slice of a shared output and returns nothing, so
+    the cut changes no result's bits.  numpy runs the jobs' matmul and ufunc
+    loops without the GIL.  An exception of any job is raised here.  Every
+    pool thread has exited on return, so a later fork copies none.
     """
     workers = min(processes._io_workers(), items)
     if workers < 2:
-        return [job(0, items)]
+        job(0, items)
+        return
     # Imported here, so that importing the package does not load concurrent.futures.
     from concurrent.futures import ThreadPoolExecutor
 
     cuts = [items * w // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(workers - 1) as pool:
         rest = [pool.submit(job, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        first = job(cuts[0], cuts[1])
-    return [first] + [f.result() for f in rest]
+        job(cuts[0], cuts[1])
+    for future in rest:
+        future.result()
 
 
 @dataclass(frozen=True)
@@ -193,51 +196,28 @@ def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
     return MarginalK(log_w, probs)
 
 
-class DrawBlocks:
-    """The sampler's (K_i, theta_i) pairs, kept as its per-block (ks, theta) matrices.
-
-    Block b holds draws b*DRAW_BLOCK onward: draw r of the block has
-    K = ks[r] and theta = theta[r, :ks[r]], a view of the block's matrix, so
-    a theta_i keeps its block alive.  Indexing and iteration give the pairs,
-    K as an int; no per-draw object is stored.
-    """
-
-    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        self.blocks = blocks
-        self._len = sum(len(ks) for ks, _ in blocks)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> tuple[int, np.ndarray]:
-        if not -self._len <= i < self._len:
-            raise IndexError(f"draw index {i} out of range for {self._len} draws")
-        block, r = divmod(i % self._len, DRAW_BLOCK)
-        ks, theta = self.blocks[block]
-        K = int(ks[r])
-        return K, theta[r, :K]
-
-    def __iter__(self):
-        for ks, theta in self.blocks:
-            for K, row in zip(ks.tolist(), theta):
-                yield K, row[:K]
-
-
 @dataclass
 class PosteriorDraws:
     """Monte Carlo draws from the hierarchical posterior with grid evaluations on D.
 
-    draws[i] is (K_i, theta_i); grid_values[i] is the synthesized density of
-    draw i on `grid` (a uniform grid over the reporting window D).  `draws`
-    is the sampler's DrawBlocks.
+    Draw i has K_i = int(ks[i]) and coefficients theta[i, :K_i]; the entries
+    of row i past K_i are padding and never read.  grid_values[i] is the
+    synthesized density of draw i on `grid` (a uniform grid over the
+    reporting window D).  Iteration gives the (K_i, theta_i) pairs, K_i as an
+    int and theta_i a view of row i.
     """
 
     grid: np.ndarray
     grid_values: np.ndarray
-    draws: DrawBlocks
+    ks: np.ndarray
+    theta: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.draws)
+        return len(self.ks)
+
+    def __iter__(self):
+        for K, row in zip(self.ks.tolist(), self.theta):
+            yield K, row[:K]
 
 
 def sample_posterior(
@@ -259,18 +239,17 @@ def sample_posterior(
     DRAW_BLOCK with per-block substreams of `seed`, so the stream is
     reproducible and one block can be redrawn alone.  Each block's substream
     gives the block's uniforms for K first, then the standard normals of its
-    draws in draw order, K_i of them for draw i.  Runs of consecutive blocks
-    are drawn on one thread per CPU (_fan_out), each writing only its blocks'
-    rows of grid_values, so the result has the same bits on any number of
-    CPUs.  The theta_i of the result are views of the blocks' theta matrices;
-    see DrawBlocks.
+    draws in draw order, K_i of them for draw i.  Every K is drawn here;
+    then runs of consecutive blocks draw their normals on one thread per CPU
+    (_fan_out), each writing only its blocks' rows of theta and grid_values,
+    so the result has the same bits on any number of CPUs.
 
     Raises ParameterError when theta_hat_full is not a CoefficientVector,
     num_draws is not a positive integer, grid_points is not an integer >= 2
     or seed is not a non-negative integer, the errors of _leading_coefficients whatever `marginal` is,
     WindowError when config.D is not inside the basis window, DimensionError
     when `marginal` does not cover K = 1..k_max, and ResourceGuardError,
-    before allocating, when the grid evaluations or the theta matrices (up to
+    before allocating, when the grid evaluations or the theta matrix (up to
     num_draws * k_max values) would hold more than MATERIALIZE_LIMIT values.
     """
     num_draws, grid_points = check_count(num_draws, "num_draws"), check_count(grid_points, "grid_points", lo=2)
@@ -305,35 +284,34 @@ def sample_posterior(
     grid = config.D.grid(grid_points)
     rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
 
+    # Every K here, from the head of its block's substream; the jobs draw the
+    # normals from the same generators, which stand just past the uniforms.
+    rngs = [_block_rng(seed, b) for b in range((num_draws + DRAW_BLOCK - 1) // DRAW_BLOCK)]
+    u = np.concatenate([rng.random(min(DRAW_BLOCK, num_draws - b * DRAW_BLOCK)) for b, rng in enumerate(rngs)])
+    ks = np.searchsorted(cum, u, side="right") + 1
+    width = int(ks.max())
+    theta = np.empty((num_draws, width))
     grid_values = np.empty((num_draws, grid_points))
 
-    def draw_blocks(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        blocks = []
+    def draw_blocks(lo: int, hi: int) -> None:
         for b in range(lo, hi):
             start = b * DRAW_BLOCK
-            m = min(DRAW_BLOCK, num_draws - start)
-            rng = _block_rng(seed, b)
-            u = rng.random(m)
-            ks = np.searchsorted(cum, u, side="right") + 1
+            block = slice(start, start + DRAW_BLOCK)
+            block_ks = ks[block]
             # Row i holds draw i's coefficients in its first K_i entries; one call
             # for all normals continues the stream exactly as one call per draw.
-            width = int(ks.max())
-            filled = np.arange(width) < ks[:, None]
-            z = np.zeros((m, width))
-            z[filled] = rng.standard_normal(int(ks.sum()))
-            theta = means[:width] + sd * z
-            for K in np.unique(ks):
-                idx = np.flatnonzero(ks == K)
+            z = np.zeros((len(block_ks), width))
+            z[np.arange(width) < block_ks[:, None]] = rngs[b].standard_normal(int(block_ks.sum()))
+            theta[block] = means[:width] + sd * z
+            for K in np.unique(block_ks):
+                idx = start + np.flatnonzero(block_ks == K)
                 # A stack of 1xK products runs one GEMV per draw, the kernel and
                 # summation order of theta_i @ rows[:K]; a GEMM over the group, or
                 # a product over the zero-padded width, can differ in the last ulp.
-                grid_values[start + idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
-            blocks.append((ks, theta))
-        return blocks
+                grid_values[idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
 
-    runs = _fan_out(draw_blocks, (num_draws + DRAW_BLOCK - 1) // DRAW_BLOCK)
-    blocks = [block for run in runs for block in run]
-    return PosteriorDraws(grid, grid_values, DrawBlocks(blocks))
+    _fan_out(draw_blocks, len(rngs))
+    return PosteriorDraws(grid, grid_values, ks, theta)
 
 
 def posterior_mean_function(draws: PosteriorDraws) -> np.ndarray:

@@ -381,8 +381,11 @@ class IncrementSeries:
         or slices the blocks it is given and sends back only fn's results, so
         those must pickle; fn itself reaches the workers by fork and may be a
         closure.  Results are in block order either way, so reductions over
-        the list are deterministic.
+        the list are deterministic.  max_workers, unless None, must be a
+        positive integer (ParameterError otherwise).
         """
+        if max_workers is not None:
+            max_workers = check_count(max_workers, "max_workers")
         return _pool_map(lambda block: fn(self._block_fn(block)), self.scheme.num_blocks, max_workers)
 
 

@@ -210,7 +210,7 @@ def test_criterion_09_draw_frequencies_match_pmf(capsys):
     marg = marginal_k(theta_hat, 320.0, config)
     num = 100_000
     draws = sample_posterior(theta_hat, 320.0, config, num, MASTER_SEED, grid_points=2)
-    counts = np.bincount([K for K, _ in draws.draws], minlength=321)[1:]
+    counts = np.bincount(draws.ks, minlength=321)[1:]
     # Per-cell binomial check on every cell with expected count >= 10.  With
     # ~7 such cells at 3 SE the chance of a spurious flag is about 2%, and the
     # draw seed is frozen, so this is a deterministic fixture rather than a

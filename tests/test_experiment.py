@@ -433,10 +433,28 @@ class TestWriters:
         path = tmp_path / "coeffs.json"
         experiment.write_coefficients_json(path, THETA4)
         before = path.read_bytes()
-        unserializable = CoefficientVector(THETA4.basis, THETA4.values, role="empirical", t_n=np.float32(2.0))
-        with pytest.raises(TypeError, match="float32"):
+        unserializable = CoefficientVector(THETA4.basis, THETA4.values, role=object(), t_n=20.0)
+        with pytest.raises(TypeError, match="object"):
             experiment.write_coefficients_json(path, unserializable)
         assert path.read_bytes() == before
+
+    def test_numpy_float32_fields_write_and_read_back(self, tmp_path):
+        f32 = np.float32
+        window = Window(f32(0.005), 0.015)
+        for theta in (
+            CoefficientVector(THETA4.basis, THETA4.values, role="empirical", t_n=f32(2.0)),
+            CoefficientVector(BasisSystem.trigonometric(window, 4), np.ones(4), role="empirical", t_n=20.0),
+        ):
+            path = tmp_path / "coeffs.json"
+            experiment.write_coefficients_json(path, theta)
+            back = experiment.read_coefficients_json(path)
+            assert back.t_n == float(theta.t_n) and back.basis.window.a == float(theta.basis.window.a)
+            assert np.array_equal(back.values, theta.values)
+        config = GibbsConfig(omega=f32(1e-5), k_max=20)
+        report = run_regime(RegimeSpec(1), config=config, num_draws=200, seed=MASTER_SEED, band_level=f32(0.9))
+        write_report_json([report], tmp_path / "report.json")
+        regime = json.loads((tmp_path / "report.json").read_text())["regimes"][0]
+        assert regime["config"]["omega"] == float(f32(1e-5)) and regime["band_level"] == float(f32(0.9))
 
     def test_coefficient_files_of_numpy_sizes_read_back(self, tmp_path):
         for basis in (

@@ -47,7 +47,7 @@ from levygibbs import (
     validate_config,
 )
 from levygibbs.experiment import write_draws_jsonl
-from levygibbs.posterior import DISTANCE_TILE_ROWS, DRAW_BLOCK, DrawBlocks, _draw_distances, _log_sum_exp
+from levygibbs.posterior import DISTANCE_TILE_ROWS, DRAW_BLOCK, _draw_distances, _fan_out, _log_sum_exp
 from levygibbs.util import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
@@ -337,17 +337,17 @@ class TestSamplePosterior:
         a = sample_posterior(self.theta_perp, self.t_n, self.config, 200, seed=3)
         b = sample_posterior(self.theta_perp, self.t_n, self.config, 200, seed=3)
         assert np.array_equal(a.grid_values, b.grid_values)
-        assert all(np.array_equal(x[1], y[1]) for x, y in zip(a.draws, b.draws))
+        assert all(np.array_equal(x[1], y[1]) for x, y in zip(a, b))
         c = sample_posterior(self.theta_perp, self.t_n, self.config, 200, seed=4)
         assert not np.array_equal(a.grid_values, c.grid_values)
 
     def test_draw_lengths_match_k(self):
         draws = sample_posterior(self.theta_perp, self.t_n, self.config, 300, seed=0)
-        assert all(len(theta) == k for k, theta in draws.draws)
+        assert all(len(theta) == k for k, theta in draws)
 
     def test_point_mass_marginal_fixes_k(self):
         a = sample_posterior(self.theta_perp, self.t_n, self.config, 250, seed=7, marginal=MarginalK.point_mass(8, 20))
-        assert all(k == 8 and len(theta) == 8 for k, theta in a.draws)
+        assert all(k == 8 and len(theta) == 8 for k, theta in a)
 
     def test_fixed_k_gaussian_moments(self):
         # 1e5 draws at fixed K: sample mean/variance against the closed form
@@ -357,7 +357,7 @@ class TestSamplePosterior:
             self.theta_perp, self.t_n, self.config, n, seed=0, marginal=MarginalK.point_mass(4, 20), grid_points=2
         )
         cond = conditional_posterior(self.theta_perp.values[:4], self.t_n, self.config)
-        mat = np.array([theta for _, theta in draws.draws])
+        mat = np.array([theta for _, theta in draws])
         sd = math.sqrt(cond.variance)
         se_mean = sd / math.sqrt(n)
         se_var = cond.variance * math.sqrt(2.0 / (n - 1))
@@ -374,8 +374,7 @@ class TestSamplePosterior:
         draws = sample_posterior(
             self.theta_perp, self.t_n, self.config, n, seed=0, grid_points=2
         )
-        ks = np.array([k for k, _ in draws.draws])
-        counts = np.bincount(ks, minlength=21)[1:]
+        counts = np.bincount(draws.ks, minlength=21)[1:]
         expected = n * marg.probs
         se = np.sqrt(n * marg.probs * (1.0 - marg.probs))
         cells = expected >= 10.0
@@ -440,8 +439,8 @@ class TestSamplePosterior:
     def check_matches_per_draw(self, theta_hat, t_n, config, num_draws, seed, basis, marginal):
         got = sample_posterior(CoefficientVector(basis, theta_hat), t_n, config, num_draws, seed, marginal=marginal)
         draws, grid_values = per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal)
-        assert [k for k, _ in got.draws] == [k for k, _ in draws]
-        assert all(same_bits(a, b) for (_, a), (_, b) in zip(got.draws, draws))
+        assert [k for k, _ in got] == [k for k, _ in draws]
+        assert all(same_bits(a, b) for (_, a), (_, b) in zip(got, draws))
         assert same_bits(got.grid_values, grid_values)
 
     @pytest.mark.parametrize("num_draws", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 1000])
@@ -501,7 +500,7 @@ class TestInProcessPath:
         assert len(draws) == self.NUM_DRAWS
         assert all(
             K == ref_K and same_bits(theta, ref_theta)
-            for (K, theta), (ref_K, ref_theta) in zip(draws.draws, ref_draws, strict=True)
+            for (K, theta), (ref_K, ref_theta) in zip(draws, ref_draws, strict=True)
         )
         center = ref_values.mean(axis=0)
         assert same_bits(posterior_mean_function(draws), center)
@@ -542,7 +541,7 @@ class TestInProcessPath:
         assert same_bits(draws.grid_values, ref_values)
         assert all(
             K == ref_K and same_bits(theta, ref_theta)
-            for (K, theta), (ref_K, ref_theta) in zip(draws.draws, ref_draws, strict=True)
+            for (K, theta), (ref_K, ref_theta) in zip(draws, ref_draws, strict=True)
         )
         center = ref_values.mean(axis=0)
         assert same_bits(call(posterior_mean_function, draws), center)
@@ -564,38 +563,48 @@ class TestInProcessPath:
         assert pooled_io.pools == 0
 
 
-class TestDrawBlocks:
+class TestPosteriorDraws:
     def setup_method(self):
         self.config = GibbsConfig(k_max=20)
         self.basis = BasisSystem.trigonometric(D_PRIME, 20)
         self.theta = project_density(self.basis, STUDY_VG.levy_density())
 
-    def test_len_iteration_and_indexing(self):
+    def test_len_and_iteration(self):
         num_draws = 2 * DRAW_BLOCK + 5
-        draws = sample_posterior(self.theta, 20.0, self.config, num_draws, seed=2).draws
+        draws = sample_posterior(self.theta, 20.0, self.config, num_draws, seed=2)
         marginal = marginal_k(self.theta, 20.0, self.config)
         ref, _ = per_draw_sample(self.theta.values, 20.0, self.config, num_draws, 2, self.basis, marginal)
         pairs = list(draws)
-        assert isinstance(draws, DrawBlocks) and len(draws) == len(pairs) == num_draws
-        for (K, theta), (ref_K, ref_theta) in zip(pairs, ref, strict=True):
+        assert len(draws) == len(pairs) == num_draws
+        assert draws.theta.shape == (num_draws, draws.ks.max())
+        for i, ((K, theta), (ref_K, ref_theta)) in enumerate(zip(pairs, ref, strict=True)):
             assert type(K) is int and K == ref_K and same_bits(theta, ref_theta)
-        for i in (0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, 2 * DRAW_BLOCK, num_draws - 1, -1, -DRAW_BLOCK - 1, -num_draws):
-            K, theta = draws[i]
-            assert type(K) is int and K == ref[i][0] and same_bits(theta, ref[i][1])
-        for i in (num_draws, -num_draws - 1):
-            with pytest.raises(IndexError):
-                draws[i]
+            assert theta.base is draws.theta and np.shares_memory(theta, draws.theta[i, :K])
 
     def test_empty(self):
-        empty = DrawBlocks([])
-        assert len(empty) == 0 and list(empty) == []
-        for i in (0, -1):
-            with pytest.raises(IndexError):
-                empty[i]
-        draws = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), empty)
-        assert len(draws) == 0
+        draws = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), np.empty(0, int), np.empty((0, 0)))
+        assert len(draws) == 0 and list(draws) == []
+        with pytest.raises(EmptyDrawsError):
+            posterior_mean_function(draws)
         with pytest.raises(EmptyDrawsError):
             credible_band(draws, 0.9)
+        with pytest.raises(EmptyDrawsError):
+            concentration_probability(draws, STUDY_VG.levy_density(), 1.0)
+
+    def test_pool_thread_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(processes, "_io_workers", lambda: 2)
+        threads = threading.active_count()
+        seen = []
+
+        def job(lo, hi):
+            seen.append((lo, hi))
+            if lo > 0:
+                raise ValueError(f"job {lo}..{hi} failed")
+
+        with pytest.raises(ValueError, match="job 2..4 failed"):
+            _fan_out(job, 4)
+        assert sorted(seen) == [(0, 2), (2, 4)]
+        assert threading.active_count() == threads
 
     def test_draws_jsonl_digest(self, tmp_path):
         # The file's sha256 as written before draws were kept per block; the grid's
@@ -622,8 +631,7 @@ class TestPosteriorSummaries:
         basis = BasisSystem.trigonometric(D_PRIME, 4)
         grid = np.linspace(0.006, 0.014, 64)
         row = synthesize(basis, np.array([1.0, 2.0, 0.0, -1.0]), grid)
-        blocks = DrawBlocks([(np.full(5, 4), np.tile([1.0, 2.0, 0.0, -1.0], (5, 1)))])
-        draws = PosteriorDraws(grid, np.tile(row, (5, 1)), blocks)
+        draws = PosteriorDraws(grid, np.tile(row, (5, 1)), np.full(5, 4), np.tile([1.0, 2.0, 0.0, -1.0], (5, 1)))
         np.testing.assert_allclose(posterior_mean_function(draws), row, rtol=1e-14)
 
     def test_fixed_k_mean_function_matches_closed_form(self):
@@ -641,7 +649,7 @@ class TestPosteriorSummaries:
         assert np.all(np.abs(posterior_mean_function(draws) - expect) < 3.0 * se + 1e-12)
 
     def test_empty_draws_error(self):
-        empty = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), DrawBlocks([]))
+        empty = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), np.empty(0, int), np.empty((0, 0)))
         with pytest.raises(EmptyDrawsError):
             posterior_mean_function(empty)
 
@@ -658,7 +666,7 @@ class TestPosteriorSummaries:
         basis = BasisSystem.trigonometric(D_PRIME, 4)
         grid = np.linspace(0.006, 0.014, 32)
         row = synthesize(basis, np.ones(4), grid)
-        draws = PosteriorDraws(grid, np.tile(row, (6, 1)), DrawBlocks([(np.full(6, 4), np.ones((6, 4)))]))
+        draws = PosteriorDraws(grid, np.tile(row, (6, 1)), np.full(6, 4), np.ones((6, 4)))
         # identical up to the rounding introduced by averaging the center
         assert credible_band(draws, 0.9).radius < 1e-12
 
@@ -754,8 +762,7 @@ def summary_draws(num: int) -> PosteriorDraws:
     """num identical draws of f_1 + f_2 on an 8-point grid over D."""
     basis = BasisSystem.trigonometric(D_PRIME, 2)
     grid = np.linspace(0.006, 0.014, 8)
-    blocks = DrawBlocks([(np.full(num, 2), np.ones((num, 2)))] if num else [])
-    return PosteriorDraws(grid, np.tile(synthesize(basis, [1.0, 1.0], grid), (num, 1)), blocks)
+    return PosteriorDraws(grid, np.tile(synthesize(basis, [1.0, 1.0], grid), (num, 1)), np.full(num, 2), np.ones((num, 2)))
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -242,6 +242,25 @@ class TestVarianceGamma:
             for workers in (1, 2):
                 assert np.array_equal(empirical_coefficients(series, basis, max_workers=workers).values, theta)
 
+    @pytest.mark.parametrize("entry", ["map_blocks", "empirical_coefficients"])
+    def test_max_workers_follows_the_count_rule(self, monkeypatch, pooled_io, entry):
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
+        basis = BasisSystem.trigonometric(Window(-0.01, 0.01), 8)
+        drawn = []
+        block_fn = series._block_fn
+        monkeypatch.setattr(series, "_block_fn", lambda b: drawn.append(b) or block_fn(b))
+        call = {
+            "map_blocks": lambda workers: series.map_blocks(np.sum, max_workers=workers),
+            "empirical_coefficients": lambda workers: empirical_coefficients(series, basis, max_workers=workers).values,
+        }[entry]
+        for bad in (2.5, True, 0, -1):
+            with pytest.raises(ParameterError, match=re.escape(f"max_workers must be a positive integer, got {bad!r}")):
+                call(bad)
+        assert drawn == [] and pooled_io.workers == []
+        assert np.array_equal(call(np.int64(2)), call(None))
+        assert pooled_io.workers == [2, 2]
+
     def test_worker_error_reaches_caller(self, monkeypatch, pooled_io):
         monkeypatch.setattr(processes, "BLOCK", 1000)
         series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
