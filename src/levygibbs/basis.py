@@ -40,7 +40,7 @@ from .errors import (
     ResourceGuardError,
     WindowError,
 )
-from .util import MATERIALIZE_LIMIT, check_count
+from .util import MATERIALIZE_LIMIT, check_count, check_real
 
 MAX_TRIG_K = 512
 MAX_LEGENDRE_J = 5
@@ -56,14 +56,14 @@ PROJECTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Window:
-    """Closed interval [a, b] with a < b."""
+    """Closed interval [a, b] with a < b; an endpoint check_real refuses raises WindowError."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise WindowError(f"window endpoints must be finite, got [{self.a!r}, {self.b!r}]")
+        for name in ("a", "b"):
+            object.__setattr__(self, name, check_real(getattr(self, name), "window endpoints", error=WindowError))
         if not self.a < self.b:
             raise WindowError(f"window requires a < b, got [{self.a!r}, {self.b!r}]")
 
@@ -122,7 +122,7 @@ class BasisSystem:
     def from_descriptor(cls, d: dict) -> "BasisSystem":
         """The basis a descriptor() names; ParameterError for a malformed one or an unknown family."""
         with _parsing("basis descriptor"):
-            window = Window(_number(d["a"], "basis window a"), _number(d["b"], "basis window b"))
+            window = Window(check_real(d["a"], "basis window a"), check_real(d["b"], "basis window b"))
             family, K = d["family"], check_count(d["K"], "basis descriptor K")
             if family == "trigonometric":
                 basis = cls.trigonometric(window, K)
@@ -243,13 +243,6 @@ def _parsing(what: str):
         raise ParameterError(f"malformed {what}: {exc}") from exc
 
 
-def _number(value, what: str) -> float:
-    """A finite JSON number as a float; a bool, a string, nan, inf or any other value raises ParameterError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ParameterError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _materializable(count: int, name: str) -> int:
     """count, or ResourceGuardError (raised before anything is allocated) when it is above MATERIALIZE_LIMIT."""
     if count > MATERIALIZE_LIMIT:
@@ -302,6 +295,8 @@ class CoefficientVector:
             raise DimensionError(
                 f"coefficient vector has length {self.values.shape}, basis expects {self.basis.K}"
             )
+        if self.t_n is not None:
+            self.t_n = check_real(self.t_n, "t_n", "> 0")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -317,14 +312,11 @@ class CoefficientVector:
         """The vector a to_dict() record holds; ParameterError or DimensionError for a malformed record."""
         with _parsing("coefficient record"):
             basis = BasisSystem.from_descriptor(d["basis"])
-            values = np.array([_number(v, "each coefficient value") for v in d["values"]])
-            t_n = d.get("t_n")
-            if t_n is not None and not _number(t_n, "t_n") > 0:
-                raise ParameterError(f"t_n must be a positive finite number, got {t_n!r}")
+            values = np.array([check_real(v, "each coefficient value") for v in d["values"]])
             role = d.get("role", "generic")
         if not isinstance(role, str):
             raise ParameterError(f"role must be a string, got {role!r}")
-        return cls(basis, values, role=role, t_n=t_n)
+        return cls(basis, values, role=role, t_n=d.get("t_n"))
 
 
 # ---------------------------------------------------------------------------

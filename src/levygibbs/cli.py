@@ -32,7 +32,6 @@ from .experiment import (
     DEFAULT_NUM_DRAWS,
     DEFAULT_VG_PARAMS,
     RegimeSpec,
-    check_alpha,
     delta_condition,
     read_coefficients_json,
     run_regime,
@@ -65,7 +64,7 @@ from .processes import (
     simulate,
     write_increments,
 )
-from .util import fmt_float, open_ascii
+from .util import check_real, fmt_float, open_ascii
 
 
 def _parse_window(text: str) -> Window:
@@ -173,12 +172,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_posterior(args: argparse.Namespace) -> int:
     _require(args, "coeffs", "out_dir")
+    # The level before the draws, so a bad --level costs nothing and writes nothing.
+    level = check_real(args.level if args.level is not None else DEFAULT_BAND_LEVEL, "level", "(0, 1)")
     theta_hat = read_coefficients_json(args.coeffs)
     t_n = theta_hat.t_n if theta_hat.t_n is not None else args.t_n
     if t_n is None:
         raise ParameterError("coefficient file carries no t_n; pass --t-n")
     if theta_hat.t_n is not None and args.t_n is not None and args.t_n != t_n:
         raise ParameterError(f"--t-n {fmt_float(args.t_n)} differs from t_n = {fmt_float(t_n)} in {args.coeffs}")
+    t_n = check_real(t_n, "t_n", "> 0")
     truth = _truth_from_args(args)
     k_max = args.k_max if args.k_max is not None else min(theta_hat.basis.K, GibbsConfig().k_max_for(t_n))
     config = _config_from_args(args, k_max=k_max, D_prime=theta_hat.basis.window)
@@ -188,7 +190,6 @@ def cmd_posterior(args: argparse.Namespace) -> int:
         else marginal_k(theta_hat, t_n, config)
     )
     num_draws = args.draws if args.draws is not None else DEFAULT_NUM_DRAWS
-    level = args.level if args.level is not None else DEFAULT_BAND_LEVEL
     draws = sample_posterior(
         theta_hat, t_n, config, num_draws, args.seed, marginal=marginal, **_given(args, grid_points="grid_points")
     )
@@ -213,8 +214,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ParameterError("pass at least one regime index via --j")
     if len(set(args.j_list)) < len(args.j_list):
         raise ParameterError(f"each regime index may be passed once, got --j {args.j_list}")
-    if args.alpha is not None:
-        check_alpha(args.alpha)  # before any regime runs, so a bad --alpha costs nothing and writes nothing
+    if args.alpha is not None:  # before any regime runs, so a bad --alpha costs nothing and writes nothing
+        check_real(args.alpha, "alpha_assumed", "> 0")
     config = _config_from_args(args)
     specs = [RegimeSpec.from_j(j) for j in args.j_list]
     reports = []
@@ -416,7 +417,10 @@ def _load_config_file(path) -> dict:
             key, sep, value = text.partition("=")
             if not sep:
                 raise InputParseError(f"{path}: line {lineno}: expected 'key = value', got {text!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise InputParseError(f"{path}: line {lineno}: repeated config key {key!r}: {text!r}")
+            values[key] = value.strip()
     return values
 
 

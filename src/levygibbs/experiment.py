@@ -38,7 +38,7 @@ from .posterior import (
     sample_posterior,
 )
 from .processes import ProcessModel, SamplingScheme, VarianceGammaParams, simulate
-from .util import check_count, check_seed, derive_seed, fmt_float, open_ascii, snap_ceil
+from .util import check_count, check_real, check_seed, derive_seed, fmt_float, open_ascii, snap_ceil
 
 # Default study process parameters.
 DEFAULT_VG_PARAMS = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
@@ -110,8 +110,7 @@ def delta_condition(
     """
     if case not in ("fixed-K", "prior-on-K"):
         raise ParameterError(f"case must be 'fixed-K' or 'prior-on-K', got {case!r}")
-    if not (math.isfinite(bound) and bound > 0.0):
-        raise ParameterError(f"bound must be positive, got {bound!r}")
+    bound = check_real(bound, "bound", "> 0")
     n, d = scheme.n, scheme.delta
     values = {
         "F1^2*n*delta^3": features.F1**2 * n * d**3,
@@ -158,9 +157,7 @@ class ExperimentReport:
 
     def __post_init__(self) -> None:
         for name in ("err_projection", "err_postmean", "band_radius"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ParameterError(f"{name} must be nonnegative and finite, got {v!r}")
+            setattr(self, name, check_real(getattr(self, name), name, ">= 0"))
 
 
 def _config_echo(config: GibbsConfig, k_max: int, num_draws: int) -> dict:
@@ -192,7 +189,9 @@ def run_regime(
     "draws"), so each stage can be reproduced standalone from the master seed.
     """
     start = time.perf_counter()
-    num_draws, seed = check_count(num_draws, "num_draws"), check_seed(seed)  # stored as ints, so the report serializes
+    # Every argument before any work; counts stored as ints and the level as a float, so the report serializes.
+    num_draws, seed = check_count(num_draws, "num_draws"), check_seed(seed)
+    band_level, grid_points = check_real(band_level, "band_level", "(0, 1)"), check_count(grid_points, "grid_points", lo=2)
     psi_star = model.levy_density()  # before the draws, so a model without a density costs nothing
     if config is None:
         config = GibbsConfig()
@@ -252,12 +251,6 @@ def run_regime(
     )
 
 
-def check_alpha(alpha_assumed: float) -> None:
-    """ParameterError unless the assumed smoothness alpha is positive and finite."""
-    if not (math.isfinite(alpha_assumed) and alpha_assumed > 0.0):
-        raise ParameterError(f"alpha_assumed must be positive and finite, got {alpha_assumed!r}")
-
-
 def oracle_dimension(t_n: float, alpha_assumed: float) -> int:
     """K_n = ceil(t_n^{1/(2*alpha+1)}), the rate-optimal dimension under smoothness alpha.
 
@@ -266,7 +259,7 @@ def oracle_dimension(t_n: float, alpha_assumed: float) -> int:
     window.  For the trig sieve on D' any psi with psi(a') != psi(b') has
     alpha = 1/2: its sine coefficients decay as 1/k.
     """
-    check_alpha(alpha_assumed)
+    alpha_assumed = check_real(alpha_assumed, "alpha_assumed", "> 0")
     return snap_ceil(t_n ** (1.0 / (2.0 * alpha_assumed + 1.0)))
 
 
@@ -276,9 +269,8 @@ def contraction_rate(t_n: float, alpha_assumed: float) -> float:
     alpha is the sieve smoothness of `oracle_dimension`: 1/2 for the trig
     sieve on D' whenever psi(a') != psi(b').
     """
-    if t_n <= 1.0:
-        raise ParameterError(f"contraction rate needs t_n > 1, got {t_n!r}")
-    check_alpha(alpha_assumed)
+    t_n = check_real(t_n, "contraction rate t_n", "> 1")
+    alpha_assumed = check_real(alpha_assumed, "alpha_assumed", "> 0")
     return math.sqrt(math.log(t_n)) * t_n ** (-alpha_assumed / (2.0 * alpha_assumed + 1.0))
 
 
@@ -303,8 +295,7 @@ def no_overfit_diagnostic(
     alpha = 2 the mass above tau * K_n of the default study stays near 1 at
     every horizon (see DEFAULT_ALPHA_ASSUMED).
     """
-    if not tau > 1.0:
-        raise ParameterError(f"tau must exceed 1, got {tau!r}")
+    tau = check_real(tau, "tau", "> 1")
     rows = []
     for rep in reports:
         k_n = oracle_dimension(rep.t_n, alpha_assumed)

@@ -29,7 +29,7 @@ from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGua
 from .estimator import DEFAULT_GRID_POINTS, _l2_norm
 from . import processes
 from .processes import _block_rng
-from .util import MATERIALIZE_LIMIT, check_count, check_seed, snap_ceil
+from .util import MATERIALIZE_LIMIT, check_count, check_real, check_seed, snap_ceil
 
 # Draws are generated in fixed blocks, each from its own substream of the
 # seed, so one block can be redrawn on its own, bit for bit.
@@ -85,14 +85,10 @@ class GibbsConfig:
     D_prime: Window = Window(0.005, 0.015)
 
     def __post_init__(self) -> None:
-        for name in ("omega", "sigma0"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
         # beta = 0 (a uniform prior over 1..k_max) stays constructible so the
         # admissibility diagnostics can report on it; the pmf is still proper.
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ParameterError(f"beta must be nonnegative and finite, got {self.beta!r}")
+        for name, within in (("omega", "> 0"), ("sigma0", "> 0"), ("beta", ">= 0")):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, within))
         if self.k_max is not None:
             object.__setattr__(self, "k_max", check_count(self.k_max, "k_max"))
         self.D_prime.check_contains(self.D, "D_prime")
@@ -140,9 +136,7 @@ def conditional_posterior(theta_hat, t_n: float, config: GibbsConfig) -> Conditi
     vec = _coefficient_values(theta_hat)
     if len(vec) == 0:
         raise DimensionError(f"theta_hat must be a nonempty 1-d vector, got shape {vec.shape}")
-    if not (math.isfinite(t_n) and t_n > 0.0):
-        raise ParameterError(f"horizon must be positive and finite, got t_n={t_n!r}")
-    two_wt = 2.0 * config.omega * t_n
+    two_wt = 2.0 * config.omega * check_real(t_n, "t_n", "> 0")
     shrink = 1.0 / (1.0 + 1.0 / (two_wt * config.sigma0**2))
     variance = 1.0 / (two_wt + config.sigma0**-2)
     return ConditionalPosterior(shrink * vec, variance, shrink)
@@ -182,6 +176,7 @@ def _leading_coefficients(theta_hat_full, k_max: int) -> np.ndarray:
 
 def marginal_k(theta_hat_full, t_n: float, config: GibbsConfig) -> MarginalK:
     """Marginal posterior pmf of K from the first k_max empirical coefficients (_leading_coefficients)."""
+    t_n = check_real(t_n, "t_n", "> 0")
     k_max = config.k_max_for(t_n)
     vec = _leading_coefficients(theta_hat_full, k_max)
     shrink = conditional_posterior(vec, t_n, config).shrink
@@ -254,6 +249,7 @@ def sample_posterior(
     """
     num_draws, grid_points = check_count(num_draws, "num_draws"), check_count(grid_points, "grid_points", lo=2)
     check_seed(seed)
+    t_n = check_real(t_n, "t_n", "> 0")
     if not isinstance(theta_hat_full, CoefficientVector):
         raise ParameterError(f"theta_hat_full must be a CoefficientVector, got {type(theta_hat_full).__name__}")
     k_max = config.k_max_for(t_n)
@@ -383,8 +379,7 @@ def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> n
 def credible_band(draws: PosteriorDraws, level: float, metric: str = "sup") -> BandResult:
     """Band around the posterior mean containing `level` of the drawn densities."""
     # The level before the mean, so a bad level costs nothing; the mean refuses empty draws.
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {level!r}")
+    level = check_real(level, "level", "(0, 1)")
     center = posterior_mean_function(draws)
     dist = _draw_distances(draws, center, metric)
     radius = float(np.quantile(dist, level, method="higher"))
@@ -397,8 +392,7 @@ def concentration_probability(draws: PosteriorDraws, psi_star, radius: float) ->
     """Posterior probability that the L2(D) distance to psi_star exceeds radius."""
     if len(draws) == 0:
         raise EmptyDrawsError("no posterior draws")
-    if not radius >= 0.0:
-        raise ParameterError(f"radius must be >= 0, got {radius!r}")
+    radius = check_real(radius, "radius", ">= 0")
     ref = np.asarray(psi_star(draws.grid), dtype=float)
     return float(np.mean(_draw_distances(draws, ref, "l2") > radius))
 
@@ -424,11 +418,8 @@ def validate_config(config: GibbsConfig, psi_sup_estimate: float, tau: float = 3
     and the strengthened one, for a margin tau > 1, beta > tau/(tau-1) * omega * C^2.
     A density that vanishes on D gives C^2 = 0, so both thresholds are 0.
     """
-    if not (math.isfinite(psi_sup_estimate) and psi_sup_estimate >= 0.0):
-        raise ParameterError(f"psi_sup_estimate must be nonnegative and finite, got {psi_sup_estimate!r}")
-    if not tau > 1.0:
-        raise ParameterError(f"tau must exceed 1, got {tau!r}")
-    c2 = 2.0 * psi_sup_estimate
+    c2 = 2.0 * check_real(psi_sup_estimate, "psi_sup_estimate", ">= 0")
+    tau = check_real(tau, "tau", "> 1")
     basic = config.omega * c2
     strong = tau / (tau - 1.0) * basic
     return ConfigDiagnostics(

@@ -53,7 +53,7 @@ from .errors import (
     RangeError,
     ResourceGuardError,
 )
-from .util import MATERIALIZE_LIMIT, check_count, check_seed, decode_ascii, fmt_float, open_ascii
+from .util import MATERIALIZE_LIMIT, check_count, check_real, check_seed, decode_ascii, fmt_float, open_ascii
 
 # Fixed RNG block span.  Block b covers increment indices [b*BLOCK, (b+1)*BLOCK).
 BLOCK = 1 << 20
@@ -71,8 +71,7 @@ class SamplingScheme:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_count(self.n, "n"))
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ParameterError(f"delta must be positive and finite, got {self.delta!r}")
+        object.__setattr__(self, "delta", check_real(self.delta, "delta", "> 0"))
         if not math.isfinite(self.t_n):
             raise RangeError(f"horizon n*delta overflows: n={self.n}, delta={self.delta}")
 
@@ -121,13 +120,8 @@ class VarianceGammaParams:
     nu: float
 
     def __post_init__(self) -> None:
-        for name in ("mu", "sigma", "nu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.sigma < 0.0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma!r}")
-        if self.nu <= 0.0:
-            raise ParameterError(f"nu must be > 0, got {self.nu!r}")
+        for name, within in (("mu", "finite"), ("sigma", ">= 0"), ("nu", "> 0")):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, within))
 
     def spec(self) -> str:
         return "vg:" + ",".join(map(fmt_float, (self.mu, self.sigma, self.nu)))
@@ -191,8 +185,7 @@ class JumpDistribution:
                 f"jump distribution {self.kind!r} takes {self._ARITY[self.kind]} "
                 f"parameter(s), got {self.params!r}"
             )
-        if any(not math.isfinite(p) for p in self.params):
-            raise ParameterError(f"jump parameters must be finite, got {self.params!r}")
+        object.__setattr__(self, "params", tuple(check_real(p, f"{self.kind} jump parameter") for p in self.params))
         if self.kind == "normal" and self.params[1] < 0.0:
             raise ParameterError(f"normal jump sd must be >= 0, got {self.params[1]!r}")
         if self.kind == "uniform" and self.params[0] >= self.params[1]:
@@ -202,19 +195,19 @@ class JumpDistribution:
 
     @classmethod
     def point(cls, c: float) -> "JumpDistribution":
-        return cls("point", (float(c),))
+        return cls("point", (c,))
 
     @classmethod
     def normal(cls, mean: float, sd: float) -> "JumpDistribution":
-        return cls("normal", (float(mean), float(sd)))
+        return cls("normal", (mean, sd))
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "JumpDistribution":
-        return cls("uniform", (float(lo), float(hi)))
+        return cls("uniform", (lo, hi))
 
     @classmethod
     def exponential(cls, mean: float) -> "JumpDistribution":
-        return cls("exponential", (float(mean),))
+        return cls("exponential", (mean,))
 
     def spec(self) -> str:
         return self.kind + ":" + ",".join(map(fmt_float, self.params))
@@ -237,8 +230,7 @@ class CompoundPoissonParams:
     jumps: JumpDistribution
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ParameterError(f"rate must be positive and finite, got {self.rate!r}")
+        object.__setattr__(self, "rate", check_real(self.rate, "rate", "> 0"))
 
     def spec(self) -> str:
         return f"cpois:{fmt_float(self.rate)},{self.jumps.spec()}"

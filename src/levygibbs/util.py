@@ -59,6 +59,29 @@ def check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
     raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
+# The ranges check_real takes: name -> (test of a finite float, what the message says the value must do).
+_REAL_RANGES = {
+    "finite": (lambda v: True, "be finite"),
+    "> 0": (lambda v: v > 0.0, "be positive and finite"),
+    ">= 0": (lambda v: v >= 0.0, "be nonnegative and finite"),
+    "> 1": (lambda v: v > 1.0, "exceed 1 and be finite"),
+    "(0, 1)": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+}
+
+
+def check_real(value, name: str, within: str = "finite", error: type[Exception] = ParameterError) -> float:
+    """The one real-number rule: float(value) for a finite, non-bool Python or numpy real in the range `within`, else `error` naming `name`."""
+    test, rule = _REAL_RANGES[within]
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # a Python int beyond the float range
+            v = math.inf
+        if math.isfinite(v) and test(v):
+            return v
+    raise error(f"{name} must {rule}, got {value!r}")
+
+
 def check_seed(seed) -> int:
     """int(seed) for a non-negative integer seed; ParameterError otherwise."""
     return check_count(seed, "seed", lo=0)

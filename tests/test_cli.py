@@ -420,7 +420,16 @@ class TestPosterior:
     def test_non_finite_t_n_flag_exits_2(self, tmp_path, capsys, t_n):
         bare = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5], t_n=None)
         assert main(["posterior", "--coeffs", str(bare), "--t-n", t_n, "--out-dir", str(tmp_path / "o")]) == 2
-        assert f"cannot take ceiling of {t_n}" in capsys.readouterr().err
+        assert f"t_n must be positive and finite, got {t_n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+    def test_bad_level_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys, level):
+        monkeypatch.setattr(cli, "sample_posterior", lambda *args, **kwargs: pytest.fail("drew before checking --level"))
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5])
+        out = tmp_path / "o"
+        assert main(["posterior", "--coeffs", str(coeffs), "--level", level, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: level must lie in (0, 1), got {float(level)!r}\n"
+        assert not out.exists()
 
     def test_missing_horizon_is_usage_error(self, tmp_path, capsys):
         basis = BasisSystem.trigonometric(Window(0.005, 0.015), 2)
@@ -839,7 +848,7 @@ class TestConfigPrecedence:
         ("a,b", "expected a window as 'lo,hi', got 'a,b'"),
         ("0.1,0.2,0.3", "expected a window as 'lo,hi', got '0.1,0.2,0.3'"),
         ("2,1", "window requires a < b, got [2.0, 1.0]"),
-        ("nan,1", "window endpoints must be finite, got [nan, 1.0]"),
+        ("nan,1", "window endpoints must be finite, got nan"),
     ])
     def test_bad_window_prints_its_reason(self, tmp_path, capsys, text, reason):
         inc = simulate_file(tmp_path, delta=0.5, n=64, seed=3)
@@ -852,6 +861,18 @@ class TestConfigPrecedence:
         assert main([*argv, "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: {cfg}: key window: bad value {text!r} ({reason})\n"
         assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("first, again", [("draws = 10", "draws = 20"), ("k-max = 5", "k_max = 6")],
+                             ids=["same-spelling", "dash-and-underscore"])
+    def test_repeated_config_key_exits_3(self, tmp_path, capsys, first, again):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# posterior settings\n{first}\n\n{again}\n")
+        coeffs = write_coeffs(tmp_path, [5.0, -2.0, 1.0, 0.5])
+        out = tmp_path / "o"
+        assert main(["posterior", "--config", str(cfg), "--coeffs", str(coeffs), "--out-dir", str(out)]) == 3
+        key = again.split(" =")[0].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {cfg}: line 4: repeated config key {key!r}: {again!r}\n"
+        assert not out.exists()
 
     def test_missing_equals_is_parse_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -965,7 +986,7 @@ class TestExitCodes:
         ("gauss:0,1,2", "unknown process 'gauss:0,1,2'; expected 'vg:mu,sigma,nu' or 'cpois:rate,kind:p1[,p2]'"),
         ("vg:0,0.117", "expected 'vg:mu,sigma,nu', got 'vg:0,0.117'"),
         ("vg:0,x,0.002", "expected 'vg:mu,sigma,nu', got 'vg:0,x,0.002'"),
-        ("vg:0,0.117,0", "'vg:0,0.117,0': nu must be > 0, got 0.0"),
+        ("vg:0,0.117,0", "'vg:0,0.117,0': nu must be positive and finite, got 0.0"),
         ("cpois:2,point:", "expected 'cpois:rate,kind:p1[,p2]', got 'cpois:2,point:'"),
     ])
     def test_malformed_truth_exits_2(self, tmp_path, capsys, truth, message):

@@ -20,14 +20,19 @@ from levygibbs import (
     BasisSystem,
     CoefficientVector,
     CompoundPoissonParams,
+    ExperimentReport,
     GibbsConfig,
     JumpDistribution,
     MarginalK,
     ParameterError,
     SamplingScheme,
+    VarianceGammaParams,
     Window,
+    WindowError,
     concentration_probability,
+    conditional_posterior,
     contraction_rate,
+    credible_band,
     delta_condition,
     marginal_k,
     no_overfit_diagnostic,
@@ -37,6 +42,7 @@ from levygibbs import (
     rate_table,
     run_regime,
     sample_posterior,
+    validate_config,
     write_band_csv,
     write_errors_csv,
     write_k_posterior_csv,
@@ -85,6 +91,77 @@ COUNT_SITES = {
     "check_seed": (check_seed, lambda seed: seed, 4),
 }
 
+DRAWS4 = sample_posterior(THETA4, 20.0, GibbsConfig(k_max=4), 4, seed=0, grid_points=8)
+BLANK_REPORT = ExperimentReport(
+    **dict.fromkeys((f.name for f in dataclasses.fields(ExperimentReport)), None)
+    | dict(err_projection=0.0, err_postmean=0.0, band_radius=0.0)
+)
+
+
+def vg(mu=0.0, sigma=0.117, nu=0.002):
+    return VarianceGammaParams(mu, sigma, nu)
+
+
+# Each real the library takes: (make(value), what make's result stores or gives of it, a legal value,
+# a finite value out of range or None when every finite value is legal).
+REAL_SITES = {
+    "GibbsConfig.omega": (lambda v: GibbsConfig(omega=v), lambda c: c.omega, 1e-5, 0.0),
+    "GibbsConfig.sigma0": (lambda v: GibbsConfig(sigma0=v), lambda c: c.sigma0, 1e3, -1.0),
+    "GibbsConfig.beta": (lambda v: GibbsConfig(beta=v), lambda c: c.beta, 0.5, -0.5),
+    "conditional_posterior.t_n": (
+        lambda v: conditional_posterior([1.0, 2.0], v, GibbsConfig()), lambda post: post.variance, 20.0, 0.0,
+    ),
+    "marginal_k.t_n": (lambda v: marginal_k(THETA4, v, GibbsConfig(k_max=4)), lambda m: m.log_weights, 20.0, -1.0),
+    "sample_posterior.t_n": (
+        lambda v: sample_posterior(THETA4, v, GibbsConfig(k_max=4), 4, seed=0, grid_points=8),
+        lambda draws: draws.grid_values, 20.0, 0.0,
+    ),
+    "credible_band.level": (lambda v: credible_band(DRAWS4, v), lambda band: band.level, 0.9, 1.0),
+    "concentration_probability.radius": (
+        lambda v: concentration_probability(DRAWS4, DEFAULT_VG_PARAMS.levy_density(), v), lambda p: p, 100.0, -1.0,
+    ),
+    "validate_config.psi_sup_estimate": (lambda v: validate_config(GibbsConfig(), v), lambda d: d.c_squared, 10.0, -1.0),
+    "validate_config.tau": (lambda v: validate_config(GibbsConfig(), 10.0, tau=v), lambda d: d.tau, 3.0, 1.0),
+    "SamplingScheme.delta": (lambda v: SamplingScheme(v, 160_000), lambda s: s.t_n, 1.25e-4, 0.0),
+    "VarianceGammaParams.mu": (lambda v: vg(mu=v), lambda m: m.mu, 0.01, None),
+    "VarianceGammaParams.sigma": (lambda v: vg(sigma=v), lambda m: m.sigma, 0.117, -1.0),
+    "VarianceGammaParams.nu": (lambda v: vg(nu=v), lambda m: m.nu, 0.002, 0.0),
+    "JumpDistribution.params": (lambda v: JumpDistribution("normal", (v, 0.003)), lambda j: j.params[0], 0.01, None),
+    "CompoundPoissonParams.rate": (
+        lambda v: CompoundPoissonParams(v, JumpDistribution.point(0.01)), lambda m: m.rate, 2.0, 0.0,
+    ),
+    "delta_condition.bound": (
+        lambda v: delta_condition(BasisFeatures(1.0, 1.0), SamplingScheme(1e-3, 10), bound=v), lambda d: d.bound, 1.0, 0.0,
+    ),
+    "run_regime.band_level": (
+        lambda v: run_regime(RegimeSpec(1), config=GibbsConfig(k_max=20), num_draws=200, seed=MASTER_SEED, band_level=v),
+        lambda r: r.band_level, 0.9, 0.0,
+    ),
+    "contraction_rate.t_n": (lambda v: contraction_rate(v, 0.5), lambda eps: eps, 20.0, 1.0),
+    "contraction_rate.alpha_assumed": (lambda v: contraction_rate(20.0, v), lambda eps: eps, 0.5, 0.0),
+    "no_overfit_diagnostic.tau": (
+        lambda v: no_overfit_diagnostic([SimpleNamespace(j=1, t_n=20.0, k_probs=np.full(20, 0.05))], tau=v),
+        lambda rows: rows[0].threshold, 2.0, 1.0,
+    ),
+    **{
+        f"ExperimentReport.{name}": (
+            lambda v, name=name: dataclasses.replace(BLANK_REPORT, **{name: v}), lambda r, name=name: getattr(r, name), 1.0, -1.0,
+        )
+        for name in ("err_projection", "err_postmean", "band_radius")
+    },
+    "Window.a": (lambda v: Window(v, 0.015), lambda w: w.a, 0.005, None),
+    "Window.b": (lambda v: Window(0.005, v), lambda w: w.b, 0.015, None),
+    "descriptor.a": (
+        lambda v: BasisSystem.from_descriptor({"family": "trigonometric", "a": v, "b": 0.015, "K": 4}),
+        lambda b: b.window.a, 0.005, None,
+    ),
+    "coefficient record value": (
+        lambda v: CoefficientVector.from_dict({"basis": THETA4.basis.descriptor(), "values": [v, 1.0, 1.0, 1.0]}),
+        lambda theta: theta.values, 2.0, None,
+    ),
+    "CoefficientVector.t_n": (lambda v: CoefficientVector(THETA4.basis, np.ones(4), t_n=v), lambda theta: theta.t_n, 20.0, 0.0),
+}
+
 
 class TestRegimeArithmetic:
     def test_exact_regime_constants(self):
@@ -122,6 +199,23 @@ class TestRegimeArithmetic:
                 make(bad)
         value = stored(make(np.int64(k)))
         assert type(value) is int and value == k
+
+    @pytest.mark.parametrize("name", list(REAL_SITES))
+    def test_real_rule(self, name):
+        # util.check_real at every real the library takes: a finite real in range, not a bool, stored as a float.
+        make, stored, good, out_of_range = REAL_SITES[name]
+        error = WindowError if name.startswith("Window.") else ParameterError
+        bad_values = [True, "1", math.nan, math.inf, -math.inf]
+        bad_values += [] if name == "CoefficientVector.t_n" else [None]  # a vector's t_n may be unknown
+        bad_values += [] if out_of_range is None else [out_of_range]
+        for bad in bad_values:
+            with pytest.raises(error, match="must (be|exceed|lie)") as excinfo:
+                make(bad)
+            assert excinfo.type is error
+        for as_real in (np.float32, np.float64):
+            value, reference = stored(make(as_real(good))), stored(make(float(as_real(good))))
+            assert type(value) is type(reference) and np.asarray(value).dtype == np.float64
+            assert np.array_equal(value, reference)
 
     def test_delta_n_t_n_derived_from_j(self):
         # j is the one field, so no regime can carry a delta, n or t_n of another j.
@@ -467,6 +561,14 @@ class TestWriters:
             back = experiment.read_coefficients_json(path)
             assert back.basis == basis and np.array_equal(back.values, theta.values)
 
+    def test_report_of_numpy_floats_has_the_bytes_of_floats(self, tmp_path):
+        paths = [tmp_path / "float.json", tmp_path / "numpy.json"]
+        for path, as_real in zip(paths, (float, np.float64)):
+            config = GibbsConfig(omega=as_real(2e-5), sigma0=as_real(1e2), beta=as_real(0.25), k_max=20)
+            report = run_regime(RegimeSpec(1), config=config, num_draws=200, seed=MASTER_SEED, band_level=as_real(0.8))
+            write_report_json([report], path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_report_of_numpy_counts_has_the_bytes_of_int_counts(self, tmp_path):
         paths = [tmp_path / "int.json", tmp_path / "numpy.json"]
         for path, as_count in zip(paths, (int, np.int64)):
@@ -477,12 +579,23 @@ class TestWriters:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: delta_condition(BasisFeatures(1.0, 1.0), SamplingScheme(1e-3, 10), bound=0.0), "bound must be positive, got 0.0"),
+    (lambda: delta_condition(BasisFeatures(1.0, 1.0), SamplingScheme(1e-3, 10), bound=0.0), "bound must be positive and finite, got 0.0"),
     (lambda: delta_condition(BasisFeatures(1.0, 1.0), SamplingScheme(1e-3, 10), bound=math.nan),
-     "bound must be positive, got nan"),
-    (lambda: no_overfit_diagnostic([], tau=1.0), "tau must exceed 1, got 1.0"),
+     "bound must be positive and finite, got nan"),
+    (lambda: no_overfit_diagnostic([], tau=1.0), "tau must exceed 1 and be finite, got 1.0"),
 ], ids=["delta-bound-zero", "delta-bound-nan", "no-overfit-tau-one"])
 def test_input_checks(call, message):
     with pytest.raises(ParameterError, match=re.escape(message)) as excinfo:
         call()
+    assert excinfo.type is ParameterError
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(band_level=1.5), dict(band_level=math.nan), dict(grid_points=1), dict(grid_points=512.0),
+], ids=["level-above-one", "level-nan", "one-grid-point", "float-grid-points"])
+def test_run_regime_checks_before_any_work(monkeypatch, kwargs):
+    # The checks come before the simulation, so a bad argument costs nothing even at a large regime.
+    monkeypatch.setattr(experiment, "simulate", lambda *args, **kw: pytest.fail("run_regime simulated before its checks"))
+    with pytest.raises(ParameterError, match=f"{next(iter(kwargs))} must") as excinfo:
+        run_regime(RegimeSpec(3), **kwargs)
     assert excinfo.type is ParameterError

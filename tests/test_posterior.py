@@ -143,6 +143,11 @@ class TestConditionalPosterior:
         with pytest.raises(ParameterError):
             conditional_posterior(np.array([1.0]), 0.0, GibbsConfig())
 
+    def test_float32_omega_runs_in_double_precision(self):
+        # omega is stored as float(np.float32(1e-5)), so the variance is a float64, not np.float32(2493.7656).
+        cond = conditional_posterior(np.array([1.0]), 20.0, GibbsConfig(omega=np.float32(1e-5)))
+        assert type(cond.variance) is float and cond.variance == 2493.7656488756297
+
 
 def scipy_logsumexp():
     """scipy.special.logsumexp, the reference _log_sum_exp reproduces; skip where its formula differs."""
@@ -694,7 +699,10 @@ class TestPosteriorSummaries:
     def test_concentration_extremes(self):
         draws, psi = self.make_draws()
         assert concentration_probability(draws, psi, 0.0) == 1.0
-        assert concentration_probability(draws, psi, np.inf) == 0.0
+        assert concentration_probability(draws, psi, sys.float_info.max) == 0.0
+        # The radius follows the real-number rule, so an infinite one is refused.
+        with pytest.raises(ParameterError, match="radius must be nonnegative and finite, got inf"):
+            concentration_probability(draws, psi, np.inf)
 
     def test_concentration_monotone_in_radius(self):
         draws, psi = self.make_draws()
@@ -778,9 +786,9 @@ def summary_draws(num: int) -> PosteriorDraws:
     (lambda: concentration_probability(summary_draws(0), STUDY_VG.levy_density(), 1.0), EmptyDrawsError,
      "no posterior draws"),
     (lambda: concentration_probability(summary_draws(3), STUDY_VG.levy_density(), -1.0), ParameterError,
-     "radius must be >= 0, got -1.0"),
+     "radius must be nonnegative and finite, got -1.0"),
     (lambda: concentration_probability(summary_draws(3), STUDY_VG.levy_density(), math.nan), ParameterError,
-     "radius must be >= 0, got nan"),
+     "radius must be nonnegative and finite, got nan"),
 ], ids=[
     "omega-zero", "omega-inf", "sigma0-negative", "sigma0-nan", "beta-negative", "beta-nan", "theta-hat-empty",
     "band-metric-unknown", "concentration-no-draws", "radius-negative", "radius-nan",

@@ -1108,8 +1108,8 @@ class TestIncrementSeries:
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda tmp: SamplingScheme(1e308, 2), RangeError, "horizon n*delta overflows: n=2, delta=1e+308"),
-    (lambda tmp: VarianceGammaParams(0.0, math.nan, 1e-3), ParameterError, "sigma must be finite, got nan"),
-    (lambda tmp: JumpDistribution.normal(math.inf, 1.0), ParameterError, "jump parameters must be finite, got (inf, 1.0)"),
+    (lambda tmp: VarianceGammaParams(0.0, math.nan, 1e-3), ParameterError, "sigma must be nonnegative and finite, got nan"),
+    (lambda tmp: JumpDistribution.normal(math.inf, 1.0), ParameterError, "normal jump parameter must be finite, got inf"),
     (lambda tmp: JumpDistribution.normal(0.0, -1.0), ParameterError, "normal jump sd must be >= 0, got -1.0"),
     (lambda tmp: JumpDistribution.uniform(1.0, 1.0), ParameterError,
      "uniform jump bounds must satisfy lo < hi, got (1.0, 1.0)"),
