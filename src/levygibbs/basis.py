@@ -37,10 +37,9 @@ from .errors import (
     IntegrationError,
     LevyGibbsError,
     ParameterError,
-    ResourceGuardError,
     WindowError,
 )
-from .util import MATERIALIZE_LIMIT, check_count, check_real
+from .util import check_budget, check_count, check_real
 
 MAX_TRIG_K = 512
 MAX_LEGENDRE_J = 5
@@ -80,11 +79,8 @@ class Window:
             raise WindowError(f"D=[{D.a}, {D.b}] must be contained in {name} [{self.a}, {self.b}]")
 
     def grid(self, grid_points: int) -> np.ndarray:
-        """Uniform grid of `grid_points` points from a to b.
-
-        ParameterError unless an integer >= 2; ResourceGuardError, before allocating, above MATERIALIZE_LIMIT.
-        """
-        grid_points = _materializable(check_count(grid_points, "grid_points", lo=2), "grid_points")
+        """Uniform grid of `grid_points` points from a to b; ParameterError unless an integer >= 2, ResourceGuardError (check_budget)."""
+        grid_points = check_budget(check_count(grid_points, "grid_points", lo=2), "grid_points")
         return np.linspace(self.a, self.b, grid_points)
 
 
@@ -110,9 +106,14 @@ class BasisSystem:
         """Intervals on which every basis function is smooth."""
         return [(self.window.a, self.window.b)]
 
+    def check_rows(self, points: int) -> None:
+        """ResourceGuardError, before anything is allocated, when the K rows at `points` points exceed the budget (check_budget)."""
+        check_budget(self.K * points, f"basis values (K={self.K}, points={points})")
+
     def evaluate_all(self, x) -> np.ndarray:
-        """Matrix of basis values, shape (K, len(x)): row k-1 is f_k."""
+        """Matrix of basis values, shape (K, len(x)): row k-1 is f_k; check_rows guards its size."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
+        self.check_rows(len(arr))
         return self._eval_rows(np.arange(1, self.K + 1), arr)
 
     def descriptor(self) -> dict:
@@ -243,13 +244,6 @@ def _parsing(what: str):
         raise ParameterError(f"malformed {what}: {exc}") from exc
 
 
-def _materializable(count: int, name: str) -> int:
-    """count, or ResourceGuardError (raised before anything is allocated) when it is above MATERIALIZE_LIMIT."""
-    if count > MATERIALIZE_LIMIT:
-        raise ResourceGuardError(f"{name}={count} is above the materialization limit of {MATERIALIZE_LIMIT}")
-    return count
-
-
 @dataclass(frozen=True)
 class BasisFeatures:
     """Growth functionals of a basis, used by the sampling-spacing diagnostic."""
@@ -334,9 +328,9 @@ def quadrature_rule(basis: BasisSystem, quad_nodes: int) -> tuple[np.ndarray, np
     rows are smooth on every panel and the rule converges at spectral rate.
     The node set depends only on the basis segments and quad_nodes, never on K.
     ParameterError unless quad_nodes is a positive integer; ResourceGuardError,
-    before anything is allocated, above MATERIALIZE_LIMIT.
+    before anything is allocated, above the budget (check_budget).
     """
-    quad_nodes = _materializable(check_count(quad_nodes, "quad_nodes"), "quad_nodes")
+    quad_nodes = check_budget(check_count(quad_nodes, "quad_nodes"), "quad_nodes")
     segments = basis.segments()
     per_segment = -(-quad_nodes // len(segments))
     panels_per_segment = -(-per_segment // _PANEL)

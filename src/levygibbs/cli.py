@@ -48,6 +48,7 @@ from .posterior import (
     ConfigDiagnostics,
     GibbsConfig,
     MarginalK,
+    _leading_coefficients,
     credible_band,
     marginal_k,
     sample_posterior,
@@ -184,6 +185,7 @@ def cmd_posterior(args: argparse.Namespace) -> int:
     truth = _truth_from_args(args)
     k_max = args.k_max if args.k_max is not None else min(theta_hat.basis.K, GibbsConfig().k_max_for(t_n))
     config = _config_from_args(args, k_max=k_max, D_prime=theta_hat.basis.window)
+    _leading_coefficients(theta_hat, k_max)  # so a --k-max past the coefficients exits 2 before any point mass is built
     marginal = (
         MarginalK.point_mass(args.fixed_K, k_max)
         if args.fixed_K is not None

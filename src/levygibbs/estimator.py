@@ -14,6 +14,7 @@ import numpy as np
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values, synthesize
 from .errors import DimensionError, ParameterError
 from .processes import IncrementSeries
+from .util import check_count
 
 # Points of the uniform grid on D on which densities are compared and drawn.
 DEFAULT_GRID_POINTS = 512
@@ -72,11 +73,12 @@ def l2_error_on_D(theta, reference, D: Window, grid_points: int = DEFAULT_GRID_P
 
     `theta` is a CoefficientVector; `reference` is either a callable (true
     density) or another CoefficientVector.  The distance is a trapezoid-rule
-    integral on a uniform grid of `grid_points` points over D.
+    integral on a uniform grid of `grid_points` points over D, built after check_rows.
     """
     if not isinstance(theta, CoefficientVector):
         raise ParameterError("theta must be a CoefficientVector (basis required for synthesis)")
     theta.basis.window.check_contains(D, "the basis window")
+    theta.basis.check_rows(check_count(grid_points, "grid_points", lo=2))
     grid = D.grid(grid_points)
     est = synthesize(theta.basis, theta, grid)
     if isinstance(reference, CoefficientVector):

@@ -33,6 +33,7 @@ from .estimator import DEFAULT_GRID_POINTS, _l2_norm, empirical_coefficients, l2
 from .posterior import (
     GibbsConfig,
     PosteriorDraws,
+    check_draw_budget,
     credible_band,
     marginal_k,
     sample_posterior,
@@ -198,6 +199,7 @@ def run_regime(
     scheme = spec.scheme()
     k_max = config.k_max_for(scheme.t_n)
     basis = BasisSystem.trigonometric(config.D_prime, k_max)
+    check_draw_budget(basis, num_draws, grid_points, k_max)  # before the simulation, like every check above
 
     series = simulate(model, scheme, derive_seed(seed, "simulate"), materialize=False)
     theta_hat = empirical_coefficients(series, basis)
@@ -259,7 +261,7 @@ def oracle_dimension(t_n: float, alpha_assumed: float) -> int:
     window.  For the trig sieve on D' any psi with psi(a') != psi(b') has
     alpha = 1/2: its sine coefficients decay as 1/k.
     """
-    alpha_assumed = check_real(alpha_assumed, "alpha_assumed", "> 0")
+    t_n, alpha_assumed = check_real(t_n, "t_n", "> 0"), check_real(alpha_assumed, "alpha_assumed", "> 0")
     return snap_ceil(t_n ** (1.0 / (2.0 * alpha_assumed + 1.0)))
 
 

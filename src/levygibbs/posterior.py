@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, Window, _coefficient_values
-from .errors import DimensionError, EmptyDrawsError, ParameterError, ResourceGuardError
+from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
+from .errors import DimensionError, EmptyDrawsError, ParameterError
 from .estimator import DEFAULT_GRID_POINTS, _l2_norm
 from . import processes
 from .processes import _block_rng
-from .util import MATERIALIZE_LIMIT, check_count, check_real, check_seed, snap_ceil
+from .util import check_budget, check_count, check_real, check_seed, snap_ceil
 
 # Draws are generated in fixed blocks, each from its own substream of the
 # seed, so one block can be redrawn on its own, bit for bit.
@@ -91,6 +91,8 @@ class GibbsConfig:
             object.__setattr__(self, name, check_real(getattr(self, name), name, within))
         if self.k_max is not None:
             object.__setattr__(self, "k_max", check_count(self.k_max, "k_max"))
+        if not (isinstance(self.D, Window) and isinstance(self.D_prime, Window)):
+            raise ParameterError(f"D and D_prime must be Windows, got {self.D!r} and {self.D_prime!r}")
         self.D_prime.check_contains(self.D, "D_prime")
 
     def k_max_for(self, t_n: float) -> int:
@@ -122,7 +124,7 @@ class MarginalK:
 
     @classmethod
     def point_mass(cls, k0: int, k_max: int) -> "MarginalK":
-        k_max = check_count(k_max, "point mass k_max")
+        k_max = check_budget(check_count(k_max, "point mass k_max"), "point mass k_max")
         k0 = check_count(k0, "point mass K", hi=k_max)
         lw = np.full(k_max, -np.inf)
         lw[k0 - 1] = 0.0
@@ -215,6 +217,13 @@ class PosteriorDraws:
             yield K, row[:K]
 
 
+def check_draw_budget(basis: BasisSystem, num_draws: int, grid_points: int, k_max: int) -> None:
+    """ResourceGuardError (check_budget) unless sample_posterior's arrays fit: basis rows, grid values, theta (num_draws x k_max at most)."""
+    basis.check_rows(grid_points)
+    check_budget(num_draws * grid_points, f"grid values (num_draws={num_draws}, grid_points={grid_points})")
+    check_budget(num_draws * k_max, f"theta values (num_draws={num_draws}, k_max={k_max})")
+
+
 def sample_posterior(
     theta_hat_full: CoefficientVector,
     t_n: float,
@@ -243,9 +252,8 @@ def sample_posterior(
     num_draws is not a positive integer, grid_points is not an integer >= 2
     or seed is not a non-negative integer, the errors of _leading_coefficients whatever `marginal` is,
     WindowError when config.D is not inside the basis window, DimensionError
-    when `marginal` does not cover K = 1..k_max, and ResourceGuardError,
-    before allocating, when the grid evaluations or the theta matrix (up to
-    num_draws * k_max values) would hold more than MATERIALIZE_LIMIT values.
+    when `marginal` does not cover K = 1..k_max, and ResourceGuardError
+    (check_draw_budget) before the grid is built or a draw made.
     """
     num_draws, grid_points = check_count(num_draws, "num_draws"), check_count(grid_points, "grid_points", lo=2)
     check_seed(seed)
@@ -267,16 +275,7 @@ def sample_posterior(
     cum = np.cumsum(marginal.probs)
     cum[-1] = 1.0
 
-    if num_draws * grid_points > MATERIALIZE_LIMIT:
-        raise ResourceGuardError(
-            f"{num_draws} draws on {grid_points} grid points exceed the materialization "
-            f"limit of {MATERIALIZE_LIMIT} values; draw fewer or use a coarser grid"
-        )
-    if num_draws * k_max > MATERIALIZE_LIMIT:
-        raise ResourceGuardError(
-            f"{num_draws} draws of up to k_max={k_max} coefficients exceed the materialization "
-            f"limit of {MATERIALIZE_LIMIT} values; draw fewer or lower k_max"
-        )
+    check_draw_budget(basis, num_draws, grid_points, k_max)
     grid = config.D.grid(grid_points)
     rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
 

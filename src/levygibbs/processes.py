@@ -53,7 +53,7 @@ from .errors import (
     RangeError,
     ResourceGuardError,
 )
-from .util import MATERIALIZE_LIMIT, check_count, check_real, check_seed, decode_ascii, fmt_float, open_ascii
+from .util import MATERIALIZE_LIMIT, check_budget, check_count, check_real, check_seed, decode_ascii, fmt_float, open_ascii
 
 # Fixed RNG block span.  Block b covers increment indices [b*BLOCK, (b+1)*BLOCK).
 BLOCK = 1 << 20
@@ -180,7 +180,7 @@ class JumpDistribution:
             raise ParameterError(
                 f"unknown jump distribution {self.kind!r}; expected one of {sorted(self._ARITY)}"
             )
-        if len(self.params) != self._ARITY[self.kind]:
+        if not isinstance(self.params, (tuple, list)) or len(self.params) != self._ARITY[self.kind]:
             raise ParameterError(
                 f"jump distribution {self.kind!r} takes {self._ARITY[self.kind]} "
                 f"parameter(s), got {self.params!r}"
@@ -231,6 +231,8 @@ class CompoundPoissonParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rate", check_real(self.rate, "rate", "> 0"))
+        if not isinstance(self.jumps, JumpDistribution):
+            raise ParameterError(f"jumps must be a JumpDistribution, got {self.jumps!r}")
 
     def spec(self) -> str:
         return f"cpois:{fmt_float(self.rate)},{self.jumps.spec()}"
@@ -238,19 +240,16 @@ class CompoundPoissonParams:
     def block(self, scheme: SamplingScheme, seed: int, b: int) -> np.ndarray:
         """Increment block b of the series: Poisson jump counts, then the sum of each increment's jumps.
 
-        ResourceGuardError when the block expects, or draws, more than MATERIALIZE_LIMIT jumps.
+        ResourceGuardError when the block expects, or draws, more jumps than the budget (check_budget).
         """
         rng, m = _block_rng(seed, b), _block_size(scheme, b)
         lam = self.rate * scheme.delta
-        if lam * m > MATERIALIZE_LIMIT:
-            raise ResourceGuardError(f"block {b} expects {lam * m:.6g} jumps, above the limit of {MATERIALIZE_LIMIT}")
+        check_budget(lam * m, f"block {b} expects jumps")
         counts = rng.poisson(lam, size=m)
         if self.jumps.kind == "point":
             # Summing k copies of c is exactly k*c here; keeps increments exact multiples.
             return counts * self.jumps.params[0]
-        total = int(counts.sum())
-        if total > MATERIALIZE_LIMIT:
-            raise ResourceGuardError(f"block {b} drew {total} jumps, above the limit of {MATERIALIZE_LIMIT}")
+        total = check_budget(int(counts.sum()), f"block {b} drew jumps")
         sizes = self.jumps.sample(rng, total)
         owners = np.repeat(np.arange(m), counts)
         # bincount of no owners gives int64 zeros, whatever the weights.
@@ -341,15 +340,9 @@ class IncrementSeries:
 
     @property
     def values(self) -> np.ndarray:
-        """Full increment array; materializes (and caches) a streamed series."""
+        """Full increment array; materializes (and caches) a streamed series, within the budget (check_budget)."""
         if self._values is None:
-            n = self.scheme.n
-            if n > MATERIALIZE_LIMIT:
-                raise ResourceGuardError(
-                    f"refusing to materialize {n} increments "
-                    f"(limit {MATERIALIZE_LIMIT}); iterate chunks instead"
-                )
-            values = np.empty(n)
+            values = np.empty(check_budget(self.scheme.n, "increments"))
             for b, chunk in enumerate(self.iter_chunks()):
                 values[b * BLOCK : (b + 1) * BLOCK] = chunk
             self._set_values(values)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import InputParseError, ParameterError
+from .errors import InputParseError, ParameterError, ResourceGuardError
 
 # Refuse to materialize more values than this in one array; stream instead.
 MATERIALIZE_LIMIT = 1 << 27
@@ -57,6 +57,13 @@ def check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
     else:
         rule = {1: "a positive integer", 0: "a non-negative integer"}.get(lo, f"an integer >= {lo}")
     raise ParameterError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_budget(count, what: str):
+    """The one resource-guard rule: count when it is at most MATERIALIZE_LIMIT, else ResourceGuardError naming `what`; call it before allocating."""
+    if count <= MATERIALIZE_LIMIT:
+        return count
+    raise ResourceGuardError(f"{what}={count} is above the materialization limit of {MATERIALIZE_LIMIT}")
 
 
 # The ranges check_real takes: name -> (test of a finite float, what the message says the value must do).

@@ -21,14 +21,15 @@ import numpy as np
 import pytest
 
 import levygibbs.cli as cli
-import levygibbs.posterior as posterior
 import levygibbs.processes as processes
+import levygibbs.util as util
 from levygibbs import (
     BasisSystem,
     CoefficientVector,
     CompoundPoissonParams,
     GibbsConfig,
     JumpDistribution,
+    MarginalK,
     ResourceGuardError,
     SamplingScheme,
     VarianceGammaParams,
@@ -941,11 +942,11 @@ class TestExitCodes:
     def test_jump_guard_exits_4(self, tmp_path, monkeypatch, capsys, blocks):
         # 16-increment blocks at rate 5 and delta 1 expect 80 jumps each, above a limit of 64.
         monkeypatch.setattr(processes, "BLOCK", 16)
-        monkeypatch.setattr(processes, "MATERIALIZE_LIMIT", 64)
+        monkeypatch.setattr(util, "MATERIALIZE_LIMIT", 64)
         out = tmp_path / "inc.bin"
         argv = ["simulate", "--process", "cpois:5,normal:0,1", "--delta", "1", "--n", str(16 * blocks), "--out", str(out)]
         assert main(argv) == 4
-        assert "expects 80 jumps, above the limit of 64" in capsys.readouterr().err
+        assert "expects jumps=80.0 is above the materialization limit of 64\n" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
@@ -1136,12 +1137,37 @@ class TestExitCodes:
 
     def test_posterior_theta_guard_exits_4(self, tmp_path, monkeypatch, capsys):
         # 400 draws on 2 grid points pass the limit, their theta matrices at k_max = 20 do not
-        monkeypatch.setattr(posterior, "MATERIALIZE_LIMIT", 1000)
+        monkeypatch.setattr(util, "MATERIALIZE_LIMIT", 1000)
         coeffs = write_coeffs(tmp_path, np.ones(20))
         out = tmp_path / "post"
         argv = ["posterior", "--coeffs", str(coeffs), "--out-dir", str(out), "--draws", "400", "--grid-points", "2"]
         assert main(argv) == 4
-        assert "k_max=20" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: theta values (num_draws=400, k_max=20)=8000 is above the materialization limit of 1000\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["posterior", "estimate"])
+    def test_basis_rows_guard_exits_4_before_the_grid(self, tmp_path, monkeypatch, capsys, command):
+        # 20 basis rows on 2^24 grid points are 2.5 GiB: refused before the grid is built, at the real limit.
+        monkeypatch.setattr(Window, "grid", lambda *args: pytest.fail("the grid was built before the basis-row guard"))
+        out = tmp_path / "out"
+        if command == "posterior":
+            argv = ["posterior", "--coeffs", str(write_coeffs(tmp_path, np.ones(20))), "--draws", "1", "--out-dir", str(out)]
+        else:
+            inc = simulate_file(tmp_path, "inc.bin", delta=0.001, n=100)
+            argv = ["estimate", "--increments", str(inc), "--K", "20", "--truth", "vg:0,0.117,0.002", "--out", str(out)]
+        assert main(argv + ["--grid-points", str(1 << 24)]) == 4
+        limit = util.MATERIALIZE_LIMIT
+        assert capsys.readouterr().err == f"error: basis values (K=20, points=16777216)=335544320 is above the materialization limit of {limit}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fixed", [[], ["--fixed-K", "1"]], ids=["marginal", "fixed-K"])
+    def test_k_max_past_the_coefficients_exits_2_before_the_point_mass(self, tmp_path, monkeypatch, capsys, fixed):
+        # A point mass at k_max = 2^40 would need 8 TiB; the coefficient count is checked first.
+        monkeypatch.setattr(MarginalK, "point_mass", lambda *args: pytest.fail("point mass built before the coefficient check"))
+        out = tmp_path / "post"
+        argv = ["posterior", "--coeffs", str(write_coeffs(tmp_path, np.ones(20))), "--k-max", str(1 << 40), "--out-dir", str(out)]
+        assert main(argv + fixed) == 2
+        assert capsys.readouterr().err == "error: need at least k_max=1099511627776 coefficients, got shape (20,)\n"
         assert not out.exists()
 
     def test_non_ascii_increments_exit_3(self, tmp_path, capsys):

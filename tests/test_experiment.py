@@ -22,9 +22,11 @@ from levygibbs import (
     CompoundPoissonParams,
     ExperimentReport,
     GibbsConfig,
+    IncrementSeries,
     JumpDistribution,
     MarginalK,
     ParameterError,
+    ResourceGuardError,
     SamplingScheme,
     VarianceGammaParams,
     Window,
@@ -34,6 +36,7 @@ from levygibbs import (
     contraction_rate,
     credible_band,
     delta_condition,
+    l2_error_on_D,
     marginal_k,
     no_overfit_diagnostic,
     oracle_dimension,
@@ -49,8 +52,11 @@ from levygibbs import (
     write_report_json,
 )
 import levygibbs.experiment as experiment
+import levygibbs.posterior as posterior
+import levygibbs.util as util
+from levygibbs.basis import TrigonometricBasis
 from levygibbs.experiment import DEFAULT_VG_PARAMS, RegimeSpec
-from levygibbs.util import check_seed, derive_seed, snap_ceil
+from levygibbs.util import check_budget, check_seed, derive_seed, snap_ceil
 
 from conftest import MASTER_SEED
 
@@ -89,6 +95,52 @@ COUNT_SITES = {
     "Window.grid": (D_PRIME.grid, len, 4),
     "quadrature_rule": (lambda v: quadrature_rule(THETA4.basis, v), lambda rule: len(rule[0]), 32),
     "check_seed": (check_seed, lambda seed: seed, 4),
+}
+
+# Each array size the library checks against the budget: (limit, call, the `what=count` of the message,
+# attributes (owner, name) that must not be called before the check).  Each call asks for more than the limit.
+CP_NORMAL = JumpDistribution.normal(0.0, 1.0)
+BUDGET_SITES = {
+    "Window.grid": (64, lambda: D_PRIME.grid(65), "grid_points=65", [(np, "linspace")]),
+    "quadrature_rule": (64, lambda: quadrature_rule(THETA4.basis, 65), "quad_nodes=65", [(TrigonometricBasis, "segments")]),
+    "BasisSystem.evaluate_all": (
+        64, lambda: THETA4.basis.evaluate_all(np.zeros(17)), "basis values (K=4, points=17)=68",
+        [(TrigonometricBasis, "_eval_rows")],
+    ),
+    "l2_error_on_D": (
+        64, lambda: l2_error_on_D(THETA4, THETA4, Window(0.006, 0.014), grid_points=17), "basis values (K=4, points=17)=68",
+        [(Window, "grid")],
+    ),
+    "sample_posterior.basis_rows": (
+        64, lambda: sample_posterior(THETA4, 20.0, GibbsConfig(k_max=4), 1, seed=0, grid_points=17),
+        "basis values (K=4, points=17)=68", [(Window, "grid"), (posterior, "_block_rng")],
+    ),
+    "sample_posterior.grid_values": (
+        64, lambda: sample_posterior(THETA4, 20.0, GibbsConfig(k_max=4), 20, seed=0, grid_points=4),
+        "grid values (num_draws=20, grid_points=4)=80", [(Window, "grid"), (posterior, "_block_rng")],
+    ),
+    "sample_posterior.theta": (
+        64, lambda: sample_posterior(THETA4, 20.0, GibbsConfig(k_max=4), 20, seed=0, grid_points=2),
+        "theta values (num_draws=20, k_max=4)=80", [(Window, "grid"), (posterior, "_block_rng")],
+    ),
+    "run_regime": (
+        64, lambda: run_regime(RegimeSpec(1), config=GibbsConfig(k_max=20), num_draws=2, grid_points=4),
+        "basis values (K=20, points=4)=80", [(experiment, "simulate"), (Window, "grid")],
+    ),
+    "IncrementSeries.values": (
+        64, lambda: IncrementSeries(SamplingScheme(0.5, 65), 0, block_fn=np.zeros).values, "increments=65",
+        [(IncrementSeries, "iter_chunks")],
+    ),
+    "CompoundPoissonParams.block.expects": (
+        64, lambda: CompoundPoissonParams(5.0, CP_NORMAL).block(SamplingScheme(1.0, 16), 0, 0), "block 0 expects jumps=80.0",
+        [],  # a generator's Poisson draw cannot be patched; test_jump_guard shows it refused before numpy's own check
+    ),
+    # The expected 1.25 * 8 = 10 jumps are at the limit; seed 2 draws 13.
+    "CompoundPoissonParams.block.drew": (
+        10, lambda: CompoundPoissonParams(1.25, CP_NORMAL).block(SamplingScheme(1.0, 8), 2, 0), "block 0 drew jumps=13",
+        [(JumpDistribution, "sample")],
+    ),
+    "MarginalK.point_mass": (64, lambda: MarginalK.point_mass(1, 65), "point mass k_max=65", [(np, "full")]),
 }
 
 DRAWS4 = sample_posterior(THETA4, 20.0, GibbsConfig(k_max=4), 4, seed=0, grid_points=8)
@@ -216,6 +268,39 @@ class TestRegimeArithmetic:
             value, reference = stored(make(as_real(good))), stored(make(float(as_real(good))))
             assert type(value) is type(reference) and np.asarray(value).dtype == np.float64
             assert np.array_equal(value, reference)
+
+    @pytest.mark.parametrize("name", list(BUDGET_SITES))
+    def test_budget_rule(self, monkeypatch, name):
+        # util.check_budget at every array size the library checks: one message form, before the array's inputs are made.
+        limit, call, what, untouched = BUDGET_SITES[name]
+        monkeypatch.setattr(util, "MATERIALIZE_LIMIT", limit)
+        for owner, attr in untouched:
+            monkeypatch.setattr(owner, attr, lambda *args, **kwargs: pytest.fail(f"{attr} called before the budget check"))
+        with pytest.raises(ResourceGuardError) as excinfo:
+            call()
+        assert excinfo.type is ResourceGuardError
+        assert str(excinfo.value) == f"{what} is above the materialization limit of {limit}"
+
+    def test_check_budget(self, monkeypatch):
+        monkeypatch.setattr(util, "MATERIALIZE_LIMIT", 8)
+        assert check_budget(8, "n") == 8 and check_budget(7.5, "n") == 7.5
+        for count in (9, 8.5, math.inf, math.nan):
+            with pytest.raises(ResourceGuardError, match=f"^n={count} is above the materialization limit of 8$"):
+                check_budget(count, "n")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: oracle_dimension(-5.0, 2.0), "t_n must be positive and finite, got -5.0"),
+        (lambda: oracle_dimension(True, 2.0), "t_n must be positive and finite, got True"),
+        (lambda: JumpDistribution("point", 1.0), "jump distribution 'point' takes 1 parameter(s), got 1.0"),
+        (lambda: GibbsConfig(D=(0.006, 0.014)), "D and D_prime must be Windows, got (0.006, 0.014) and"),
+        (lambda: GibbsConfig(D_prime=(0.005, 0.015)), "D and D_prime must be Windows, got Window(a=0.006, b=0.014) and (0.005, 0.015)"),
+        (lambda: CompoundPoissonParams(1.0, "normal:0,1"), "jumps must be a JumpDistribution, got 'normal:0,1'"),
+    ], ids=["oracle-negative-t_n", "oracle-bool-t_n", "jump-params-not-a-tuple", "config-D-a-tuple",
+            "config-D_prime-a-tuple", "cpois-jumps-a-string"])
+    def test_wrong_kind_of_input_is_a_parameter_error(self, call, message):
+        with pytest.raises(ParameterError, match="^" + re.escape(message)) as excinfo:
+            call()
+        assert excinfo.type is ParameterError
 
     def test_delta_n_t_n_derived_from_j(self):
         # j is the one field, so no regime can carry a delta, n or t_n of another j.

@@ -48,6 +48,7 @@ from levygibbs import (
 )
 from levygibbs.experiment import write_draws_jsonl
 from levygibbs.posterior import DISTANCE_TILE_ROWS, DRAW_BLOCK, _draw_distances, _fan_out, _log_sum_exp
+import levygibbs.util as util
 from levygibbs.util import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
@@ -403,7 +404,7 @@ class TestSamplePosterior:
     def test_D_outside_the_basis_window_refused_before_allocating(self, monkeypatch):
         # A basis on D' with D = [0.1, 0.9] would draw every density as 0 on D and band it with radius 0.0.
         config = GibbsConfig(k_max=20, D=Window(0.1, 0.9), D_prime=Window(0.0, 1.0))
-        monkeypatch.setattr(posterior, "MATERIALIZE_LIMIT", 0)
+        monkeypatch.setattr(util, "MATERIALIZE_LIMIT", 0)
         with pytest.raises(WindowError, match=r"D=\[0.1, 0.9\] must be contained in the basis window \[0.005, 0.015\]"):
             sample_posterior(self.theta_perp, self.t_n, config, 10, seed=0)
 
@@ -436,8 +437,8 @@ class TestSamplePosterior:
 
     def test_theta_storage_guard(self, monkeypatch):
         # 400 x 2 grid values pass the limit, but the theta matrices may hold 400 x k_max = 8,000 values
-        monkeypatch.setattr(posterior, "MATERIALIZE_LIMIT", 1000)
-        with pytest.raises(ResourceGuardError, match="k_max=20"):
+        monkeypatch.setattr(util, "MATERIALIZE_LIMIT", 1000)
+        with pytest.raises(ResourceGuardError, match=r"^theta values \(num_draws=400, k_max=20\)=8000 is above the materialization limit of 1000$"):
             sample_posterior(self.theta_perp, self.t_n, self.config, 400, seed=0, grid_points=2)
         sample_posterior(self.theta_perp, self.t_n, self.config, 50, seed=0, grid_points=2)
 
