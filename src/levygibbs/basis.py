@@ -18,9 +18,8 @@ All evaluations return 0 exactly outside the window (and, for the piecewise
 family, at piece boundaries).  Feature functionals F1 and F2 bound the
 sup/derivative growth of the system and feed the sampling-spacing check.
 
-scipy is imported only inside the function that needs it (`eval_legendre`
-for the piecewise family), so importing the package, and the trig pipeline,
-never load it.
+Both families need numpy only: the Legendre rows come from one Legendre
+Vandermonde matrix (`legvander`) per evaluation.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import Legendre, leggauss, legvander
 
 from .errors import (
     DimensionError,
@@ -198,8 +197,6 @@ class PiecewiseLegendreBasis(BasisSystem):
         return list(zip(self._edges[:-1], self._edges[1:]))
 
     def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        from scipy.special import eval_legendre
-
         edges, h = self._edges, self._h
         piece = np.floor((x - self.window.a) / h).astype(int)
         piece = np.clip(piece, 0, self.L - 1)
@@ -207,13 +204,14 @@ class PiecewiseLegendreBasis(BasisSystem):
         inside = (x > edges[piece]) & (x < edges[piece + 1])
         mid = (edges[piece] + edges[piece + 1]) / 2.0
         u = np.where(inside, 2.0 * (x - mid) / h, 0.0)
+        q = legvander(u, self.J - 1)  # column j is Q_j(u)
         out = np.zeros((len(ks), len(x)))
         for row, k in enumerate(ks):
             j = (k - 1) % self.J
             l = (k - 1) // self.J + 1
             mask = inside & (piece == l - 1)
             scale = math.sqrt((2 * j + 1) / h)
-            out[row] = np.where(mask, scale * eval_legendre(j, u), 0.0)
+            out[row] = np.where(mask, scale * q[:, j], 0.0)
         return out
 
     def features(self) -> "BasisFeatures":
@@ -254,13 +252,11 @@ class BasisFeatures:
 
 def _legendre_variations(j: int) -> tuple[float, float]:
     """Total variations of Q_j and Q_j^2 on [-1, 1], between critical points (Q_j^2 also turns at Q_j's roots)."""
-    from scipy.special import eval_legendre
-
-    q = np.polynomial.legendre.Legendre.basis(j)
+    q = Legendre.basis(j)
     crit = np.sort(np.concatenate([[-1.0, 1.0], np.real(q.deriv().roots())]))
     crit_sq = np.sort(np.concatenate([crit, np.real(q.roots())]))
-    tv = np.sum(np.abs(np.diff(eval_legendre(j, crit))))
-    return float(tv), float(np.sum(np.abs(np.diff(eval_legendre(j, crit_sq) ** 2))))
+    tv = np.sum(np.abs(np.diff(q(crit))))
+    return float(tv), float(np.sum(np.abs(np.diff(q(crit_sq) ** 2))))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from .processes import (
     simulate,
     write_increments,
 )
-from .util import check_real, fmt_float, open_ascii
+from .util import check_count, check_real, fmt_float, open_ascii
 
 
 def _parse_window(text: str) -> Window:
@@ -159,10 +159,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ParameterError("--D and --grid-points apply only with --truth")
     series = read_increments(args.increments, delta=args.delta)
     basis = _basis_from_args(args, series.scheme.t_n)
-    theta_hat = empirical_coefficients(series, basis)
     # D is checked against the basis window only, so its default comes off GibbsConfig, unvalidated.
     D = args.D if args.D is not None else GibbsConfig.D
-    err = None if truth is None else l2_error_on_D(theta_hat, truth, D, **_given(args, grid_points="grid_points"))
+    grid_points = args.grid_points if args.grid_points is not None else DEFAULT_GRID_POINTS
+    if truth is not None:  # so a refused error summary costs no fold
+        basis.window.check_contains(D, "the basis window")
+        basis.check_rows(check_count(grid_points, "grid_points", lo=2))
+    theta_hat = empirical_coefficients(series, basis)
+    err = None if truth is None else l2_error_on_D(theta_hat, truth, D, grid_points)
     write_coefficients_json(args.out, theta_hat)
     print(f"estimate: K={basis.K} t_n={fmt_float(series.scheme.t_n)} in-window estimator written to {args.out}")
     if err is not None:

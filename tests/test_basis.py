@@ -1,8 +1,9 @@
 """Basis tests: orthonormality, analytic features, projection quadrature.
 
 Independent oracles: dense-grid sup/total-variation estimates for the
-feature functionals, composite Simpson for projection coefficients, and the
-exact trig/Legendre closed forms for single-point evaluations.
+feature functionals, composite Simpson for projection coefficients, the
+exact trig/Legendre closed forms for single-point evaluations, and
+scipy's eval_legendre for the Legendre rows.
 """
 
 import math
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.special import eval_legendre
 
 from levygibbs import (
     BasisSystem,
@@ -28,7 +30,7 @@ from levygibbs import (
     quadrature_rule,
     synthesize,
 )
-from levygibbs.basis import MAX_LEGENDRE_J, MAX_LEGENDRE_L, MAX_TRIG_K
+from levygibbs.basis import MAX_LEGENDRE_J, MAX_LEGENDRE_L, MAX_TRIG_K, _legendre_variations
 from levygibbs.util import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
@@ -144,20 +146,29 @@ class TestEval:
 
     def test_rows_are_piece_major(self):
         # row (l-1)*J + j (0-based) is degree j on piece l: the scaled Q_j on
-        # that piece's open interval and exactly 0 off it
-        J, L = 3, 4
-        basis = BasisSystem.piecewise_legendre(D_PRIME, J=J, L=L)
+        # that piece's open interval and exactly 0 off it, for every J; Q_j is
+        # scipy's eval_legendre, to 1e-13 on the unit scale
+        L = 4
         h = D_PRIME.length / L
-        t = np.array([0.1, 0.35, 0.8])
+        t = np.linspace(0.01, 0.99, 25)
         x = np.concatenate([D_PRIME.a + (l - 1 + t) * h for l in range(1, L + 1)])
-        rows = basis.evaluate_all(x)
-        for l in range(1, L + 1):
-            on = slice((l - 1) * len(t), l * len(t))
-            for j in range(J):
-                row = rows[(l - 1) * J + j]
-                q = np.polynomial.legendre.Legendre.basis(j)(2.0 * t - 1.0)
-                np.testing.assert_allclose(row[on], math.sqrt((2 * j + 1) / h) * q, rtol=1e-12)
-                assert np.count_nonzero(row) == np.count_nonzero(row[on])
+        for J in range(1, MAX_LEGENDRE_J + 1):
+            rows = BasisSystem.piecewise_legendre(D_PRIME, J=J, L=L).evaluate_all(x)
+            for l in range(1, L + 1):
+                on = slice((l - 1) * len(t), l * len(t))
+                for j in range(J):
+                    row = rows[(l - 1) * J + j]
+                    unit = row[on] / math.sqrt((2 * j + 1) / h)
+                    np.testing.assert_allclose(unit, eval_legendre(j, 2.0 * t - 1.0), rtol=0, atol=1e-13)
+                    assert np.count_nonzero(row) == np.count_nonzero(row[on])
+        # the feature variations, at their own critical points, by scipy
+        for j in range(MAX_LEGENDRE_J):
+            q = np.polynomial.legendre.Legendre.basis(j)
+            crit = np.sort(np.concatenate([[-1.0, 1.0], np.real(q.deriv().roots())]))
+            crit_sq = np.sort(np.concatenate([crit, np.real(q.roots())]))
+            tv = np.sum(np.abs(np.diff(eval_legendre(j, crit))))
+            sq_tv = np.sum(np.abs(np.diff(eval_legendre(j, crit_sq) ** 2)))
+            assert _legendre_variations(j) == pytest.approx((tv, sq_tv), rel=1e-13)
 
     def test_constructor_guards(self):
         with pytest.raises(ParameterError):

@@ -497,12 +497,16 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def trig_pipeline_argvs(d) -> list[list[str]]:
+def every_subcommand_argvs(d) -> list[list[str]]:
+    legendre = ["--family", "legendre", "--J", "5", "--L", "16"]
     return [
         ["simulate", "--j", "1", "--seed", "3", "--out", str(d / "inc.bin")],
         ["estimate", "--increments", str(d / "inc.bin"), "--out", str(d / "c.json"), "--truth", "vg:0,0.117,0.002"],
+        ["estimate", "--increments", str(d / "inc.bin"), "--out", str(d / "leg.json"), *legendre],
         ["posterior", "--coeffs", str(d / "c.json"), "--draws", "200", "--out-dir", str(d / "post")],
         ["experiment", "--j", "1", "--draws", "200", "--out-dir", str(d / "exp")],
+        ["check", "--j", "1"],
+        ["check", "--j", "1", *legendre],
     ]
 
 
@@ -513,17 +517,17 @@ def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
 
 
-def test_trig_pipeline_runs_without_scipy(tmp_path):
+def test_every_subcommand_runs_without_scipy(tmp_path):
     blocked, free = tmp_path / "blocked", tmp_path / "free"
     blocked.mkdir()
     free.mkdir()
-    proc = run_python("-c", WITHOUT_SCIPY, json.dumps(trig_pipeline_argvs(blocked)))
+    proc = run_python("-c", WITHOUT_SCIPY, json.dumps(every_subcommand_argvs(blocked)))
     assert proc.returncode == 0, proc.stderr
-    for argv in trig_pipeline_argvs(free):
+    for argv in every_subcommand_argvs(free):
         assert main(argv) == 0
     names = sorted(str(p.relative_to(free)) for p in free.rglob("*") if p.is_file())
     assert names == sorted(str(p.relative_to(blocked)) for p in blocked.rglob("*") if p.is_file())
-    assert len(names) == 9
+    assert len(names) == 10
     for name in names:
         assert (blocked / name).read_bytes() == (free / name).read_bytes(), name
 
@@ -930,13 +934,31 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_estimate_error_writes_no_out_file(self, tmp_path, capsys):
-        # The error summary's grid is refused after the fold; --out is written only after it.
+        # The error summary's grid is refused before the fold, and --out is written only after the fold.
         inc = simulate_file(tmp_path, "inc.bin", delta=0.001, n=100)
         out = tmp_path / "o.json"
         argv = ["estimate", "--increments", str(inc), "--out", str(out), "--truth", "vg:0,0.117,0.002"]
         assert main(argv + ["--grid-points", "100000000000"]) == 4
         assert "materialization limit" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--grid-points", "100000000000"], 4, "is above the materialization limit"),
+        (["--grid-points", "1"], 2, "grid_points must be an integer >= 2"),
+        (["--D", "0.001,0.012"], 2, "must be contained in the basis window"),
+    ], ids=["grid-budget", "grid-count", "D"])
+    def test_estimate_refuses_error_summary_before_the_fold(self, tmp_path, monkeypatch, capsys, flags, code, message):
+        inc = simulate_file(tmp_path, "inc.bin", delta=0.001, n=100)
+        capsys.readouterr()
+
+        def fold(*args, **kwargs):
+            raise AssertionError("the increments were folded before the error summary's arguments were checked")
+
+        monkeypatch.setattr(cli, "empirical_coefficients", fold)
+        argv = ["estimate", "--increments", str(inc), "--out", str(tmp_path / "o.json"), "--truth", "vg:0,0.117,0.002"]
+        assert main(argv + flags) == code
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["inc.bin"]
 
     @pytest.mark.parametrize("blocks", [1, 3], ids=["in-process", "forked"])
     def test_jump_guard_exits_4(self, tmp_path, monkeypatch, capsys, blocks):
