@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 usage/validation, 3 input parse, 4 resource guard.
 Flags override config-file keys (--config, flat `key = value` lines, keys are
 flag names with dashes as underscores), which override built-in defaults.
+argparse finds --config in any spelling it accepts, and the last one given
+is the file read; 'config' and 'help' are not keys.
 Given identical flags and seed, every output file is byte-identical across
 runs: floats are printed with shortest round-trip repr and runtimes go to
 stdout only.
@@ -337,22 +339,23 @@ def _add_window_flag(p: argparse.ArgumentParser, flag: str, what: str, default: 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="levy-gibbs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="file of 'key = value' lines, one per flag; flags win")
+    add_command = functools.partial(sub.add_parser, parents=[config])  # every subcommand takes --config
 
-    p = sub.add_parser(
+    p = add_command(
         "simulate",
         help="simulate increments and write them to a binary increments file",
         description="Simulate increments and write them to a binary increments file: one JSON header line "
         "(format, version, delta, n, seed), then n little-endian float64 values.",
     )
-    p.add_argument("--config", default=None)
     _add_process_flag(p, "--process", "process to simulate", DEFAULT_VG_PARAMS)
     _add_scheme_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="increments file to write")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate", help="estimate basis coefficients from an increments file")
-    p.add_argument("--config", default=None)
+    p = add_command("estimate", help="estimate basis coefficients from an increments file")
     p.add_argument("--increments", default=None, help="binary increments file, or text with one value per line")
     p.add_argument("--delta", type=float, default=None, help="spacing of a text file without a header")
     _add_basis_flags(p)
@@ -363,8 +366,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_grid_flag(p)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("posterior", help="sample the Gibbs posterior from saved coefficients")
-    p.add_argument("--config", default=None)
+    p = add_command("posterior", help="sample the Gibbs posterior from saved coefficients")
     p.add_argument("--coeffs", default=None)
     p.add_argument("--t-n", dest="t_n", type=float, default=None,
                    help="observation horizon, for a coefficient file that carries none")
@@ -382,8 +384,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.set_defaults(func=cmd_posterior)
 
-    p = sub.add_parser("experiment", help="run seeded regimes end to end and write report files")
-    p.add_argument("--config", default=None)
+    p = add_command("experiment", help="run seeded regimes end to end and write report files")
     p.add_argument("--j", dest="j_list", type=int, action=_AppendOverConfig, default=None, help="regime index (repeatable)")
     _add_process_flag(p, "--process", "process to study", DEFAULT_VG_PARAMS)
     _add_hyper_flags(p)
@@ -397,8 +398,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("check", help="sampling-spacing and learning-rate diagnostics (read-only)")
-    p.add_argument("--config", default=None)
+    p = add_command("check", help="sampling-spacing and learning-rate diagnostics (read-only)")
     _add_scheme_flags(p)
     _add_basis_flags(p)
     p.add_argument("--case", choices=["fixed-K", "prior-on-K"], default=None)
@@ -435,7 +435,8 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, raw: dict, path) 
     for action in subparser._actions:
         # A flag's key is its long name without the leading dashes, other dashes as underscores.
         key = next((o[2:].replace("-", "_") for o in action.option_strings if o.startswith("--")), None)
-        if key not in raw:
+        # Only flags that take a value are keys; 'help' and 'config' stay in raw as unknown.
+        if key not in raw or action.nargs == 0 or action.dest == "config":
             continue
         value = raw.pop(key)
         convert = action.type or str
@@ -457,19 +458,14 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, raw: dict, path) 
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        # Config precedence: inject file values as subparser defaults before the
-        # real parse, so explicit flags naturally win.
-        if argv and not argv[0].startswith("-") and argv[0] in subparsers:
-            for i, tok in enumerate(argv):
-                if tok == "--config" and i + 1 < len(argv):
-                    _apply_config_defaults(subparsers[argv[0]], _load_config_file(argv[i + 1]), argv[i + 1])
-                elif tok.startswith("--config="):
-                    path = tok.split("=", 1)[1]
-                    _apply_config_defaults(subparsers[argv[0]], _load_config_file(path), path)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Config precedence: the file's values become the subcommand's
+            # defaults, and the same argv is parsed again so explicit flags win.
+            _apply_config_defaults(subparsers[args.command], _load_config_file(args.config), args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -356,8 +356,6 @@ def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> n
     its thread's one reused buffer, so no temporary of the grid's size is
     made.  Runs of consecutive tiles go to one thread per CPU (_fan_out).
     """
-    if metric not in ("sup", "l2"):
-        raise ParameterError(f"metric must be 'sup' or 'l2', got {metric!r}")
     grid_values = draws.grid_values
     dist = np.empty(len(grid_values))
 
@@ -377,8 +375,10 @@ def _draw_distances(draws: PosteriorDraws, center: np.ndarray, metric: str) -> n
 
 def credible_band(draws: PosteriorDraws, level: float, metric: str = "sup") -> BandResult:
     """Band around the posterior mean containing `level` of the drawn densities."""
-    # The level before the mean, so a bad level costs nothing; the mean refuses empty draws.
+    # The level and metric before the mean, so a bad one costs nothing; the mean refuses empty draws.
     level = check_real(level, "level", "(0, 1)")
+    if metric not in ("sup", "l2"):
+        raise ParameterError(f"metric must be 'sup' or 'l2', got {metric!r}")
     center = posterior_mean_function(draws)
     dist = _draw_distances(draws, center, metric)
     radius = float(np.quantile(dist, level, method="higher"))

@@ -549,11 +549,13 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
     line) supplies delta/n/seed, and a header delta takes precedence over
     the delta argument.  A text file without a header needs the delta
     argument (the file is refused before its body is read) and n is the
-    count of its increment lines.  A delta argument or header delta that is
-    not positive and finite raises ParameterError or InputParseError before
-    the body is read.  Malformed content raises :class:`InputParseError`
-    naming the file (and the offending line of a text file); more than
-    MATERIALIZE_LIMIT increments, declared or found, raise ResourceGuardError.
+    count of its increment lines.  A delta argument that fails
+    util.check_real's "> 0" rule, even when a header would supply delta,
+    raises ParameterError, and a header delta that is not positive and
+    finite raises InputParseError, both before the body is read.  Malformed
+    content raises :class:`InputParseError` naming the file (and the
+    offending line of a text file); more than MATERIALIZE_LIMIT increments,
+    declared or found, raise ResourceGuardError.
 
     A text file is read here and its series is materialized.  A binary file
     is read up to its header and its body size is checked; the series reads
@@ -561,8 +563,8 @@ def read_increments(path, delta: float | None = None) -> IncrementSeries:
     come then: InputParseError naming the file if it changed since this call
     or a value is not finite (with its 1-based increment index).
     """
-    if delta is not None and not (math.isfinite(delta) and delta > 0.0):
-        raise ParameterError(f"delta must be positive and finite, got {delta!r}")
+    if delta is not None:
+        delta = check_real(delta, "delta", "> 0")
     with open(path, "rb") as fh:
         line = fh.readline(LINE_BYTES)
         if line.startswith(b"{"):

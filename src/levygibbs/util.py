@@ -114,11 +114,12 @@ def derive_seed(master: int, label: str) -> int:
 
     Distinct labels give statistically independent streams; the mapping is
     fixed so external callers can reproduce any stage in isolation.  A master
-    seed that is not a non-negative integer raises ParameterError.
+    seed that is not a non-negative integer, or an unknown label, raises
+    ParameterError.
     """
     check_seed(master)
     codes = {"simulate": 1, "draws": 2}
     if label not in codes:
-        raise ValueError(f"unknown seed label {label!r}; expected one of {sorted(codes)}")
+        raise ParameterError(f"unknown seed label {label!r}; expected one of {sorted(codes)}")
     ss = np.random.SeedSequence(entropy=master, spawn_key=(codes[label],))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -808,7 +808,7 @@ class TestConfigPrecedence:
         assert parser.parse_args(["experiment"]).j_list == [1, 2]
         assert parser.parse_args(["experiment", "--j", "3", "--j", "4"]).j_list == [3, 4]
 
-    @pytest.mark.parametrize("command, key", [("experiment", "j_list")])
+    @pytest.mark.parametrize("command, key", [("experiment", "j_list"), ("check", "config"), ("simulate", "help")])
     def test_dest_names_are_not_keys(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
@@ -847,6 +847,23 @@ class TestConfigPrecedence:
         assert main(["simulate", "--config", str(cfg), "--out", str(spaced)]) == 0
         assert main(["simulate", f"--config={cfg}", "--out", str(joined)]) == 0
         assert header_of(joined)["seed"] == 7 and joined.read_bytes() == spaced.read_bytes()
+        # argparse takes an unambiguous prefix of a flag, so --conf reads the file too.
+        prefix = tmp_path / "c.bin"
+        assert main(["simulate", "--conf", str(cfg), "--out", str(prefix)]) == 0
+        assert prefix.read_bytes() == spaced.read_bytes()
+
+    def test_last_config_is_the_one_read(self, tmp_path, capsys):
+        bogus, good = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        bogus.write_text("bogus = 1\n")
+        good.write_text("seed = 7\nn = 64\ndelta = 0.25\n")
+        by_config, by_flags = tmp_path / "a.bin", tmp_path / "b.bin"
+        assert main(["simulate", f"--config={bogus}", f"--conf={good}", "--out", str(by_config)]) == 0
+        assert main(["simulate", "--seed", "7", "--n", "64", "--delta", "0.25", "--out", str(by_flags)]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+        out = tmp_path / "c.bin"
+        assert main(["simulate", f"--config={good}", f"--conf={bogus}", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {bogus}: unknown config key(s): bogus\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, reason", [
         ("0.01", "expected a window as 'lo,hi', got '0.01'"),

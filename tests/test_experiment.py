@@ -325,7 +325,7 @@ class TestRegimeArithmetic:
         assert derive_seed(0, "simulate") == derive_seed(0, "simulate")
         assert derive_seed(0, "simulate") != derive_seed(0, "draws")
         assert derive_seed(0, "simulate") != derive_seed(1, "simulate")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="unknown seed label"):
             derive_seed(0, "mystery")
         for seed in (-1, 1.5, True, None):
             with pytest.raises(ParameterError, match="seed must be a non-negative integer"):

@@ -697,6 +697,12 @@ class TestPosteriorSummaries:
             with pytest.raises(ParameterError):
                 credible_band(draws, level)
 
+    def test_band_metric_checked_before_the_mean(self, monkeypatch):
+        draws, _ = self.make_draws(num=20)
+        monkeypatch.setattr(posterior, "posterior_mean_function", lambda draws: pytest.fail("mean computed"))
+        with pytest.raises(ParameterError, match="metric must be 'sup' or 'l2', got 'linf'"):
+            credible_band(draws, 0.9, "linf")
+
     def test_concentration_extremes(self):
         draws, psi = self.make_draws()
         assert concentration_probability(draws, psi, 0.0) == 1.0

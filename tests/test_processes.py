@@ -810,6 +810,17 @@ class TestReaderGuards:
             read_increments(path, delta=delta)
         assert calls == []
 
+    @pytest.mark.parametrize("delta", ["1e-3", True, math.nan])
+    @pytest.mark.parametrize("header", ["", "# delta=0.5 n=2 seed=1\n"], ids=["headerless", "headed"])
+    def test_delta_argument_follows_the_real_rule(self, tmp_path, monkeypatch, delta, header):
+        calls = []
+        monkeypatch.setattr(processes, "_read_body", lambda *args: calls.append(args))
+        path = tmp_path / "inc.txt"
+        path.write_text(header + "0.1\n0.2\n")
+        with pytest.raises(ParameterError, match=re.escape(f"delta must be positive and finite, got {delta!r}")):
+            read_increments(path, delta=delta)
+        assert calls == []
+
 
 class TestPooledIncrementFiles:
     """Under the pooled_io fixture, binary files written by forked workers give the same bytes, and text reads start no pool."""
