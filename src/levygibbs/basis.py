@@ -1,8 +1,9 @@
 """Orthonormal function systems on an estimation window.
 
 A family is a subclass of `BasisSystem` that owns its size checks, its rows
-(`_eval_rows`), its `features`, the intervals on which its functions are
-smooth (`segments`, where quadrature panels break) and its descriptor fields.
+(`_row_chunks`: consecutive C-ordered row blocks in k order), its
+`features`, the intervals on which its functions are smooth (`segments`,
+where quadrature panels break) and its descriptor fields.
 Two families are implemented on a window [a, b]:
 
 * `TrigonometricBasis` ("trigonometric", nested): f_1 = (b-a)^{-1/2}; for
@@ -18,8 +19,13 @@ All evaluations return 0 exactly outside the window (and, for the piecewise
 family, at piece boundaries).  Feature functionals F1 and F2 bound the
 sup/derivative growth of the system and feed the sampling-spacing check.
 
-Both families need numpy only: the Legendre rows come from one Legendre
-Vandermonde matrix (`legvander`) per evaluation.
+Both families need numpy only.  The trig rows with j = qT + r (T = 12) come
+by angle addition from one libm table of cos/sin(2 r pi u), r < T, and each
+group's own libm pair cos/sin(2 qT pi u): f_2j = s*(C_q*c_r - S_q*s_r) and
+f_2j+1 = s*(S_q*c_r + C_q*s_r), so 2T + 2*floor(K/2T) cos/sin calls per point
+instead of K.  Rows k < 2T and the anchor rows 2qT, 2qT+1 are the libm values
+bit for bit; the others agree to rounding of the angle.  The Legendre rows
+come from one Legendre Vandermonde matrix (`legvander`) per evaluation.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ from .util import check_budget, check_count, check_real
 MAX_TRIG_K = 512
 MAX_LEGENDRE_J = 5
 MAX_LEGENDRE_L = 64
+
+# T: trig rows come by angle addition from one libm table of cos/sin(2 r pi u), r < T.
+_TRIG_TABLE = 12
 
 # Fixed default node count: satisfies the 4K floor for every legal basis size,
 # and a K-independent rule keeps trig projections nested across K.
@@ -113,7 +122,11 @@ class BasisSystem:
         """Matrix of basis values, shape (K, len(x)): row k-1 is f_k; check_rows guards its size."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         self.check_rows(len(arr))
-        return self._eval_rows(np.arange(1, self.K + 1), arr)
+        out, lo = np.empty((self.K, len(arr))), 0
+        for rows in self._row_chunks(arr):
+            out[lo : lo + len(rows)] = rows
+            lo += len(rows)
+        return out
 
     def descriptor(self) -> dict:
         return {"family": self.family, "a": self.window.a, "b": self.window.b, "K": self.K}
@@ -150,24 +163,36 @@ class TrigonometricBasis(BasisSystem):
     def __init__(self, window: Window, K: int):
         super().__init__(window, check_count(K, "trigonometric K", hi=MAX_TRIG_K))
 
-    def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        a, width = self.window.a, self.window.length
+    def _row_chunks(self, x: np.ndarray):
+        """Rows in groups of 2T: group q holds k = 2qT .. 2qT+2T-1 (k >= 1); the yielded array is reused."""
+        a, width, n, T = self.window.a, self.window.length, len(x), _TRIG_TABLE
         inside = (x >= a) & (x <= self.window.b)
+        off = np.flatnonzero(~inside)
         u = np.where(inside, (x - a) / width, 0.0)
         s = math.sqrt(2.0 / width)
-        out = np.empty((len(ks), len(x)))
-        angle = np.empty_like(u)
-        for row, k in enumerate(ks):
-            even = k % 2 == 0
-            freq = k if even else k - 1
-            if freq == 0:
-                out[row] = 1.0 / math.sqrt(width)
-                continue
-            np.multiply(freq * math.pi, u, out=angle)
-            (np.cos if even else np.sin)(angle, out=out[row])
-            out[row] *= s
-        out[:, ~inside] = 0.0
-        return out
+        angle, tmp = np.empty(n), np.empty(n)
+        c, sn = np.empty((2, min(T, self.K // 2 + 1), n))  # the table: cos/sin(2 r pi u)
+        for r in range(len(c)):
+            np.cos(np.multiply(2 * r * math.pi, u, out=angle), out=c[r])
+            np.sin(angle, out=sn[r])
+        rows = np.empty((min(2 * T, self.K + 1), n))
+        for k0 in range(0, self.K + 1, 2 * T):
+            m = min(2 * T, self.K + 1 - k0)
+            ev, od = rows[0:m:2], rows[1:m:2]  # row i is f_{k0+i}: cos for even k0+i, sin for odd
+            if k0 == 0:
+                ev[:], od[:] = c[: len(ev)], sn[: len(od)]
+            else:
+                np.multiply(k0 * math.pi, u, out=angle)
+                C, S = np.cos(angle), np.sin(angle)
+                for r in range(len(ev)):
+                    np.subtract(np.multiply(C, c[r], out=ev[r]), np.multiply(S, sn[r], out=tmp), out=ev[r])
+                for r in range(len(od)):
+                    np.add(np.multiply(S, c[r], out=od[r]), np.multiply(C, sn[r], out=tmp), out=od[r])
+            rows[:m] *= s
+            if k0 == 0:
+                rows[1] = 1.0 / math.sqrt(width)
+            rows[:m, off] = 0.0
+            yield rows[1:m] if k0 == 0 else rows[:m]
 
     def features(self) -> "BasisFeatures":
         """F1 = max_k (sup|f_k| + int|f_k'|), F2 = max_k (sup f_k^2 + 2 int|f_k f_k'|)."""
@@ -196,7 +221,8 @@ class PiecewiseLegendreBasis(BasisSystem):
     def segments(self) -> list[tuple[float, float]]:
         return list(zip(self._edges[:-1], self._edges[1:]))
 
-    def _eval_rows(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _row_chunks(self, x: np.ndarray):
+        """Rows piece by piece (row j of piece l is the scaled Q_j there), from one legvander per evaluation."""
         edges, h = self._edges, self._h
         piece = np.floor((x - self.window.a) / h).astype(int)
         piece = np.clip(piece, 0, self.L - 1)
@@ -204,15 +230,9 @@ class PiecewiseLegendreBasis(BasisSystem):
         inside = (x > edges[piece]) & (x < edges[piece + 1])
         mid = (edges[piece] + edges[piece + 1]) / 2.0
         u = np.where(inside, 2.0 * (x - mid) / h, 0.0)
-        q = legvander(u, self.J - 1)  # column j is Q_j(u)
-        out = np.zeros((len(ks), len(x)))
-        for row, k in enumerate(ks):
-            j = (k - 1) % self.J
-            l = (k - 1) // self.J + 1
-            mask = inside & (piece == l - 1)
-            scale = math.sqrt((2 * j + 1) / h)
-            out[row] = np.where(mask, scale * q[:, j], 0.0)
-        return out
+        scaled = np.ascontiguousarray((legvander(u, self.J - 1) * np.sqrt((2 * np.arange(self.J) + 1) / h)).T)
+        for l in range(self.L):
+            yield np.where(inside & (piece == l), scaled, 0.0)
 
     def features(self) -> "BasisFeatures":
         """F1 = max_k (sup|f_k| + int|f_k'|), F2 = max_k (sup f_k^2 + 2 int|f_k f_k'|), on each piece."""

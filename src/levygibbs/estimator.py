@@ -2,7 +2,9 @@
 
 The coefficient estimator is theta_hat_k = t_n^{-1} sum_i f_k(Y_i): increments
 outside the basis window contribute exactly 0, so the sums run over in-window
-increments only.  Block partial sums are combined with compensated (Kahan)
+increments only.  A block's rows come from the basis's row chunks, each row
+summed by numpy's pairwise sum, so its partial sum is evaluate_all(y).sum(axis=1)
+bit for bit.  Block partial sums are combined with compensated (Kahan)
 addition in fixed block order, which makes the result bit-identical whether
 the series is materialized, streamed, or folded by forked workers.
 """
@@ -19,10 +21,6 @@ from .util import check_count
 # Points of the uniform grid on D on which densities are compared and drawn.
 DEFAULT_GRID_POINTS = 512
 
-# Basis rows evaluated at once in the fold, so no (K, in-window) matrix is
-# held.  Each row is summed pairwise on its own, so the sums do not depend on it.
-_FOLD_ROWS = 32
-
 
 def empirical_coefficients(
     series: IncrementSeries,
@@ -36,14 +34,10 @@ def empirical_coefficients(
     """
     t_n = series.scheme.t_n
     a, b = basis.window.a, basis.window.b
-    ks = np.arange(1, basis.K + 1)
 
     def partial(chunk: np.ndarray) -> np.ndarray:
         y = chunk[(chunk >= a) & (chunk <= b)]
-        out = np.zeros(basis.K)
-        for lo in range(0, basis.K, _FOLD_ROWS):
-            out[lo : lo + _FOLD_ROWS] = basis._eval_rows(ks[lo : lo + _FOLD_ROWS], y).sum(axis=1)
-        return out
+        return np.concatenate([rows.sum(axis=1) for rows in basis._row_chunks(y)])
 
     total = np.zeros(basis.K)
     carry = np.zeros(basis.K)

@@ -30,7 +30,7 @@ from levygibbs import (
     quadrature_rule,
     synthesize,
 )
-from levygibbs.basis import MAX_LEGENDRE_J, MAX_LEGENDRE_L, MAX_TRIG_K, _legendre_variations
+from levygibbs.basis import MAX_LEGENDRE_J, MAX_LEGENDRE_L, MAX_TRIG_K, _TRIG_TABLE, _legendre_variations
 from levygibbs.util import MATERIALIZE_LIMIT
 
 D_PRIME = Window(0.005, 0.015)
@@ -72,6 +72,27 @@ class TestWindow:
     def test_contains(self):
         assert D_PRIME.contains(Window(0.006, 0.014))
         assert not Window(0.006, 0.014).contains(D_PRIME)
+
+
+# Points inside, outside and at both endpoints of D'.
+TRIG_X = np.concatenate([
+    np.linspace(0.0, 0.02, 2001),
+    [D_PRIME.a, D_PRIME.b, np.nextafter(D_PRIME.a, -np.inf), np.nextafter(D_PRIME.b, np.inf), -1.0, 2.0],
+])
+
+
+def trig_closed_form(K, x, dtype=float):
+    """f_1..f_K on D' at x, each row its own cos/sin call, in `dtype` on the double u = (x-a)/(b-a)."""
+    a, b, width = D_PRIME.a, D_PRIME.b, D_PRIME.length
+    inside = (x >= a) & (x <= b)
+    u = np.where(inside, (x - a) / width, 0.0).astype(dtype)
+    pi, s = np.arccos(dtype(-1.0)), dtype(math.sqrt(2.0 / width))
+    out = np.zeros((K, len(x)), dtype=dtype)
+    out[0, inside] = 1.0 / np.sqrt(dtype(width))
+    for k in range(2, K + 1):
+        vals = s * (np.sin if k % 2 else np.cos)((k - k % 2) * pi * u)
+        out[k - 1, inside] = vals[inside]
+    return out
 
 
 def value(basis, k, x):
@@ -117,32 +138,48 @@ class TestEval:
             outside = np.array([-1.0, 0.0, 0.0049, 0.0151, 2.0])
             assert np.all(basis.evaluate_all(outside) == 0.0)
 
-    def test_trig_rows_bit_identical_to_closed_form(self):
-        # the per-row formula, evaluated afresh for every row, at K = 320 on
-        # points inside, outside and at both endpoints of the window
-        a, b, width = D_PRIME.a, D_PRIME.b, D_PRIME.length
-        x = np.concatenate([
-            np.linspace(0.0, 0.02, 2001),
-            [a, b, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), -1.0, 2.0],
-        ])
-        inside = (x >= a) & (x <= b)
-        u = np.where(inside, (x - a) / width, 0.0)
-        s = math.sqrt(2.0 / width)
-        expect = np.empty((320, len(x)))
-        for k in range(1, 321):
-            if k == 1:
-                vals = np.full_like(u, 1.0 / math.sqrt(width))
-            elif k % 2 == 0:
-                vals = s * np.cos(k * math.pi * u)
-            else:
-                vals = s * np.sin((k - 1) * math.pi * u)
-            expect[k - 1] = np.where(inside, vals, 0.0)
-        basis = BasisSystem.trigonometric(D_PRIME, 320)
-        rows = basis.evaluate_all(x)
-        assert rows.tobytes() == expect.tobytes()
-        # a row does not depend on the rows evaluated with it
-        for k in (1, 2, 7, 320):
-            assert basis._eval_rows(np.array([k]), x)[0].tobytes() == rows[k - 1].tobytes()
+    def test_trig_libm_rows_bit_identical_to_closed_form(self):
+        # rows k <= 2T-1 are the libm table and rows 2qT, 2qT+1 are each group's own libm
+        # pair: at K = 512 they equal the per-row closed form bit for bit, on TRIG_X
+        T = _TRIG_TABLE
+        libm = np.array([k for k in range(1, MAX_TRIG_K + 1) if k < 2 * T or k % (2 * T) < 2])
+        assert len(libm) == 2 * T - 1 + 2 * (MAX_TRIG_K // (2 * T))
+        rows = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
+        assert rows[libm - 1].tobytes() == trig_closed_form(MAX_TRIG_K, TRIG_X)[libm - 1].tobytes()
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is no wider than double"
+    )
+    def test_trig_rows_within_angle_rounding_of_longdouble_oracle(self):
+        # rounding the angle freq*pi*u to a double dominates both the table rows and the
+        # per-row libm form: each row k is within 4*pi*k*eps*s of cos/sin at the exact angle
+        s = math.sqrt(2.0 / D_PRIME.length)
+        bound = 4.0 * math.pi * np.arange(1, MAX_TRIG_K + 1) * np.finfo(float).eps * s
+        oracle = trig_closed_form(MAX_TRIG_K, TRIG_X, np.longdouble)
+        table = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
+        for rows in (table, trig_closed_form(MAX_TRIG_K, TRIG_X)):
+            err = np.max(np.abs(rows - oracle), axis=1)
+            assert np.all(err <= bound), np.max(err / bound)
+
+    def test_trig_exact_zeros_off_window_and_at_left_endpoint(self):
+        # every row is +0.0 just off either end and far off the window; at x = a every sine
+        # row is exactly 0 and every cosine row exactly s, in the angle-addition groups too
+        a, b = D_PRIME.a, D_PRIME.b
+        x = np.array([a, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), -1.0, 2.0])
+        rows = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(x)
+        assert np.all(rows[:, 1:] == 0.0) and not np.any(np.signbit(rows[:, 1:]))
+        assert np.all(rows[2::2, 0] == 0.0) and not np.any(np.signbit(rows[2::2, 0]))
+        assert np.all(rows[1::2, 0] == math.sqrt(2.0 / D_PRIME.length))
+
+    def test_trig_rows_do_not_depend_on_K_or_on_the_other_points(self):
+        # the rows of K = 320, and of K at the group joins, are the first rows of K = 512, and
+        # a point evaluated alone gets its column of the whole evaluation, bit for bit
+        full = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
+        for K in (1, 2 * _TRIG_TABLE - 1, 2 * _TRIG_TABLE, 2 * _TRIG_TABLE + 1, 320):
+            assert BasisSystem.trigonometric(D_PRIME, K).evaluate_all(TRIG_X).tobytes() == full[:K].tobytes()
+        for i in (0, 700, 1000, 1400, len(TRIG_X) - 1):
+            alone = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X[i])
+            assert alone.tobytes() == full[:, i].tobytes()
 
     def test_rows_are_piece_major(self):
         # row (l-1)*J + j (0-based) is degree j on piece l: the scaled Q_j on

@@ -26,6 +26,9 @@ from levygibbs import (
     simulate,
     synthesize,
 )
+from levygibbs.processes import BLOCK
+
+from conftest import slow_enabled
 
 D = Window(0.006, 0.014)
 D_PRIME = Window(0.005, 0.015)
@@ -93,16 +96,29 @@ class TestEmpiricalCoefficients:
         np.testing.assert_allclose(theta, total / scheme.t_n, rtol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 7, 8, 129, 8193])
-    @pytest.mark.parametrize("family", ["trigonometric", "piecewise-legendre"])
-    def test_row_chunks_sum_like_the_whole_matrix(self, family, m):
-        # K = 321 and 75 rows: the fold's row chunks end off the cos/sin pairs and off the pieces.
+    @pytest.mark.parametrize(
+        "family,K", [("trigonometric", K) for K in (1, 23, 24, 25, 321, 512)] + [("piecewise-legendre", 75)]
+    )
+    def test_row_chunks_sum_like_the_whole_matrix(self, family, K, m):
+        # Trig K at and around the joins of the 2T = 24-row groups; 75 Legendre rows in 25 pieces of J = 3.
         if family == "trigonometric":
-            basis = BasisSystem.trigonometric(D_PRIME, 321)
+            basis = BasisSystem.trigonometric(D_PRIME, K)
         else:
-            basis = BasisSystem.piecewise_legendre(D_PRIME, 3, 25)
+            basis = BasisSystem.piecewise_legendre(D_PRIME, 3, K // 3)
         y = np.random.default_rng(m).uniform(D_PRIME.a, D_PRIME.b, m)
+        assert all(rows.flags.c_contiguous for rows in basis._row_chunks(y))  # so each row is summed pairwise
         theta = empirical_coefficients(series_from(y), basis).values  # t_n = m
         assert np.array_equal(theta, basis.evaluate_all(y).sum(axis=1) / m)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not slow_enabled(), reason="folds 2^20 in-window points at K = 512 twice; set LEVY_GIBBS_RUN_SLOW=1")
+    def test_whole_blocks_in_window_fold_alike_on_one_and_two_workers(self):
+        # Two blocks of in-window points at K = 512: every row group of a whole block, in process and forked.
+        basis = BasisSystem.trigonometric(D_PRIME, 512)
+        y = np.random.default_rng(5).uniform(D_PRIME.a, D_PRIME.b, BLOCK + 4096)
+        one = empirical_coefficients(series_from(y), basis, max_workers=1).values
+        two = empirical_coefficients(series_from(y), basis, max_workers=2).values
+        assert one.tobytes() == two.tobytes()
 
     def test_offwindow_prefilter_is_identity(self):
         basis = BasisSystem.trigonometric(D_PRIME, 8)
