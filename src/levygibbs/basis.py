@@ -1,9 +1,11 @@
 """Orthonormal function systems on an estimation window.
 
 A family is a subclass of `BasisSystem` that owns its size checks, its rows
-(`_row_chunks`: consecutive C-ordered row blocks in k order), its
-`features`, the intervals on which its functions are smooth (`segments`,
-where quadrature panels break) and its descriptor fields.
+(`_row_chunks`: consecutive C-ordered row blocks in k order), its row sums
+over a set of points (`_row_sums`, the estimator's fold; by default the
+pairwise sums of the `_row_chunks` rows), its `features`, the intervals on
+which its functions are smooth (`segments`, where quadrature panels break) and
+its descriptor fields.
 Two families are implemented on a window [a, b]:
 
 * `TrigonometricBasis` ("trigonometric", nested): f_1 = (b-a)^{-1/2}; for
@@ -22,10 +24,13 @@ sup/derivative growth of the system and feed the sampling-spacing check.
 Both families need numpy only.  The trig rows with j = qT + r (T = 12) come
 by angle addition from one libm table of cos/sin(2 r pi u), r < T, and each
 group's own libm pair cos/sin(2 qT pi u): f_2j = s*(C_q*c_r - S_q*s_r) and
-f_2j+1 = s*(S_q*c_r + C_q*s_r), so 2T + 2*floor(K/2T) cos/sin calls per point
-instead of K.  Rows k < 2T and the anchor rows 2qT, 2qT+1 are the libm values
-bit for bit; the others agree to rounding of the angle.  The Legendre rows
-come from one Legendre Vandermonde matrix (`legvander`) per evaluation.
+f_2j+1 = s*(S_q*c_r + C_q*s_r), so 2T - 2 + 2*floor(K/2T) cos/sin calls per
+point instead of K (the r = 0 pair is the exact 1 and 0).  Rows k < 2T and
+the anchor rows 2qT, 2qT+1 are the libm values bit for bit; the others agree
+to rounding of the angle.  The trig row sums past the table build no row: the
+same identity makes sum_i f_2j = s*(sum_i C_q c_r - sum_i S_q s_r), so each
+group's 2T sums are one einsum of each anchor with the table.  The Legendre
+rows come from one Legendre Vandermonde matrix (`legvander`) per evaluation.
 """
 
 from __future__ import annotations
@@ -128,6 +133,10 @@ class BasisSystem:
             lo += len(rows)
         return out
 
+    def _row_sums(self, x: np.ndarray) -> np.ndarray:
+        """sum_i f_k(x_i) for k = 1..K: each row of each _row_chunks block summed pairwise, as evaluate_all(x).sum(axis=1)."""
+        return np.concatenate([rows.sum(axis=1) for rows in self._row_chunks(x)])
+
     def descriptor(self) -> dict:
         return {"family": self.family, "a": self.window.a, "b": self.window.b, "K": self.K}
 
@@ -163,18 +172,36 @@ class TrigonometricBasis(BasisSystem):
     def __init__(self, window: Window, K: int):
         super().__init__(window, check_count(K, "trigonometric K", hi=MAX_TRIG_K))
 
+    def _table(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u = (x - a)/(b - a) (0 off the window) and the libm table: rows r and t + r are cos/sin(2 r pi u), r < t.
+
+        t = min(T, K//2 + 1).  The r = 0 pair is the exact 1.0 and 0.0 that libm
+        gives at angle 0, and every table column off the window is 0.
+        """
+        a, n = self.window.a, len(x)
+        inside = (x >= a) & (x <= self.window.b)
+        u = np.where(inside, (x - a) / self.window.length, 0.0)
+        t = min(_TRIG_TABLE, self.K // 2 + 1)
+        table, angle = np.empty((2 * t, n)), np.empty(n)
+        table[0], table[t] = 1.0, 0.0
+        for r in range(1, t):
+            np.cos(np.multiply(2 * r * math.pi, u, out=angle), out=table[r])
+            np.sin(angle, out=table[t + r])
+        table[:, ~inside] = 0.0
+        return u, table
+
+    def _anchors(self, u: np.ndarray, k0: int):
+        """The libm pair C, S = cos/sin(k0 pi u) that starts the group of rows k0 .. k0 + 2T - 1."""
+        angle = np.multiply(k0 * math.pi, u)
+        return np.cos(angle), np.sin(angle, out=angle)
+
     def _row_chunks(self, x: np.ndarray):
         """Rows in groups of 2T: group q holds k = 2qT .. 2qT+2T-1 (k >= 1); the yielded array is reused."""
-        a, width, n, T = self.window.a, self.window.length, len(x), _TRIG_TABLE
-        inside = (x >= a) & (x <= self.window.b)
-        off = np.flatnonzero(~inside)
-        u = np.where(inside, (x - a) / width, 0.0)
-        s = math.sqrt(2.0 / width)
-        angle, tmp = np.empty(n), np.empty(n)
-        c, sn = np.empty((2, min(T, self.K // 2 + 1), n))  # the table: cos/sin(2 r pi u)
-        for r in range(len(c)):
-            np.cos(np.multiply(2 * r * math.pi, u, out=angle), out=c[r])
-            np.sin(angle, out=sn[r])
+        u, table = self._table(x)
+        t, n, T = len(table) // 2, len(x), _TRIG_TABLE
+        c, sn = table[:t], table[t:]
+        s = math.sqrt(2.0 / self.window.length)
+        tmp = np.empty(n)
         rows = np.empty((min(2 * T, self.K + 1), n))
         for k0 in range(0, self.K + 1, 2 * T):
             m = min(2 * T, self.K + 1 - k0)
@@ -182,17 +209,42 @@ class TrigonometricBasis(BasisSystem):
             if k0 == 0:
                 ev[:], od[:] = c[: len(ev)], sn[: len(od)]
             else:
-                np.multiply(k0 * math.pi, u, out=angle)
-                C, S = np.cos(angle), np.sin(angle)
+                C, S = self._anchors(u, k0)
                 for r in range(len(ev)):
                     np.subtract(np.multiply(C, c[r], out=ev[r]), np.multiply(S, sn[r], out=tmp), out=ev[r])
                 for r in range(len(od)):
                     np.add(np.multiply(S, c[r], out=od[r]), np.multiply(C, sn[r], out=tmp), out=od[r])
             rows[:m] *= s
             if k0 == 0:
-                rows[1] = 1.0 / math.sqrt(width)
-            rows[:m, off] = 0.0
+                np.multiply(c[0], 1.0 / math.sqrt(self.window.length), out=rows[1])
             yield rows[1:m] if k0 == 0 else rows[:m]
+
+    def _row_sums(self, x: np.ndarray) -> np.ndarray:
+        """sum_i f_k(x_i) for k = 1..K, building no row past the table.
+
+        Rows k < 2T are table rows scaled by s (f_1: the constant) and summed
+        pairwise, as evaluate_all(x).sum(axis=1) sums them.  Group q >= 1 sums
+        by angle addition, sum_i f_2j = s*(sum_i C_q c_r - sum_i S_q s_r) and
+        sum_i f_2j+1 = s*(sum_i S_q c_r + sum_i C_q s_r) with j = qT + r: each
+        anchor is reduced against the whole table by einsum, which never calls
+        BLAS, so the bits depend on no BLAS thread count or kernel.
+        """
+        u, table = self._table(x)
+        t, T = len(table) // 2, _TRIG_TABLE
+        s = math.sqrt(2.0 / self.window.length)
+        out, buf = np.empty(self.K + 1), np.empty(len(x))  # out[k] is the sum of f_k; out[0] is unused
+        for k in range(1, min(2 * T, self.K + 1)):
+            if k == 1:
+                np.multiply(table[0], 1.0 / math.sqrt(self.window.length), out=buf)
+            else:
+                np.multiply(table[k % 2 * t + k // 2], s, out=buf)  # cos row k/2 for even k, sin row (k-1)/2 for odd
+            out[k] = buf.sum()
+        for k0 in range(2 * T, self.K + 1, 2 * T):
+            pc, ps = (np.einsum("m,rm->r", anchor, table) for anchor in self._anchors(u, k0))
+            group = out[k0 : k0 + 2 * T]
+            group[0::2] = (s * (pc[:T] - ps[T:]))[: (len(group) + 1) // 2]
+            group[1::2] = (s * (ps[:T] + pc[T:]))[: len(group) // 2]
+        return out[1:]
 
     def features(self) -> "BasisFeatures":
         """F1 = max_k (sup|f_k| + int|f_k'|), F2 = max_k (sup f_k^2 + 2 int|f_k f_k'|)."""

@@ -2,9 +2,13 @@
 
 The coefficient estimator is theta_hat_k = t_n^{-1} sum_i f_k(Y_i): increments
 outside the basis window contribute exactly 0, so the sums run over in-window
-increments only.  A block's rows come from the basis's row chunks, each row
-summed by numpy's pairwise sum, so its partial sum is evaluate_all(y).sum(axis=1)
-bit for bit.  Block partial sums are combined with compensated (Kahan)
+increments only.  A block's partial sum is the basis's `_row_sums` of its
+in-window points.  For the Legendre family, and for trig rows k <= 23, that is
+evaluate_all(y).sum(axis=1) bit for bit, each row summed by numpy's pairwise
+sum.  Trig rows k >= 24 are never built: each is a sum of products of its
+24-row group's libm anchor pair with the table, reduced by einsum (never BLAS),
+and agrees with the row sum to rounding of the angle.  Block partial sums are
+combined with compensated (Kahan)
 addition in fixed block order, which makes the result bit-identical whether
 the series is materialized, streamed, or folded by forked workers.
 """
@@ -37,7 +41,7 @@ def empirical_coefficients(
 
     def partial(chunk: np.ndarray) -> np.ndarray:
         y = chunk[(chunk >= a) & (chunk <= b)]
-        return np.concatenate([rows.sum(axis=1) for rows in basis._row_chunks(y)])
+        return basis._row_sums(y)
 
     total = np.zeros(basis.K)
     carry = np.zeros(basis.K)

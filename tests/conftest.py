@@ -5,10 +5,12 @@ LEVY_GIBBS_RUN_SLOW=1 so the default suite stays fast.
 """
 
 import concurrent.futures
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import levygibbs.processes as processes
@@ -32,6 +34,20 @@ def regime_report_j3():
     if not slow_enabled():
         pytest.skip("j=3 streams 1.6e8 increments; set LEVY_GIBBS_RUN_SLOW=1 to include it")
     return run_regime(RegimeSpec.from_j(3), seed=MASTER_SEED)
+
+
+def trig_closed_form(window, K, x, dtype=float):
+    """f_1..f_K on `window` at x, each row its own cos/sin call, in `dtype` on the double u = (x-a)/(b-a)."""
+    a, b, width = window.a, window.b, window.length
+    inside = (x >= a) & (x <= b)
+    u = np.where(inside, (x - a) / width, 0.0).astype(dtype)
+    pi, s = np.arccos(dtype(-1.0)), dtype(math.sqrt(2.0 / width))
+    out = np.zeros((K, len(x)), dtype=dtype)
+    out[0, inside] = 1.0 / np.sqrt(dtype(width))
+    for k in range(2, K + 1):
+        vals = s * (np.sin if k % 2 else np.cos)((k - k % 2) * pi * u)
+        out[k - 1, inside] = vals[inside]
+    return out
 
 
 def reference_write_increments(path, series, header=True):

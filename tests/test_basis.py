@@ -33,6 +33,8 @@ from levygibbs import (
 from levygibbs.basis import MAX_LEGENDRE_J, MAX_LEGENDRE_L, MAX_TRIG_K, _TRIG_TABLE, _legendre_variations
 from levygibbs.util import MATERIALIZE_LIMIT
 
+from conftest import trig_closed_form
+
 D_PRIME = Window(0.005, 0.015)
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
 
@@ -79,20 +81,6 @@ TRIG_X = np.concatenate([
     np.linspace(0.0, 0.02, 2001),
     [D_PRIME.a, D_PRIME.b, np.nextafter(D_PRIME.a, -np.inf), np.nextafter(D_PRIME.b, np.inf), -1.0, 2.0],
 ])
-
-
-def trig_closed_form(K, x, dtype=float):
-    """f_1..f_K on D' at x, each row its own cos/sin call, in `dtype` on the double u = (x-a)/(b-a)."""
-    a, b, width = D_PRIME.a, D_PRIME.b, D_PRIME.length
-    inside = (x >= a) & (x <= b)
-    u = np.where(inside, (x - a) / width, 0.0).astype(dtype)
-    pi, s = np.arccos(dtype(-1.0)), dtype(math.sqrt(2.0 / width))
-    out = np.zeros((K, len(x)), dtype=dtype)
-    out[0, inside] = 1.0 / np.sqrt(dtype(width))
-    for k in range(2, K + 1):
-        vals = s * (np.sin if k % 2 else np.cos)((k - k % 2) * pi * u)
-        out[k - 1, inside] = vals[inside]
-    return out
 
 
 def value(basis, k, x):
@@ -145,7 +133,7 @@ class TestEval:
         libm = np.array([k for k in range(1, MAX_TRIG_K + 1) if k < 2 * T or k % (2 * T) < 2])
         assert len(libm) == 2 * T - 1 + 2 * (MAX_TRIG_K // (2 * T))
         rows = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
-        assert rows[libm - 1].tobytes() == trig_closed_form(MAX_TRIG_K, TRIG_X)[libm - 1].tobytes()
+        assert rows[libm - 1].tobytes() == trig_closed_form(D_PRIME, MAX_TRIG_K, TRIG_X)[libm - 1].tobytes()
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is no wider than double"
@@ -155,9 +143,9 @@ class TestEval:
         # per-row libm form: each row k is within 4*pi*k*eps*s of cos/sin at the exact angle
         s = math.sqrt(2.0 / D_PRIME.length)
         bound = 4.0 * math.pi * np.arange(1, MAX_TRIG_K + 1) * np.finfo(float).eps * s
-        oracle = trig_closed_form(MAX_TRIG_K, TRIG_X, np.longdouble)
+        oracle = trig_closed_form(D_PRIME, MAX_TRIG_K, TRIG_X, np.longdouble)
         table = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
-        for rows in (table, trig_closed_form(MAX_TRIG_K, TRIG_X)):
+        for rows in (table, trig_closed_form(D_PRIME, MAX_TRIG_K, TRIG_X)):
             err = np.max(np.abs(rows - oracle), axis=1)
             assert np.all(err <= bound), np.max(err / bound)
 

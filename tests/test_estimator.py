@@ -1,13 +1,18 @@
 """Estimator tests: double-loop summation oracle, risk algebra, L2 errors."""
 
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levygibbs
 from levygibbs import (
     BasisSystem,
     CoefficientVector,
@@ -26,13 +31,26 @@ from levygibbs import (
     simulate,
     synthesize,
 )
+from levygibbs.basis import _TRIG_TABLE, MAX_TRIG_K, TrigonometricBasis
 from levygibbs.processes import BLOCK
 
-from conftest import slow_enabled
+from conftest import slow_enabled, trig_closed_form
 
 D = Window(0.006, 0.014)
 D_PRIME = Window(0.005, 0.015)
 STUDY_VG = VarianceGammaParams(mu=0.0, sigma=3.7 * 10**-1.5, nu=2e-3)
+
+
+# The fold of an .npy file of in-window points at K = 320 on D', in a fresh interpreter; prints the sha256 of theta_hat.
+ONE_THREAD_FOLD = """
+import hashlib, sys
+import numpy as np
+from levygibbs import BasisSystem, IncrementSeries, SamplingScheme, Window, empirical_coefficients
+y = np.load(sys.argv[1])
+series = IncrementSeries(SamplingScheme(1.0, len(y)), seed=0, values=y)
+theta = empirical_coefficients(series, BasisSystem.trigonometric(Window(0.005, 0.015), 320)).values
+print(hashlib.sha256(theta.tobytes()).hexdigest())
+"""
 
 
 def series_from(values, delta=1.0):
@@ -101,14 +119,79 @@ class TestEmpiricalCoefficients:
     )
     def test_row_chunks_sum_like_the_whole_matrix(self, family, K, m):
         # Trig K at and around the joins of the 2T = 24-row groups; 75 Legendre rows in 25 pieces of J = 3.
+        # The Legendre fold and the trig rows k < 2T sum the rows of evaluate_all bit for bit; the trig
+        # rows k >= 2T are sums of products (see the longdouble-oracle test below).
         if family == "trigonometric":
             basis = BasisSystem.trigonometric(D_PRIME, K)
+            exact = min(K, 2 * _TRIG_TABLE - 1)
         else:
             basis = BasisSystem.piecewise_legendre(D_PRIME, 3, K // 3)
+            exact = K
         y = np.random.default_rng(m).uniform(D_PRIME.a, D_PRIME.b, m)
         assert all(rows.flags.c_contiguous for rows in basis._row_chunks(y))  # so each row is summed pairwise
         theta = empirical_coefficients(series_from(y), basis).values  # t_n = m
-        assert np.array_equal(theta, basis.evaluate_all(y).sum(axis=1) / m)
+        whole = basis.evaluate_all(y).sum(axis=1) / m
+        assert theta[:exact].tobytes() == whole[:exact].tobytes()
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is no wider than double"
+    )
+    @pytest.mark.parametrize("m", [7, 129, 8193])
+    def test_trig_row_sums_within_angle_rounding_of_longdouble_oracle(self, m):
+        # Rows k >= 2T, which the fold sums as products of the table with each group's anchors:
+        # each value is within 4*pi*k*eps*s of cos/sin at the exact angle (test_basis), and the
+        # roundings at m independent angles add up like a random walk, so a row sum is within
+        # sqrt(m) times that of the row sum in longdouble.  The fold's sums meet this bound, and
+        # so do the sums of the rows of evaluate_all, which the fold returned before (measured at
+        # most 0.15 and 0.14 of the bound, and 0.21 for per-row libm rows).
+        basis = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K)
+        y = np.random.default_rng(m).uniform(D_PRIME.a, D_PRIME.b, m)
+        k = np.arange(2 * _TRIG_TABLE, MAX_TRIG_K + 1)
+        bound = 4.0 * math.pi * k * np.finfo(float).eps * math.sqrt(2.0 / D_PRIME.length) * math.sqrt(m)
+        oracle = trig_closed_form(D_PRIME, MAX_TRIG_K, y, np.longdouble)[k - 1].sum(axis=1)
+        for sums in (basis._row_sums(y), basis.evaluate_all(y).sum(axis=1)):
+            err = np.abs(sums[k - 1] - oracle).astype(float)
+            assert np.all(err <= bound), np.max(err / bound)
+
+    def test_trig_fold_builds_no_rows(self, monkeypatch):
+        basis = BasisSystem.trigonometric(D_PRIME, 320)
+        y = np.random.default_rng(2).uniform(D_PRIME.a, D_PRIME.b, 5000)
+        expected = empirical_coefficients(series_from(y), basis).values
+
+        def no_rows(self, x):
+            raise AssertionError("the trig fold built basis rows")
+
+        monkeypatch.setattr(TrigonometricBasis, "_row_chunks", no_rows)
+        assert empirical_coefficients(series_from(y), basis).values.tobytes() == expected.tobytes()
+
+    def test_trig_fold_at_every_K_is_a_prefix_of_the_fold_at_512(self):
+        # The trig system is nested and each group's sums use the whole table whatever K is.
+        rng = np.random.default_rng(3)
+        y = np.where(rng.random(9000) < 0.9, rng.uniform(D_PRIME.a, D_PRIME.b, 9000), rng.normal(0.0, 1.0, 9000))
+        full = empirical_coefficients(series_from(y), BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K)).values
+        for K in (1, 23, 24, 25, 47, 48, 320):
+            theta = empirical_coefficients(series_from(y), BasisSystem.trigonometric(D_PRIME, K)).values
+            assert theta.tobytes() == full[:K].tobytes(), K
+
+    def test_trig_fold_bits_do_not_depend_on_blas_threads_or_kernel(self, tmp_path):
+        # A K = 320 block of 44k in-window points, as dense_window folds it, in this process and in
+        # one whose BLAS runs on one thread with the SSE kernels of another CPU (OPENBLAS_CORETYPE,
+        # read by OpenBLAS builds for several CPUs; other BLAS ignore it): the group sums use
+        # einsum, never BLAS.  With `@` in their place the child's bits differ.
+        y = np.random.default_rng(4).uniform(D_PRIME.a, D_PRIME.b, 44_000)
+        np.save(tmp_path / "y.npy", y)
+        theta = empirical_coefficients(series_from(y), BasisSystem.trigonometric(D_PRIME, 320)).values
+        package_root = os.path.dirname(os.path.dirname(levygibbs.__file__))
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", OPENBLAS_CORETYPE="Nehalem",
+            PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", ONE_THREAD_FOLD, str(tmp_path / "y.npy")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == hashlib.sha256(theta.tobytes()).hexdigest()
 
     @pytest.mark.slow
     @pytest.mark.skipif(not slow_enabled(), reason="folds 2^20 in-window points at K = 512 twice; set LEVY_GIBBS_RUN_SLOW=1")
