@@ -462,12 +462,12 @@ def _coefficient_values(theta) -> np.ndarray:
 
 
 def synthesize(basis: BasisSystem, theta, x):
-    """Evaluate sum_k theta_k f_k at x; theta is a CoefficientVector or length-K array."""
+    """Evaluate sum_k theta_k f_k at x, added in k order by einsum (never BLAS); theta is a CoefficientVector or length-K array."""
     vec = _coefficient_values(theta)
     if len(vec) != basis.K:
         raise DimensionError(f"theta has shape {vec.shape}, basis expects length {basis.K}")
     arr = np.asarray(x, dtype=float)
-    out = vec @ basis.evaluate_all(arr.ravel())
+    out = np.einsum("k,kj->j", vec, basis.evaluate_all(arr.ravel()))
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -48,7 +48,7 @@ def _fan_out(job, items: int) -> None:
     most.  The calling thread runs the first run and a thread pool the
     others; with fewer than two threads, job(0, items) runs here alone.  Each
     job writes only its own slice of a shared output and returns nothing, so
-    the cut changes no result's bits.  numpy runs the jobs' matmul and ufunc
+    the cut changes no result's bits.  numpy runs the jobs' einsum and ufunc
     loops without the GIL.  An exception of any job is raised here.  Every
     pool thread has exited on return, so a later fork copies none.
     """
@@ -198,16 +198,18 @@ class PosteriorDraws:
     """Monte Carlo draws from the hierarchical posterior with grid evaluations on D.
 
     Draw i has K_i = int(ks[i]) and coefficients theta[i, :K_i]; the entries
-    of row i past K_i are padding and never read.  grid_values[i] is the
-    synthesized density of draw i on `grid` (a uniform grid over the
-    reporting window D).  Iteration gives the (K_i, theta_i) pairs, K_i as an
-    int and theta_i a view of row i.
+    of row i past K_i are exactly 0.0.  rows holds the basis rows 1..width on
+    `grid` (a uniform grid over the reporting window D), width being theta's
+    number of columns; grid_values[i] is draw i's synthesized density there,
+    sum_k theta[i, k] rows[k] added in k order from +0.0.  Iteration gives the
+    (K_i, theta_i) pairs, K_i as an int and theta_i a view of row i.
     """
 
     grid: np.ndarray
     grid_values: np.ndarray
     ks: np.ndarray
     theta: np.ndarray
+    rows: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ks)
@@ -246,7 +248,9 @@ def sample_posterior(
     draws in draw order, K_i of them for draw i.  Every K is drawn here;
     then runs of consecutive blocks draw their normals on one thread per CPU
     (_fan_out), each writing only its blocks' rows of theta and grid_values,
-    so the result has the same bits on any number of CPUs.
+    so the result has the same bits on any number of CPUs.  A block's grid
+    values are one einsum of its zero-padded theta with the rows, never BLAS,
+    whose bits depend on the kernel: each draw gets its own sum in k order.
 
     Raises ParameterError when theta_hat_full is not a CoefficientVector,
     num_draws is not a positive integer, grid_points is not an integer >= 2
@@ -277,7 +281,7 @@ def sample_posterior(
 
     check_draw_budget(basis, num_draws, grid_points, k_max)
     grid = config.D.grid(grid_points)
-    rows = basis.evaluate_all(grid)  # (k_max-truncated synthesis reuses leading rows)
+    rows = basis.evaluate_all(grid)
 
     # Every K here, from the head of its block's substream; the jobs draw the
     # normals from the same generators, which stand just past the uniforms.
@@ -293,43 +297,28 @@ def sample_posterior(
             start = b * DRAW_BLOCK
             block = slice(start, start + DRAW_BLOCK)
             block_ks = ks[block]
-            # Row i holds draw i's coefficients in its first K_i entries; one call
-            # for all normals continues the stream exactly as one call per draw.
+            # Row i holds draw i's coefficients in its first K_i entries and 0.0
+            # past them; one call for all normals continues the stream exactly as
+            # one call per draw.
+            drawn = np.arange(width) < block_ks[:, None]
             z = np.zeros((len(block_ks), width))
-            z[np.arange(width) < block_ks[:, None]] = rngs[b].standard_normal(int(block_ks.sum()))
-            theta[block] = means[:width] + sd * z
-            for K in np.unique(block_ks):
-                idx = start + np.flatnonzero(block_ks == K)
-                # A stack of 1xK products runs one GEMV per draw, the kernel and
-                # summation order of theta_i @ rows[:K]; a GEMM over the group, or
-                # a product over the zero-padded width, can differ in the last ulp.
-                grid_values[idx] = np.matmul(theta[idx, None, :K], rows[:K])[:, 0]
+            z[drawn] = rngs[b].standard_normal(int(block_ks.sum()))
+            theta[block] = np.where(drawn, means[:width] + sd * z, 0.0)
+            np.einsum("ik,kj->ij", theta[block], rows[:width], out=grid_values[block])
 
     _fan_out(draw_blocks, len(rngs))
-    return PosteriorDraws(grid, grid_values, ks, theta)
+    return PosteriorDraws(grid, grid_values, ks, theta, rows[:width])
 
 
 def posterior_mean_function(draws: PosteriorDraws) -> np.ndarray:
-    """Pointwise Monte Carlo mean of the drawn densities on draws.grid.
+    """Monte Carlo mean of the drawn densities on draws.grid: the mean coefficient draw, synthesized as the draws are.
 
-    Spans of grid columns are averaged on one thread per CPU (_fan_out).  A
-    span of two or more columns sums each column over the draws in row
-    order, as grid_values.mean(axis=0) does, so the bits do not depend on the
-    cut; numpy would sum a one-column span pairwise, so spans are cut from
-    column pairs, the last one taking an odd column.
+    Synthesis is linear and theta is 0.0 past each K, so this is the mean of
+    grid_values up to rounding, without reading grid_values.
     """
     if len(draws) == 0:
         raise EmptyDrawsError("no posterior draws to average")
-    grid_values = draws.grid_values
-    center = np.empty(grid_values.shape[1])
-    pairs = len(center) // 2
-
-    def average(lo: int, hi: int) -> None:
-        stop = len(center) if hi == pairs else 2 * hi
-        center[2 * lo : stop] = grid_values[:, 2 * lo : stop].mean(axis=0)
-
-    _fan_out(average, pairs)
-    return center
+    return np.einsum("k,kj->j", draws.theta.mean(axis=0), draws.rows)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,19 @@ coordinate factorization they rely on.  R_n is the library's own loss,
 
 import functools
 import hashlib
+import json
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import levygibbs
 from levygibbs import posterior, processes
 from levygibbs import (
     BasisSystem,
@@ -306,11 +311,21 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal, grid_points=512):
-    """Reference sampler: one normal call and one theta @ rows product per draw.
+def sequential_sum(coefficients, rows):
+    """acc = acc + c_k * f_k for k in order, from +0.0: the sum sample_posterior and the mean synthesize."""
+    acc = np.zeros(rows.shape[1])
+    for c, row in zip(coefficients, rows):
+        acc = acc + c * row
+    return acc
 
-    This is the loop sample_posterior vectorizes; its K's, thetas and grid
-    values must come out bit for bit the same.
+
+def per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal, grid_points=512):
+    """Reference sampler: one normal call and one sequential sum per draw, and the mean draw's sum.
+
+    This is the loop sample_posterior vectorizes; its K's, thetas, grid values
+    and posterior mean must come out bit for bit the same.  The mean is the
+    coefficient mean over the draws, each zero-padded to the largest K, added
+    in draw order and divided by the count, then summed sequentially.
     """
     k_max = config.k_max_for(t_n)
     cond = conditional_posterior(np.asarray(theta_hat, dtype=float)[:k_max], t_n, config)
@@ -327,8 +342,11 @@ def per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal, gr
         for i, K in enumerate(ks):
             theta = cond.means[:K] + sd * rng.standard_normal(K)
             draws.append((int(K), theta))
-            grid_values[start + i] = theta @ rows[:K]
-    return draws, grid_values
+            grid_values[start + i] = sequential_sum(theta, rows)
+    total = np.zeros(max(K for K, _ in draws))
+    for K, theta in draws:
+        total[:K] = total[:K] + theta
+    return draws, grid_values, sequential_sum(total / num_draws, rows)
 
 
 class TestSamplePosterior:
@@ -444,10 +462,12 @@ class TestSamplePosterior:
 
     def check_matches_per_draw(self, theta_hat, t_n, config, num_draws, seed, basis, marginal):
         got = sample_posterior(CoefficientVector(basis, theta_hat), t_n, config, num_draws, seed, marginal=marginal)
-        draws, grid_values = per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal)
+        draws, grid_values, center = per_draw_sample(theta_hat, t_n, config, num_draws, seed, basis, marginal)
         assert [k for k, _ in got] == [k for k, _ in draws]
         assert all(same_bits(a, b) for (_, a), (_, b) in zip(got, draws))
         assert same_bits(got.grid_values, grid_values)
+        assert same_bits(posterior_mean_function(got), center)
+        return got
 
     @pytest.mark.parametrize("num_draws", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 1000])
     def test_bit_identical_to_per_draw_loop(self, num_draws):
@@ -469,6 +489,37 @@ class TestSamplePosterior:
         log_w = -0.01 * np.arange(320)
         marg = MarginalK(log_w, np.exp(log_w) / np.exp(log_w).sum())
         self.check_matches_per_draw(theta_hat, 320.0, config, 600, 2, basis, marg)
+
+    def test_mixed_k_up_to_320_bit_identical_to_sequential_and_per_draw_sums(self):
+        # A uniform pmf over 1..320: every block holds short and long draws next to K = 320, and
+        # each draw's grid values are its own sequential sum and its own one-draw einsum.
+        config = GibbsConfig(k_max=320)
+        basis = BasisSystem.trigonometric(D_PRIME, 320)
+        theta_hat = np.random.default_rng(3).normal(0.0, 30.0, 320)
+        marg = MarginalK(np.zeros(320), np.full(320, 1.0 / 320))
+        draws = self.check_matches_per_draw(theta_hat, 320.0, config, 3 * DRAW_BLOCK, 6, basis, marg)
+        assert draws.ks.max() == 320 and draws.ks.min() < 10
+        for (K, theta), values in zip(draws, draws.grid_values):
+            assert same_bits(np.einsum("k,kj->j", theta, draws.rows[:K]), values)
+
+    def test_theta_padding_is_exactly_zero(self):
+        draws = sample_posterior(self.theta_perp, self.t_n, self.config, DRAW_BLOCK + 9, seed=8)
+        assert draws.ks.min() < draws.theta.shape[1]
+        padding = draws.theta[np.arange(draws.theta.shape[1]) >= draws.ks[:, None]]
+        assert len(padding) > 0 and same_bits(padding, np.zeros(len(padding)))  # +0.0, no -0.0
+
+    def test_coefficient_mean_against_mean_of_grid_values(self):
+        # Both are (1/N) sum_i sum_k theta_ik f_k(x_j), rounded in another order: each sum of
+        # at most N + K terms, then a division, is within (N + K + 1) eps of the sum of
+        # |theta_ik f_k(x_j)| / N, so the two differ by at most twice that.
+        n = 2000
+        draws = sample_posterior(self.theta_perp, self.t_n, self.config, n, seed=12)
+        K = draws.theta.shape[1]
+        scale = np.abs(draws.theta).sum(axis=0) @ np.abs(draws.rows) / n
+        bound = 2.0 * (n + K + 1) * np.finfo(float).eps * scale
+        gap = np.abs(posterior_mean_function(draws) - draws.grid_values.mean(axis=0))
+        assert np.all(gap <= bound)
+        assert gap.max() <= 1e-13 * np.abs(draws.grid_values).max()
 
 
 @pytest.fixture
@@ -499,7 +550,7 @@ class TestInProcessPath:
     def test_blocks_and_tiles_match_per_draw(self, monkeypatch):
         monkeypatch.setattr(posterior, "DISTANCE_TILE_ROWS", 64)  # NUM_DRAWS is no multiple of 64
         draws = self.sample()
-        ref_draws, ref_values = per_draw_sample(
+        ref_draws, ref_values, center = per_draw_sample(
             self.theta.values, 20.0, self.config, self.NUM_DRAWS, 5, self.basis, self.marginal
         )
         assert same_bits(draws.grid_values, ref_values)
@@ -508,7 +559,6 @@ class TestInProcessPath:
             K == ref_K and same_bits(theta, ref_theta)
             for (K, theta), (ref_K, ref_theta) in zip(draws, ref_draws, strict=True)
         )
-        center = ref_values.mean(axis=0)
         assert same_bits(posterior_mean_function(draws), center)
         ref_dist = {
             "sup": np.max(np.abs(ref_values - center), axis=1),
@@ -541,7 +591,7 @@ class TestInProcessPath:
         draws = call(
             sample_posterior, self.theta, 20.0, self.config, num_draws, seed=5, marginal=self.marginal, grid_points=grid_points
         )
-        ref_draws, ref_values = per_draw_sample(
+        ref_draws, ref_values, center = per_draw_sample(
             self.theta.values, 20.0, self.config, num_draws, 5, self.basis, self.marginal, grid_points
         )
         assert same_bits(draws.grid_values, ref_values)
@@ -549,7 +599,6 @@ class TestInProcessPath:
             K == ref_K and same_bits(theta, ref_theta)
             for (K, theta), (ref_K, ref_theta) in zip(draws, ref_draws, strict=True)
         )
-        center = ref_values.mean(axis=0)
         assert same_bits(call(posterior_mean_function, draws), center)
         ref_dist = {
             "sup": np.max(np.abs(ref_values - center), axis=1),
@@ -579,7 +628,7 @@ class TestPosteriorDraws:
         num_draws = 2 * DRAW_BLOCK + 5
         draws = sample_posterior(self.theta, 20.0, self.config, num_draws, seed=2)
         marginal = marginal_k(self.theta, 20.0, self.config)
-        ref, _ = per_draw_sample(self.theta.values, 20.0, self.config, num_draws, 2, self.basis, marginal)
+        ref, _, _ = per_draw_sample(self.theta.values, 20.0, self.config, num_draws, 2, self.basis, marginal)
         pairs = list(draws)
         assert len(draws) == len(pairs) == num_draws
         assert draws.theta.shape == (num_draws, draws.ks.max())
@@ -588,7 +637,7 @@ class TestPosteriorDraws:
             assert theta.base is draws.theta and np.shares_memory(theta, draws.theta[i, :K])
 
     def test_empty(self):
-        draws = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), np.empty(0, int), np.empty((0, 0)))
+        draws = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), np.empty(0, int), np.empty((0, 0)), np.empty((0, 8)))
         assert len(draws) == 0 and list(draws) == []
         with pytest.raises(EmptyDrawsError):
             posterior_mean_function(draws)
@@ -614,15 +663,73 @@ class TestPosteriorDraws:
 
     def test_draws_jsonl_digest(self, tmp_path):
         # The file's sha256 as written before draws were kept per block; the grid's
-        # sha256 and the band radii of these 20 blocks as computed by the forked sampler.
+        # sha256 and the band radii of these 20 blocks as the BLAS-free synthesis gives them.
         draws = sample_posterior(self.theta, 20.0, self.config, 5000, seed=11)
         write_draws_jsonl(tmp_path / "draws.jsonl", draws)
         digest = hashlib.sha256((tmp_path / "draws.jsonl").read_bytes()).hexdigest()
         assert digest == "125acd13c1c93ab090365bbbcef02ee33a2554e7a9a18288e8229db48df11b72"
         grid_digest = hashlib.sha256(draws.grid_values.tobytes()).hexdigest()
-        assert grid_digest == "170da787026e282425c2b2bed84340f335ca9347359c729eeb36d314887efb21"
-        assert credible_band(draws, 0.9, "sup").radius == 3472.2867864141485
-        assert credible_band(draws, 0.9, "l2").radius == 164.19673797112074
+        assert grid_digest == "6eb90165cc56ad96154cc976678220bb17f2088aef3ac25a5687329f4473a1b2"
+        assert credible_band(draws, 0.9, "sup").radius == 3472.28678641418
+        assert credible_band(draws, 0.9, "l2").radius == 164.19673797112176
+
+
+KERNEL_RUN = """
+import hashlib, json, os, sys
+import numpy as np
+from levygibbs import BasisSystem, CoefficientVector, GibbsConfig, Window, credible_band, sample_posterior
+from levygibbs.cli import main
+theta = CoefficientVector(BasisSystem.trigonometric(Window(0.005, 0.015), 20), np.load(sys.argv[1]))
+draws = sample_posterior(theta, 20.0, GibbsConfig(k_max=20), 3000, seed=11)
+band = credible_band(draws, 0.9, "sup")
+digests = {name: hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
+           for name, a in (("grid_values", draws.grid_values), ("center", band.center), ("radius", band.radius))}
+out = sys.argv[2]
+if main(["experiment", "--j", "1", "--draws", "200", "--out-dir", out]) != 0:
+    sys.exit("experiment failed")
+for name in sorted(os.listdir(out)):
+    with open(os.path.join(out, name), "rb") as f:
+        digests[name] = hashlib.sha256(f.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def dynamic_arch_openblas() -> bool:
+    """numpy's BLAS is an OpenBLAS built for several x86-64 CPUs, which picks its kernel from OPENBLAS_CORETYPE."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy before 1.26, or a build that records no BLAS
+        return False
+    return (
+        platform.machine().lower() in ("x86_64", "amd64")
+        and "openblas" in str(blas.get("name", "")).lower()
+        and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+    )
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS on x86-64")
+def test_posterior_bits_do_not_depend_on_the_blas_kernel(tmp_path):
+    # The draws' grid values, the band's center and radius and the j=1 experiment files, each in a
+    # process on this CPU's kernel and on three others.  A GEMV synthesis gives other grid values,
+    # and other band.csv, errors.csv and report.json bytes, under Sandybridge and Nehalem.
+    basis = BasisSystem.trigonometric(D_PRIME, 20)
+    np.save(tmp_path / "theta.npy", project_density(basis, STUDY_VG.levy_density()).values)
+    package_root = os.path.dirname(os.path.dirname(levygibbs.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for kernel in (None, "Haswell", "Sandybridge", "Nehalem"):
+        env = dict(base) if kernel is None else dict(base, OPENBLAS_CORETYPE=kernel)
+        out = tmp_path / f"exp-{kernel}"
+        proc = subprocess.run(
+            [sys.executable, "-c", KERNEL_RUN, str(tmp_path / "theta.npy"), str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[kernel] = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(runs[None]) == {"grid_values", "center", "radius", "report.json", "errors.csv", "k_posterior.csv", "band.csv"}
+    for kernel, digests in runs.items():
+        assert digests == runs[None], kernel
 
 
 class TestPosteriorSummaries:
@@ -637,7 +744,9 @@ class TestPosteriorSummaries:
         basis = BasisSystem.trigonometric(D_PRIME, 4)
         grid = np.linspace(0.006, 0.014, 64)
         row = synthesize(basis, np.array([1.0, 2.0, 0.0, -1.0]), grid)
-        draws = PosteriorDraws(grid, np.tile(row, (5, 1)), np.full(5, 4), np.tile([1.0, 2.0, 0.0, -1.0], (5, 1)))
+        draws = PosteriorDraws(
+            grid, np.tile(row, (5, 1)), np.full(5, 4), np.tile([1.0, 2.0, 0.0, -1.0], (5, 1)), basis.evaluate_all(grid)
+        )
         np.testing.assert_allclose(posterior_mean_function(draws), row, rtol=1e-14)
 
     def test_fixed_k_mean_function_matches_closed_form(self):
@@ -655,7 +764,7 @@ class TestPosteriorSummaries:
         assert np.all(np.abs(posterior_mean_function(draws) - expect) < 3.0 * se + 1e-12)
 
     def test_empty_draws_error(self):
-        empty = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), np.empty(0, int), np.empty((0, 0)))
+        empty = PosteriorDraws(np.linspace(0.006, 0.014, 8), np.empty((0, 8)), np.empty(0, int), np.empty((0, 0)), np.empty((0, 8)))
         with pytest.raises(EmptyDrawsError):
             posterior_mean_function(empty)
 
@@ -672,7 +781,7 @@ class TestPosteriorSummaries:
         basis = BasisSystem.trigonometric(D_PRIME, 4)
         grid = np.linspace(0.006, 0.014, 32)
         row = synthesize(basis, np.ones(4), grid)
-        draws = PosteriorDraws(grid, np.tile(row, (6, 1)), np.full(6, 4), np.ones((6, 4)))
+        draws = PosteriorDraws(grid, np.tile(row, (6, 1)), np.full(6, 4), np.ones((6, 4)), basis.evaluate_all(grid))
         # identical up to the rounding introduced by averaging the center
         assert credible_band(draws, 0.9).radius < 1e-12
 
@@ -777,7 +886,8 @@ def summary_draws(num: int) -> PosteriorDraws:
     """num identical draws of f_1 + f_2 on an 8-point grid over D."""
     basis = BasisSystem.trigonometric(D_PRIME, 2)
     grid = np.linspace(0.006, 0.014, 8)
-    return PosteriorDraws(grid, np.tile(synthesize(basis, [1.0, 1.0], grid), (num, 1)), np.full(num, 2), np.ones((num, 2)))
+    rows = basis.evaluate_all(grid)
+    return PosteriorDraws(grid, np.tile(synthesize(basis, [1.0, 1.0], grid), (num, 1)), np.full(num, 2), np.ones((num, 2)), rows)
 
 
 @pytest.mark.parametrize("call, error, message", [
