@@ -21,16 +21,19 @@ All evaluations return 0 exactly outside the window (and, for the piecewise
 family, at piece boundaries).  Feature functionals F1 and F2 bound the
 sup/derivative growth of the system and feed the sampling-spacing check.
 
-Both families need numpy only.  The trig rows with j = qT + r (T = 12) come
-by angle addition from one libm table of cos/sin(2 r pi u), r < T, and each
-group's own libm pair cos/sin(2 qT pi u): f_2j = s*(C_q*c_r - S_q*s_r) and
-f_2j+1 = s*(S_q*c_r + C_q*s_r), so 2T - 2 + 2*floor(K/2T) cos/sin calls per
-point instead of K (the r = 0 pair is the exact 1 and 0).  Rows k < 2T and
-the anchor rows 2qT, 2qT+1 are the libm values bit for bit; the others agree
-to rounding of the angle.  The trig row sums past the table build no row: the
-same identity makes sum_i f_2j = s*(sum_i C_q c_r - sum_i S_q s_r), so each
-group's 2T sums are one einsum of each anchor with the table.  The Legendre
-rows come from one Legendre Vandermonde matrix (`legvander`) per evaluation.
+Both families need numpy only.  Every trig value is one libm cos/sin call at
+the angle (f*pi)*u, u = (x-a)/(b-a), rounded once (`_cos_sin`): the rows
+f_2j, f_2j+1 are s*cos/sin(2 j pi u), one call per row and point.  Only the
+fold (`_row_sums`) uses angle addition: it calls libm for a table of
+cos/sin(2 r pi u), r < T (T = 12), and for each group's anchor pair
+C_q, S_q = cos/sin(2 qT pi u), and with j = qT + r sums
+sum_i f_2j = s*(sum_i C_q c_r - sum_i S_q s_r) and
+sum_i f_2j+1 = s*(sum_i S_q c_r + sum_i C_q s_r), so each group's 2T sums are
+one einsum of each anchor with the table and no row past the table is built
+(2T + 2*floor(K/2T) cos/sin calls per point instead of K).  Its sums of rows
+k < 2T are the sums of the rows bit for bit; the others agree with them to
+rounding of the angle.  The Legendre rows come from one Legendre Vandermonde
+matrix (`legvander`) per evaluation.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ MAX_TRIG_K = 512
 MAX_LEGENDRE_J = 5
 MAX_LEGENDRE_L = 64
 
-# T: trig rows come by angle addition from one libm table of cos/sin(2 r pi u), r < T.
+# T: the trig fold sums rows by angle addition from one libm table of cos/sin(2 r pi u), r < T.
 _TRIG_TABLE = 12
 
 # Fixed default node count: satisfies the 4K floor for every legal basis size,
@@ -124,8 +127,11 @@ class BasisSystem:
         check_budget(self.K * points, f"basis values (K={self.K}, points={points})")
 
     def evaluate_all(self, x) -> np.ndarray:
-        """Matrix of basis values, shape (K, len(x)): row k-1 is f_k; check_rows guards its size."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        """Matrix of basis values, shape (K, len(x)): row k-1 is f_k; DimensionError unless x is 0-d or 1-d, and check_rows guards the size."""
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim > 1:
+            raise DimensionError(f"basis points must be a scalar or 1-d, got shape {arr.shape}")
+        arr = np.atleast_1d(arr)
         self.check_rows(len(arr))
         out, lo = np.empty((self.K, len(arr))), 0
         for rows in self._row_chunks(arr):
@@ -172,52 +178,34 @@ class TrigonometricBasis(BasisSystem):
     def __init__(self, window: Window, K: int):
         super().__init__(window, check_count(K, "trigonometric K", hi=MAX_TRIG_K))
 
-    def _table(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u = (x - a)/(b - a) (0 off the window) and the libm table: rows r and t + r are cos/sin(2 r pi u), r < t.
+    @staticmethod
+    def _cos_sin(u: np.ndarray, freq: int) -> tuple[np.ndarray, np.ndarray]:
+        """The libm pair cos/sin(freq pi u), the angle rounded once as (freq*pi)*u: every trig row, table row and anchor."""
+        angle = np.multiply(freq * math.pi, u)
+        return np.cos(angle), np.sin(angle, out=angle)
 
-        t = min(T, K//2 + 1).  The r = 0 pair is the exact 1.0 and 0.0 that libm
-        gives at angle 0, and every table column off the window is 0.
-        """
-        a, n = self.window.a, len(x)
-        inside = (x >= a) & (x <= self.window.b)
-        u = np.where(inside, (x - a) / self.window.length, 0.0)
+    def _unit(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The on-window mask and u = (x - a)/(b - a) there, 0 off the window."""
+        inside = (x >= self.window.a) & (x <= self.window.b)
+        return inside, np.where(inside, (x - self.window.a) / self.window.length, 0.0)
+
+    def _table(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u and the fold's table, 0 off the window: rows r and t + r are cos/sin(2 r pi u), r < t = min(T, K//2 + 1)."""
+        inside, u = self._unit(x)
         t = min(_TRIG_TABLE, self.K // 2 + 1)
-        table, angle = np.empty((2 * t, n)), np.empty(n)
-        table[0], table[t] = 1.0, 0.0
-        for r in range(1, t):
-            np.cos(np.multiply(2 * r * math.pi, u, out=angle), out=table[r])
-            np.sin(angle, out=table[t + r])
+        table = np.empty((2 * t, len(x)))
+        for r in range(t):
+            table[r], table[t + r] = self._cos_sin(u, 2 * r)
         table[:, ~inside] = 0.0
         return u, table
 
-    def _anchors(self, u: np.ndarray, k0: int):
-        """The libm pair C, S = cos/sin(k0 pi u) that starts the group of rows k0 .. k0 + 2T - 1."""
-        angle = np.multiply(k0 * math.pi, u)
-        return np.cos(angle), np.sin(angle, out=angle)
-
     def _row_chunks(self, x: np.ndarray):
-        """Rows in groups of 2T: group q holds k = 2qT .. 2qT+2T-1 (k >= 1); the yielded array is reused."""
-        u, table = self._table(x)
-        t, n, T = len(table) // 2, len(x), _TRIG_TABLE
-        c, sn = table[:t], table[t:]
-        s = math.sqrt(2.0 / self.window.length)
-        tmp = np.empty(n)
-        rows = np.empty((min(2 * T, self.K + 1), n))
-        for k0 in range(0, self.K + 1, 2 * T):
-            m = min(2 * T, self.K + 1 - k0)
-            ev, od = rows[0:m:2], rows[1:m:2]  # row i is f_{k0+i}: cos for even k0+i, sin for odd
-            if k0 == 0:
-                ev[:], od[:] = c[: len(ev)], sn[: len(od)]
-            else:
-                C, S = self._anchors(u, k0)
-                for r in range(len(ev)):
-                    np.subtract(np.multiply(C, c[r], out=ev[r]), np.multiply(S, sn[r], out=tmp), out=ev[r])
-                for r in range(len(od)):
-                    np.add(np.multiply(S, c[r], out=od[r]), np.multiply(C, sn[r], out=tmp), out=od[r])
-            rows[:m] *= s
-            if k0 == 0:
-                np.multiply(c[0], 1.0 / math.sqrt(self.window.length), out=rows[1])
-            yield rows[1:m] if k0 == 0 else rows[:m]
+        """f_1, then each pair f_2j, f_2j+1 = s*cos/sin(2 j pi u) (f_K alone for even K); every row is 0 off the window."""
+        inside, u = self._unit(x)
+        yield np.where(inside, 1.0 / math.sqrt(self.window.length), 0.0)[None]
+        s = np.where(inside, math.sqrt(2.0 / self.window.length), 0.0)
+        for j in range(1, self.K // 2 + 1):
+            yield np.multiply(self._cos_sin(u, 2 * j), s)[: self.K + 1 - 2 * j]
 
     def _row_sums(self, x: np.ndarray) -> np.ndarray:
         """sum_i f_k(x_i) for k = 1..K, building no row past the table.
@@ -240,7 +228,7 @@ class TrigonometricBasis(BasisSystem):
                 np.multiply(table[k % 2 * t + k // 2], s, out=buf)  # cos row k/2 for even k, sin row (k-1)/2 for odd
             out[k] = buf.sum()
         for k0 in range(2 * T, self.K + 1, 2 * T):
-            pc, ps = (np.einsum("m,rm->r", anchor, table) for anchor in self._anchors(u, k0))
+            pc, ps = (np.einsum("m,rm->r", anchor, table) for anchor in self._cos_sin(u, k0))
             group = out[k0 : k0 + 2 * T]
             group[0::2] = (s * (pc[:T] - ps[T:]))[: (len(group) + 1) // 2]
             group[1::2] = (s * (ps[:T] + pc[T:]))[: len(group) // 2]

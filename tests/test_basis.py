@@ -127,31 +127,29 @@ class TestEval:
             assert np.all(basis.evaluate_all(outside) == 0.0)
 
     def test_trig_libm_rows_bit_identical_to_closed_form(self):
-        # rows k <= 2T-1 are the libm table and rows 2qT, 2qT+1 are each group's own libm
-        # pair: at K = 512 they equal the per-row closed form bit for bit, on TRIG_X
-        T = _TRIG_TABLE
-        libm = np.array([k for k in range(1, MAX_TRIG_K + 1) if k < 2 * T or k % (2 * T) < 2])
-        assert len(libm) == 2 * T - 1 + 2 * (MAX_TRIG_K // (2 * T))
-        rows = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
-        assert rows[libm - 1].tobytes() == trig_closed_form(D_PRIME, MAX_TRIG_K, TRIG_X)[libm - 1].tobytes()
+        # every row is its own libm cos/sin call at the angle (2j*pi)*u: at K = 512 all 512 rows
+        # equal the per-row closed form bit for bit, on TRIG_X and at NaN and +-inf
+        x = np.concatenate([TRIG_X, [np.nan, np.inf, -np.inf]])
+        rows = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(x)
+        assert rows.tobytes() == trig_closed_form(D_PRIME, MAX_TRIG_K, x).tobytes()
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is no wider than double"
     )
     def test_trig_rows_within_angle_rounding_of_longdouble_oracle(self):
-        # rounding the angle freq*pi*u to a double dominates both the table rows and the
-        # per-row libm form: each row k is within 4*pi*k*eps*s of cos/sin at the exact angle
+        # rounding the angle freq*pi*u to a double dominates the per-row libm form: each row k
+        # is within 4*pi*k*eps*s of cos/sin at the exact angle
         s = math.sqrt(2.0 / D_PRIME.length)
         bound = 4.0 * math.pi * np.arange(1, MAX_TRIG_K + 1) * np.finfo(float).eps * s
         oracle = trig_closed_form(D_PRIME, MAX_TRIG_K, TRIG_X, np.longdouble)
-        table = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
-        for rows in (table, trig_closed_form(D_PRIME, MAX_TRIG_K, TRIG_X)):
+        evaluated = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
+        for rows in (evaluated, trig_closed_form(D_PRIME, MAX_TRIG_K, TRIG_X)):
             err = np.max(np.abs(rows - oracle), axis=1)
             assert np.all(err <= bound), np.max(err / bound)
 
     def test_trig_exact_zeros_off_window_and_at_left_endpoint(self):
         # every row is +0.0 just off either end and far off the window; at x = a every sine
-        # row is exactly 0 and every cosine row exactly s, in the angle-addition groups too
+        # row is exactly 0 and every cosine row exactly s, up to K = 512
         a, b = D_PRIME.a, D_PRIME.b
         x = np.array([a, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), -1.0, 2.0])
         rows = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(x)
@@ -160,10 +158,10 @@ class TestEval:
         assert np.all(rows[1::2, 0] == math.sqrt(2.0 / D_PRIME.length))
 
     def test_trig_rows_do_not_depend_on_K_or_on_the_other_points(self):
-        # the rows of K = 320, and of K at the group joins, are the first rows of K = 512, and
-        # a point evaluated alone gets its column of the whole evaluation, bit for bit
+        # the rows of K = 320, and of K around the fold's table size 2T, are the first rows of
+        # K = 512, and a point evaluated alone gets its column of the whole evaluation, bit for bit
         full = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X)
-        for K in (1, 2 * _TRIG_TABLE - 1, 2 * _TRIG_TABLE, 2 * _TRIG_TABLE + 1, 320):
+        for K in (1, 2, 2 * _TRIG_TABLE - 1, 2 * _TRIG_TABLE, 2 * _TRIG_TABLE + 1, 320):
             assert BasisSystem.trigonometric(D_PRIME, K).evaluate_all(TRIG_X).tobytes() == full[:K].tobytes()
         for i in (0, 700, 1000, 1400, len(TRIG_X) - 1):
             alone = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K).evaluate_all(TRIG_X[i])
@@ -417,6 +415,16 @@ def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as excinfo:
         call()
     assert excinfo.type is error
+
+
+@pytest.mark.parametrize("basis", [TRIG8, BasisSystem.piecewise_legendre(D_PRIME, 2, 4)], ids=lambda b: b.family)
+def test_evaluate_all_refuses_points_of_more_than_one_dimension(monkeypatch, basis):
+    # refused before check_rows, which would take len(x) for the point count; 0-d and 1-d points evaluate
+    x = np.full((2, 3), 0.01)
+    assert basis.evaluate_all(0.01).tobytes() == basis.evaluate_all(x[0]).T[0].tobytes()
+    monkeypatch.setattr(BasisSystem, "check_rows", lambda self, points: pytest.fail("check_rows before the shape check"))
+    with pytest.raises(DimensionError, match=re.escape("basis points must be a scalar or 1-d, got shape (2, 3)")):
+        basis.evaluate_all(x)
 
 
 def test_quadrature_guard_fires_before_allocating():

@@ -142,8 +142,8 @@ class TestEmpiricalCoefficients:
         # each value is within 4*pi*k*eps*s of cos/sin at the exact angle (test_basis), and the
         # roundings at m independent angles add up like a random walk, so a row sum is within
         # sqrt(m) times that of the row sum in longdouble.  The fold's sums meet this bound, and
-        # so do the sums of the rows of evaluate_all, which the fold returned before (measured at
-        # most 0.15 and 0.14 of the bound, and 0.21 for per-row libm rows).
+        # so do the sums of the per-row libm rows of evaluate_all (measured at most 0.15 and 0.21
+        # of the bound).
         basis = BasisSystem.trigonometric(D_PRIME, MAX_TRIG_K)
         y = np.random.default_rng(m).uniform(D_PRIME.a, D_PRIME.b, m)
         k = np.arange(2 * _TRIG_TABLE, MAX_TRIG_K + 1)

@@ -105,7 +105,7 @@ BUDGET_SITES = {
     "quadrature_rule": (64, lambda: quadrature_rule(THETA4.basis, 65), "quad_nodes=65", [(TrigonometricBasis, "segments")]),
     "BasisSystem.evaluate_all": (
         64, lambda: THETA4.basis.evaluate_all(np.zeros(17)), "basis values (K=4, points=17)=68",
-        [(TrigonometricBasis, "_row_chunks")],
+        [(TrigonometricBasis, "_row_chunks"), (TrigonometricBasis, "_unit"), (TrigonometricBasis, "_cos_sin"), (np, "empty")],
     ),
     "l2_error_on_D": (
         64, lambda: l2_error_on_D(THETA4, THETA4, Window(0.006, 0.014), grid_points=17), "basis values (K=4, points=17)=68",
