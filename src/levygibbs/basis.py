@@ -408,14 +408,14 @@ def _floored_rule(basis: BasisSystem, quad_nodes: int) -> tuple[np.ndarray, np.n
 
 
 def gram_matrix(basis: BasisSystem, quad_nodes: int = DEFAULT_QUAD_NODES) -> np.ndarray:
-    """K x K matrix of pairwise inner products over the window (identity up to quadrature)."""
+    """K x K matrix of pairwise inner products over the window (identity up to quadrature), by einsum, never BLAS."""
     x, w = _floored_rule(basis, quad_nodes)
     rows = basis.evaluate_all(x)
-    return (rows * w) @ rows.T
+    return np.einsum("km,lm->kl", rows * w, rows)
 
 
 def project_density(basis: BasisSystem, psi, quad_nodes: int = DEFAULT_QUAD_NODES) -> CoefficientVector:
-    """Coefficients of psi against the basis: theta_k = int f_k(x) psi(x) dx over the window.
+    """Coefficients of psi against the basis: theta_k = int f_k(x) psi(x) dx over the window, by einsum (never BLAS).
 
     psi is any callable accepting an ndarray of window points.  Each
     coefficient carries an absolute quadrature-error estimate (coarse/fine
@@ -428,7 +428,7 @@ def project_density(basis: BasisSystem, psi, quad_nodes: int = DEFAULT_QUAD_NODE
         vals = np.asarray(psi(x), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise IntegrationError("density is not finite everywhere on the window")
-        return basis.evaluate_all(x) @ (w * vals)
+        return np.einsum("km,m->k", basis.evaluate_all(x), w * vals)
 
     fine = integrate(quad_nodes)
     coarse = integrate(max(quad_nodes // 2, 4 * basis.K))

@@ -8,9 +8,9 @@ evaluate_all(y).sum(axis=1) bit for bit, each row summed by numpy's pairwise
 sum.  Trig rows k >= 24 are never built: each is a sum of products of its
 24-row group's libm anchor pair with the table, reduced by einsum (never BLAS),
 and agrees with the row sum to rounding of the angle.  Block partial sums are
-combined with compensated (Kahan)
-addition in fixed block order, which makes the result bit-identical whether
-the series is materialized, streamed, or folded by forked workers.
+combined with compensated (Kahan) addition in fixed block order, so the result
+has the same bits for a materialized or streamed series, however many forked
+workers mask its blocks (IncrementSeries.in_window) or threads sum them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values, synthesize
 from .errors import DimensionError, ParameterError
-from .processes import IncrementSeries
+from .processes import IncrementSeries, _fan_out
 from .util import check_count
 
 # Points of the uniform grid on D on which densities are compared and drawn.
@@ -33,19 +33,21 @@ def empirical_coefficients(
 ) -> CoefficientVector:
     """Estimate basis coefficients of the Levy density from increment data.
 
-    Blocks are folded by IncrementSeries.map_blocks, in at most max_workers
-    forked workers (default one per CPU); the result does not depend on it.
+    IncrementSeries.in_window masks the blocks in at most max_workers forked
+    workers (default one per CPU); here basis._row_sums sums each block's
+    in-window values on _fan_out threads.  The result depends on neither count.
     """
     t_n = series.scheme.t_n
-    a, b = basis.window.a, basis.window.b
+    blocks = series.in_window(basis.window.a, basis.window.b, max_workers)
+    parts = np.empty((len(blocks), basis.K))
 
-    def partial(chunk: np.ndarray) -> np.ndarray:
-        y = chunk[(chunk >= a) & (chunk <= b)]
-        return basis._row_sums(y)
+    def fold(lo: int, hi: int) -> None:
+        parts[lo:hi] = [basis._row_sums(y) for y in blocks[lo:hi]]
 
+    _fan_out(fold, len(blocks))
     total = np.zeros(basis.K)
     carry = np.zeros(basis.K)
-    for part in series.map_blocks(partial, max_workers=max_workers):
+    for part in parts:
         y = part - carry
         t = total + y
         carry = (t - total) - y

@@ -27,8 +27,7 @@ import numpy as np
 from .basis import BasisSystem, CoefficientVector, Window, _coefficient_values
 from .errors import DimensionError, EmptyDrawsError, ParameterError
 from .estimator import DEFAULT_GRID_POINTS, _l2_norm
-from . import processes
-from .processes import _block_rng
+from .processes import _block_rng, _fan_out
 from .util import check_budget, check_count, check_real, check_seed, snap_ceil
 
 # Draws are generated in fixed blocks, each from its own substream of the
@@ -39,32 +38,6 @@ DRAW_BLOCK = 256
 # buffer per thread (0.5 MB at 512 grid points, so it stays in a core's L2
 # cache).  Rows are independent, so the tile size changes no distance.
 DISTANCE_TILE_ROWS = 128
-
-
-def _fan_out(job, items: int) -> None:
-    """Run job(lo, hi) on each run lo..hi of range(items), cut into one run of consecutive items per thread.
-
-    There are min(processes._io_workers(), items) threads, so one per CPU at
-    most.  The calling thread runs the first run and a thread pool the
-    others; with fewer than two threads, job(0, items) runs here alone.  Each
-    job writes only its own slice of a shared output and returns nothing, so
-    the cut changes no result's bits.  numpy runs the jobs' einsum and ufunc
-    loops without the GIL.  An exception of any job is raised here.  Every
-    pool thread has exited on return, so a later fork copies none.
-    """
-    workers = min(processes._io_workers(), items)
-    if workers < 2:
-        job(0, items)
-        return
-    # Imported here, so that importing the package does not load concurrent.futures.
-    from concurrent.futures import ThreadPoolExecutor
-
-    cuts = [items * w // workers for w in range(workers + 1)]
-    with ThreadPoolExecutor(workers - 1) as pool:
-        rest = [pool.submit(job, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        job(cuts[0], cuts[1])
-    for future in rest:
-        future.result()
 
 
 @dataclass(frozen=True)

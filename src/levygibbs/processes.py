@@ -23,13 +23,12 @@ indices) is produced by a Philox generator keyed on (seed, b).  The stream
 is therefore reproducible increment-by-increment, independent of how many
 blocks are materialized at once, and safe to generate in parallel.
 
-One pool of forked worker processes (_pool_map) serves the parallel work of
-this module: IncrementSeries.map_blocks and write_increments.  Each worker draws, slices
-or reads its own blocks and does its own file I/O: a block read from a
-binary increments file is read by the worker that folds it, and a block
-written to one is written at its offset by the worker that drew it, so no
-block crosses a pipe and the whole body is never held in this process.  A
-text increments file is read here, in one pass.
+Forked workers (_pool_map) only draw, read, mask and write increments, for
+IncrementSeries.in_window and write_increments; basis and posterior loops
+run on threads (_fan_out).  Each worker does its own file I/O: it reads the
+blocks of a binary increments file that it masks and writes each block it
+draws at its offset, so no block crosses a pipe and the whole body is never
+held in this process.  A text increments file is read here, in one pass.
 """
 
 from __future__ import annotations
@@ -317,17 +316,19 @@ class IncrementSeries:
     ) -> None:
         if (values is None) == (block_fn is None):
             raise ParameterError("exactly one of values/block_fn must be given")
+        self.scheme = scheme
+        self.seed = seed
+        self._values = None
+        self._block_fn = block_fn
         if values is not None:
             values = np.ascontiguousarray(values, dtype=float)
             if values.ndim != 1 or values.shape[0] != scheme.n:
                 raise ParameterError(
                     f"values must be a 1-d array of length n={scheme.n}, got shape {values.shape}"
                 )
-        self.scheme = scheme
-        self.seed = seed
-        self._values = None
-        self._block_fn = block_fn
-        if values is not None:
+            if not np.isfinite(values).all():
+                first = int(np.argmin(np.isfinite(values)))
+                raise ParameterError(f"values must be finite, got {float(values[first])!r} at increment {first + 1}")
             self._set_values(values)
 
     def _set_values(self, values: np.ndarray) -> None:
@@ -356,22 +357,21 @@ class IncrementSeries:
         for b in range(self.scheme.num_blocks):
             yield self._block_fn(b)
 
-    def map_blocks(
-        self, fn: Callable[[np.ndarray], object], max_workers: int | None = None
-    ) -> list:
-        """[fn(chunk) for chunk in self.iter_chunks()], here or in at most max_workers forked workers.
+    def in_window(self, a: float, b: float, max_workers: int | None = None) -> list[np.ndarray]:
+        """The values in [a, b] of each block, in block order, each block drawn, sliced or read and masked in one job.
 
-        A series of several blocks is mapped by _pool_map's workers (by
-        default one per CPU this process may run on): each worker generates
-        or slices the blocks it is given and sends back only fn's results, so
-        those must pickle; fn itself reaches the workers by fork and may be a
-        closure.  Results are in block order either way, so reductions over
-        the list are deterministic.  max_workers, unless None, must be a
-        positive integer (ParameterError otherwise).
+        _pool_map runs the jobs in at most max_workers forked workers (default
+        one per CPU), so only in-window values cross a pipe.  max_workers,
+        unless None, must be a positive integer (ParameterError otherwise).
         """
         if max_workers is not None:
             max_workers = check_count(max_workers, "max_workers")
-        return _pool_map(lambda block: fn(self._block_fn(block)), self.scheme.num_blocks, max_workers)
+
+        def mask(block: int) -> np.ndarray:
+            chunk = self._block_fn(block)
+            return chunk[(chunk >= a) & (chunk <= b)]
+
+        return _pool_map(mask, self.scheme.num_blocks, max_workers)
 
 
 def _io_workers() -> int:
@@ -385,15 +385,14 @@ def _io_workers() -> int:
 def _pool_map(job: Callable[[int], object], blocks: int, max_workers: int | None = None) -> list:
     """[job(b) for b in range(blocks)]: in at most one forked worker per CPU, per block and max_workers, or here.
 
-    Block generation and the block fold run mostly without the GIL (numpy
-    2.4, 2-vCPU Xeon: four VG j=2 blocks take 0.30-0.45 s serially and
-    0.18-0.23 s on two threads, the dense_window fold 0.89-1.02 s and
-    0.50-0.53 s).  Workers are processes all the same, because each block's
-    tens of MB of temporaries then live and die in its worker, and only
-    small results come back.  Workers are forked: a pool of two starts in
-    about 0.02 s on a 2-vCPU Xeon, against 0.7-1.0 s for spawn or
-    forkserver, which also re-import __main__.  Fork also hands each worker
-    `job` without pickling it, so a job may be a closure over this
+    Block generation runs mostly without the GIL (numpy 2.4, 2-vCPU Xeon:
+    four VG j=2 blocks take 0.30-0.45 s serially and 0.18-0.23 s on two
+    threads).  Workers are processes all the same, because each block's tens
+    of MB of temporaries then live and die in its worker, and only its
+    in-window values, or nothing, come back.  Workers are forked: a pool of
+    two starts in about 0.02 s on a 2-vCPU Xeon, against 0.7-1.0 s for spawn
+    or forkserver, which also re-import __main__.  Fork also hands each
+    worker `job` without pickling it, so a job may be a closure over this
     process's arrays; only block indices and results are pickled.  With one
     worker, no "fork" start method, or in any process multiprocessing
     started (a worker of any pool, this one's included) the blocks are
@@ -426,6 +425,32 @@ def _set_job(job: Callable) -> None:
 
 def _run_job(b: int):
     return _JOB(b)
+
+
+def _fan_out(job, items: int) -> None:
+    """Run job(lo, hi) on each run lo..hi of range(items), cut into one run of consecutive items per thread.
+
+    There are min(_io_workers(), items) threads, so one per CPU at most.  The
+    calling thread runs the first run and a thread pool the others; with
+    fewer than two threads, job(0, items) runs here alone.  Each job writes
+    only its own slice of a shared output and returns nothing, so the cut
+    changes no result's bits.  numpy runs the jobs' einsum and ufunc loops
+    without the GIL.  An exception of any job is raised here.  Every pool
+    thread has exited on return, so a later fork copies none.
+    """
+    workers = min(_io_workers(), items)
+    if workers < 2:
+        job(0, items)
+        return
+    # Imported here, so that importing the package does not load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [items * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(job, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        job(cuts[0], cuts[1])
+    for future in rest:
+        future.result()
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -470,7 +495,7 @@ simulate_vg = simulate_compound_poisson = simulate
 # first byte.  Either header is checked before any of the body is read, and
 # a seed in either is one that util.check_seed accepts.
 # A binary body is read lazily: each block is read at its offset when it is
-# folded (by the worker that folds it) or materialized, after a check that
+# masked (by the worker that masks it) or materialized, after a check that
 # the file is the one whose header was read.
 # A text file is read once, in this process, as ASCII with universal newlines
 # (CRLF and a lone CR end a line too), in reads of READ_BATCH characters split

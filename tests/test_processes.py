@@ -50,6 +50,7 @@ from levygibbs import (
     simulate,
     write_increments,
 )
+from levygibbs.basis import TrigonometricBasis
 
 from conftest import reference_write_increments
 
@@ -115,8 +116,11 @@ def spy_line_batches(monkeypatch):
 
 
 def values_series(values, seed=None):
+    """A streamed series of `values`, which may be non-finite: IncrementSeries(values=...) refuses those."""
     values = np.asarray(values, dtype=float)
-    return IncrementSeries(SamplingScheme(1e-3, len(values)), seed, values=values)
+    return IncrementSeries(
+        SamplingScheme(1e-3, len(values)), seed, block_fn=lambda b: values[b * processes.BLOCK : (b + 1) * processes.BLOCK]
+    )
 
 
 def _write_and_fold(path):
@@ -126,10 +130,16 @@ def _write_and_fold(path):
     return empirical_coefficients(series, BasisSystem.trigonometric(Window(-0.01, 0.01), 8)).values
 
 
+def _pid_blocks(series):
+    """Make every block of `series` the one value os.getpid() of the process that draws it."""
+    series._block_fn = lambda b: np.array([float(os.getpid())])
+    return series
+
+
 def _worker_and_block_pids():
-    """(this process's pid, the pid that maps each block of a 3-block series); run in a ProcessPoolExecutor worker."""
-    series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
-    return os.getpid(), series.map_blocks(lambda chunk: os.getpid())
+    """(this process's pid, the pid that masks each block of a 3-block series); run in a ProcessPoolExecutor worker."""
+    series = _pid_blocks(simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False))
+    return os.getpid(), [int(y[0]) for y in series.in_window(0.0, math.inf)]
 
 
 def vg_moments(params, scheme):
@@ -211,18 +221,51 @@ class TestVarianceGamma:
         assert [c.tobytes() for c in materialized.iter_chunks()] == [c.tobytes() for c in chunks]
 
     @BOTH_FAMILIES
-    def test_map_blocks_parallel_matches_serial(self, pooled_io, model):
+    def test_in_window_parallel_matches_serial(self, pooled_io, model):
         scheme = SamplingScheme(1e-3, 2 * BLOCK + 777)
         streamed = simulate(model, scheme, seed=5, materialize=False)
         materialized = simulate(model, scheme, seed=5)
         assert materialized.values.tobytes() == simulate(model, scheme, seed=5, materialize=False).values.tobytes()
-        serial = list(streamed.map_blocks(np.sum, max_workers=1))
+
+        def masked(series, workers):
+            return [y.tobytes() for y in series.in_window(0.005, 0.015, max_workers=workers)]
+
+        serial = masked(streamed, 1)
         assert pooled_io.workers == []  # neither materializing nor one worker starts a pool
-        assert list(streamed.map_blocks(np.sum, max_workers=4)) == serial
-        assert list(materialized.map_blocks(np.sum, max_workers=1)) == serial
-        assert list(materialized.map_blocks(np.sum, max_workers=4)) == serial
-        assert os.getpid() not in streamed.map_blocks(lambda chunk: os.getpid())
+        assert len(serial) == 3 and all(0 < len(y) < 8 * BLOCK for y in serial)
+        assert masked(streamed, 4) == masked(materialized, 1) == masked(materialized, 4) == serial
+        pids = _pid_blocks(simulate(model, scheme, seed=5, materialize=False)).in_window(0.0, math.inf)
+        assert len(pids) == 3 and os.getpid() not in np.concatenate(pids)
         assert pooled_io.workers == [2, 2, 2]  # pooled_io: 2 CPUs
+
+    @pytest.mark.parametrize("source", ["vg-streamed", "cpois-materialized", "binary-file"])
+    def test_in_window_blocks_are_the_masked_blocks(self, tmp_path, monkeypatch, pooled_io, source):
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        scheme, a, b = SamplingScheme(1e-3, 2500), 0.005, 0.015
+        model = DENSE_CP if source == "cpois-materialized" else STUDY_VG
+        values = simulate(model, scheme, seed=5).values
+        if source == "binary-file":
+            write_increments(tmp_path / "inc.bin", simulate(model, scheme, seed=5, materialize=False))
+            series = read_increments(tmp_path / "inc.bin")
+        else:
+            series = simulate(model, scheme, seed=5, materialize=source == "cpois-materialized")
+        expected = [chunk[(chunk >= a) & (chunk <= b)].tobytes() for chunk in np.split(values, [1000, 2000])]
+        assert all(expected) and sum(map(len, expected)) < 8 * 2500 // 2
+        pools = len(pooled_io.workers)
+        for workers in (1, 2):
+            assert [y.tobytes() for y in series.in_window(a, b, max_workers=workers)] == expected
+        assert pooled_io.workers[pools:] == [2] and series.materialized == (source == "cpois-materialized")
+
+    def test_fold_sums_every_block_in_this_process(self, monkeypatch, pooled_io):
+        # The forked workers only draw and mask; each block's row sums run here, on threads.
+        monkeypatch.setattr(processes, "BLOCK", 1000)
+        calls = []
+        row_sums = TrigonometricBasis._row_sums
+        monkeypatch.setattr(TrigonometricBasis, "_row_sums", lambda self, x: calls.append(os.getpid()) or row_sums(self, x))
+        series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
+        theta = empirical_coefficients(series, BasisSystem.trigonometric(Window(-0.01, 0.01), 8)).values
+        assert calls == [os.getpid()] * 3 and pooled_io.pools == 1 and pooled_io.workers == [2]
+        assert np.count_nonzero(theta) == 8
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_fold_starts_one_pool_of_at_most_one_worker_per_block(self, monkeypatch, pooled_io, cpus):
@@ -243,7 +286,7 @@ class TestVarianceGamma:
             for workers in (1, 2):
                 assert np.array_equal(empirical_coefficients(series, basis, max_workers=workers).values, theta)
 
-    @pytest.mark.parametrize("entry", ["map_blocks", "empirical_coefficients"])
+    @pytest.mark.parametrize("entry", ["in_window", "empirical_coefficients"])
     def test_max_workers_follows_the_count_rule(self, monkeypatch, pooled_io, entry):
         monkeypatch.setattr(processes, "BLOCK", 1000)
         series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
@@ -252,27 +295,30 @@ class TestVarianceGamma:
         block_fn = series._block_fn
         monkeypatch.setattr(series, "_block_fn", lambda b: drawn.append(b) or block_fn(b))
         call = {
-            "map_blocks": lambda workers: series.map_blocks(np.sum, max_workers=workers),
-            "empirical_coefficients": lambda workers: empirical_coefficients(series, basis, max_workers=workers).values,
+            "in_window": lambda workers: [y.tobytes() for y in series.in_window(-0.01, 0.01, max_workers=workers)],
+            "empirical_coefficients": lambda workers: empirical_coefficients(series, basis, max_workers=workers).values.tobytes(),
         }[entry]
         for bad in (2.5, True, 0, -1):
             with pytest.raises(ParameterError, match=re.escape(f"max_workers must be a positive integer, got {bad!r}")):
                 call(bad)
         assert drawn == [] and pooled_io.workers == []
-        assert np.array_equal(call(np.int64(2)), call(None))
+        assert call(np.int64(2)) == call(None)
         assert pooled_io.workers == [2, 2]
 
     def test_worker_error_reaches_caller(self, monkeypatch, pooled_io):
         monkeypatch.setattr(processes, "BLOCK", 1000)
         series = simulate(STUDY_VG, SamplingScheme(1e-3, 2500), seed=5, materialize=False)
+        block_fn = series._block_fn
 
-        def refuse_short_block(chunk):
+        def refuse_short_block(b):
+            chunk = block_fn(b)
             if len(chunk) < 1000:
                 raise ResourceGuardError(f"block of {len(chunk)} refused")
-            return len(chunk)
+            return chunk
 
+        monkeypatch.setattr(series, "_block_fn", refuse_short_block)
         with pytest.raises(ResourceGuardError) as excinfo:
-            series.map_blocks(refuse_short_block)
+            series.in_window(-0.01, 0.01)
         assert excinfo.type is ResourceGuardError and str(excinfo.value) == "block of 500 refused"
         assert pooled_io.workers == [2] and multiprocessing.active_children() == []
 
@@ -1100,6 +1146,13 @@ class TestIncrementSeries:
     def test_values_length_matches_scheme(self):
         with pytest.raises(ParameterError):
             IncrementSeries(SamplingScheme(1.0, 5), seed=0, values=np.zeros(4))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_refused(self, value):
+        # The window mask would drop such a value, and the fold divide by a t_n that counts it.
+        for values, index in (([0.01, value, 0.011], 2), ([value], 1)):
+            with pytest.raises(ParameterError, match=rf"^values must be finite, got {re.escape(repr(value))} at increment {index}$"):
+                IncrementSeries(SamplingScheme(1e-3, len(values)), None, values=values)
 
     def test_len(self):
         series = simulate(STUDY_VG, SamplingScheme(1e-3, 321), seed=0)
